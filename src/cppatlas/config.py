@@ -7,12 +7,16 @@ file fails loudly instead of silently falling back to defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .pipeline import PipelineConfig
 from .repo import DEFAULT_INCLUDE_GLOBS
 from .runner import RunnerConfig
+
+
+def _field_names(cls) -> set[str]:
+    return {f.name for f in fields(cls)}
 
 
 def _check_keys(data: dict, allowed: set[str], where: str):
@@ -58,56 +62,30 @@ class AppConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "AppConfig":
-        _check_keys(
-            raw, {"include_globs", "provider", "runner", "pipeline"}, "config"
-        )
-        provider_raw = raw.get("provider", {})
-        _check_keys(
-            provider_raw, {"type", "dim", "command", "name"}, "provider"
-        )
-        provider = ProviderConfig(
-            type=provider_raw.get("type", "hash"),
-            dim=provider_raw.get("dim", 256),
-            command=tuple(provider_raw.get("command", ())),
-            name=provider_raw.get("name", ""),
-        )
+        """Build from the keys present; omitted keys keep the field defaults."""
+        _check_keys(raw, _field_names(AppConfig), "config")
+        provider_raw = dict(raw.get("provider", {}))
+        _check_keys(provider_raw, _field_names(ProviderConfig), "provider")
+        if "command" in provider_raw:
+            provider_raw["command"] = tuple(provider_raw["command"])
         runner_raw = raw.get("runner", {})
+        _check_keys(runner_raw, _field_names(RunnerConfig), "runner")
+        runner = RunnerConfig(**runner_raw)
+        pipeline_raw = dict(raw.get("pipeline", {}))
         _check_keys(
-            runner_raw,
-            {"scratch_root", "timeout_seconds", "output_limit_bytes",
-             "keep_scratch"},
-            "runner",
+            pipeline_raw, _field_names(PipelineConfig) - {"runner"}, "pipeline"
         )
-        runner = RunnerConfig(
-            scratch_root=runner_raw.get("scratch_root"),
-            timeout_seconds=runner_raw.get("timeout_seconds", 30.0),
-            output_limit_bytes=runner_raw.get("output_limit_bytes", 65536),
-            keep_scratch=runner_raw.get("keep_scratch", False),
-        )
-        pipeline_raw = raw.get("pipeline", {})
-        _check_keys(
-            pipeline_raw,
-            {"reproduce_budget", "generate_budget", "candidate_count",
-             "intent_k", "subgraph_hops", "vote_weights",
-             "selection_strategy"},
-            "pipeline",
-        )
-        weights = pipeline_raw.get("vote_weights", (0.5, 0.25, 0.25))
-        if len(weights) != 3:
-            raise ValueError("vote_weights must have three entries")
-        pipeline = PipelineConfig(
-            reproduce_budget=pipeline_raw.get("reproduce_budget", 20),
-            generate_budget=pipeline_raw.get("generate_budget", 50),
-            candidate_count=pipeline_raw.get("candidate_count", 10),
-            intent_k=pipeline_raw.get("intent_k", 10),
-            subgraph_hops=pipeline_raw.get("subgraph_hops", 2),
-            vote_weights=tuple(float(w) for w in weights),
-            selection_strategy=pipeline_raw.get("selection_strategy", "vote"),
-            runner=runner,
-        )
+        if "vote_weights" in pipeline_raw:
+            weights = pipeline_raw["vote_weights"]
+            if len(weights) != 3:
+                raise ValueError("vote_weights must have three entries")
+            pipeline_raw["vote_weights"] = tuple(float(w) for w in weights)
+        top = {}
+        if "include_globs" in raw:
+            top["include_globs"] = tuple(raw["include_globs"])
         return AppConfig(
-            include_globs=tuple(raw.get("include_globs", DEFAULT_INCLUDE_GLOBS)),
-            provider=provider,
+            **top,
+            provider=ProviderConfig(**provider_raw),
             runner=runner,
-            pipeline=pipeline,
+            pipeline=PipelineConfig(**pipeline_raw, runner=runner),
         )

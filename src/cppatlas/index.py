@@ -15,6 +15,13 @@ resolves deferred references:
   nearest base-class member with identical name and signature when that base
   member is virtual or the derived one is marked ``override``.
 
+Each index carries one ``Graph``: per-kind out- and in-neighbour lists and
+the call-site positions of every caller and callee. Resolution reads an
+interim graph over containment and inheritance; the final graph is built
+over the sorted edge list at the end of ``build_index`` and again on
+``load_index``, where the closure check also runs. Queries walk it rather
+than scanning edges.
+
 The result is deterministic: identical repositories produce identical
 indices, ids, edge lists and serialized bytes.
 """
@@ -52,9 +59,50 @@ FORMAT_VERSION = 1
 _EDGE_ORDER = {k: i for i, k in enumerate(EdgeKind)}
 
 
+class Graph:
+    """Adjacency of one edge list, built once per index.
+
+    For each ``EdgeKind`` it maps a node to its out-neighbours
+    (``targets``) and in-neighbours (``sources``), each sorted by id, and
+    it maps each caller and each callee to the positions of its call sites
+    in the ``call_sites`` list it was built from. Returned lists are shared:
+    callers must not mutate them.
+    """
+
+    def __init__(self, edges=(), call_sites=()):
+        self._out: dict[EdgeKind, dict[int, list[int]]] = {k: {} for k in EdgeKind}
+        self._in: dict[EdgeKind, dict[int, list[int]]] = {k: {} for k in EdgeKind}
+        for e in edges:
+            self._out[e.kind].setdefault(e.src, []).append(e.dst)
+            self._in[e.kind].setdefault(e.dst, []).append(e.src)
+        for table in (*self._out.values(), *self._in.values()):
+            for ids in table.values():
+                ids.sort()
+        self._by_caller: dict[int, list[int]] = {}
+        self._by_callee: dict[int, list[int]] = {}
+        for pos, site in enumerate(call_sites):
+            self._by_caller.setdefault(site.caller, []).append(pos)
+            self._by_callee.setdefault(site.callee, []).append(pos)
+
+    def targets(self, kind: EdgeKind, node: int) -> list[int]:
+        return self._out[kind].get(node, [])
+
+    def sources(self, kind: EdgeKind, node: int) -> list[int]:
+        return self._in[kind].get(node, [])
+
+    def sites_from(self, caller: int) -> list[int]:
+        return self._by_caller.get(caller, [])
+
+    def sites_into(self, callee: int) -> list[int]:
+        return self._by_callee.get(callee, [])
+
+
 @dataclass
 class StructuralIndex:
-    """Symbol graph plus lookup tables and the source text it was built from."""
+    """Symbol graph plus lookup tables and the source text it was built from.
+
+    ``graph`` is derived from ``edges`` and ``call_sites``; it is rebuilt on
+    load, never persisted, and takes no part in equality."""
 
     symbols: list[SymbolRecord] = field(default_factory=list)
     edges: list[StructuralEdge] = field(default_factory=list)
@@ -65,65 +113,14 @@ class StructuralIndex:
     includes: dict[str, list[str]] = field(default_factory=dict)
     repo_snapshot: str = ""
     parse_error_count: int = 0
+    graph: Graph = field(default_factory=Graph, repr=False, compare=False)
 
     def symbol(self, symbol_id: int) -> SymbolRecord:
         return self.symbols[symbol_id]
 
-    def children(self, symbol_id: int) -> list[int]:
-        return self._children_map().get(symbol_id, [])
-
     def parent(self, symbol_id: int) -> int | None:
-        return self._parent_map().get(symbol_id)
-
-    def _children_map(self) -> dict[int, list[int]]:
-        cached = getattr(self, "_children_cache", None)
-        if cached is None:
-            cached = defaultdict(list)
-            for e in self.edges:
-                if e.kind is EdgeKind.CONTAINS:
-                    cached[e.src].append(e.dst)
-            for ids in cached.values():
-                ids.sort()
-            object.__setattr__(self, "_children_cache", dict(cached))
-            cached = dict(cached)
-        return cached
-
-    def _parent_map(self) -> dict[int, int]:
-        cached = getattr(self, "_parent_cache", None)
-        if cached is None:
-            cached = {}
-            for e in self.edges:
-                if e.kind is EdgeKind.CONTAINS:
-                    cached[e.dst] = e.src
-            object.__setattr__(self, "_parent_cache", cached)
-        return cached
-
-    def enclosing(self, symbol_id: int, kinds: frozenset) -> int | None:
-        """Nearest containment ancestor whose kind is in ``kinds``."""
-        cur = self.parent(symbol_id)
-        while cur is not None:
-            if self.symbols[cur].kind in kinds:
-                return cur
-            cur = self.parent(cur)
-        return None
-
-    def edges_of_kind(self, kind: EdgeKind) -> list[StructuralEdge]:
-        return [e for e in self.edges if e.kind is kind]
-
-    def __eq__(self, other):
-        if not isinstance(other, StructuralIndex):
-            return NotImplemented
-        return (
-            self.symbols == other.symbols
-            and self.edges == other.edges
-            and self.call_sites == other.call_sites
-            and self.by_name == other.by_name
-            and self.by_qualified == other.by_qualified
-            and self.sources == other.sources
-            and self.includes == other.includes
-            and self.repo_snapshot == other.repo_snapshot
-            and self.parse_error_count == other.parse_error_count
-        )
+        parents = self.graph.sources(EdgeKind.CONTAINS, symbol_id)
+        return parents[0] if parents else None
 
 
 def build_index(repo: Repository) -> StructuralIndex:
@@ -154,11 +151,6 @@ def build_index(repo: Repository) -> StructuralIndex:
             )
 
     _build_lookup(index)
-    children_of: dict[int, list[int]] = defaultdict(list)
-    for e in edges:
-        children_of[e.src].append(e.dst)
-    for ids in children_of.values():
-        ids.sort()
 
     # --- inheritance -------------------------------------------------
     for pu, off in zip(parsed, offsets):
@@ -174,6 +166,9 @@ def build_index(repo: Repository) -> StructuralIndex:
                     index.symbols[derived].qualified_name,
                 )
 
+    # containment and inheritance are final here; calls and overrides read them
+    graph = Graph(edges)
+
     # --- calls -------------------------------------------------------
     raw_calls: list[tuple[int, str, bool, int, str]] = []
     for pu, off in zip(parsed, offsets):
@@ -184,9 +179,7 @@ def build_index(repo: Repository) -> StructuralIndex:
     resolved: list[tuple[int, int | str, Location]] = []
     unresolved_names: set[str] = set()
     for caller, callee_text, ctor_style, line, path in raw_calls:
-        target = _resolve_call(
-            index, children_of, caller, callee_text, ctor_style
-        )
+        target = _resolve_call(index, graph, caller, callee_text, ctor_style)
         loc = Location(path, line, line)
         if target is None:
             unresolved_names.add(callee_text)
@@ -231,25 +224,18 @@ def build_index(repo: Repository) -> StructuralIndex:
                 edges.add(StructuralEdge(EdgeKind.OVERLOAD_OF, ids[a], ids[b]))
 
     # --- overrides ---------------------------------------------------
-    bases_of: dict[int, list[int]] = defaultdict(list)
-    for e in edges:
-        if e.kind is EdgeKind.INHERITS_FROM:
-            bases_of[e.src].append(e.dst)
-    for ids in bases_of.values():
-        ids.sort()
-
     for rec in index.symbols:
         if rec.kind not in CLASS_KINDS or not rec.is_definition:
             continue
         members = [
             index.symbols[c]
-            for c in children_of.get(rec.symbol_id, [])
+            for c in graph.targets(EdgeKind.CONTAINS, rec.symbol_id)
             if index.symbols[c].kind
             in (SymbolKind.MEMBER_FUNCTION, SymbolKind.TEMPLATE_FUNCTION)
         ]
         for member in members:
             for target in _find_override_targets(
-                index, bases_of, children_of, rec.symbol_id, member
+                index, graph, rec.symbol_id, member
             ):
                 edges.add(
                     StructuralEdge(EdgeKind.OVERRIDES, member.symbol_id, target)
@@ -259,6 +245,7 @@ def build_index(repo: Repository) -> StructuralIndex:
     index.call_sites.sort(
         key=lambda c: (c.location.file, c.location.start_line, c.caller, c.callee)
     )
+    index.graph = Graph(index.edges, index.call_sites)
     _check_closure(index)
     return index
 
@@ -299,7 +286,7 @@ def _resolve_base(
 
 def _pick_candidate(
     index: StructuralIndex,
-    children_of: dict[int, list[int]],
+    graph: Graph,
     ids: list[int],
     ctor_style: bool,
 ) -> int | None:
@@ -318,7 +305,7 @@ def _pick_candidate(
     def ctor_of(class_id: int) -> int:
         ctors = [
             c
-            for c in children_of.get(class_id, [])
+            for c in graph.targets(EdgeKind.CONTAINS, class_id)
             if index.symbols[c].kind is SymbolKind.CONSTRUCTOR
         ]
         return min(ctors) if ctors else class_id
@@ -339,7 +326,7 @@ def _pick_candidate(
 
 def _resolve_call(
     index: StructuralIndex,
-    children_of: dict[int, list[int]],
+    graph: Graph,
     caller: int,
     callee_text: str,
     ctor_style: bool,
@@ -355,7 +342,7 @@ def _resolve_call(
         for prefix in _scope_prefixes(caller_rec.qualified_name):
             qualified = f"{prefix}::{callee_text}" if prefix else callee_text
             found = _pick_candidate(
-                index, children_of, index.by_qualified.get(qualified, []), ctor_style
+                index, graph, index.by_qualified.get(qualified, []), ctor_style
             )
             if found is not None:
                 return found
@@ -384,7 +371,7 @@ def _resolve_call(
     for scope in scopes:
         qualified = f"{scope}::{callee_text}" if scope else callee_text
         found = _pick_candidate(
-            index, children_of, index.by_qualified.get(qualified, []), ctor_style
+            index, graph, index.by_qualified.get(qualified, []), ctor_style
         )
         if found is not None:
             return found
@@ -393,19 +380,18 @@ def _resolve_call(
 
 def _find_override_targets(
     index: StructuralIndex,
-    bases_of: dict[int, list[int]],
-    children_of: dict[int, list[int]],
+    graph: Graph,
     class_id: int,
     member: SymbolRecord,
 ) -> list[int]:
     """Nearest-level search over the ancestor lattice for a matching
     virtual member; all matches at the first matching depth are returned."""
-    frontier = list(bases_of.get(class_id, []))
+    frontier = list(graph.targets(EdgeKind.INHERITS_FROM, class_id))
     visited = set(frontier)
     while frontier:
         matches: list[int] = []
         for base in frontier:
-            for child_id in children_of.get(base, []):
+            for child_id in graph.targets(EdgeKind.CONTAINS, base):
                 candidate = index.symbols[child_id]
                 if candidate.kind not in (
                     SymbolKind.MEMBER_FUNCTION,
@@ -422,7 +408,7 @@ def _find_override_targets(
             return sorted(matches)
         nxt: list[int] = []
         for base in frontier:
-            for up in bases_of.get(base, []):
+            for up in graph.targets(EdgeKind.INHERITS_FROM, base):
                 if up not in visited:
                     visited.add(up)
                     nxt.append(up)
@@ -440,29 +426,29 @@ def _check_closure(index: StructuralIndex):
     for e in index.edges:
         if not (0 <= e.src < n and 0 <= e.dst < n):
             raise AssertionError(f"dangling edge {e}")
-    parents: dict[int, int] = {}
-    for e in index.edges:
-        if e.kind is EdgeKind.CONTAINS:
-            if e.dst in parents:
-                raise AssertionError(f"symbol {e.dst} has two parents")
-            parents[e.dst] = e.src
+    for c in index.call_sites:
+        if not (0 <= c.caller < n and 0 <= c.callee < n):
+            raise AssertionError(f"dangling call site {c}")
     for rec in index.symbols:
+        parents = index.graph.sources(EdgeKind.CONTAINS, rec.symbol_id)
+        if len(parents) > 1:
+            raise AssertionError(f"symbol {rec.symbol_id} has two parents")
         if rec.is_synthetic:
-            if rec.symbol_id in parents:
+            if parents:
                 raise AssertionError("synthetic symbol must be a root")
-        elif rec.symbol_id not in parents:
+        elif not parents:
             raise AssertionError(
                 f"symbol {rec.qualified_name} lacks a containment parent"
             )
     # acyclicity: follow parents upward, must terminate
-    for start in parents:
+    for start in range(n):
         seen = set()
         cur = start
-        while cur in parents:
+        while (up := index.parent(cur)) is not None:
             if cur in seen:
                 raise AssertionError("containment cycle")
             seen.add(cur)
-            cur = parents[cur]
+            cur = up
 
 
 # ----------------------------------------------------------------------
@@ -494,14 +480,17 @@ def _structural_to_dict(index: StructuralIndex) -> dict:
 
 
 def _structural_from_dict(d: dict, snapshot: str) -> StructuralIndex:
+    edges = [StructuralEdge.from_dict(e) for e in d["edges"]]
+    call_sites = [CallSite.from_dict(c) for c in d["call_sites"]]
     index = StructuralIndex(
         symbols=[SymbolRecord.from_dict(s) for s in d["symbols"]],
-        edges=[StructuralEdge.from_dict(e) for e in d["edges"]],
-        call_sites=[CallSite.from_dict(c) for c in d["call_sites"]],
+        edges=edges,
+        call_sites=call_sites,
         sources=dict(d["sources"]),
         includes={k: list(v) for k, v in d["includes"].items()},
         repo_snapshot=snapshot,
         parse_error_count=d["parse_error_count"],
+        graph=Graph(edges, call_sites),
     )
     _build_lookup(index)
     return index
@@ -547,13 +536,18 @@ def load_index(
         raise VersionMismatch(
             f"index version {payload.get('version')} != {FORMAT_VERSION}"
         )
-    snapshot = payload["repo_snapshot"]
-    structural = _structural_from_dict(payload["structural"], snapshot)
-    intent = None
-    if payload.get("intent") is not None:
-        from .intent import IntentIndex
+    try:
+        snapshot = payload["repo_snapshot"]
+        structural = _structural_from_dict(payload["structural"], snapshot)
+        _check_closure(structural)
+        intent = None
+        if payload.get("intent") is not None:
+            from .intent import IntentIndex
 
-        intent = IntentIndex.from_dict(payload["intent"])
+            intent = IntentIndex.from_dict(payload["intent"])
+    except (KeyError, TypeError, ValueError, AttributeError,
+            AssertionError) as exc:
+        raise CorruptIndex(f"index file {path} is malformed: {exc!r}") from exc
     if expected_snapshot is not None and expected_snapshot != snapshot:
         warnings.warn(
             StaleIndexWarning(

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadRequest,
     EmptyIndex,
     NoSeedsResolved,
     ProviderUnavailable,
@@ -221,6 +222,8 @@ def query_code_intent(
 ) -> list[dict]:
     """Top-k symbols by cosine similarity against the query embedding.
     Ties break lexicographically on qualified name, then id."""
+    if k < 1:
+        raise BadRequest("k must be >= 1")
     if not intent.docs:
         raise EmptyIndex("intent index has no documents")
     provider = provider or HashEmbeddingProvider()

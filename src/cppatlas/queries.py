@@ -10,7 +10,6 @@ candidate spellings instead of guessing.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import (
     AmbiguousName,
@@ -25,26 +24,18 @@ from .model import (
     CLASS_KINDS,
     FUNCTION_KINDS,
     EdgeKind,
-    SymbolKind,
+    StructuralEdge,
     SymbolRecord,
 )
 
 _SNIPPET_MAX_LINES = 12
 
-# edge kinds that carry locality for defect neighborhoods; overload edges
-# are lexical coincidence, not proximity
-_SUBGRAPH_KINDS = frozenset(
-    {EdgeKind.CONTAINS, EdgeKind.INHERITS_FROM, EdgeKind.CALLS, EdgeKind.OVERRIDES}
+# edge kinds that carry locality for defect neighborhoods, in EdgeKind
+# order (the order result edges are listed in); overload edges are lexical
+# coincidence, not proximity
+_SUBGRAPH_KINDS = (
+    EdgeKind.CONTAINS, EdgeKind.INHERITS_FROM, EdgeKind.CALLS, EdgeKind.OVERRIDES
 )
-
-
-@dataclass(frozen=True)
-class QueryMatch:
-    record: SymbolRecord
-    snippet: str
-
-    def to_dict(self) -> dict:
-        return {"record": self.record.to_dict(), "snippet": self.snippet}
 
 
 def snippet_for(index: StructuralIndex, record: SymbolRecord) -> str:
@@ -58,10 +49,6 @@ def snippet_for(index: StructuralIndex, record: SymbolRecord) -> str:
     if end < record.location.end_line:
         chunk.append("...")
     return "\n".join(chunk)
-
-
-def _real_records(index: StructuralIndex):
-    return [r for r in index.symbols if not r.is_synthetic]
 
 
 def _lookup_by_name(
@@ -144,22 +131,15 @@ def get_inheritance_chain(
     except NotFound as exc:
         raise UnknownClass(str(exc)) from exc
 
-    up: dict[int, set[int]] = {}
-    down: dict[int, set[int]] = {}
-    for edge in index.edges:
-        if edge.kind is not EdgeKind.INHERITS_FROM:
-            continue
-        up.setdefault(edge.src, set()).add(edge.dst)
-        down.setdefault(edge.dst, set()).add(edge.src)
-
-    def levels(adj: dict[int, set[int]]) -> list[list[int]]:
+    def levels(step) -> list[list[int]]:
         seen = {record.symbol_id}
         frontier = {record.symbol_id}
         out: list[list[int]] = []
         while frontier:
             nxt: set[int] = set()
             for node in frontier:
-                nxt |= adj.get(node, set()) - seen
+                nxt.update(step(EdgeKind.INHERITS_FROM, node))
+            nxt -= seen
             if not nxt:
                 break
             seen |= nxt
@@ -172,9 +152,9 @@ def get_inheritance_chain(
         "symbol_id": record.symbol_id,
     }
     if direction in ("bases", "both"):
-        result["bases"] = levels(up)
+        result["bases"] = levels(index.graph.targets)
     if direction in ("derived", "both"):
-        result["derived"] = levels(down)
+        result["derived"] = levels(index.graph.sources)
     return result
 
 
@@ -195,11 +175,12 @@ def get_function_calls(
         if index.symbols[i].signature == record.signature
         and index.symbols[i].kind in FUNCTION_KINDS
     }
+    positions_of = (
+        index.graph.sites_from if direction == "out" else index.graph.sites_into
+    )
     sites = []
-    for cs in index.call_sites:
-        anchor = cs.caller if direction == "out" else cs.callee
-        if anchor not in same:
-            continue
+    for pos in sorted(p for anchor in same for p in positions_of(anchor)):
+        cs = index.call_sites[pos]
         other_id = cs.callee if direction == "out" else cs.caller
         other = index.symbols[other_id]
         sites.append(
@@ -259,34 +240,34 @@ def defect_subgraph(
     if not seed_ids:
         raise NoSeedsResolved(f"none of {list(seeds)!r} resolved")
 
-    adj: dict[int, set[int]] = {}
-    for edge in index.edges:
-        if edge.kind not in _SUBGRAPH_KINDS:
-            continue
-        adj.setdefault(edge.src, set()).add(edge.dst)
-        adj.setdefault(edge.dst, set()).add(edge.src)
-
+    graph = index.graph
     nodes = set(seed_ids)
     frontier = set(seed_ids)
     for _ in range(hops):
         nxt: set[int] = set()
         for node in frontier:
-            nxt |= adj.get(node, set()) - nodes
+            for kind in _SUBGRAPH_KINDS:
+                nxt.update(graph.targets(kind, node))
+                nxt.update(graph.sources(kind, node))
+        nxt -= nodes
         if not nxt:
             break
         nodes |= nxt
         frontier = nxt
 
+    ordered = sorted(nodes)
     edges = [
-        e
-        for e in index.edges
-        if e.kind in _SUBGRAPH_KINDS and e.src in nodes and e.dst in nodes
+        StructuralEdge(kind, src, dst).to_dict()
+        for kind in _SUBGRAPH_KINDS
+        for src in ordered
+        for dst in graph.targets(kind, src)
+        if dst in nodes
     ]
     return {
         "seeds": sorted(seed_ids),
         "hops": hops,
-        "nodes": sorted(nodes),
-        "edges": [e.to_dict() for e in edges],
+        "nodes": ordered,
+        "edges": edges,
     }
 
 

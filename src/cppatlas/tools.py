@@ -39,22 +39,16 @@ def _require(args: dict, key: str, typ=str):
     if key not in args:
         raise BadRequest(f"missing argument {key!r}")
     value = args[key]
-    if typ is int and isinstance(value, bool):
-        raise BadRequest(f"argument {key!r} must be {typ.__name__}")
-    if not isinstance(value, typ):
+    # bool is an int subclass, but true/false is never a count
+    if not isinstance(value, typ) or (typ is int and isinstance(value, bool)):
         raise BadRequest(f"argument {key!r} must be {typ.__name__}")
     return value
 
 
 def _optional(args: dict, key: str, typ, default):
-    if key not in args or args[key] is None:
+    if args.get(key) is None:
         return default
-    value = args[key]
-    if typ is int and isinstance(value, bool):
-        raise BadRequest(f"argument {key!r} must be {typ.__name__}")
-    if not isinstance(value, typ):
-        raise BadRequest(f"argument {key!r} must be {typ.__name__}")
-    return value
+    return _require(args, key, typ)
 
 
 def _tool_find_class(ctx: ToolContext, args: dict) -> dict:

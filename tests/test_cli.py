@@ -20,11 +20,13 @@ import sys
 import pytest
 
 from cppatlas.cli import main
+from cppatlas.config import AppConfig, ProviderConfig
 from cppatlas.diffs import make_diff
 from cppatlas.index import load_index
 from cppatlas.queries import find_class
 from cppatlas.repo import load_repository
-from cppatlas.runner import TestCase
+from cppatlas.pipeline import PipelineConfig
+from cppatlas.runner import RunnerConfig, TestCase
 
 PY = sys.executable
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -151,6 +153,32 @@ class TestQueryCommand:
                                   "subgraph", "calc::Calculator", "--hops", "1")
         assert code == 0
         assert json.loads(stdout)["nodes"]
+
+    def test_corrupt_index_exits_two(self, index_file, tmp_path, capsys):
+        payload = json.loads(index_file.read_text())
+        payload["structural"]["edges"].append(
+            {"kind": "calls", "from": 1, "to": 99999})
+        corrupt = tmp_path / "corrupt.caidx"
+        corrupt.write_text(json.dumps(payload), encoding="utf-8")
+        for argv in (["query", "--index", str(corrupt), "subgraph", "1",
+                      "--hops", "1"],
+                     ["serve", "--index", str(corrupt)]):
+            code, stdout, stderr = run_cli(capsys, *argv)
+            assert code == 2
+            assert stdout == ""
+            assert json.loads(stderr)["error_kind"] == "CorruptIndex"
+
+    def test_nonpositive_k_exits_two(self, index_file, tmp_path, capsys):
+        issue = tmp_path / "issue.json"
+        issue.write_text(json.dumps({"title": "subtract broken", "body": ""}),
+                         encoding="utf-8")
+        for k in ("0", "-1"):
+            for argv in (["intent", "subtract two integers"],
+                         ["localize", str(issue)]):
+                code, _, stderr = run_cli(capsys, "query", "--index",
+                                          str(index_file), *argv, "-k", k)
+                assert code == 2
+                assert json.loads(stderr)["error_kind"] == "BadRequest"
 
     def test_localize_reads_issue_file(self, index_file, tmp_path, capsys):
         issue = tmp_path / "issue.json"
@@ -346,6 +374,22 @@ class TestConfigFile:
         assert code == 0
         assert load_index(out).intent.dim == 32
 
+    def test_defaults_come_from_the_dataclasses(self):
+        assert AppConfig.from_dict({}) == AppConfig()
+        partial = AppConfig.from_dict({
+            "provider": {"dim": 32},
+            "runner": {"timeout_seconds": 5.0},
+            "pipeline": {"intent_k": 3, "vote_weights": [1, 0, 0]},
+        })
+        assert partial == AppConfig(
+            provider=ProviderConfig(dim=32),
+            runner=RunnerConfig(timeout_seconds=5.0),
+            pipeline=PipelineConfig(intent_k=3, vote_weights=(1.0, 0.0, 0.0),
+                                    runner=RunnerConfig(timeout_seconds=5.0)),
+        )
+        with pytest.raises(ValueError, match="three entries"):
+            AppConfig.from_dict({"pipeline": {"vote_weights": [1, 0]}})
+
 
 def checkout_env():
     """The caller's environment with this checkout's `src` first on
@@ -362,6 +406,15 @@ def declared_scripts():
         tomllib = pytest.importorskip("tomli")
     with open(ROOT / "pyproject.toml", "rb") as f:
         return tomllib.load(f)["project"].get("scripts", {})
+
+
+def assert_lists_subcommands(help_text):
+    assert help_text.startswith("usage: cppatlas")
+    # the subcommand choices, not the description, which also says
+    # "pipeline"
+    choices = re.search(r"\{([^}]*)\}", help_text)
+    assert choices, help_text
+    assert set(SUBCOMMANDS) <= set(choices.group(1).split(","))
 
 
 class TestInstalledEntryPoint:
@@ -389,12 +442,7 @@ class TestInstalledEntryPoint:
             capture_output=True, text=True, timeout=60, env=checkout_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("usage: cppatlas")
-        # the subcommand choices, not the description, which also says
-        # "pipeline"
-        choices = re.search(r"\{([^}]*)\}", proc.stdout)
-        assert choices, proc.stdout
-        assert set(SUBCOMMANDS) <= set(choices.group(1).split(","))
+        assert_lists_subcommands(proc.stdout)
 
     @pytest.mark.skipif(shutil.which("cppatlas") is None,
                         reason="no cppatlas console script on PATH")
@@ -402,4 +450,4 @@ class TestInstalledEntryPoint:
         proc = subprocess.run(["cppatlas", "--help"], capture_output=True,
                               text=True, timeout=60)
         assert proc.returncode == 0
-        assert "pipeline" in proc.stdout
+        assert_lists_subcommands(proc.stdout)

@@ -190,3 +190,57 @@ class TestPersistence:
             load_index(path, expected_snapshot="0" * 64)
         loaded = load_index(path, expected_snapshot=toy_index.repo_snapshot)
         assert loaded.structural.repo_snapshot == toy_index.repo_snapshot
+
+    @staticmethod
+    def _second_parent(structural):
+        contains = [e for e in structural["edges"] if e["kind"] == "contains"]
+        child = contains[0]["to"]
+        other = next(e["from"] for e in contains if e["from"] != contains[0]["from"])
+        structural["edges"].append({"kind": "contains", "from": other, "to": child})
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda s: s.pop("call_sites"),
+            lambda s: s["edges"].append({"kind": "calls", "from": 1, "to": 99999}),
+            lambda s: s["call_sites"][0].update(callee=99999),
+            lambda s: s["edges"].append({"kind": "befriends", "from": 1, "to": 2}),
+            _second_parent,
+        ],
+        ids=["missing-call-sites", "dangling-edge", "dangling-call-site",
+             "unknown-edge-kind", "second-parent"],
+    )
+    def test_malformed_structural_payload_rejected(
+        self, toy_index, tmp_path, corrupt
+    ):
+        path = tmp_path / "atlas.json"
+        persist_index(toy_index, path)
+        payload = json.loads(path.read_text())
+        corrupt(payload["structural"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorruptIndex):
+            load_index(path)
+
+    def test_malformed_intent_payload_rejected(
+        self, toy_index, toy_intent, tmp_path
+    ):
+        path = tmp_path / "atlas.json"
+        persist_index(IndexContainer(structural=toy_index, intent=toy_intent), path)
+        payload = json.loads(path.read_text())
+        del payload["intent"]["docs"][0]["vector"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorruptIndex):
+            load_index(path)
+
+    def test_loaded_graph_matches_built_graph(self, toy_index, tmp_path):
+        path = tmp_path / "atlas.json"
+        persist_index(toy_index, path)
+        loaded = load_index(path).structural
+        for rec in toy_index.symbols:
+            sid = rec.symbol_id
+            assert loaded.parent(sid) == toy_index.parent(sid)
+            for kind in EdgeKind:
+                assert loaded.graph.targets(kind, sid) == toy_index.graph.targets(kind, sid)
+                assert loaded.graph.sources(kind, sid) == toy_index.graph.sources(kind, sid)
+            assert loaded.graph.sites_from(sid) == toy_index.graph.sites_from(sid)
+            assert loaded.graph.sites_into(sid) == toy_index.graph.sites_into(sid)

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cppatlas.errors import EmptyIndex, ProviderUnavailable, SnapshotMismatch
+from cppatlas.errors import (
+    BadRequest,
+    EmptyIndex,
+    ProviderUnavailable,
+    SnapshotMismatch,
+)
 from cppatlas.intent import (
     CommandEmbeddingProvider,
     HashEmbeddingProvider,
@@ -142,6 +147,9 @@ class TestIntentIndex:
 
     def test_k_bounds_results(self, toy_intent):
         assert len(query_code_intent(toy_intent, "calc", k=3)) == 3
+        for k in (0, -1):
+            with pytest.raises(BadRequest):
+                query_code_intent(toy_intent, "calc", k=k)
 
     def test_provider_name_must_match(self, toy_intent):
         with pytest.raises(ProviderUnavailable):

@@ -1,4 +1,8 @@
+import pathlib
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cppatlas.errors import (
     AmbiguousName,
@@ -8,7 +12,7 @@ from cppatlas.errors import (
     UnknownClass,
 )
 from cppatlas.index import build_index
-from cppatlas.model import SymbolKind
+from cppatlas.model import CLASS_KINDS, FUNCTION_KINDS, EdgeKind, SymbolKind
 from cppatlas.queries import (
     defect_subgraph,
     find_class,
@@ -20,6 +24,8 @@ from cppatlas.queries import (
     snippet_for,
 )
 from cppatlas.repo import load_repository
+
+import corpusgen
 
 
 class TestFindClass:
@@ -236,3 +242,188 @@ def test_snippet_truncates_long_bodies(toy_index):
     assert len(snippet.split("\n")) <= 13
     short = find_function(toy_index, "clamp", signature="(int, int)")[0]
     assert not snippet_for(toy_index, short).endswith("...")
+
+
+# ----------------------------------------------------------------------
+# Differential check: the graph walks against brute-force scans of
+# ``index.edges`` and ``index.call_sites``, the way the queries computed
+# them before the index carried a graph.
+
+_REF_SUBGRAPH_KINDS = {
+    EdgeKind.CONTAINS, EdgeKind.INHERITS_FROM, EdgeKind.CALLS, EdgeKind.OVERRIDES
+}
+
+
+def _ref_defect_subgraph(index, seeds, hops):
+    (seed_id,) = seeds
+    adj = {}
+    for e in index.edges:
+        if e.kind in _REF_SUBGRAPH_KINDS:
+            adj.setdefault(e.src, set()).add(e.dst)
+            adj.setdefault(e.dst, set()).add(e.src)
+    nodes = {seed_id}
+    frontier = {seed_id}
+    for _ in range(hops):
+        nxt = set()
+        for node in frontier:
+            nxt |= adj.get(node, set()) - nodes
+        if not nxt:
+            break
+        nodes |= nxt
+        frontier = nxt
+    return {
+        "seeds": [seed_id],
+        "hops": hops,
+        "nodes": sorted(nodes),
+        "edges": [
+            e.to_dict()
+            for e in index.edges
+            if e.kind in _REF_SUBGRAPH_KINDS and e.src in nodes and e.dst in nodes
+        ],
+    }
+
+
+def _ref_inheritance_chain(index, name, direction):
+    record = find_class(index, name)
+    up, down = {}, {}
+    for e in index.edges:
+        if e.kind is EdgeKind.INHERITS_FROM:
+            up.setdefault(e.src, set()).add(e.dst)
+            down.setdefault(e.dst, set()).add(e.src)
+
+    def levels(adj):
+        seen = {record.symbol_id}
+        frontier = {record.symbol_id}
+        out = []
+        while frontier:
+            nxt = set()
+            for node in frontier:
+                nxt |= adj.get(node, set()) - seen
+            if not nxt:
+                break
+            seen |= nxt
+            out.append(sorted(nxt))
+            frontier = nxt
+        return out
+
+    result = {"class": record.qualified_name, "symbol_id": record.symbol_id}
+    if direction in ("bases", "both"):
+        result["bases"] = levels(up)
+    if direction in ("derived", "both"):
+        result["derived"] = levels(down)
+    return result
+
+
+def _ref_function_calls(index, name, signature, direction):
+    matches = find_function(index, name, signature)
+    matches = [r for r in matches if r.is_definition] or matches
+    distinct = sorted({(r.qualified_name, r.signature) for r in matches})
+    if len(distinct) > 1:
+        raise AmbiguousName(name, [f"{q} {s}" for q, s in distinct])
+    record = matches[0]
+    same = {
+        i
+        for i in index.by_qualified[record.qualified_name]
+        if index.symbols[i].signature == record.signature
+        and index.symbols[i].kind in FUNCTION_KINDS
+    }
+    sites = []
+    for cs in index.call_sites:
+        anchor, other_id = (
+            (cs.caller, cs.callee) if direction == "out" else (cs.callee, cs.caller)
+        )
+        if anchor in same:
+            other = index.symbols[other_id]
+            sites.append({
+                "caller": cs.caller,
+                "callee": cs.callee,
+                "other": other.qualified_name,
+                "resolved": not other.is_synthetic,
+                "file": cs.location.file,
+                "line": cs.location.start_line,
+            })
+    return {
+        "function": record.qualified_name,
+        "symbol_id": record.symbol_id,
+        "direction": direction,
+        "sites": sites,
+    }
+
+
+def _assert_same(query, reference, *args):
+    """Equal results, or the same name-resolution failure. A global-scope
+    name has no "::" and is looked up as a bare name, so it can be
+    ambiguous; resolution happens before any graph walk."""
+    try:
+        want = reference(*args)
+    except AmbiguousName:
+        with pytest.raises(AmbiguousName):
+            query(*args)
+        return
+    assert query(*args) == want
+
+
+def _assert_walks_match_brute_force(index):
+    for rec in index.symbols:
+        if rec.kind in CLASS_KINDS or rec.kind in FUNCTION_KINDS:
+            for hops in range(4):
+                _assert_same(defect_subgraph, _ref_defect_subgraph,
+                             index, [rec.symbol_id], hops)
+        if rec.kind in CLASS_KINDS:
+            for direction in ("bases", "derived", "both"):
+                _assert_same(get_inheritance_chain, _ref_inheritance_chain,
+                             index, rec.qualified_name, direction)
+        if rec.kind in FUNCTION_KINDS and not rec.is_synthetic:
+            for direction in ("in", "out"):
+                _assert_same(get_function_calls, _ref_function_calls,
+                             index, rec.qualified_name, rec.signature, direction)
+
+
+def _corpus_index(root: pathlib.Path, seed: int):
+    for rel, content in corpusgen.generate(seed).files.items():
+        target = root / rel
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(content)
+    return build_index(load_repository(root))
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 17, 101])
+def test_graph_walks_match_brute_force(seed, tmp_path):
+    _assert_walks_match_brute_force(_corpus_index(tmp_path, seed))
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(seed=st.integers(min_value=0, max_value=10_000_000))
+def test_graph_walks_match_brute_force_fuzz(seed, tmp_path):
+    # tmp_path is shared across examples; keep each corpus isolated
+    _assert_walks_match_brute_force(_corpus_index(tmp_path / f"s{seed}", seed))
+
+
+def test_graph_walks_match_brute_force_on_toyrepo(toy_index):
+    _assert_walks_match_brute_force(toy_index)
+
+
+def test_graph_walks_match_brute_force_across_duplicate_definitions(tmp_path):
+    # one function defined in two units: its call sites come from two
+    # records and must merge in site order
+    (tmp_path / "a.cpp").write_text(
+        "int leaf(int x) { return x; }\n"
+        "int helper(int x) {\n"
+        "    return leaf(x);\n"
+        "}\n"
+    )
+    (tmp_path / "b.cpp").write_text(
+        "int leaf(int x);\n"
+        "int helper(int x) {\n"
+        "    return leaf(x) + leaf(x);\n"
+        "}\n"
+    )
+    index = build_index(load_repository(tmp_path))
+    assert len(index.by_qualified["helper"]) == 2
+    sites = get_function_calls(index, "helper", "(int)")["sites"]
+    assert [s["file"] for s in sites] == ["a.cpp", "b.cpp", "b.cpp"]
+    _assert_walks_match_brute_force(index)

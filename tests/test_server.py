@@ -63,6 +63,12 @@ class TestHandleRequest:
                                     "arguments": [1]})
         assert resp["error_kind"] == "BadRequest"
 
+        for k in (0, -1):
+            resp = handle_request(ctx, {"request_id": 6, "tool": "QueryCodeIntent",
+                                        "arguments": {"text": "calc", "k": k}})
+            assert resp["error_kind"] == "BadRequest"
+            assert "k must be >= 1" in resp["message"]
+
     def test_ambiguous_name_carries_candidates(self, toy_intent, tmp_path):
         from cppatlas.index import build_index
         from cppatlas.repo import load_repository
