@@ -3,7 +3,7 @@
 A backend is anything with ``next_turn(observation) -> dict | None``.
 Each turn is a plain dict: a tool call
 (``{"turn": "call", "tool": ..., "arguments": {...}}``), an emission
-(``{"turn": "emit", "kind": "test" | "patch" | "score", ...}``) or an
+(``{"turn": "emit", "kind": "test" | "patch", ...}``) or an
 explicit ``{"turn": "stop"}``. Returning ``None`` ends the episode.
 
 ``ScriptedBackend`` replays a prerecorded turn list (typically loaded
@@ -19,7 +19,7 @@ from pathlib import Path
 from .errors import BackendError, JudgeError
 
 _TURN_KINDS = ("call", "emit", "stop")
-_EMIT_KINDS = ("test", "patch", "score")
+_EMIT_KINDS = ("test", "patch")
 
 
 def validate_turn(turn: dict) -> dict:

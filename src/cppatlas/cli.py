@@ -15,41 +15,35 @@ from pathlib import Path
 
 from .backends import ScriptedBackend
 from .config import AppConfig
-from .errors import (
-    EmptyIndex,
-    EngineError,
-    GenerationFailed,
-    ReproductionFailed,
-)
+from .errors import EngineError, GenerationFailed, ReproductionFailed
 from .evaluation import EvalInstance, evaluate_localization
-from .index import (
-    IndexContainer,
-    StructuralIndex,
-    build_index,
-    load_index,
-    persist_index,
-)
-from .intent import IntentIndex, build_intent_index, localize, query_code_intent
+from .index import IndexContainer, build_index, load_index, persist_index
+from .intent import build_intent_index, localize
 from .pipeline import run_pipeline
-from .queries import (
-    defect_subgraph,
-    find_class,
-    find_function,
-    get_function_calls,
-    get_inheritance_chain,
-    grep_baseline,
-    snippet_for,
-)
 from .repo import IssueDescription, load_repository
 from .runner import TestCase
 from .server import serve
-from .tools import ToolContext
+from .tools import ToolContext, dispatch_tool
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_REPRODUCE = 3
 EXIT_GENERATE = 4
 EXIT_SELECT = 5
+
+# `query` subcommand -> registry tool; each subcommand's argument dests are
+# the tool's argument names. `localize` is not a tool and is run directly.
+QUERY_TOOLS = {
+    "find-class": "FindClass",
+    "find-function": "FindFunction",
+    "inheritance": "GetInheritanceChain",
+    "calls": "GetFunctionCalls",
+    "intent": "QueryCodeIntent",
+    "grep": "GrepBaseline",
+    "subgraph": "DefectSubgraph",
+}
+# namespace entries that belong to `cppatlas` and `query`, not to the tool
+_QUERY_OWN = ("cmd", "func", "index", "root", "config", "query_cmd")
 
 
 def _emit(payload) -> None:
@@ -58,11 +52,7 @@ def _emit(payload) -> None:
 
 
 def _fail(exc: EngineError) -> int:
-    payload = {"error_kind": exc.kind, "message": str(exc)}
-    candidates = getattr(exc, "candidates", None)
-    if candidates:
-        payload["candidates"] = candidates
-    json.dump(payload, sys.stderr, indent=2, sort_keys=True)
+    json.dump(exc.to_dict(), sys.stderr, indent=2, sort_keys=True)
     sys.stderr.write("\n")
     return EXIT_INPUT
 
@@ -73,20 +63,20 @@ def _config(args) -> AppConfig:
     return AppConfig()
 
 
-def _load_indexes(
-    args, config: AppConfig
-) -> tuple[StructuralIndex, IntentIndex | None]:
-    if getattr(args, "index", None):
+def _load_indexes(args, config: AppConfig) -> ToolContext:
+    if args.index:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             container = load_index(args.index)
         for w in caught:
             sys.stderr.write(f"warning: {w.message}\n")
-        return container.structural, container.intent
+        return ToolContext(container.structural, container.intent,
+                           config.provider.make())
     repo = load_repository(args.root, include_globs=config.include_globs)
     structural = build_index(repo)
-    intent = build_intent_index(structural, config.provider.make())
-    return structural, intent
+    provider = config.provider.make()
+    return ToolContext(structural, build_intent_index(structural, provider),
+                       provider)
 
 
 def _cmd_index(args) -> int:
@@ -111,47 +101,20 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    config = _config(args)
-    structural, intent = _load_indexes(args, config)
-    provider = config.provider.make()
-    if args.query_cmd == "find-class":
-        record = find_class(structural, args.name)
-        _emit({"record": record.to_dict(),
-               "snippet": snippet_for(structural, record)})
-    elif args.query_cmd == "find-function":
-        records = find_function(structural, args.name, args.signature)
-        _emit({"matches": [r.to_dict() for r in records]})
-    elif args.query_cmd == "inheritance":
-        _emit(get_inheritance_chain(structural, args.name, args.direction))
-    elif args.query_cmd == "calls":
-        _emit(get_function_calls(structural, args.name, args.signature,
-                                 args.direction))
-    elif args.query_cmd == "intent":
-        if intent is None:
-            raise EmptyIndex("index was built without intent documents")
-        _emit({"hits": query_code_intent(intent, args.text, k=args.k,
-                                         provider=provider)})
-    elif args.query_cmd == "grep":
-        _emit(grep_baseline(structural, args.pattern,
-                            max_results=args.max_results,
-                            regex=not args.fixed))
-    elif args.query_cmd == "subgraph":
-        _emit(defect_subgraph(structural, args.seeds, hops=args.hops))
-    elif args.query_cmd == "localize":
-        if intent is None:
-            raise EmptyIndex("index was built without intent documents")
-        issue = _read_issue(args.issue)
-        _emit(localize(structural, intent, issue, k=args.k, hops=args.hops,
-                       provider=provider))
+    ctx = _load_indexes(args, _config(args))
+    arguments = {k: v for k, v in vars(args).items() if k not in _QUERY_OWN}
+    if args.query_cmd == "localize":
+        intent = ctx.intent_index()
+        issue = _read_issue(arguments.pop("issue"))
+        _emit(localize(ctx.structural, intent, issue, provider=ctx.provider,
+                       **arguments))
+    else:
+        _emit(dispatch_tool(ctx, QUERY_TOOLS[args.query_cmd], arguments))
     return EXIT_OK
 
 
 def _cmd_serve(args) -> int:
-    config = _config(args)
-    structural, intent = _load_indexes(args, config)
-    ctx = ToolContext(structural=structural, intent=intent,
-                      provider=config.provider.make())
-    serve(ctx)
+    serve(_load_indexes(args, _config(args)))
     return EXIT_OK
 
 
@@ -246,34 +209,38 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--config")
     qsub = p_query.add_subparsers(dest="query_cmd", required=True)
 
-    q = qsub.add_parser("find-class")
+    # options left unset stay out of the namespace, so the query function's
+    # own defaults apply
+    def query_parser(name):
+        return qsub.add_parser(name, argument_default=argparse.SUPPRESS)
+
+    q = query_parser("find-class")
     q.add_argument("name")
-    q = qsub.add_parser("find-function")
-    q.add_argument("name")
-    q.add_argument("--signature")
-    q = qsub.add_parser("inheritance")
-    q.add_argument("name")
-    q.add_argument("--direction", default="both",
-                   choices=["bases", "derived", "both"])
-    q = qsub.add_parser("calls")
+    q = query_parser("find-function")
     q.add_argument("name")
     q.add_argument("--signature")
-    q.add_argument("--direction", default="out", choices=["out", "in"])
-    q = qsub.add_parser("intent")
+    q = query_parser("inheritance")
+    q.add_argument("name")
+    q.add_argument("--direction", choices=["bases", "derived", "both"])
+    q = query_parser("calls")
+    q.add_argument("name")
+    q.add_argument("--signature")
+    q.add_argument("--direction", choices=["out", "in"])
+    q = query_parser("intent")
     q.add_argument("text")
-    q.add_argument("-k", type=int, default=10)
-    q = qsub.add_parser("grep")
+    q.add_argument("-k", type=int)
+    q = query_parser("grep")
     q.add_argument("pattern")
-    q.add_argument("--max-results", type=int, default=50)
-    q.add_argument("--fixed", action="store_true",
+    q.add_argument("--max-results", type=int)
+    q.add_argument("--fixed", dest="regex", action="store_false",
                    help="treat the pattern as a literal string")
-    q = qsub.add_parser("subgraph")
+    q = query_parser("subgraph")
     q.add_argument("seeds", nargs="+")
-    q.add_argument("--hops", type=int, default=2)
-    q = qsub.add_parser("localize")
+    q.add_argument("--hops", type=int)
+    q = query_parser("localize")
     q.add_argument("issue", help="path to an issue JSON file")
-    q.add_argument("-k", type=int, default=10)
-    q.add_argument("--hops", type=int, default=2)
+    q.add_argument("-k", type=int)
+    q.add_argument("--hops", type=int)
     p_query.set_defaults(func=_cmd_query)
 
     p_serve = sub.add_parser("serve", help="serve tools over stdio")

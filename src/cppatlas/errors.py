@@ -14,6 +14,11 @@ class EngineError(Exception):
     def kind(self) -> str:
         return type(self).__name__
 
+    def to_dict(self) -> dict:
+        """The JSON envelope every surface reports the error in: the CLI on
+        stderr, server responses and agent-loop observations."""
+        return {"error_kind": self.kind, "message": str(self)}
+
 
 class RootNotFound(EngineError):
     """Repository root does not exist or is not a directory."""
@@ -32,7 +37,7 @@ class FileMissing(EngineError):
 
 
 class RunnerUnavailable(EngineError):
-    """Scratch root is missing or not writable."""
+    """Test command could not be launched: its executable does not exist."""
 
 
 class MaterializationFailed(EngineError):
@@ -48,11 +53,8 @@ class VersionMismatch(EngineError):
 
 
 class NotFound(EngineError):
-    """Query name does not lex as an identifier or qualified name."""
-
-
-class ScopeNotFound(EngineError):
-    """Function query names a scope that matches no known symbol."""
+    """Class or function lookup matches no symbol of that name (and, for
+    functions, of the requested signature)."""
 
 
 class AmbiguousName(EngineError):
@@ -61,6 +63,9 @@ class AmbiguousName(EngineError):
     def __init__(self, message: str, candidates: list[str] | None = None):
         super().__init__(message)
         self.candidates = candidates or []
+
+    def to_dict(self) -> dict:
+        return {**super().to_dict(), "candidates": list(self.candidates)}
 
 
 class UnknownClass(EngineError):
@@ -73,10 +78,6 @@ class UnknownFunction(EngineError):
 
 class NoSeedsResolved(EngineError):
     """None of the requested seed names match an indexed symbol."""
-
-
-class UnknownArtifact(EngineError):
-    """Intent summary requested for an id that is not in the index."""
 
 
 class ProviderUnavailable(EngineError):
@@ -116,7 +117,10 @@ class UnknownTool(EngineError):
 
 
 class BadRequest(EngineError):
-    """Tool request line could not be parsed."""
+    """Tool request is malformed or out of range: a line that is not a JSON
+    object, a missing or mistyped argument, an unknown direction, an invalid
+    pattern, ``k`` or ``max_results`` below 1, ``hops`` below 0, or a tool
+    call in a pipeline stage that has no tool context."""
 
 
 class IdMismatch(EngineError):

@@ -28,11 +28,12 @@ from dataclasses import dataclass, field
 from .backends import HeuristicJudge
 from .diffs import PatchCandidate, apply_patch, parse_unified_diff, touched_old_lines
 from .errors import (
+    BadRequest,
     EngineError,
     GenerationFailed,
     JudgeError,
+    MalformedDiff,
     ReproductionFailed,
-    RunnerUnavailable,
 )
 from .index import StructuralIndex, build_index
 from .intent import IntentIndex, build_intent_index, localize
@@ -100,23 +101,13 @@ def _issue_payload(issue: IssueDescription) -> dict:
 
 def _dispatch_observation(ctx: ToolContext | None, turn: dict) -> dict:
     tool = turn["tool"]
-    if ctx is None:
-        return {
-            "event": "tool_error",
-            "tool": tool,
-            "error_kind": "BadRequest",
-            "message": "no tool context in this stage",
-        }
     try:
+        if ctx is None:
+            raise BadRequest("no tool context in this stage")
         result = dispatch_tool(ctx, tool, turn.get("arguments", {}))
         return {"event": "tool_result", "tool": tool, "result": result}
     except EngineError as exc:
-        return {
-            "event": "tool_error",
-            "tool": tool,
-            "error_kind": exc.kind,
-            "message": str(exc),
-        }
+        return {"event": "tool_error", "tool": tool, **exc.to_dict()}
 
 
 def reproduce(
@@ -215,24 +206,15 @@ def generate_candidates(
             continue
         if turn.get("turn") == "emit" and turn.get("kind") == "patch":
             diff_text = turn.get("diff")
-            if not isinstance(diff_text, str):
-                rejected += 1
-                observation = {"event": "patch_rejected",
-                               "error_kind": "MalformedDiff",
-                               "message": "patch emit without diff text"}
-                continue
             try:
+                if not isinstance(diff_text, str):
+                    raise MalformedDiff("patch emit without diff text")
                 candidate = parse_unified_diff(diff_text, origin=backend.name)
+                if not candidate.files:
+                    raise MalformedDiff("empty diff")
             except EngineError as exc:
                 rejected += 1
-                observation = {"event": "patch_rejected",
-                               "error_kind": exc.kind, "message": str(exc)}
-                continue
-            if not candidate.files:
-                rejected += 1
-                observation = {"event": "patch_rejected",
-                               "error_kind": "MalformedDiff",
-                               "message": "empty diff"}
+                observation = {"event": "patch_rejected", **exc.to_dict()}
                 continue
             if candidate.id in seen_ids:
                 observation = {"event": "patch_accepted",

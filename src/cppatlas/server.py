@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import sys
 
-from .errors import AmbiguousName, BadRequest, EngineError
+from .errors import BadRequest, EngineError
 from .tools import ToolContext, dispatch_tool
 
 
@@ -22,27 +22,16 @@ def _encode(payload: dict) -> str:
 
 
 def _error_response(request_id, exc: EngineError) -> dict:
-    payload = {
-        "request_id": request_id,
-        "ok": False,
-        "error_kind": exc.kind,
-        "message": str(exc),
-    }
-    if isinstance(exc, AmbiguousName):
-        payload["candidates"] = list(exc.candidates)
-    return payload
+    return {"request_id": request_id, "ok": False, **exc.to_dict()}
 
 
 def handle_request(ctx: ToolContext, request: dict) -> dict:
     request_id = request.get("request_id")
     tool = request.get("tool")
-    arguments = request.get("arguments", {})
     try:
         if not isinstance(tool, str):
             raise BadRequest("request needs a string 'tool' field")
-        if not isinstance(arguments, dict):
-            raise BadRequest("'arguments' must be an object")
-        result = dispatch_tool(ctx, tool, arguments)
+        result = dispatch_tool(ctx, tool, request.get("arguments", {}))
         return {"request_id": request_id, "ok": True, "result": result}
     except EngineError as exc:
         return _error_response(request_id, exc)

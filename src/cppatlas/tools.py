@@ -1,4 +1,5 @@
-"""Tool registry shared by the stdio server and the pipeline loops.
+"""Tool registry shared by ``cppatlas query``, the stdio server and the
+pipeline loops.
 
 Each tool takes a JSON-compatible argument object and returns a
 JSON-compatible result. Argument validation errors raise ``BadRequest``;
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadRequest, UnknownTool
+from .errors import BadRequest, EmptyIndex, UnknownTool
 from .index import StructuralIndex
 from .intent import HashEmbeddingProvider, IntentIndex, query_code_intent
 from .queries import (
@@ -34,6 +35,11 @@ class ToolContext:
         if self.provider is None:
             self.provider = HashEmbeddingProvider()
 
+    def intent_index(self) -> IntentIndex:
+        if self.intent is None:
+            raise EmptyIndex("index was built without intent documents")
+        return self.intent
+
 
 def _require(args: dict, key: str, typ=str):
     if key not in args:
@@ -45,10 +51,15 @@ def _require(args: dict, key: str, typ=str):
     return value
 
 
-def _optional(args: dict, key: str, typ, default):
-    if args.get(key) is None:
-        return default
-    return _require(args, key, typ)
+def _optional(args: dict, **types) -> dict:
+    """The optional arguments present (and not null) in ``args``, checked
+    against ``types``. Absent ones are left out, so each default is the
+    query function's own."""
+    return {
+        key: _require(args, key, typ)
+        for key, typ in types.items()
+        if args.get(key) is not None
+    }
 
 
 def _tool_find_class(ctx: ToolContext, args: dict) -> dict:
@@ -61,9 +72,7 @@ def _tool_find_class(ctx: ToolContext, args: dict) -> dict:
 
 def _tool_find_function(ctx: ToolContext, args: dict) -> dict:
     records = find_function(
-        ctx.structural,
-        _require(args, "name"),
-        _optional(args, "signature", str, None),
+        ctx.structural, _require(args, "name"), **_optional(args, signature=str)
     )
     return {
         "matches": [
@@ -78,9 +87,7 @@ def _tool_find_function(ctx: ToolContext, args: dict) -> dict:
 
 def _tool_inheritance(ctx: ToolContext, args: dict) -> dict:
     return get_inheritance_chain(
-        ctx.structural,
-        _require(args, "name"),
-        _optional(args, "direction", str, "both"),
+        ctx.structural, _require(args, "name"), **_optional(args, direction=str)
     )
 
 
@@ -88,19 +95,16 @@ def _tool_calls(ctx: ToolContext, args: dict) -> dict:
     return get_function_calls(
         ctx.structural,
         _require(args, "name"),
-        _optional(args, "signature", str, None),
-        _optional(args, "direction", str, "out"),
+        **_optional(args, signature=str, direction=str),
     )
 
 
 def _tool_intent(ctx: ToolContext, args: dict) -> dict:
-    if ctx.intent is None:
-        raise BadRequest("no intent index is loaded")
     hits = query_code_intent(
-        ctx.intent,
+        ctx.intent_index(),
         _require(args, "text"),
-        k=_optional(args, "k", int, 10),
         provider=ctx.provider,
+        **_optional(args, k=int),
     )
     return {"hits": hits}
 
@@ -109,8 +113,7 @@ def _tool_grep(ctx: ToolContext, args: dict) -> dict:
     return grep_baseline(
         ctx.structural,
         _require(args, "pattern"),
-        max_results=_optional(args, "max_results", int, 50),
-        regex=_optional(args, "regex", bool, True),
+        **_optional(args, max_results=int, regex=bool),
     )
 
 
@@ -119,9 +122,7 @@ def _tool_subgraph(ctx: ToolContext, args: dict) -> dict:
     for seed in seeds:
         if not isinstance(seed, (str, int)) or isinstance(seed, bool):
             raise BadRequest("seeds must be names or symbol ids")
-    return defect_subgraph(
-        ctx.structural, seeds, hops=_optional(args, "hops", int, 2)
-    )
+    return defect_subgraph(ctx.structural, seeds, **_optional(args, hops=int))
 
 
 TOOL_REGISTRY = {

@@ -19,18 +19,21 @@ import sys
 
 import pytest
 
-from cppatlas.cli import main
+from cppatlas.cli import QUERY_TOOLS, main
 from cppatlas.config import AppConfig, ProviderConfig
 from cppatlas.diffs import make_diff
-from cppatlas.index import load_index
+from cppatlas.index import build_index, load_index
 from cppatlas.queries import find_class
 from cppatlas.repo import load_repository
 from cppatlas.pipeline import PipelineConfig
 from cppatlas.runner import RunnerConfig, TestCase
+from cppatlas.server import handle_request
+from cppatlas.tools import TOOL_REGISTRY, ToolContext, dispatch_tool
 
 PY = sys.executable
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SUBCOMMANDS = ("index", "query", "serve", "pipeline", "eval-loc")
+TWIN_HEADER = "namespace x { class Twin {}; }\nnamespace y { class Twin {}; }\n"
 
 # What an installer's console-script wrapper does with a `module:attr` entry
 # point, given as the first argument; the remaining arguments go to the script.
@@ -115,10 +118,7 @@ class TestQueryCommand:
         assert json.loads(stderr)["error_kind"] == "NotFound"
 
     def test_ambiguous_name_lists_candidates(self, tmp_path, capsys):
-        (tmp_path / "twin.h").write_text(
-            "namespace x { class Twin {}; }\nnamespace y { class Twin {}; }\n",
-            encoding="utf-8",
-        )
+        (tmp_path / "twin.h").write_text(TWIN_HEADER, encoding="utf-8")
         code, _, stderr = run_cli(capsys, "query", "--root", str(tmp_path),
                                   "find-class", "Twin")
         assert code == 2
@@ -197,6 +197,113 @@ class TestQueryCommand:
         with pytest.raises(SystemExit) as exc:
             main(["query", "find-class", "Calculator"])
         assert exc.value.code == 2
+
+
+# (query argv, tool, tool arguments): every subcommand but `localize`, with
+# defaults and with explicit options
+QUERY_CASES = [
+    (["find-class", "Calculator"], "FindClass", {"name": "Calculator"}),
+    (["find-function", "add"], "FindFunction", {"name": "add"}),
+    (["find-function", "add", "--signature", "(int, int)"], "FindFunction",
+     {"name": "add", "signature": "(int, int)"}),
+    (["inheritance", "SciCalculator"], "GetInheritanceChain",
+     {"name": "SciCalculator"}),
+    (["inheritance", "Calculator", "--direction", "derived"],
+     "GetInheritanceChain", {"name": "Calculator", "direction": "derived"}),
+    (["calls", "calc::Calculator::multiply"], "GetFunctionCalls",
+     {"name": "calc::Calculator::multiply"}),
+    (["calls", "add", "--signature", "(int, int)", "--direction", "in"],
+     "GetFunctionCalls",
+     {"name": "add", "signature": "(int, int)", "direction": "in"}),
+    (["intent", "subtract two integers"], "QueryCodeIntent",
+     {"text": "subtract two integers"}),
+    (["intent", "subtract two integers", "-k", "3"], "QueryCodeIntent",
+     {"text": "subtract two integers", "k": 3}),
+    (["grep", "return"], "GrepBaseline", {"pattern": "return"}),
+    (["grep", "add(", "--fixed", "--max-results", "2"], "GrepBaseline",
+     {"pattern": "add(", "regex": False, "max_results": 2}),
+    (["subgraph", "calc::Calculator"], "DefectSubgraph",
+     {"seeds": ["calc::Calculator"]}),
+    (["subgraph", "Calculator", "subtract", "--hops", "1"], "DefectSubgraph",
+     {"seeds": ["Calculator", "subtract"], "hops": 1}),
+]
+
+
+def query_subcommands(capsys):
+    with pytest.raises(SystemExit):
+        main(["query", "--help"])
+    usage = capsys.readouterr().out
+    return set(re.search(r"\{([^}]*)\}", usage).group(1).split(","))
+
+
+def server_error(ctx, tool, arguments):
+    """A server error response without its request framing."""
+    response = handle_request(ctx, {"tool": tool, "arguments": arguments})
+    assert response.pop("ok") is False
+    del response["request_id"]
+    return response
+
+
+class TestQueryGoesThroughTheTools:
+    @pytest.fixture(scope="class")
+    def ctx(self, index_file):
+        container = load_index(index_file)
+        return ToolContext(container.structural, container.intent)
+
+    @pytest.mark.parametrize("argv,tool,arguments", QUERY_CASES,
+                             ids=[" ".join(c[0]) for c in QUERY_CASES])
+    def test_stdout_is_the_tool_result(self, index_file, ctx, capsys, argv,
+                                       tool, arguments):
+        assert QUERY_TOOLS[argv[0]] == tool
+        code, stdout, _ = run_cli(capsys, "query", "--index", str(index_file),
+                                  *argv)
+        assert code == 0
+        expected = json.loads(json.dumps(dispatch_tool(ctx, tool, arguments)))
+        assert json.loads(stdout) == expected
+
+    def test_every_tool_is_reachable(self, capsys):
+        subcommands = query_subcommands(capsys)
+        assert subcommands == set(QUERY_TOOLS) | {"localize"}
+        assert {QUERY_TOOLS[c] for c in subcommands - {"localize"}} \
+            == set(TOOL_REGISTRY)
+        assert {argv[0] for argv, _, _ in QUERY_CASES} == set(QUERY_TOOLS)
+
+    def test_find_function_matches_carry_snippets(self, index_file, capsys):
+        code, stdout, _ = run_cli(capsys, "query", "--index", str(index_file),
+                                  "find-function", "calc::Calculator::add")
+        assert code == 0
+        matches = json.loads(stdout)["matches"]
+        assert matches and all(m["snippet"] for m in matches)
+
+    def test_errors_match_the_server(self, index_file, ctx, toyrepo_root,
+                                     tmp_path, capsys):
+        (tmp_path / "twin").mkdir()
+        (tmp_path / "twin" / "twin.h").write_text(TWIN_HEADER,
+                                                  encoding="utf-8")
+        twin = ToolContext(build_index(load_repository(tmp_path / "twin")))
+        bare = tmp_path / "bare.caidx"
+        run_cli(capsys, "index", "--root", str(toyrepo_root), "--out",
+                str(bare), "--no-intent")
+        bare_ctx = ToolContext(load_index(bare).structural)
+        cases = [
+            (["--index", str(index_file), "find-class", "Nonesuch"],
+             ctx, "FindClass", {"name": "Nonesuch"}, "NotFound"),
+            (["--root", str(tmp_path / "twin"), "find-class", "Twin"],
+             twin, "FindClass", {"name": "Twin"}, "AmbiguousName"),
+            (["--index", str(index_file), "intent", "sum", "-k", "0"],
+             ctx, "QueryCodeIntent", {"text": "sum", "k": 0}, "BadRequest"),
+            (["--index", str(bare), "intent", "sum"],
+             bare_ctx, "QueryCodeIntent", {"text": "sum"}, "EmptyIndex"),
+        ]
+        for argv, server_ctx, tool, arguments, kind in cases:
+            code, stdout, stderr = run_cli(capsys, "query", *argv)
+            assert (code, stdout) == (2, "")
+            envelope = json.loads(stderr)
+            assert envelope["error_kind"] == kind
+            assert envelope == server_error(server_ctx, tool, arguments)
+        code, _, stderr = run_cli(capsys, "query", "--root",
+                                  str(tmp_path / "twin"), "find-class", "Twin")
+        assert json.loads(stderr)["candidates"] == ["x::Twin", "y::Twin"]
 
 
 def write_pipeline_inputs(tmp_path, repo_root):
@@ -374,20 +481,48 @@ class TestConfigFile:
         assert code == 0
         assert load_index(out).intent.dim == 32
 
+    @pytest.mark.parametrize("raw", [
+        {"provider": 5},
+        {"pipeline": {"vote_weights": 3}},
+        [],
+        {"runner": []},
+        {"include_globs": 7},
+        {"provider": {"type": "command", "command": 5}},
+        {"runner": {"timeout_seconds": "x"}},
+        {"include_globs": ["**/*.h", 3]},
+        {"pipeline": {"vote_weights": [1, True, 0]}},
+        {"pipeline": {"intent_k": True}},
+        {"pipeline": {"selection_strategy": 1}},
+        {"runner": {"keep_scratch": 1}},
+        {"runner": {"scratch_root": 3}},
+    ], ids=json.dumps)
+    def test_malformed_config_exits_two(self, raw, toyrepo_root, tmp_path,
+                                        capsys):
+        with pytest.raises(ValueError):
+            AppConfig.from_dict(raw)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        code, stdout, stderr = run_cli(capsys, "index", "--root",
+                                       str(toyrepo_root), "--out",
+                                       str(tmp_path / "x.caidx"),
+                                       "--config", str(config))
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: ")
+
     def test_defaults_come_from_the_dataclasses(self):
         assert AppConfig.from_dict({}) == AppConfig()
         partial = AppConfig.from_dict({
             "provider": {"dim": 32},
-            "runner": {"timeout_seconds": 5.0},
+            "runner": {"timeout_seconds": 5, "scratch_root": None},
             "pipeline": {"intent_k": 3, "vote_weights": [1, 0, 0]},
         })
+        # the file's "runner" section is the pipeline's runner
         assert partial == AppConfig(
             provider=ProviderConfig(dim=32),
-            runner=RunnerConfig(timeout_seconds=5.0),
             pipeline=PipelineConfig(intent_k=3, vote_weights=(1.0, 0.0, 0.0),
                                     runner=RunnerConfig(timeout_seconds=5.0)),
         )
-        with pytest.raises(ValueError, match="three entries"):
+        with pytest.raises(ValueError, match="vote_weights must have 3 entries"):
             AppConfig.from_dict({"pipeline": {"vote_weights": [1, 0]}})
 
 
@@ -415,6 +550,19 @@ def assert_lists_subcommands(help_text):
     choices = re.search(r"\{([^}]*)\}", help_text)
     assert choices, help_text
     assert set(SUBCOMMANDS) <= set(choices.group(1).split(","))
+
+
+class TestQuickStartScripts:
+    @pytest.mark.parametrize("script", ["run_motivation.py",
+                                        "run_toy_pipeline.py"])
+    def test_script_runs_from_the_checkout(self, script):
+        proc = subprocess.run(
+            [PY, str(ROOT / "scripts" / script)],
+            capture_output=True, text=True, timeout=120, env=checkout_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        if script == "run_toy_pipeline.py":
+            assert '"status": "SUCCESS"' in proc.stdout
 
 
 class TestInstalledEntryPoint:

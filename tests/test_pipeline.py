@@ -23,6 +23,7 @@ from cppatlas.errors import (
     JudgeError,
     ReproductionFailed,
 )
+from cppatlas.index import build_index
 from cppatlas.intent import tokenize
 from cppatlas.pipeline import (
     BaselineCache,
@@ -42,6 +43,7 @@ from cppatlas.pipeline import (
 from cppatlas.queries import defect_subgraph
 from cppatlas.repo import IssueDescription, load_repository
 from cppatlas.runner import RunnerConfig, TestCase
+from cppatlas.server import handle_request
 from cppatlas.tools import ToolContext
 
 PY = sys.executable
@@ -439,6 +441,28 @@ class TestReproduce:
         assert backend.observations[1]["event"] == "tool_error"
         assert backend.observations[1]["error_kind"] == "BadRequest"
 
+    def test_tool_errors_use_the_server_envelope(self, repo, tmp_path):
+        (tmp_path / "twin.h").write_text(
+            "namespace x { class Twin {}; }\nnamespace y { class Twin {}; }\n",
+            encoding="utf-8",
+        )
+        local = ToolContext(structural=build_index(load_repository(tmp_path)))
+        calls = [("FindClass", {"name": "Twin"}),
+                 ("QueryCodeIntent", {"text": "twin"})]
+        backend = ScriptedBackend(
+            [call_turn(tool, **args) for tool, args in calls]
+            + [emit_test(subtract_test())])
+        reproduce(repo, ISSUE, backend, tool_ctx=local)
+        ambiguous, no_intent = backend.observations[1:3]
+        assert ambiguous["error_kind"] == "AmbiguousName"
+        assert ambiguous["candidates"] == ["x::Twin", "y::Twin"]
+        assert no_intent["error_kind"] == "EmptyIndex"
+        for (tool, args), observation in zip(calls, backend.observations[1:3]):
+            response = handle_request(local, {"tool": tool, "arguments": args})
+            del response["request_id"], response["ok"]
+            assert observation == {"event": "tool_error", "tool": tool,
+                                   **response}
+
     def test_bad_test_payload_is_rejected_not_fatal(self, repo):
         backend = ScriptedBackend([
             {"turn": "emit", "kind": "test", "test": {"nonsense": 1}},
@@ -647,6 +671,7 @@ class TestBackends:
             {"turn": "call", "tool": 7},
             {"turn": "call", "tool": "FindClass", "arguments": "x"},
             {"turn": "emit", "kind": "poem"},
+            {"turn": "emit", "kind": "score", "score": 0.5},
         ]:
             with pytest.raises(BackendError):
                 validate_turn(bad)
