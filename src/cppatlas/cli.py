@@ -221,11 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--signature")
     q = query_parser("inheritance")
     q.add_argument("name")
-    q.add_argument("--direction", choices=["bases", "derived", "both"])
+    q.add_argument("--direction", help="bases, derived or both")
     q = query_parser("calls")
     q.add_argument("name")
     q.add_argument("--signature")
-    q.add_argument("--direction", choices=["out", "in"])
+    q.add_argument("--direction", help="out or in")
     q = query_parser("intent")
     q.add_argument("text")
     q.add_argument("-k", type=int)

@@ -4,10 +4,31 @@ Produces a flat token stream plus side tables for comment blocks and
 ``#include`` targets. Preprocessor lines are consumed without expansion.
 The lexer never raises on malformed input: lexical damage (unterminated
 literals, stray bytes) is counted and skipped so parsing can recover.
+
+``_TOKEN_RE`` is one alternation with a named group per lexeme. Where two
+lexemes can start at the same character, the earlier one wins:
+
+1. whitespace, newlines included;
+2. a line comment, a block comment, then an unterminated block comment,
+   which swallows the rest of the text;
+3. a string, raw (``R"d(...)d"``, the delimiter ``d`` at most 16
+   characters) or escaped, then a char literal; each may carry a
+   ``u8``/``u``/``U``/``L`` prefix;
+4. an unterminated or bad literal, which ends at an unescaped newline
+   (a raw string's, at the end of the text);
+5. an identifier, then a number (a digit, or ``.`` before a digit);
+6. punctuation, in ``_PUNCT`` order, so longer operators come first;
+7. any other character, counted as an error.
+
+A ``#`` that starts a line (only whitespace, comments and stray
+characters before it) begins a preprocessor directive instead, which
+``_DIRECTIVE_RE`` reads with its backslash-newline continuations. In
+mid-line, ``#`` and ``##`` are punct tokens.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 CPP_KEYWORDS = frozenset(
@@ -33,41 +54,33 @@ TYPE_KEYWORDS = frozenset(
     """.split()
 )
 
-_MULTI_PUNCT = [
-    "<<=",
-    ">>=",
-    "->*",
-    "...",
-    "::",
-    "->",
-    "<<",
-    ">>",
-    "<=",
-    ">=",
-    "==",
-    "!=",
-    "&&",
-    "||",
-    "++",
-    "--",
-    "+=",
-    "-=",
-    "*=",
-    "/=",
-    "%=",
-    "&=",
-    "|=",
-    "^=",
-    ".*",
-    "##",
-]
-
-_IDENT_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
-)
-_IDENT_CONT = _IDENT_START | frozenset("0123456789")
-_DIGITS = frozenset("0123456789")
-_STRING_PREFIXES = ("u8", "u", "U", "L")
+_PREFIX = "(?:u8|[uUL])?"
+_PUNCT = (
+    "<<= >>= ->* ... :: -> << >> <= >= == != && || ++ -- += -= *= /= %= &= "
+    "|= ^= .* ## + - * / % & | ^ ~ ! < > = ? : ; , . ( ) [ ] { } \\ @ # $"
+).split()
+_LEXEMES = {
+    "space": r"[ \t\r\f\v\n]+",
+    "line_comment": r"//[^\n]*",
+    "comment": r"/\*[\s\S]*?\*/",
+    "open_comment": r"/\*[\s\S]*",
+    "str": _PREFIX
+    + r'(?:R"(?P<delim>[^(]{0,16})\([\s\S]*?\)(?P=delim)"'
+    r'|"(?:\\[\s\S]|[^\\\n"])*")',
+    "chr": _PREFIX + r"'(?:\\[\s\S]|[^\\\n'])*'",
+    "bad_literal": _PREFIX
+    + r'(?:R"(?:[^(]{0,16}\([\s\S]*)?'
+    r"""|["'](?:\\[\s\S]|[^\\\n])*\\?)""",
+    "id": r"[A-Za-z_][A-Za-z0-9_]*",
+    "num": r"\.?[0-9](?:[A-Za-z0-9_.']|(?<=[eEpP])[+-])*",
+    "punct": "|".join(map(re.escape, _PUNCT)),
+    "stray": r"[\s\S]",
+}
+_TOKEN_RE = re.compile("|".join(f"(?P<{k}>{v})" for k, v in _LEXEMES.items()))
+# not a group of _TOKEN_RE: a "#" in mid-line must not scan to the end of
+# its line, or a line of n "#"s would take time quadratic in n
+_DIRECTIVE_RE = re.compile(r"#(?:\\\n|[^\n])*")
+_TOKEN_KINDS = frozenset(["id", "num", "punct", "str", "chr"])
 
 
 @dataclass(frozen=True)
@@ -94,175 +107,47 @@ class LexResult:
 
 def lex(text: str) -> LexResult:
     out = LexResult()
-    i = 0
-    n = len(text)
     line = 1
     at_line_start = True
-
-    def add(tok_text: str, kind: str):
-        nonlocal at_line_start
-        out.tokens.append(Token(tok_text, kind, line))
-        at_line_start = False
-
-    def add_line_comment(body: str, at_line: int):
-        # consecutive line comments merge into one block
-        if out.comments and out.comments[-1].end_line == at_line - 1:
-            prev = out.comments[-1]
-            out.comments[-1] = CommentBlock(
-                f"{prev.text}\n{body}", prev.start_line, at_line
-            )
-        else:
-            out.comments.append(CommentBlock(body, at_line, at_line))
-
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            i += 1
-            at_line_start = True
-            continue
-        if c in " \t\r\f\v":
-            i += 1
-            continue
-
-        if c == "#" and at_line_start:
-            start = i
-            while i < n:
-                if text[i] == "\\" and i + 1 < n and text[i + 1] == "\n":
-                    line += 1
-                    i += 2
-                    continue
-                if text[i] == "\n":
-                    break
-                i += 1
-            directive = text[start:i]
-            body = directive.lstrip("#").strip()
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        kind = m.lastgroup
+        if at_line_start and kind == "punct" and text[pos] == "#":
+            m, kind = _DIRECTIVE_RE.match(text, pos), "directive"
+        lexeme, pos = m.group(), m.end()
+        if kind in _TOKEN_KINDS:
+            out.tokens.append(Token(lexeme, kind, line))
+            at_line_start = False
+        elif kind == "space":
+            if "\n" in lexeme:
+                at_line_start = True
+        elif kind == "line_comment":
+            # consecutive line comments merge into one block
+            body = lexeme[2:].strip()
+            prev = out.comments[-1] if out.comments else None
+            if prev is not None and prev.end_line == line - 1:
+                out.comments[-1] = CommentBlock(
+                    f"{prev.text}\n{body}", prev.start_line, line
+                )
+            else:
+                out.comments.append(CommentBlock(body, line, line))
+        elif kind == "comment":
+            end_line = line + lexeme.count("\n")
+            out.comments.append(CommentBlock(lexeme[2:-2].strip(), line, end_line))
+        elif kind == "directive":
+            body = lexeme.lstrip("#").strip()
             if body.startswith("include"):
                 target = body[len("include") :].strip()
                 if len(target) >= 2 and target[0] in "<\"":
                     closer = ">" if target[0] == "<" else '"'
                     end = target.find(closer, 1)
                     if end > 0:
-                        out.includes.append((line, target[1:end]))
-            continue
-
-        if c == "/" and i + 1 < n and text[i + 1] == "/":
-            start = i + 2
-            while i < n and text[i] != "\n":
-                i += 1
-            add_line_comment(text[start:i].strip(), line)
-            continue
-        if c == "/" and i + 1 < n and text[i + 1] == "*":
-            start_line = line
-            j = text.find("*/", i + 2)
-            if j < 0:
-                out.error_count += 1
-                line += text.count("\n", i)
-                i = n
-                continue
-            body = text[i + 2 : j].strip()
-            line += text.count("\n", i, j + 2)
-            out.comments.append(CommentBlock(body, start_line, line))
-            i = j + 2
-            continue
-
-        # string / char literals, including encoding prefixes and raw strings
-        if c in _IDENT_START or c in "\"'":
-            lit = _match_literal(text, i)
-            if lit is not None:
-                end, kind = lit
-                span = text[i:end]
-                newlines = span.count("\n")
-                if kind == "error":
-                    out.error_count += 1
-                else:
-                    add(span, kind)
-                line += newlines
-                i = end
+                        include_line = line + lexeme.count("\n")
+                        out.includes.append((include_line, target[1:end]))
+        else:  # open_comment, bad_literal, stray
+            out.error_count += 1
+            if kind == "bad_literal":
                 at_line_start = False
-                continue
-
-        if c in _IDENT_START:
-            j = i + 1
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            add(text[i:j], "id")
-            i = j
-            continue
-
-        if c in _DIGITS or (c == "." and i + 1 < n and text[i + 1] in _DIGITS):
-            j = i + 1
-            while j < n:
-                ch = text[j]
-                if ch in _IDENT_CONT or ch in ".'":
-                    j += 1
-                elif ch in "+-" and text[j - 1] in "eEpP":
-                    j += 1
-                else:
-                    break
-            add(text[i:j], "num")
-            i = j
-            continue
-
-        matched = False
-        for p in _MULTI_PUNCT:
-            if text.startswith(p, i):
-                add(p, "punct")
-                i += len(p)
-                matched = True
-                break
-        if matched:
-            continue
-        if c in "+-*/%&|^~!<>=?:;,.()[]{}\\@#$":
-            add(c, "punct")
-            i += 1
-            continue
-
-        out.error_count += 1
-        i += 1
-
+        line += lexeme.count("\n")
     return out
-
-
-def _match_literal(text: str, i: int) -> tuple[int, str] | None:
-    """Return (end index, token kind) when ``text[i:]`` starts a string or
-    char literal, possibly with an encoding prefix; None otherwise."""
-    n = len(text)
-    prefix = ""
-    for p in _STRING_PREFIXES:
-        if text.startswith(p, i):
-            prefix = p
-            break
-    j = i + len(prefix)
-    raw = False
-    if j < n and text[j] == "R":
-        raw = True
-        j += 1
-    if j >= n or text[j] not in "\"'":
-        return None
-    quote = text[j]
-    if raw and quote == '"':
-        # R"delim( ... )delim"
-        open_paren = text.find("(", j + 1)
-        if open_paren < 0 or open_paren - (j + 1) > 16:
-            return j + 1, "error"
-        delim = text[j + 1 : open_paren]
-        closer = f"){delim}\""
-        end = text.find(closer, open_paren + 1)
-        if end < 0:
-            return n, "error"
-        return end + len(closer), "str"
-    if raw:
-        return None
-    k = j + 1
-    while k < n:
-        ch = text[k]
-        if ch == "\\" and k + 1 < n:
-            k += 2
-            continue
-        if ch == quote:
-            return k + 1, "str" if quote == '"' else "chr"
-        if ch == "\n":
-            return k, "error"
-        k += 1
-    return n, "error"

@@ -33,9 +33,6 @@ _LEADING_SPECIFIERS = frozenset(
     """.split()
 )
 
-# keywords that look like calls when followed by "(" but are not
-_NOT_CALLEES = CPP_KEYWORDS
-
 _CLASS_KEYS = ("class", "struct")
 
 
@@ -808,7 +805,8 @@ class _Parser:
                     return t.line
                 prev_text = tx
                 continue
-            if t.kind == "id" and tx not in _NOT_CALLEES:
+            # keywords that look like calls before "(" are not callees
+            if t.kind == "id" and tx not in CPP_KEYWORDS:
                 after_member = prev_text in (".", "->")
                 chain = [tx]
                 while self.text() == "::" and self.peek(1) and self.peek(1).kind == "id":

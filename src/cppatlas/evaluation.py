@@ -49,22 +49,13 @@ class EvalInstance:
 
 
 @dataclass(frozen=True)
-class LocalizationReport:
-    instance_id: str
-    predicted_files: frozenset[str]
-    predicted_functions: frozenset[str]
-    truth_files: frozenset[str]
-    truth_functions: frozenset[str]
+class LocalizationReport(EvalInstance):
     file_hit: bool
     function_hit: bool
 
     def to_dict(self) -> dict:
         return {
-            "instance_id": self.instance_id,
-            "predicted_files": sorted(self.predicted_files),
-            "predicted_functions": sorted(self.predicted_functions),
-            "truth_files": sorted(self.truth_files),
-            "truth_functions": sorted(self.truth_functions),
+            **super().to_dict(),
             "file_hit": self.file_hit,
             "function_hit": self.function_hit,
         }
@@ -108,11 +99,7 @@ def predictions_from_localization(
 
 def score_instance(instance: EvalInstance) -> LocalizationReport:
     return LocalizationReport(
-        instance_id=instance.instance_id,
-        predicted_files=instance.predicted_files,
-        predicted_functions=instance.predicted_functions,
-        truth_files=instance.truth_files,
-        truth_functions=instance.truth_functions,
+        **vars(instance),
         file_hit=bool(instance.predicted_files & instance.truth_files),
         function_hit=bool(
             instance.predicted_functions & instance.truth_functions

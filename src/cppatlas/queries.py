@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import re
 
+from .cxx.lexer import lex
+from .cxx.parser import normalize_signature
 from .errors import (
     AmbiguousName,
     BadRequest,
@@ -85,10 +87,15 @@ def find_function(
     index: StructuralIndex, name: str, signature: str | None = None
 ) -> list[SymbolRecord]:
     """All function records matching a name, optionally narrowed by the
-    normalized signature. Overload sets come back together, sorted."""
+    signature. Overload sets come back together, sorted. A signature that
+    matches no record verbatim is normalized the way the parser normalizes
+    declarations and tried again, so "(int a,int)" finds "(int, int)"."""
     matches = _lookup_by_name(index, name, FUNCTION_KINDS)
     if signature is not None:
-        matches = [r for r in matches if r.signature == signature]
+        wanted = signature
+        if all(r.signature != wanted for r in matches):
+            wanted = _declared_signature(signature)
+        matches = [r for r in matches if r.signature == wanted]
     if not matches:
         raise NotFound(f"no function named {name!r}"
                        + (f" with signature {signature!r}" if signature else ""))
@@ -102,6 +109,13 @@ def find_function(
         )
     )
     return matches
+
+
+def _declared_signature(signature: str) -> str:
+    tokens = lex(signature).tokens
+    if len(tokens) >= 2 and tokens[0].text == "(" and tokens[-1].text == ")":
+        tokens = tokens[1:-1]
+    return normalize_signature(tokens)
 
 
 def _single_function(

@@ -305,6 +305,39 @@ class TestQueryGoesThroughTheTools:
                                   str(tmp_path / "twin"), "find-class", "Twin")
         assert json.loads(stderr)["candidates"] == ["x::Twin", "y::Twin"]
 
+    @pytest.mark.parametrize("argv,tool", [
+        (["inheritance", "Calculator"], "GetInheritanceChain"),
+        (["calls", "calc::Calculator::add"], "GetFunctionCalls"),
+    ], ids=["inheritance", "calls"])
+    def test_bad_direction_is_a_json_envelope(self, index_file, ctx, capsys,
+                                              argv, tool):
+        code, stdout, stderr = run_cli(capsys, "query", "--index",
+                                       str(index_file), *argv,
+                                       "--direction", "up")
+        assert (code, stdout) == (2, "")
+        envelope = json.loads(stderr)
+        assert envelope == {"error_kind": "BadRequest",
+                            "message": "bad direction 'up'"}
+        assert envelope == server_error(
+            ctx, tool, {"name": argv[1], "direction": "up"})
+
+    @pytest.mark.parametrize("spelling",
+                             ["(int,int)", "( int , int )", "(int a, int b)"])
+    def test_signature_spellings_find_add(self, index_file, ctx, capsys,
+                                          spelling):
+        for subcommand, tool in [("find-function", "FindFunction"),
+                                 ("calls", "GetFunctionCalls")]:
+            want = dispatch_tool(ctx, tool,
+                                 {"name": "add", "signature": "(int, int)"})
+            got = dispatch_tool(ctx, tool,
+                                {"name": "add", "signature": spelling})
+            assert got == want
+            code, stdout, _ = run_cli(capsys, "query", "--index",
+                                      str(index_file), subcommand, "add",
+                                      "--signature", spelling)
+            assert code == 0
+            assert json.loads(stdout) == json.loads(json.dumps(want))
+
 
 def write_pipeline_inputs(tmp_path, repo_root):
     """Issue, transcripts and a regression manifest for the toy defect."""

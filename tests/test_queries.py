@@ -82,6 +82,37 @@ class TestFindFunction:
         with pytest.raises(NotFound):
             find_function(toy_index, "clamp", signature="(double)")
 
+    @pytest.mark.parametrize(
+        "spelling", ["(int,int)", "( int , int )", "(int a, int b)", "int,int"]
+    )
+    def test_signature_spelled_like_a_declaration(self, toy_index, spelling):
+        recs = find_function(toy_index, "add", signature=spelling)
+        assert recs == find_function(toy_index, "add", signature="(int, int)")
+        assert {r.qualified_name for r in recs} == {"calc::Calculator::add"}
+
+    def test_stored_signatures_match_verbatim(self, toy_index):
+        functions = [r for r in toy_index.symbols
+                     if r.kind in FUNCTION_KINDS and not r.is_synthetic]
+        assert functions
+        for rec in functions:
+            everything = find_function(toy_index, rec.qualified_name)
+            want = [r for r in everything if r.signature == rec.signature]
+            assert find_function(
+                toy_index, rec.qualified_name, signature=rec.signature
+            ) == want
+
+    def test_verbatim_match_wins_over_normalization(self, tmp_path):
+        # normalizing "(const Widget)" again drops "Widget" as if it were a
+        # parameter name, so only the verbatim match can find this record
+        (tmp_path / "w.h").write_text(
+            "struct Widget {};\nvoid take(const Widget w);\n"
+        )
+        index = build_index(load_repository(tmp_path))
+        [rec] = find_function(index, "take", signature="(const Widget)")
+        assert rec.signature == "(const Widget)"
+        with pytest.raises(NotFound):
+            find_function(index, "take", signature="(const)")
+
 
 class TestInheritanceChain:
     def test_bases_and_derived_on_toyrepo(self, toy_index):
