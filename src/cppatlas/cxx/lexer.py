@@ -22,8 +22,10 @@ lexemes can start at the same character, the earlier one wins:
 
 A ``#`` that starts a line (only whitespace, comments and stray
 characters before it) begins a preprocessor directive instead, which
-``_DIRECTIVE_RE`` reads with its backslash-newline continuations. In
-mid-line, ``#`` and ``##`` are punct tokens.
+``_DIRECTIVE_RE`` reads with its backslash-newline continuations; those
+are spliced out before an ``#include`` target is read, and the include is
+recorded on the directive's last line. In mid-line, ``#`` and ``##`` are
+punct tokens.
 """
 
 from __future__ import annotations
@@ -136,7 +138,8 @@ def lex(text: str) -> LexResult:
             end_line = line + lexeme.count("\n")
             out.comments.append(CommentBlock(lexeme[2:-2].strip(), line, end_line))
         elif kind == "directive":
-            body = lexeme.lstrip("#").strip()
+            # lines are spliced before the directive is read
+            body = lexeme.replace("\\\n", "").lstrip("#").strip()
             if body.startswith("include"):
                 target = body[len("include") :].strip()
                 if len(target) >= 2 and target[0] in "<\"":

@@ -28,10 +28,12 @@ indices, ids, edge lists and serialized bytes.
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 import warnings
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -101,14 +103,20 @@ class Graph:
 class StructuralIndex:
     """Symbol graph plus lookup tables and the source text it was built from.
 
-    ``graph`` is derived from ``edges`` and ``call_sites``; it is rebuilt on
-    load, never persisted, and takes no part in equality."""
+    ``graph`` is derived from ``edges`` and ``call_sites``, and
+    ``by_suffix`` from the qualified names; both are rebuilt on load,
+    never persisted, and take no part in equality."""
 
     symbols: list[SymbolRecord] = field(default_factory=list)
     edges: list[StructuralEdge] = field(default_factory=list)
     call_sites: list[CallSite] = field(default_factory=list)
     by_name: dict[str, list[int]] = field(default_factory=dict)
     by_qualified: dict[str, list[int]] = field(default_factory=dict)
+    # ids by every trailing scope path of two or more segments: "b::c"
+    # holds the ids of "a::b::c" and "x::b::c"
+    by_suffix: dict[str, list[int]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
     sources: dict[str, str] = field(default_factory=dict)
     includes: dict[str, list[str]] = field(default_factory=dict)
     repo_snapshot: str = ""
@@ -258,6 +266,15 @@ def _build_lookup(index: StructuralIndex):
         by_qualified[rec.qualified_name].append(rec.symbol_id)
     index.by_name = {k: sorted(v) for k, v in by_name.items()}
     index.by_qualified = {k: sorted(v) for k, v in by_qualified.items()}
+    by_suffix: dict[str, list[int]] = defaultdict(list)
+    for name, ids in index.by_qualified.items():
+        cut = name.find("::")
+        while cut != -1:
+            suffix = name[cut + 2 :]
+            if "::" in suffix:
+                by_suffix[suffix].extend(ids)
+            cut = name.find("::", cut + 1)
+    index.by_suffix = {k: sorted(v) for k, v in by_suffix.items()}
 
 
 def _scope_prefixes(qualified_name: str) -> list[str]:
@@ -517,6 +534,20 @@ def persist_index(
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
+@contextmanager
+def _collector_paused():
+    """Loading allocates millions of objects and frees no cycles, so the
+    cyclic collector would only re-scan the payload as it grows (about a
+    fifth of a large load); it is switched back on afterwards."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def load_index(
     path: str | Path, expected_snapshot: str | None = None
 ) -> IndexContainer:
@@ -526,28 +557,29 @@ def load_index(
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CorruptIndex(f"cannot read index file {path}: {exc}") from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CorruptIndex(f"index file {path} is not valid JSON") from exc
-    if not isinstance(payload, dict) or payload.get("format") != FORMAT_MAGIC:
-        raise CorruptIndex(f"index file {path} has a foreign or missing header")
-    if payload.get("version") != FORMAT_VERSION:
-        raise VersionMismatch(
-            f"index version {payload.get('version')} != {FORMAT_VERSION}"
-        )
-    try:
-        snapshot = payload["repo_snapshot"]
-        structural = _structural_from_dict(payload["structural"], snapshot)
-        _check_closure(structural)
-        intent = None
-        if payload.get("intent") is not None:
-            from .intent import IntentIndex
+    with _collector_paused():
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise CorruptIndex(f"index file {path} is not valid JSON") from exc
+        if not isinstance(payload, dict) or payload.get("format") != FORMAT_MAGIC:
+            raise CorruptIndex(f"index file {path} has a foreign or missing header")
+        if payload.get("version") != FORMAT_VERSION:
+            raise VersionMismatch(
+                f"index version {payload.get('version')} != {FORMAT_VERSION}"
+            )
+        try:
+            snapshot = payload["repo_snapshot"]
+            structural = _structural_from_dict(payload["structural"], snapshot)
+            _check_closure(structural)
+            intent = None
+            if payload.get("intent") is not None:
+                from .intent import IntentIndex
 
-            intent = IntentIndex.from_dict(payload["intent"])
-    except (KeyError, TypeError, ValueError, AttributeError,
-            AssertionError) as exc:
-        raise CorruptIndex(f"index file {path} is malformed: {exc!r}") from exc
+                intent = IntentIndex.from_dict(payload["intent"])
+        except (KeyError, TypeError, ValueError, AttributeError,
+                AssertionError) as exc:
+            raise CorruptIndex(f"index file {path} is malformed: {exc!r}") from exc
     if expected_snapshot is not None and expected_snapshot != snapshot:
         warnings.warn(
             StaleIndexWarning(

@@ -13,7 +13,8 @@ import hashlib
 import json
 import re
 import subprocess
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,42 +27,55 @@ from .errors import (
 )
 from .index import StructuralIndex
 from .model import SymbolRecord
-from .queries import defect_subgraph, snippet_for
+from .queries import defect_subgraph, snippet_of
 from .repo import IssueDescription
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _CAMEL_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|[0-9]+")
+# entries kept by each memo below; a 10k-symbol corpus of the benchmark
+# holds about 1,200 distinct identifiers and 100 distinct words
+_MEMO_SIZE = 1 << 14
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _segments(ident: str) -> tuple[str, ...]:
+    return tuple(
+        part.lower() for chunk in ident.split("_") for part in _CAMEL_RE.findall(chunk)
+    )
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _token_hash(token: str) -> int:
+    return int(hashlib.sha1(token.encode("utf-8")).hexdigest(), 16)
 
 
 def split_identifier(ident: str) -> list[str]:
     """snake_case and camelCase segments, lowercased."""
-    out: list[str] = []
-    for chunk in ident.split("_"):
-        for part in _CAMEL_RE.findall(chunk):
-            out.append(part.lower())
-    return out
+    return list(_segments(ident))
 
 
 def tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    for ident in _IDENT_RE.findall(text):
-        tokens.extend(split_identifier(ident))
-    return tokens
+    return [seg for ident in _IDENT_RE.findall(text) for seg in _segments(ident)]
+
+
+def _summary_parts(record: SymbolRecord, snippet: str) -> list[str]:
+    # "member_function" gives two parts, so the joined text still reads
+    # "member function" and each part is one word or one run of digits
+    parts = record.kind.value.split("_")
+    parts.extend(_segments(record.name))
+    for segment in record.qualified_name.split("::"):
+        parts.extend(_segments(segment))
+    for text in (record.signature, record.template_params, record.doc_comment,
+                 snippet):
+        parts.extend(tokenize(text))
+    return parts
 
 
 def summarize_artifact(record: SymbolRecord, snippet: str) -> str:
     """Flat text summary of one symbol: kind, name parts, scope parts,
     signature, doc comment and body identifiers. Token repetition is
     intentional; it becomes term frequency."""
-    parts: list[str] = [record.kind.value.replace("_", " ")]
-    parts.extend(split_identifier(record.name))
-    for segment in record.qualified_name.split("::"):
-        parts.extend(split_identifier(segment))
-    parts.extend(tokenize(record.signature))
-    parts.extend(tokenize(record.template_params))
-    parts.extend(tokenize(record.doc_comment))
-    parts.extend(tokenize(snippet))
-    return " ".join(parts)
+    return " ".join(_summary_parts(record, snippet))
 
 
 class HashEmbeddingProvider:
@@ -76,17 +90,23 @@ class HashEmbeddingProvider:
         return f"hash-tf-{self.dim}"
 
     def embed(self, text: str) -> tuple[float, ...]:
-        vec = np.zeros(self.dim, dtype=np.float64)
-        for token in tokenize(text):
-            digest = hashlib.sha1(token.encode("utf-8")).hexdigest()
-            vec[int(digest, 16) % self.dim] += 1.0
-        norm = float(np.linalg.norm(vec))
-        if norm > 0.0:
-            vec /= norm
-        return tuple(float(x) for x in vec)
+        return tuple(self.embed_tokens([tokenize(text)])[0].tolist())
 
     def embed_many(self, texts: list[str]) -> list[tuple[float, ...]]:
-        return [self.embed(t) for t in texts]
+        rows = self.embed_tokens([tokenize(t) for t in texts]).tolist()
+        return [tuple(row) for row in rows]
+
+    def embed_tokens(self, token_lists: list[list[str]]) -> np.ndarray:
+        """One unit row of bucket counts per token list, shape
+        (lists, dim). Counts are whole numbers, so every norm is exact."""
+        dim = self.dim
+        matrix = np.empty((len(token_lists), dim), dtype=np.float64)
+        for row, tokens in zip(matrix, token_lists):
+            row[:] = np.bincount([_token_hash(t) % dim for t in tokens], minlength=dim)
+        norms = np.linalg.norm(matrix, axis=1)
+        norms[norms == 0.0] = 1.0
+        matrix /= norms[:, None]
+        return matrix
 
 
 class CommandEmbeddingProvider:
@@ -129,6 +149,8 @@ class CommandEmbeddingProvider:
             if len(vec) != self.dim:
                 raise ProviderUnavailable("embedding dimension mismatch")
             arr = np.asarray(vec, dtype=np.float64)
+            if not np.isfinite(arr).all():
+                raise ProviderUnavailable("embedding has a non-finite entry")
             norm = float(np.linalg.norm(arr))
             if norm > 0.0:
                 arr = arr / norm
@@ -156,23 +178,28 @@ class IntentDoc:
             "vector": list(self.vector),
         }
 
-    @staticmethod
-    def from_dict(data: dict) -> "IntentDoc":
-        return IntentDoc(
-            symbol_id=data["symbol_id"],
-            qualified_name=data["qualified_name"],
-            kind=data["kind"],
-            text=data["text"],
-            vector=tuple(float(x) for x in data["vector"]),
-        )
-
 
 @dataclass(frozen=True)
 class IntentIndex:
+    """Intent documents plus ``matrix``, their vectors as one C-contiguous
+    float64 array of shape (docs, dim) that every query multiplies.
+
+    ``matrix`` is derived from ``docs``: built once, when the index is
+    built or loaded (or here, from the docs, when it is not given); it is
+    never persisted and takes no part in equality."""
+
     provider_name: str
     dim: int
     repo_snapshot: str
     docs: tuple[IntentDoc, ...]
+    matrix: np.ndarray = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.matrix is None:
+            matrix = np.array([d.vector for d in self.docs], dtype=np.float64)
+            object.__setattr__(
+                self, "matrix", matrix.reshape(len(self.docs), self.dim)
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -184,12 +211,57 @@ class IntentIndex:
 
     @staticmethod
     def from_dict(data: dict) -> "IntentIndex":
+        """Rebuild an index from ``to_dict`` output, raising ``ValueError``
+        on a bad ``dim`` or a vector that is not ``dim`` finite numbers.
+
+        Each doc's ``vector`` list is taken out of ``data`` once its row is
+        filled, so the parsed lists are freed while the matrix grows."""
+        dim = data["dim"]
+        if type(dim) is not int or dim < 1:
+            raise ValueError(f"intent dim must be a positive int, not {dim!r}")
+        raw = data["docs"]
+        matrix = np.empty((len(raw), dim), dtype=np.float64)
+        docs = []
+        for row, d in enumerate(raw):
+            vector = d.pop("vector")
+            # bool is an int subclass and "0.1" would convert: check types
+            if not (
+                type(vector) is list
+                and len(vector) == dim
+                and (types := set(map(type, vector))) <= {float, int}
+            ):
+                raise ValueError(f"intent doc {row} has no vector of {dim} numbers")
+            matrix[row] = vector
+            docs.append(
+                IntentDoc(
+                    symbol_id=d["symbol_id"],
+                    qualified_name=d["qualified_name"],
+                    kind=d["kind"],
+                    text=d["text"],
+                    vector=tuple(vector if types == {float} else matrix[row].tolist()),
+                )
+            )
+        # NaN or infinity would drop docs from every top-k silently
+        if not np.isfinite(matrix).all():
+            raise ValueError("intent vectors hold a non-finite entry")
         return IntentIndex(
             provider_name=data["provider_name"],
-            dim=data["dim"],
+            dim=dim,
             repo_snapshot=data["repo_snapshot"],
-            docs=tuple(IntentDoc.from_dict(d) for d in data["docs"]),
+            docs=tuple(docs),
+            matrix=matrix,
         )
+
+
+def _sparse_tuple(row: np.ndarray) -> tuple[float, ...]:
+    """``tuple(row.tolist())`` in which every zero is the same ``0.0``
+    object: most of a hashed vector is zero, so this saves a float object
+    per zero entry."""
+    cells = [0.0] * len(row)
+    nonzero = np.flatnonzero(row)
+    for col, value in zip(nonzero.tolist(), row[nonzero].tolist()):
+        cells[col] = value
+    return tuple(cells)
 
 
 def build_intent_index(index: StructuralIndex, provider=None) -> IntentIndex:
@@ -197,8 +269,23 @@ def build_intent_index(index: StructuralIndex, provider=None) -> IntentIndex:
     symbol id order."""
     provider = provider or HashEmbeddingProvider()
     records = [r for r in index.symbols if not r.is_synthetic]
-    texts = [summarize_artifact(r, snippet_for(index, r)) for r in records]
-    vectors = provider.embed_many(texts)
+    lines = {path: text.split("\n") for path, text in index.sources.items()}
+    parts = [
+        _summary_parts(r, snippet_of(lines.get(r.location.file), r))
+        for r in records
+    ]
+    texts = [" ".join(p) for p in parts]
+    if isinstance(provider, HashEmbeddingProvider):
+        # every part is a lowercase word or a run of digits; tokenizing the
+        # joined text again would keep the words and drop the digit runs
+        matrix = provider.embed_tokens(
+            [[w for w in p if not w.isdigit()] for p in parts]
+        )
+        vectors = [_sparse_tuple(row) for row in matrix]
+    else:
+        vectors = provider.embed_many(texts)
+        matrix = np.array(vectors, dtype=np.float64)
+        matrix = matrix.reshape(len(texts), provider.dim)
     docs = tuple(
         IntentDoc(
             symbol_id=r.symbol_id,
@@ -214,14 +301,16 @@ def build_intent_index(index: StructuralIndex, provider=None) -> IntentIndex:
         dim=provider.dim,
         repo_snapshot=index.repo_snapshot,
         docs=docs,
+        matrix=matrix,
     )
 
 
 def query_code_intent(
     intent: IntentIndex, text: str, k: int = 10, provider=None
 ) -> list[dict]:
-    """Top-k symbols by cosine similarity against the query embedding.
-    Ties break lexicographically on qualified name, then id."""
+    """Top-k symbols by cosine similarity against the query embedding:
+    one matrix-vector product, then a partial sort. Ties break
+    lexicographically on qualified name, then id."""
     if k < 1:
         raise BadRequest("k must be >= 1")
     if not intent.docs:
@@ -232,21 +321,28 @@ def query_code_intent(
             f"index was built with {intent.provider_name!r}, "
             f"queried with {provider.name!r}"
         )
-    query_vec = np.asarray(provider.embed(text), dtype=np.float64)
-    matrix = np.asarray([d.vector for d in intent.docs], dtype=np.float64)
-    scores = matrix @ query_vec
+    scores = intent.matrix @ np.asarray(provider.embed(text), dtype=np.float64)
+    n = len(scores)
+    if k < n:
+        # every doc scoring at least the k-th best, so ties at the
+        # boundary are ordered like the rest
+        kth = scores[np.argpartition(scores, n - k)[n - k]]
+        candidates = np.flatnonzero(scores >= kth).tolist()
+    else:
+        candidates = range(n)
+    docs, values = intent.docs, scores.tolist()
     ranked = sorted(
-        zip(intent.docs, scores),
-        key=lambda pair: (-pair[1], pair[0].qualified_name, pair[0].symbol_id),
+        candidates,
+        key=lambda i: (-values[i], docs[i].qualified_name, docs[i].symbol_id),
     )
     return [
         {
-            "symbol_id": doc.symbol_id,
-            "qualified_name": doc.qualified_name,
-            "kind": doc.kind,
-            "score": float(score),
+            "symbol_id": docs[i].symbol_id,
+            "qualified_name": docs[i].qualified_name,
+            "kind": docs[i].kind,
+            "score": values[i],
         }
-        for doc, score in ranked[:k]
+        for i in ranked[:k]
     ]
 
 

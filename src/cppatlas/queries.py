@@ -42,9 +42,14 @@ _SUBGRAPH_KINDS = (
 
 def snippet_for(index: StructuralIndex, record: SymbolRecord) -> str:
     content = index.sources.get(record.location.file)
-    if content is None:
+    return snippet_of(None if content is None else content.split("\n"), record)
+
+
+def snippet_of(lines: list[str] | None, record: SymbolRecord) -> str:
+    """``snippet_for`` from the record's file already split into lines,
+    or "" when there is no such file."""
+    if lines is None:
         return ""
-    lines = content.split("\n")
     start = record.location.start_line
     end = min(record.location.end_line, start + _SNIPPET_MAX_LINES - 1)
     chunk = lines[start - 1 : end]
@@ -226,16 +231,7 @@ def resolve_seed(index: StructuralIndex, seed: str | int) -> list[int]:
             return [sid]
         return []
     if "::" in seed:
-        ids = list(index.by_qualified.get(seed, []))
-        if ids:
-            return ids
-        suffix = "::" + seed
-        return sorted(
-            i
-            for name, pool in index.by_qualified.items()
-            if name.endswith(suffix)
-            for i in pool
-        )
+        return list(index.by_qualified.get(seed) or index.by_suffix.get(seed, []))
     return list(index.by_name.get(seed, []))
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -224,13 +225,61 @@ class TestPersistence:
     def test_malformed_intent_payload_rejected(
         self, toy_index, toy_intent, tmp_path
     ):
+        def every_vector(intent, make):
+            for doc in intent["docs"]:
+                doc["vector"] = make(doc["vector"])
+
+        corruptions = {
+            "missing vector": lambda i: i["docs"][0].pop("vector"),
+            "one short vector": lambda i: i["docs"][1].update(
+                vector=i["docs"][1]["vector"][:10]
+            ),
+            "every vector short": lambda i: every_vector(i, lambda v: v[:10]),
+            "one long vector": lambda i: i["docs"][0]["vector"].append(0.0),
+            "string entry": lambda i: i["docs"][0]["vector"].__setitem__(3, "0.1"),
+            "bool entry": lambda i: i["docs"][2]["vector"].__setitem__(0, True),
+            "null entry": lambda i: i["docs"][0]["vector"].__setitem__(0, None),
+            "NaN entry": lambda i: i["docs"][4]["vector"].__setitem__(7, math.nan),
+            "infinite entry": lambda i: i["docs"][0]["vector"].__setitem__(
+                0, -math.inf
+            ),
+            "nested entry": lambda i: i["docs"][0]["vector"].__setitem__(0, [0.5]),
+            "vector not a list": lambda i: i["docs"][0].update(vector=0.5),
+            "vector a string": lambda i: i["docs"][0].update(vector="0" * 256),
+            "zero dim": lambda i: every_vector(i, lambda v: []) or i.update(dim=0),
+            "negative dim": lambda i: i.update(dim=-256),
+            "string dim": lambda i: i.update(dim="256"),
+            "bool dim": lambda i: (
+                every_vector(i, lambda v: v[:1]) or i.update(dim=True)
+            ),
+            "float dim": lambda i: i.update(dim=256.0),
+        }
+        persist_index(
+            IndexContainer(structural=toy_index, intent=toy_intent),
+            tmp_path / "good.json",
+        )
+        for name, corrupt in corruptions.items():
+            payload = json.loads((tmp_path / "good.json").read_text())
+            corrupt(payload["intent"])
+            path = tmp_path / "atlas.json"
+            path.write_text(json.dumps(payload))
+            with pytest.raises(CorruptIndex):
+                load_index(path)
+                pytest.fail(f"{name}: loaded")
+
+    def test_whole_number_vector_entries_load_as_floats(
+        self, toy_index, toy_intent, tmp_path
+    ):
         path = tmp_path / "atlas.json"
         persist_index(IndexContainer(structural=toy_index, intent=toy_intent), path)
         payload = json.loads(path.read_text())
-        del payload["intent"]["docs"][0]["vector"]
+        doc = payload["intent"]["docs"][0]
+        doc["vector"] = [0] * (len(doc["vector"]) - 1) + [1]
         path.write_text(json.dumps(payload))
-        with pytest.raises(CorruptIndex):
-            load_index(path)
+        loaded = load_index(path).intent
+        assert loaded.docs[0].vector == (0.0,) * 255 + (1.0,)
+        assert {type(x) for x in loaded.docs[0].vector} == {float}
+        assert loaded.matrix[0].tolist() == list(loaded.docs[0].vector)
 
     def test_loaded_graph_matches_built_graph(self, toy_index, tmp_path):
         path = tmp_path / "atlas.json"

@@ -13,17 +13,24 @@ from cppatlas.errors import (
     ProviderUnavailable,
     SnapshotMismatch,
 )
+from cppatlas.index import build_index
 from cppatlas.intent import (
     CommandEmbeddingProvider,
     HashEmbeddingProvider,
+    IntentDoc,
     IntentIndex,
     build_intent_index,
     localize,
     query_code_intent,
     split_identifier,
+    summarize_artifact,
     tokenize,
 )
-from cppatlas.repo import IssueDescription
+from cppatlas.queries import snippet_for
+from cppatlas.repo import IssueDescription, Repository, SourceUnit
+
+import corpusgen
+import refintent
 
 
 class TestTokenizer:
@@ -106,6 +113,12 @@ class TestCommandProvider:
         )
         with pytest.raises(ProviderUnavailable):
             bad_shape.embed("x")
+        not_finite = self._provider(
+            "import json,sys;json.load(sys.stdin);"
+            "print(json.dumps({'vectors': [[1.0, float('nan'), 0.0, 0.0]]}))"
+        )
+        with pytest.raises(ProviderUnavailable):
+            not_finite.embed("x")
         missing = CommandEmbeddingProvider(
             ("/no/such/embedder",), name="gone", dim=4
         )
@@ -276,3 +289,164 @@ def test_command_provider_through_index_build(toy_index):
     assert intent.dim == 8
     hits = query_code_intent(intent, "subtract", k=3, provider=provider)
     assert hits
+
+
+# --- differential: the memoized build and matrix query against the frozen
+# tokenizer, summarizer, embedder and full sort in refintent.py
+
+
+def _bits(vector) -> list[str]:
+    return [float(x).hex() for x in vector]
+
+
+def _repo_index(files: dict[str, str]):
+    units = tuple(SourceUnit.make(path, text) for path, text in files.items())
+    return build_index(Repository("mem", units))
+
+
+def _assert_docs_match_reference(index):
+    intent = build_intent_index(index)
+    provider = refintent.HashEmbeddingProvider()
+    real = [r for r in index.symbols if not r.is_synthetic]
+    assert [d.symbol_id for d in intent.docs] == [r.symbol_id for r in real]
+    assert intent.matrix.shape == (len(real), intent.dim)
+    assert intent.matrix.dtype == np.float64
+    assert intent.matrix.flags["C_CONTIGUOUS"]
+    for row, (doc, rec) in enumerate(zip(intent.docs, real)):
+        snippet = refintent.snippet_for(index, rec)
+        assert snippet_for(index, rec) == snippet
+        text = refintent.summarize_artifact(rec, snippet)
+        assert doc.text == text == summarize_artifact(rec, snippet)
+        want = _bits(provider.embed(text))
+        assert _bits(doc.vector) == want
+        assert _bits(intent.matrix[row]) == want
+        assert _bits(HashEmbeddingProvider().embed(text)) == want
+        assert tokenize(text) == refintent.tokenize(text)
+        assert all(type(x) is float for x in doc.vector)
+    return intent
+
+
+def test_docs_match_reference_on_fixtures(toy_index, motivation_index):
+    _assert_docs_match_reference(toy_index)
+    _assert_docs_match_reference(motivation_index)
+
+
+@pytest.mark.parametrize("first", range(0, 50, 10))
+def test_docs_match_reference_on_corpusgen(first):
+    for seed in range(first, first + 10):
+        _assert_docs_match_reference(_repo_index(corpusgen.generate(seed).files))
+
+
+_DIGIT_NAMES = {
+    "src/vec.h": (
+        "namespace gfx2 {\n"
+        "/// adds two vec3 values\n"
+        "struct Vec3 { float x1, y2, z3; };\n"
+        "Vec3 vec3Add(Vec3 a, Vec3 b);\n"
+        "class HTTP2Server {\n"
+        "public:\n"
+        "    int serve_v2(int port8080);\n"
+        "    template <typename T4> T4 sha256sum(T4 x);\n"
+        "};\n"
+        "}\n"
+    ),
+    "src/vec.cpp": (
+        '#include "vec.h"\n'
+        "namespace gfx2 {\n"
+        "Vec3 vec3Add(Vec3 a, Vec3 b) {\n"
+        "    return Vec3{a.x1 + b.x1, a.y2 + b.y2, a.z3 + b.z3};\n"
+        "}\n"
+        "int HTTP2Server::serve_v2(int port8080) { return port8080 + 42; }\n"
+        "}\n"
+    ),
+}
+
+
+def test_identifiers_with_digits_match_reference():
+    assert split_identifier("vec3Add") == ["vec", "3", "add"]
+    assert split_identifier("HTTP2Server") == ["http", "2", "server"]
+    intent = _assert_docs_match_reference(_repo_index(_DIGIT_NAMES))
+    # the summary keeps digit runs; the embedder never sees them
+    doc = next(d for d in intent.docs if d.qualified_name == "gfx2::vec3Add")
+    assert " 3 " in doc.text
+    assert tokenize(doc.text) == [w for w in doc.text.split() if not w.isdigit()]
+    for text in ("vec3Add", "HTTP2Server serve", "gfx2 sha256sum", "3 2 8080"):
+        for k in range(1, len(intent.docs) + 4):
+            assert query_code_intent(intent, text, k=k) == (
+                refintent.query_code_intent(intent, text, k=k)
+            )
+
+
+@pytest.fixture(scope="module")
+def corpus_intent():
+    return build_intent_index(_repo_index(corpusgen.generate(101).files))
+
+
+_QUERY_WORDS = [
+    "vector", "rotate", "cache", "parse", "flush", "token", "merge",
+    "score", "buffer", "clamp", "compute", "alpha", "engine", "calculator",
+    "subtract", "int", "3", "", "::", "add_2", "getValue",
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    words=st.lists(st.sampled_from(_QUERY_WORDS), max_size=6),
+    noise=st.text(max_size=12),
+    k_offset=st.integers(min_value=0, max_value=10_000),
+    use_corpus=st.booleans(),
+)
+def test_top_k_matches_reference(
+    toy_intent, corpus_intent, words, noise, k_offset, use_corpus
+):
+    intent = corpus_intent if use_corpus else toy_intent
+    text = " ".join(words) + noise
+    k = 1 + k_offset % (len(intent.docs) + 3)
+    assert query_code_intent(intent, text, k=k) == (
+        refintent.query_code_intent(intent, text, k=k)
+    )
+
+
+def _duplicated(intent, copies: int):
+    # every doc repeated, under fresh ids and under the same name, so whole
+    # groups tie on score and on qualified name
+    n = len(intent.docs)
+    docs = tuple(
+        IntentDoc(
+            symbol_id=d.symbol_id + c * n if c % 2 else d.symbol_id,
+            qualified_name=d.qualified_name if c < 2 else d.qualified_name + "_",
+            kind=d.kind,
+            text=d.text,
+            vector=d.vector,
+        )
+        for c in range(copies)
+        for d in intent.docs
+    )
+    return IntentIndex(intent.provider_name, intent.dim, intent.repo_snapshot, docs)
+
+
+@pytest.mark.parametrize(
+    "text", ["", "123 456", "+-*/ ()", "calculator", "calc add subtract"]
+)
+def test_heavy_ties_at_the_boundary_match_reference(toy_intent, text):
+    for intent in (toy_intent, _duplicated(toy_intent, 4)):
+        for k in range(1, len(intent.docs) + 4):
+            got = query_code_intent(intent, text, k=k)
+            assert got == refintent.query_code_intent(intent, text, k=k)
+            assert len(got) == min(k, len(intent.docs))
+
+
+def test_matrix_is_built_once_and_kept_out_of_equality(toy_intent):
+    clone = IntentIndex.from_dict(toy_intent.to_dict())
+    assert clone == toy_intent
+    assert "matrix" not in repr(clone)
+    assert "matrix" not in json.dumps(clone.to_dict())
+    assert _bits(clone.matrix.ravel()) == _bits(toy_intent.matrix.ravel())
+    assert clone.matrix.flags["C_CONTIGUOUS"]
+    rebuilt = IntentIndex(
+        toy_intent.provider_name, toy_intent.dim, toy_intent.repo_snapshot,
+        toy_intent.docs,
+    )
+    assert _bits(rebuilt.matrix.ravel()) == _bits(toy_intent.matrix.ravel())
+    empty = IntentIndex("hash-tf-256", 256, "", ())
+    assert empty.matrix.shape == (0, 256)

@@ -4,6 +4,12 @@
 the same tokens (text, kind, line), comment blocks, includes and error
 count on the corpus, the fixtures and arbitrary text; the contract cases
 pin down the behaviour both share.
+
+One difference is declared: the scanner splices backslash-newlines out of
+a directive before reading its ``#include`` target, and the reference
+does not, so ``#include \\`` + newline + ``<a.h>`` records ``a.h`` in the
+scanner only. On text with a backslash-newline the arbitrary-text tests
+therefore leave includes out of the comparison.
 """
 
 import pathlib
@@ -35,8 +41,11 @@ def flat(result) -> tuple:
     return tokens(result), blocks(result), result.includes, result.error_count
 
 
-def assert_same(text: str) -> None:
-    assert flat(lexer.lex(text)) == flat(reflexer.lex(text)), repr(text)
+def assert_same(text: str, spliced_includes_may_differ: bool = False) -> None:
+    got, want = flat(lexer.lex(text)), flat(reflexer.lex(text))
+    if spliced_includes_may_differ and "\\\n" in text:
+        got, want = got[:2] + got[3:], want[:2] + want[3:]
+    assert got == want, repr(text)
 
 
 # --- differential: corpus, fixtures, arbitrary text ---------------------
@@ -73,13 +82,13 @@ LEXEMES = [
 )
 @given(st.lists(st.sampled_from(LEXEMES), max_size=40).map("".join))
 def test_lexers_agree_on_lexeme_soup(text):
-    assert_same(text)
+    assert_same(text, spliced_includes_may_differ=True)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.text())
 def test_lexers_agree_on_arbitrary_text(text):
-    assert_same(text)
+    assert_same(text, spliced_includes_may_differ=True)
 
 
 # --- contract: what both lexers do --------------------------------------
@@ -137,6 +146,34 @@ def test_backslash_newline_continues_a_directive(lex):
     result = lex("#define X \\\n  1\n#include <a.h> \\\n\nint y;")
     assert tokens(result) == [("int", "id", 5), ("y", "id", 5), (";", "punct", 5)]
     assert result.includes == [(4, "a.h")]
+
+
+def test_include_after_backslash_newline_is_the_declared_difference():
+    text = "#include \\\n<a.h>\nint x;"
+    scanner, reference = lexer.lex(text), reflexer.lex(text)
+    assert scanner.includes == [(2, "a.h")]
+    assert reference.includes == []
+    assert tokens(scanner) == tokens(reference) == [
+        ("int", "id", 3), ("x", "id", 3), (";", "punct", 3)
+    ]
+    assert blocks(scanner) == blocks(reference) == []
+    assert scanner.error_count == reference.error_count == 0
+
+
+@pytest.mark.parametrize(
+    "text, includes",
+    [
+        ("#include \\\n<a.h>", [(2, "a.h")]),
+        ('#include \\\n  \\\n"b.h"\nint x;', [(3, "b.h")]),
+        ("#inc\\\nlude <c>", [(2, "c")]),
+        ("# \\\n include <d>", [(2, "d")]),
+        ("#include <e\\\n.h>", [(2, "e.h")]),
+        ("#include <f.h> \\\n", [(2, "f.h")]),
+        ("#include \\\n\n<g.h>", []),
+    ],
+)
+def test_include_targets_across_spliced_lines(text, includes):
+    assert lexer.lex(text).includes == includes
 
 
 @LEXERS

@@ -458,3 +458,58 @@ def test_graph_walks_match_brute_force_across_duplicate_definitions(tmp_path):
     sites = get_function_calls(index, "helper", "(int)")["sites"]
     assert [s["file"] for s in sites] == ["a.cpp", "b.cpp", "b.cpp"]
     _assert_walks_match_brute_force(index)
+
+
+# --- resolve_seed's suffix map against the scan it replaced -------------
+
+
+def _ref_resolve_seed(index, seed: str) -> list[int]:
+    # the string branch of resolve_seed before the index kept ``by_suffix``:
+    # an exact qualified name, else a scan of every qualified name
+    if "::" in seed:
+        ids = list(index.by_qualified.get(seed, []))
+        if ids:
+            return ids
+        suffix = "::" + seed
+        return sorted(
+            i
+            for name, pool in index.by_qualified.items()
+            if name.endswith(suffix)
+            for i in pool
+        )
+    return list(index.by_name.get(seed, []))
+
+
+def _assert_seeds_match_scan(index):
+    seeds = set()
+    for name in index.by_qualified:
+        parts = name.split("::")
+        for i in range(len(parts)):
+            tail = "::".join(parts[i:])
+            seeds.update({tail, "::" + tail, tail + "::", "nowhere::" + tail})
+    for seed in sorted(seeds):
+        assert resolve_seed(index, seed) == _ref_resolve_seed(index, seed), seed
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42, 101])
+def test_seed_suffixes_match_the_scan(seed, tmp_path):
+    _assert_seeds_match_scan(_corpus_index(tmp_path, seed))
+
+
+def test_seed_suffixes_match_the_scan_on_toyrepo(toy_index):
+    _assert_seeds_match_scan(toy_index)
+
+
+def test_seed_suffix_shared_by_two_scopes(tmp_path):
+    (tmp_path / "a.h").write_text(
+        "namespace a { namespace b { class C {}; } }\n"
+        "namespace x { namespace b { class C {}; } }\n"
+        "namespace b { class C {}; }\n"
+    )
+    index = build_index(load_repository(tmp_path))
+    two = sorted(index.by_qualified["a::b::C"] + index.by_qualified["x::b::C"])
+    assert resolve_seed(index, "b::C") == index.by_qualified["b::C"]
+    assert resolve_seed(index, "a::b::C") == index.by_qualified["a::b::C"]
+    index.by_qualified.pop("b::C")  # no exact match: the suffix fallback
+    assert resolve_seed(index, "b::C") == two
+    _assert_seeds_match_scan(index)
