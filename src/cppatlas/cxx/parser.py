@@ -910,6 +910,17 @@ def render_tokens(texts: list[str]) -> str:
     return "".join(out).replace(":: ", "::").strip()
 
 
+# qualifiers and elaborated-type keywords: in "const Widget" or
+# "struct Foo" the identifier is the type of an unnamed parameter
+_TYPE_PREFIXES = frozenset("const volatile struct class enum union typename".split())
+
+
+def _is_parameter_name(texts: list[str], at: int) -> bool:
+    """Whether the identifier at ``at`` can name its parameter: some type
+    token, not only qualifiers or elaborated-type keywords, precedes it."""
+    return any(tx not in _TYPE_PREFIXES for tx in texts[:at])
+
+
 def normalize_signature(param_tokens: list[Token]) -> str:
     """Normalize a parameter list: whitespace collapsed, parameter names and
     default arguments removed, const qualifiers kept, '(void)' folded to
@@ -928,7 +939,7 @@ def normalize_signature(param_tokens: list[Token]) -> str:
             if texts[bracket - 1] not in TYPE_KEYWORDS and (
                 bracket < 2 or texts[bracket - 2] != "::"
             ):
-                if bracket >= 2:  # keep single-token types like "int[4]"
+                if _is_parameter_name(texts, bracket - 1):
                     del texts[bracket - 1]
                     del kinds[bracket - 1]
         elif (
@@ -937,6 +948,7 @@ def normalize_signature(param_tokens: list[Token]) -> str:
             and texts[-1] not in TYPE_KEYWORDS
             and texts[-2] != "::"
             and texts[-1] != "..."
+            and _is_parameter_name(texts, len(texts) - 1)
         ):
             texts = texts[:-1]
         rendered.append(render_tokens(texts))

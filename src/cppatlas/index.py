@@ -56,7 +56,7 @@ from .repo import Repository
 log = logging.getLogger(__name__)
 
 FORMAT_MAGIC = "cppatlas-index"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _EDGE_ORDER = {k: i for i, k in enumerate(EdgeKind)}
 
@@ -457,15 +457,18 @@ def _check_closure(index: StructuralIndex):
             raise AssertionError(
                 f"symbol {rec.qualified_name} lacks a containment parent"
             )
-    # acyclicity: follow parents upward, must terminate
+    # acyclicity: every walk upward ends at a root, or at a node that an
+    # earlier walk already took to one
+    rooted: set[int] = set()
     for start in range(n):
         seen = set()
         cur = start
-        while (up := index.parent(cur)) is not None:
+        while cur not in rooted and (up := index.parent(cur)) is not None:
             if cur in seen:
                 raise AssertionError("containment cycle")
             seen.add(cur)
             cur = up
+        rooted |= seen
 
 
 # ----------------------------------------------------------------------
@@ -485,11 +488,75 @@ class IndexContainer:
         return self.structural.repo_snapshot
 
 
+# Columns of the v2 layout, each with the type of its cells. A symbol's id
+# is its row; its kind and file are rows of the "kinds" and "files" tables.
+_LOCATION_COLUMNS = {"file": int, "start_line": int, "end_line": int}
+# the rest of a SymbolRecord, in the order of its fields after "location"
+_RECORD_COLUMNS = {
+    "name": str,
+    "qualified_name": str,
+    "signature": str,
+    "is_definition": bool,
+    "template_params": str,
+    "doc_comment": str,
+    "is_virtual": bool,
+    "has_override": bool,
+}
+_SYMBOL_COLUMNS = {"kind": int, **_LOCATION_COLUMNS, **_RECORD_COLUMNS}
+_SITE_COLUMNS = {"caller": int, "callee": int, **_LOCATION_COLUMNS}
+
+
+def read_columns(table: dict, types: dict[str, type]) -> list[list]:
+    """The named columns of one table, checked to be lists of one length
+    whose cells all have the stated type (a ``bool`` is no ``int`` here)."""
+    columns = []
+    for name, cell in types.items():
+        column = table[name]
+        if type(column) is not list or not set(map(type, column)) <= {cell}:
+            raise ValueError(f"column {name!r} is not a list of {cell.__name__}")
+        columns.append(column)
+    if len({len(c) for c in columns}) > 1:
+        raise ValueError(f"columns {', '.join(types)} differ in length")
+    return columns
+
+
+def _decode(codes: list[int], table: list, what: str) -> list:
+    if codes and not 0 <= min(codes) <= max(codes) < len(table):
+        raise ValueError(f"{what} index out of range")
+    return [table[i] for i in codes]
+
+
 def _structural_to_dict(index: StructuralIndex) -> dict:
+    symbols, sites = index.symbols, index.call_sites
+    files = sorted({r.location.file for r in (*symbols, *sites)})
+    file_row = {f: i for i, f in enumerate(files)}
+    kind_row = {k: i for i, k in enumerate(SymbolKind)}
+
+    def located(rows) -> dict:
+        return {
+            "file": [file_row[r.location.file] for r in rows],
+            "start_line": [r.location.start_line for r in rows],
+            "end_line": [r.location.end_line for r in rows],
+        }
+
+    edges = {k.value: {"from": [], "to": []} for k in EdgeKind}
+    for e in index.edges:
+        edges[e.kind.value]["from"].append(e.src)
+        edges[e.kind.value]["to"].append(e.dst)
     return {
-        "symbols": [s.to_dict() for s in index.symbols],
-        "edges": [e.to_dict() for e in index.edges],
-        "call_sites": [c.to_dict() for c in index.call_sites],
+        "kinds": [k.value for k in SymbolKind],
+        "files": files,
+        "symbols": {
+            "kind": [kind_row[r.kind] for r in symbols],
+            **located(symbols),
+            **{name: [getattr(r, name) for r in symbols] for name in _RECORD_COLUMNS},
+        },
+        "edges": edges,
+        "call_sites": {
+            "caller": [c.caller for c in sites],
+            "callee": [c.callee for c in sites],
+            **located(sites),
+        },
         "sources": index.sources,
         "includes": index.includes,
         "parse_error_count": index.parse_error_count,
@@ -497,10 +564,33 @@ def _structural_to_dict(index: StructuralIndex) -> dict:
 
 
 def _structural_from_dict(d: dict, snapshot: str) -> StructuralIndex:
-    edges = [StructuralEdge.from_dict(e) for e in d["edges"]]
-    call_sites = [CallSite.from_dict(c) for c in d["call_sites"]]
+    (kinds,) = read_columns(d, {"kinds": str})
+    kinds = [SymbolKind(k) for k in kinds]
+    (files,) = read_columns(d, {"files": str})
+
+    def locations(file, start_line, end_line) -> list[Location]:
+        return list(map(Location, _decode(file, files, "file"), start_line, end_line))
+
+    kind, file, start_line, end_line, *fields = read_columns(
+        d["symbols"], _SYMBOL_COLUMNS
+    )
+    rows = zip(
+        _decode(kind, kinds, "kind"), locations(file, start_line, end_line), *fields
+    )
+    symbols = [
+        SymbolRecord(i, k, name, qualified, signature, loc, *rest)
+        for i, (k, loc, name, qualified, signature, *rest) in enumerate(rows)
+    ]
+    if set(d["edges"]) != {k.value for k in EdgeKind}:
+        raise ValueError(f"edge kinds {sorted(d['edges'])} are not EdgeKind's")
+    edges = []
+    for k in EdgeKind:
+        src, dst = read_columns(d["edges"][k.value], {"from": int, "to": int})
+        edges.extend(StructuralEdge(k, s, t) for s, t in zip(src, dst))
+    caller, callee, *where = read_columns(d["call_sites"], _SITE_COLUMNS)
+    call_sites = list(map(CallSite, caller, callee, locations(*where)))
     index = StructuralIndex(
-        symbols=[SymbolRecord.from_dict(s) for s in d["symbols"]],
+        symbols=symbols,
         edges=edges,
         call_sites=call_sites,
         sources=dict(d["sources"]),
@@ -576,7 +666,7 @@ def load_index(
             if payload.get("intent") is not None:
                 from .intent import IntentIndex
 
-                intent = IntentIndex.from_dict(payload["intent"])
+                intent = IntentIndex.from_dict(payload["intent"], structural.symbols)
         except (KeyError, TypeError, ValueError, AttributeError,
                 AssertionError) as exc:
             raise CorruptIndex(f"index file {path} is malformed: {exc!r}") from exc

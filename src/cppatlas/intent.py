@@ -9,12 +9,14 @@ subprocess command that reads texts as JSON and writes vectors back.
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import re
 import subprocess
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .errors import (
     ProviderUnavailable,
     SnapshotMismatch,
 )
-from .index import StructuralIndex
+from .index import StructuralIndex, read_columns
 from .model import SymbolRecord
 from .queries import defect_subgraph, snippet_of
 from .repo import IssueDescription
@@ -44,9 +46,25 @@ def _segments(ident: str) -> tuple[str, ...]:
     )
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _token_hash(token: str) -> int:
-    return int(hashlib.sha1(token.encode("utf-8")).hexdigest(), 16)
+class _Buckets(dict):
+    """Memo of each token's sha1 bucket for one ``dim``, emptied when it
+    reaches ``_MEMO_SIZE`` entries."""
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self.dim = dim
+
+    def __missing__(self, token: str) -> int:
+        if len(self) >= _MEMO_SIZE:
+            self.clear()
+        digest = hashlib.sha1(token.encode("utf-8")).hexdigest()
+        bucket = self[token] = int(digest, 16) % self.dim
+        return bucket
+
+
+@lru_cache(maxsize=8)
+def _buckets(dim: int) -> _Buckets:
+    return _Buckets(dim)
 
 
 def split_identifier(ident: str) -> list[str]:
@@ -55,7 +73,7 @@ def split_identifier(ident: str) -> list[str]:
 
 
 def tokenize(text: str) -> list[str]:
-    return [seg for ident in _IDENT_RE.findall(text) for seg in _segments(ident)]
+    return list(chain.from_iterable(map(_segments, _IDENT_RE.findall(text))))
 
 
 def _summary_parts(record: SymbolRecord, snippet: str) -> list[str]:
@@ -99,10 +117,18 @@ class HashEmbeddingProvider:
     def embed_tokens(self, token_lists: list[list[str]]) -> np.ndarray:
         """One unit row of bucket counts per token list, shape
         (lists, dim). Counts are whole numbers, so every norm is exact."""
-        dim = self.dim
-        matrix = np.empty((len(token_lists), dim), dtype=np.float64)
-        for row, tokens in zip(matrix, token_lists):
-            row[:] = np.bincount([_token_hash(t) % dim for t in tokens], minlength=dim)
+        dim, rows = self.dim, len(token_lists)
+        lengths = [len(tokens) for tokens in token_lists]
+        cells = np.fromiter(
+            map(_buckets(dim).__getitem__, chain.from_iterable(token_lists)),
+            dtype=np.intp,
+            count=sum(lengths),
+        )
+        cells += np.repeat(np.arange(rows, dtype=np.intp) * dim, lengths)
+        # unit weights make bincount count in float64, except that it
+        # returns ints when there is no token at all
+        counts = np.bincount(cells, weights=np.ones(len(cells)), minlength=rows * dim)
+        matrix = counts.astype(np.float64, copy=False).reshape(rows, dim)
         norms = np.linalg.norm(matrix, axis=1)
         norms[norms == 0.0] = 1.0
         matrix /= norms[:, None]
@@ -169,24 +195,16 @@ class IntentDoc:
     text: str
     vector: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "symbol_id": self.symbol_id,
-            "qualified_name": self.qualified_name,
-            "kind": self.kind,
-            "text": self.text,
-            "vector": list(self.vector),
-        }
-
 
 @dataclass(frozen=True)
 class IntentIndex:
     """Intent documents plus ``matrix``, their vectors as one C-contiguous
     float64 array of shape (docs, dim) that every query multiplies.
 
-    ``matrix`` is derived from ``docs``: built once, when the index is
-    built or loaded (or here, from the docs, when it is not given); it is
-    never persisted and takes no part in equality."""
+    ``matrix`` holds the same vectors as ``docs``: built once, when the
+    index is built or loaded (or here, from the docs, when it is not
+    given); it takes no part in equality. ``to_dict`` writes it out only
+    for providers other than the hash embedder."""
 
     provider_name: str
     dim: int
@@ -202,55 +220,67 @@ class IntentIndex:
             )
 
     def to_dict(self) -> dict:
-        return {
+        """Docs as ``symbol_id`` and ``text`` columns. The hash provider's
+        vectors are left out, since ``from_dict`` rebuilds them from the
+        text; any other provider's matrix is one base64 string of
+        little-endian float64, row by row."""
+        data = {
             "provider_name": self.provider_name,
             "dim": self.dim,
             "repo_snapshot": self.repo_snapshot,
-            "docs": [d.to_dict() for d in self.docs],
+            "docs": {
+                "symbol_id": [d.symbol_id for d in self.docs],
+                "text": [d.text for d in self.docs],
+            },
         }
+        if self.provider_name != HashEmbeddingProvider(self.dim).name:
+            raw = self.matrix.astype("<f8").tobytes()
+            data["vectors"] = base64.b64encode(raw).decode("ascii")
+        return data
 
     @staticmethod
-    def from_dict(data: dict) -> "IntentIndex":
-        """Rebuild an index from ``to_dict`` output, raising ``ValueError``
-        on a bad ``dim`` or a vector that is not ``dim`` finite numbers.
-
-        Each doc's ``vector`` list is taken out of ``data`` once its row is
-        filled, so the parsed lists are freed while the matrix grows."""
+    def from_dict(data: dict, symbols: list[SymbolRecord]) -> "IntentIndex":
+        """Rebuild an index from ``to_dict`` output over the ``symbols`` it
+        was built from, which give each doc its qualified name and kind.
+        Raises ``ValueError`` on a bad ``dim``, a doc that is not a real
+        symbol, or stored vectors that are not ``dim`` finite numbers per
+        doc."""
         dim = data["dim"]
         if type(dim) is not int or dim < 1:
             raise ValueError(f"intent dim must be a positive int, not {dim!r}")
-        raw = data["docs"]
-        matrix = np.empty((len(raw), dim), dtype=np.float64)
-        docs = []
-        for row, d in enumerate(raw):
-            vector = d.pop("vector")
-            # bool is an int subclass and "0.1" would convert: check types
-            if not (
-                type(vector) is list
-                and len(vector) == dim
-                and (types := set(map(type, vector))) <= {float, int}
-            ):
-                raise ValueError(f"intent doc {row} has no vector of {dim} numbers")
-            matrix[row] = vector
-            docs.append(
-                IntentDoc(
-                    symbol_id=d["symbol_id"],
-                    qualified_name=d["qualified_name"],
-                    kind=d["kind"],
-                    text=d["text"],
-                    vector=tuple(vector if types == {float} else matrix[row].tolist()),
-                )
-            )
-        # NaN or infinity would drop docs from every top-k silently
-        if not np.isfinite(matrix).all():
-            raise ValueError("intent vectors hold a non-finite entry")
+        ids, texts = read_columns(data["docs"], {"symbol_id": int, "text": str})
+        if ids and not 0 <= min(ids) <= max(ids) < len(symbols):
+            raise ValueError("intent doc symbol_id out of range")
+        records = [symbols[i] for i in ids]
+        if any(r.is_synthetic for r in records):
+            raise ValueError("intent doc names a synthetic symbol")
+        provider = HashEmbeddingProvider(dim)
+        if data["provider_name"] == provider.name:
+            matrix = provider.embed_tokens([tokenize(t) for t in texts])
+            vectors = map(_sparse_tuple, matrix)
+        else:
+            matrix = _decode_matrix(data["vectors"], len(texts), dim)
+            vectors = map(tuple, matrix.tolist())
         return IntentIndex(
             provider_name=data["provider_name"],
             dim=dim,
             repo_snapshot=data["repo_snapshot"],
-            docs=tuple(docs),
+            docs=tuple(
+                IntentDoc(r.symbol_id, r.qualified_name, r.kind.value, t, v)
+                for r, t, v in zip(records, texts, vectors)
+            ),
             matrix=matrix,
         )
+
+
+def _decode_matrix(encoded: str, rows: int, dim: int) -> np.ndarray:
+    # anything but a str is a TypeError, and any other size a ValueError
+    raw = base64.b64decode(encoded, validate=True)
+    matrix = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(rows, dim)
+    # NaN or infinity would drop docs from every top-k silently
+    if not np.isfinite(matrix).all():
+        raise ValueError("intent vectors hold a non-finite entry")
+    return matrix
 
 
 def _sparse_tuple(row: np.ndarray) -> tuple[float, ...]:

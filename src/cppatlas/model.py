@@ -72,10 +72,6 @@ class Location:
             "end_line": self.end_line,
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "Location":
-        return Location(d["file"], d["start_line"], d["end_line"])
-
 
 @dataclass
 class SymbolRecord:
@@ -120,22 +116,6 @@ class SymbolRecord:
             "has_override": self.has_override,
         }
 
-    @staticmethod
-    def from_dict(d: dict) -> "SymbolRecord":
-        return SymbolRecord(
-            symbol_id=d["symbol_id"],
-            kind=SymbolKind(d["kind"]),
-            name=d["name"],
-            qualified_name=d["qualified_name"],
-            signature=d["signature"],
-            location=Location.from_dict(d["location"]),
-            is_definition=d["is_definition"],
-            template_params=d["template_params"],
-            doc_comment=d["doc_comment"],
-            is_virtual=d["is_virtual"],
-            has_override=d["has_override"],
-        )
-
 
 @dataclass(frozen=True, order=True)
 class StructuralEdge:
@@ -148,10 +128,6 @@ class StructuralEdge:
     def to_dict(self) -> dict:
         return {"kind": self.kind.value, "from": self.src, "to": self.dst}
 
-    @staticmethod
-    def from_dict(d: dict) -> "StructuralEdge":
-        return StructuralEdge(EdgeKind(d["kind"]), d["from"], d["to"])
-
 
 @dataclass(frozen=True)
 class CallSite:
@@ -161,14 +137,3 @@ class CallSite:
     caller: int
     callee: int
     location: Location
-
-    def to_dict(self) -> dict:
-        return {
-            "caller": self.caller,
-            "callee": self.callee,
-            "call_site": self.location.to_dict(),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "CallSite":
-        return CallSite(d["caller"], d["callee"], Location.from_dict(d["call_site"]))

@@ -288,7 +288,9 @@ def grep_baseline(
     regex: bool = True,
 ) -> dict:
     """Line matches of a pattern across all indexed sources, ordered by
-    path then line, truncated at ``max_results``."""
+    path then line, truncated at ``max_results``. A fixed string is
+    looked for in each whole file first, and only the files holding it
+    are split into lines."""
     if max_results < 1:
         raise BadRequest("max_results must be >= 1")
     if regex:
@@ -302,7 +304,10 @@ def grep_baseline(
     matches = []
     truncated = False
     for path in sorted(index.sources):
-        for lineno, line in enumerate(index.sources[path].split("\n"), start=1):
+        text = index.sources[path]
+        if not regex and pattern not in text:
+            continue
+        for lineno, line in enumerate(text.split("\n"), start=1):
             if not hit(line):
                 continue
             if len(matches) >= max_results:

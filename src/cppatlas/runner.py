@@ -9,7 +9,9 @@ is reported as ``timeout``.
 from __future__ import annotations
 
 import logging
+import os
 import shutil
+import signal
 import subprocess
 import tempfile
 import time
@@ -126,37 +128,46 @@ def run_test(
     try:
         materialize_repo(repo, scratch_path)
         try:
-            proc = subprocess.run(
+            # a session of its own, so that the test's whole process group,
+            # background children included, can be killed at once
+            proc = subprocess.Popen(
                 command,
                 cwd=scratch_path,
-                capture_output=True,
-                timeout=timeout,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                start_new_session=True,
             )
         except FileNotFoundError as exc:
             raise RunnerUnavailable(f"cannot launch {command[0]!r}: {exc}") from exc
-        except subprocess.TimeoutExpired as exc:
-            return TestOutcome(
-                test_id=test.test_id,
-                status="timeout",
-                exit_code=None,
-                stdout=_truncate(exc.stdout or b"", config.output_limit_bytes),
-                stderr=_truncate(exc.stderr or b"", config.output_limit_bytes),
-                duration_seconds=time.monotonic() - started,
-                command=command,
-            )
-        status = "pass" if proc.returncode == 0 else "fail"
+        with proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=timeout)
+                status = "pass" if proc.returncode == 0 else "fail"
+            except subprocess.TimeoutExpired as exc:
+                stdout, stderr = exc.stdout or b"", exc.stderr or b""
+                status = "timeout"
+            finally:
+                _kill_group(proc)
         return TestOutcome(
             test_id=test.test_id,
             status=status,
-            exit_code=proc.returncode,
-            stdout=_truncate(proc.stdout, config.output_limit_bytes),
-            stderr=_truncate(proc.stderr, config.output_limit_bytes),
+            exit_code=None if status == "timeout" else proc.returncode,
+            stdout=_truncate(stdout, config.output_limit_bytes),
+            stderr=_truncate(stderr, config.output_limit_bytes),
             duration_seconds=time.monotonic() - started,
             command=command,
         )
     finally:
         if not config.keep_scratch:
             shutil.rmtree(scratch_path, ignore_errors=True)
+
+
+def _kill_group(proc: subprocess.Popen):
+    """SIGKILL the process group the test leads; it may be gone already."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
 
 
 def run_tests(

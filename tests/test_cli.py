@@ -156,8 +156,9 @@ class TestQueryCommand:
 
     def test_corrupt_index_exits_two(self, index_file, tmp_path, capsys):
         payload = json.loads(index_file.read_text())
-        payload["structural"]["edges"].append(
-            {"kind": "calls", "from": 1, "to": 99999})
+        calls = payload["structural"]["edges"]["calls"]
+        calls["from"].append(1)
+        calls["to"].append(99999)
         corrupt = tmp_path / "corrupt.caidx"
         corrupt.write_text(json.dumps(payload), encoding="utf-8")
         for argv in (["query", "--index", str(corrupt), "subgraph", "1",
@@ -274,6 +275,24 @@ class TestQueryGoesThroughTheTools:
         assert code == 0
         matches = json.loads(stdout)["matches"]
         assert matches and all(m["snippet"] for m in matches)
+
+    def test_find_function_pairs_unnamed_declaration_with_definition(
+        self, tmp_path, capsys
+    ):
+        (tmp_path / "take.cpp").write_text(
+            "struct Widget {};\n"
+            "void take(const Widget);\n"
+            "void take(const Widget w) {}\n",
+            encoding="utf-8",
+        )
+        for signature in ([], ["--signature", "(const Widget)"],
+                          ["--signature", "(const Widget w)"]):
+            code, stdout, _ = run_cli(capsys, "query", "--root", str(tmp_path),
+                                      "find-function", "take", *signature)
+            assert code == 0
+            records = [m["record"] for m in json.loads(stdout)["matches"]]
+            assert [(r["signature"], r["is_definition"]) for r in records] == [
+                ("(const Widget)", True), ("(const Widget)", False)]
 
     def test_errors_match_the_server(self, index_file, ctx, toyrepo_root,
                                      tmp_path, capsys):

@@ -1,6 +1,8 @@
+import base64
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cppatlas.errors import CorruptIndex, StaleIndexWarning, VersionMismatch
@@ -10,10 +12,22 @@ from cppatlas.index import (
     load_index,
     persist_index,
 )
+from cppatlas.intent import IntentDoc, IntentIndex
 from cppatlas.model import UNRESOLVED_PREFIX, EdgeKind, SymbolKind
 from cppatlas.repo import load_repository
 
 import corpusgen
+
+
+def _external(intent):
+    """``intent`` as if an external provider had made it: its vectors are
+    stored, not rebuilt. Rows are scaled so no hash row could equal them."""
+    docs = tuple(
+        IntentDoc(d.symbol_id, d.qualified_name, d.kind, d.text,
+                  tuple(x * (-1) ** d.symbol_id / 3 for x in d.vector))
+        for d in intent.docs
+    )
+    return IntentIndex("scripted-256", intent.dim, intent.repo_snapshot, docs)
 
 
 def materialize(tmp_path, corpus):
@@ -194,22 +208,45 @@ class TestPersistence:
 
     @staticmethod
     def _second_parent(structural):
-        contains = [e for e in structural["edges"] if e["kind"] == "contains"]
-        child = contains[0]["to"]
-        other = next(e["from"] for e in contains if e["from"] != contains[0]["from"])
-        structural["edges"].append({"kind": "contains", "from": other, "to": child})
+        contains = structural["edges"]["contains"]
+        child = contains["to"][0]
+        other = next(f for f in contains["from"] if f != contains["from"][0])
+        contains["from"].append(other)
+        contains["to"].append(child)
+
+    @staticmethod
+    def _dangling_edge(structural):
+        structural["edges"]["calls"]["from"].append(1)
+        structural["edges"]["calls"]["to"].append(99999)
 
     @pytest.mark.parametrize(
         "corrupt",
         [
             lambda s: s.pop("call_sites"),
-            lambda s: s["edges"].append({"kind": "calls", "from": 1, "to": 99999}),
-            lambda s: s["call_sites"][0].update(callee=99999),
-            lambda s: s["edges"].append({"kind": "befriends", "from": 1, "to": 2}),
+            _dangling_edge,
+            lambda s: s["call_sites"]["callee"].__setitem__(0, 99999),
+            lambda s: s["edges"].update(befriends={"from": [1], "to": [2]}),
             _second_parent,
+            lambda s: s["edges"].pop("overrides"),
+            lambda s: s["symbols"]["name"].pop(),
+            lambda s: s["edges"]["contains"]["to"].pop(),
+            lambda s: s["call_sites"]["start_line"].pop(),
+            lambda s: s["symbols"]["kind"].__setitem__(0, len(s["kinds"])),
+            lambda s: s["symbols"]["kind"].__setitem__(0, -1),
+            lambda s: s["symbols"]["file"].__setitem__(1, len(s["files"])),
+            lambda s: s["call_sites"]["file"].__setitem__(0, -1),
+            lambda s: s["kinds"].__setitem__(0, "macro"),
+            lambda s: s["edges"]["calls"]["from"].__setitem__(0, True),
+            lambda s: s["symbols"]["start_line"].__setitem__(0, 1.0),
+            lambda s: s["symbols"].update(name="calc"),
         ],
         ids=["missing-call-sites", "dangling-edge", "dangling-call-site",
-             "unknown-edge-kind", "second-parent"],
+             "unknown-edge-kind", "second-parent", "missing-edge-kind",
+             "short-symbol-column", "short-edge-column",
+             "short-call-site-column", "kind-index-past-table",
+             "negative-kind-index", "file-index-past-table",
+             "negative-call-site-file", "unknown-kind-name",
+             "bool-edge-endpoint", "float-line", "column-not-a-list"],
     )
     def test_malformed_structural_payload_rejected(
         self, toy_index, tmp_path, corrupt
@@ -222,42 +259,10 @@ class TestPersistence:
         with pytest.raises(CorruptIndex):
             load_index(path)
 
-    def test_malformed_intent_payload_rejected(
-        self, toy_index, toy_intent, tmp_path
-    ):
-        def every_vector(intent, make):
-            for doc in intent["docs"]:
-                doc["vector"] = make(doc["vector"])
-
-        corruptions = {
-            "missing vector": lambda i: i["docs"][0].pop("vector"),
-            "one short vector": lambda i: i["docs"][1].update(
-                vector=i["docs"][1]["vector"][:10]
-            ),
-            "every vector short": lambda i: every_vector(i, lambda v: v[:10]),
-            "one long vector": lambda i: i["docs"][0]["vector"].append(0.0),
-            "string entry": lambda i: i["docs"][0]["vector"].__setitem__(3, "0.1"),
-            "bool entry": lambda i: i["docs"][2]["vector"].__setitem__(0, True),
-            "null entry": lambda i: i["docs"][0]["vector"].__setitem__(0, None),
-            "NaN entry": lambda i: i["docs"][4]["vector"].__setitem__(7, math.nan),
-            "infinite entry": lambda i: i["docs"][0]["vector"].__setitem__(
-                0, -math.inf
-            ),
-            "nested entry": lambda i: i["docs"][0]["vector"].__setitem__(0, [0.5]),
-            "vector not a list": lambda i: i["docs"][0].update(vector=0.5),
-            "vector a string": lambda i: i["docs"][0].update(vector="0" * 256),
-            "zero dim": lambda i: every_vector(i, lambda v: []) or i.update(dim=0),
-            "negative dim": lambda i: i.update(dim=-256),
-            "string dim": lambda i: i.update(dim="256"),
-            "bool dim": lambda i: (
-                every_vector(i, lambda v: v[:1]) or i.update(dim=True)
-            ),
-            "float dim": lambda i: i.update(dim=256.0),
-        }
-        persist_index(
-            IndexContainer(structural=toy_index, intent=toy_intent),
-            tmp_path / "good.json",
-        )
+    @staticmethod
+    def _assert_corruptions_rejected(container, corruptions, tmp_path):
+        persist_index(container, tmp_path / "good.json")
+        load_index(tmp_path / "good.json")
         for name, corrupt in corruptions.items():
             payload = json.loads((tmp_path / "good.json").read_text())
             corrupt(payload["intent"])
@@ -267,19 +272,108 @@ class TestPersistence:
                 load_index(path)
                 pytest.fail(f"{name}: loaded")
 
-    def test_whole_number_vector_entries_load_as_floats(
+    def test_malformed_intent_payload_rejected(
+        self, toy_index, toy_intent, tmp_path
+    ):
+        synthetic = next(r.symbol_id for r in toy_index.symbols if r.is_synthetic)
+        corruptions = {
+            "zero dim": lambda i: i.update(dim=0, provider_name="hash-tf-0"),
+            "negative dim": lambda i: i.update(dim=-256),
+            "string dim": lambda i: i.update(dim="256"),
+            "bool dim": lambda i: i.update(dim=True, provider_name="hash-tf-True"),
+            "float dim": lambda i: i.update(dim=256.0),
+            "missing docs": lambda i: i.pop("docs"),
+            "short text column": lambda i: i["docs"]["text"].pop(),
+            "short id column": lambda i: i["docs"]["symbol_id"].pop(),
+            "id past the symbols": lambda i: i["docs"]["symbol_id"].__setitem__(
+                0, len(toy_index.symbols)
+            ),
+            "negative id": lambda i: i["docs"]["symbol_id"].__setitem__(0, -1),
+            "bool id": lambda i: i["docs"]["symbol_id"].__setitem__(0, True),
+            "synthetic id": lambda i: i["docs"]["symbol_id"].__setitem__(
+                0, synthetic
+            ),
+            "null text": lambda i: i["docs"]["text"].__setitem__(0, None),
+            "number text": lambda i: i["docs"]["text"].__setitem__(1, 7),
+            "text column a string": lambda i: i["docs"].update(text="calc"),
+        }
+        self._assert_corruptions_rejected(
+            IndexContainer(structural=toy_index, intent=toy_intent),
+            corruptions,
+            tmp_path,
+        )
+
+    def test_malformed_stored_vectors_rejected(
+        self, toy_index, toy_intent, tmp_path
+    ):
+        intent = _external(toy_intent)
+        n, dim = intent.matrix.shape
+
+        def encode(matrix):
+            return base64.b64encode(matrix.astype("<f8").tobytes()).decode()
+
+        def poison(i, value):
+            matrix = intent.matrix.copy()
+            matrix[4, 7] = value
+            i["vectors"] = encode(matrix)
+
+        corruptions = {
+            "missing vectors": lambda i: i.pop("vectors"),
+            "vectors a list": lambda i: i.update(vectors=intent.matrix.tolist()),
+            "vectors a number": lambda i: i.update(vectors=0.5),
+            "vectors null": lambda i: i.update(vectors=None),
+            "not base64": lambda i: i.update(
+                vectors=i["vectors"][:8] + "*" + i["vectors"][8:]
+            ),
+            "not ascii": lambda i: i.update(vectors="\u00e9" + i["vectors"][1:]),
+            "one row short": lambda i: i.update(vectors=encode(intent.matrix[1:])),
+            "one entry long": lambda i: i.update(
+                vectors=encode(np.append(intent.matrix.ravel(), 0.0))
+            ),
+            "one byte short": lambda i: i.update(
+                vectors=base64.b64encode(base64.b64decode(i["vectors"])[:-1]).decode()
+            ),
+            "NaN entry": lambda i: poison(i, math.nan),
+            "infinite entry": lambda i: poison(i, -math.inf),
+            "doc without a row": lambda i: i["docs"]["symbol_id"].append(
+                i["docs"]["symbol_id"][0]
+            ) or i["docs"]["text"].append("calc"),
+            "zero dim": lambda i: i.update(dim=0, vectors=""),
+            "negative dim": lambda i: i.update(dim=-dim),
+            "float dim": lambda i: i.update(dim=float(dim)),
+        }
+        self._assert_corruptions_rejected(
+            IndexContainer(structural=toy_index, intent=intent),
+            corruptions,
+            tmp_path,
+        )
+
+    def test_rebuilt_vectors_are_floats_equal_to_matrix_rows(
         self, toy_index, toy_intent, tmp_path
     ):
         path = tmp_path / "atlas.json"
         persist_index(IndexContainer(structural=toy_index, intent=toy_intent), path)
-        payload = json.loads(path.read_text())
-        doc = payload["intent"]["docs"][0]
-        doc["vector"] = [0] * (len(doc["vector"]) - 1) + [1]
-        path.write_text(json.dumps(payload))
+        assert '"vector' not in path.read_text()
         loaded = load_index(path).intent
-        assert loaded.docs[0].vector == (0.0,) * 255 + (1.0,)
-        assert {type(x) for x in loaded.docs[0].vector} == {float}
-        assert loaded.matrix[0].tolist() == list(loaded.docs[0].vector)
+        assert loaded == toy_intent
+        assert np.array_equal(loaded.matrix, toy_intent.matrix)
+        for row, doc in enumerate(loaded.docs):
+            assert {type(x) for x in doc.vector} == {float}
+            assert loaded.matrix[row].tolist() == list(doc.vector)
+
+    def test_stored_vectors_survive_round_trip(
+        self, toy_index, toy_intent, tmp_path
+    ):
+        intent = _external(toy_intent)
+        path = tmp_path / "atlas.json"
+        persist_index(IndexContainer(structural=toy_index, intent=intent), path)
+        stored = json.loads(path.read_text())["intent"]["vectors"]
+        assert base64.b64decode(stored) == intent.matrix.astype("<f8").tobytes()
+        loaded = load_index(path).intent
+        assert loaded == intent
+        assert np.array_equal(loaded.matrix, intent.matrix)
+        assert loaded.matrix.flags["C_CONTIGUOUS"]
+        assert {type(x) for d in loaded.docs for x in d.vector} == {float}
 
     def test_loaded_graph_matches_built_graph(self, toy_index, tmp_path):
         path = tmp_path / "atlas.json"

@@ -134,8 +134,8 @@ class TestIntentIndex:
             r.symbol_id for r in real
         ]
 
-    def test_dict_round_trip(self, toy_intent):
-        clone = IntentIndex.from_dict(toy_intent.to_dict())
+    def test_dict_round_trip(self, toy_index, toy_intent):
+        clone = IntentIndex.from_dict(toy_intent.to_dict(), toy_index.symbols)
         assert clone.to_dict() == toy_intent.to_dict()
 
     def test_query_ranks_relevant_symbol_first(self, toy_intent):
@@ -436,8 +436,8 @@ def test_heavy_ties_at_the_boundary_match_reference(toy_intent, text):
             assert len(got) == min(k, len(intent.docs))
 
 
-def test_matrix_is_built_once_and_kept_out_of_equality(toy_intent):
-    clone = IntentIndex.from_dict(toy_intent.to_dict())
+def test_matrix_is_built_once_and_kept_out_of_equality(toy_index, toy_intent):
+    clone = IntentIndex.from_dict(toy_intent.to_dict(), toy_index.symbols)
     assert clone == toy_intent
     assert "matrix" not in repr(clone)
     assert "matrix" not in json.dumps(clone.to_dict())

@@ -202,6 +202,34 @@ class TestClasses:
         assert pair == {frozenset({recs[0].symbol_id, recs[1].symbol_id})}
 
 
+class TestSignatures:
+    def test_unnamed_parameter_keeps_its_type(self, tmp_path):
+        idx = index_source(
+            tmp_path,
+            a_dot_h="""\
+            struct Widget {};
+            struct Foo {};
+            void take(const Widget);
+            void take(const Widget w) {}
+            void f(struct Foo);
+            void g(volatile Foo, enum Color, const Widget = Widget());
+            void h(const Widget[], Widget items[4], int[2]);
+            void k(int const n, unsigned u, Widget *p, Foo);
+            """,
+        )
+        take = records(idx, "take")
+        assert [r.signature for r in take] == ["(const Widget)"] * 2
+        assert sorted(r.is_definition for r in take) == [False, True]
+        assert only(idx, "f").signature == "(struct Foo)"
+        assert only(idx, "g").signature == (
+            "(volatile Foo, enum Color, const Widget)"
+        )
+        assert only(idx, "h").signature == (
+            "(const Widget [ ], Widget [ 4 ], int [ 2 ])"
+        )
+        assert only(idx, "k").signature == "(int const, unsigned, Widget *, Foo)"
+
+
 class TestTemplates:
     def test_template_records_start_at_template_line(self, tmp_path):
         idx = index_source(

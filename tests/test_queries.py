@@ -1,4 +1,5 @@
 import pathlib
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -102,8 +103,8 @@ class TestFindFunction:
             ) == want
 
     def test_verbatim_match_wins_over_normalization(self, tmp_path):
-        # normalizing "(const Widget)" again drops "Widget" as if it were a
-        # parameter name, so only the verbatim match can find this record
+        # the stored "(const Widget)" matches verbatim; "(const)", which
+        # normalization once made of it, names no record
         (tmp_path / "w.h").write_text(
             "struct Widget {};\nvoid take(const Widget w);\n"
         )
@@ -513,3 +514,59 @@ def test_seed_suffix_shared_by_two_scopes(tmp_path):
     index.by_qualified.pop("b::C")  # no exact match: the suffix fallback
     assert resolve_seed(index, "b::C") == two
     _assert_seeds_match_scan(index)
+
+
+# --- differential: grep_baseline against its line-by-line scan before the
+# whole-file check for fixed strings
+
+
+def _ref_grep_baseline(index, pattern, max_results=50, regex=True):
+    if regex:
+        hit = re.compile(pattern).search
+    else:
+        hit = lambda line: pattern in line  # noqa: E731
+    matches = []
+    truncated = False
+    for path in sorted(index.sources):
+        for lineno, line in enumerate(index.sources[path].split("\n"), start=1):
+            if not hit(line):
+                continue
+            if len(matches) >= max_results:
+                truncated = True
+                break
+            matches.append({"path": path, "line": lineno, "text": line})
+        if truncated:
+            break
+    return {"pattern": pattern, "matches": matches, "truncated": truncated}
+
+
+def _assert_grep_matches_scan(index):
+    words = sorted({w for text in index.sources.values()
+                    for w in re.findall(r"\w+", text)})
+    patterns = ["", "\n", "};\n", "{\n    ", ";", "(", "::", "return ",
+                "no such text anywhere", *words[::7]]
+    for pattern in patterns:
+        for regex in (False, True):
+            if regex and pattern not in ("", ";", "::"):
+                continue
+            full = _ref_grep_baseline(index, pattern, 10**9, regex)
+            hits = len(full["matches"])
+            for max_results in sorted({1, 2, 50, max(hits - 1, 1), hits or 1,
+                                       hits + 1}):
+                want = _ref_grep_baseline(index, pattern, max_results, regex)
+                got = grep_baseline(index, pattern, max_results, regex)
+                assert got == want, (pattern, regex, max_results)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42, 101])
+def test_fixed_string_grep_matches_the_scan(seed, tmp_path):
+    _assert_grep_matches_scan(_corpus_index(tmp_path, seed))
+
+
+def test_fixed_string_grep_matches_the_scan_on_fixtures(
+    toy_index, motivation_index
+):
+    _assert_grep_matches_scan(toy_index)
+    _assert_grep_matches_scan(motivation_index)
+    got = grep_baseline(toy_index, "a - b\n", regex=False)
+    assert got == {"pattern": "a - b\n", "matches": [], "truncated": False}

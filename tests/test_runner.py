@@ -1,3 +1,6 @@
+import os
+import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -67,6 +70,64 @@ def test_timeout_outcome(tmp_path):
     )
     assert outcome.status == "timeout"
     assert not outcome.passed
+
+
+# Runs in an interpreter of its own that is a child subreaper: the killed
+# test's orphans become its children, and it reaps the dead ones at once
+# rather than wait for init to. Prints the verdict, then "gone" once the
+# test's process group and its background child are both gone, or "alive"
+# after 3 s. The command prints its own pid, which leads its group, and
+# the background child's.
+_GROUP_CHECK = """
+import ctypes, os, signal, sys, time
+from cppatlas.repo import Repository
+from cppatlas.runner import RunnerConfig, TestCase, run_test
+PR_SET_CHILD_SUBREAPER = 36
+assert ctypes.CDLL(None, use_errno=True).prctl(PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0) == 0
+case = TestCase("bg", ("sh", "-c", sys.argv[2]), timeout_seconds=0.5)
+outcome = run_test(Repository("/virtual", ()), case, RunnerConfig(sys.argv[1]))
+pgid, child = map(int, outcome.stdout.split())
+deadline = time.monotonic() + 3
+while True:
+    try:
+        while os.waitpid(-1, os.WNOHANG)[0]:
+            pass
+    except ChildProcessError:
+        pass
+    try:
+        os.killpg(pgid, 0)
+    except ProcessLookupError:
+        try:
+            os.kill(child, 0)
+        except ProcessLookupError:
+            print(outcome.status, "gone")
+            break
+    if time.monotonic() > deadline:
+        os.kill(child, signal.SIGKILL)
+        print(outcome.status, "alive")
+        break
+    time.sleep(0.01)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="child subreapers are Linux-only")
+@pytest.mark.parametrize(
+    "script, verdict",
+    [
+        ("sleep 7.654 & echo $$ $!; wait", "timeout"),
+        ("sleep 7.654 >/dev/null 2>&1 & echo $$ $!", "pass"),
+    ],
+    ids=["timeout", "exit"],
+)
+def test_no_process_of_the_test_survives(tmp_path, script, verdict):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    checked = subprocess.run(
+        [PY, "-c", _GROUP_CHECK, str(tmp_path), script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert checked.stdout.split() == [verdict, "gone"], checked.stderr
 
 
 def test_missing_binary_raises(tmp_path):
