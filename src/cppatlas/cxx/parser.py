@@ -13,18 +13,27 @@ partial symbols are still emitted. Out-of-line qualified definitions
 (``void Search::run() { ... }``) are indexed under their qualified name with
 kind ``member_function``; lexical containment still points at the enclosing
 file or namespace.
+
+Two reading rules hold for every unit:
+
+- ``>>`` is read as two ``>`` tokens, wherever it occurs. In a template
+  argument list C++11 closes two levels with it (N1757), and nothing the
+  parser records reads it as a shift. A signature or template parameter
+  list therefore renders it as ``> >``, the same as the spelling with a
+  space.
+- The file record ends at the unit's last line, counted the way the lexer
+  counts lines: one per ``\\n``, plus one for text after the last ``\\n``.
+  Other characters that ``str.splitlines`` breaks at (``\\f``, ``\\v``,
+  ``\\x85``, ``\\u2028``, a lone ``\\r``, ...) do not end a line.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 from ..model import Location, SymbolKind, SymbolRecord
 from ..repo import SourceUnit
 from .lexer import CPP_KEYWORDS, TYPE_KEYWORDS, CommentBlock, Token, lex
-
-log = logging.getLogger(__name__)
 
 _LEADING_SPECIFIERS = frozenset(
     """
@@ -34,6 +43,8 @@ _LEADING_SPECIFIERS = frozenset(
 )
 
 _CLASS_KEYS = ("class", "struct")
+
+_CLOSERS = {"(": ")", "[": "]", "{": "}", "<": ">"}
 
 
 @dataclass(frozen=True)
@@ -84,60 +95,55 @@ def parse_unit(unit: SourceUnit) -> ParsedUnit:
     identical input."""
     if unit.kind not in ("header", "source"):
         raise ValueError(f"cannot parse unit of kind {unit.kind!r}")
-    lexed = lex(unit.content)
-    line_count = max(1, len(unit.content.splitlines()))
-    parser = _Parser(unit.path, lexed.tokens, lexed.comments, line_count)
-    parser.result.includes = [target for _, target in lexed.includes]
-    parser.result.error_count += lexed.error_count
-    parser.parse()
-    return parser.result
+    text = unit.content
+    lexed = lex(text)
+    tokens = _split_shifts(lexed.tokens) if ">>" in text else lexed.tokens
+    line_count = text.count("\n") + (0 if text.endswith("\n") else 1)
+    root = SymbolRecord(
+        symbol_id=0,
+        kind=SymbolKind.FILE,
+        name=unit.path,
+        qualified_name=unit.path,
+        location=Location(unit.path, 1, line_count),
+    )
+    result = ParsedUnit(
+        path=unit.path,
+        symbols=[root],
+        includes=[target for _, target in lexed.includes],
+        error_count=lexed.error_count,
+    )
+    parser = _Parser(result, tokens, lexed.comments)
+    parser.parse_scope(_Scope(local_id=0, prefix=""), bounded=False)
+    return result
 
 
 class _Parser:
     def __init__(
-        self,
-        path: str,
-        tokens: list[Token],
-        comments: list[CommentBlock],
-        line_count: int,
+        self, result: ParsedUnit, tokens: list[Token], comments: list[CommentBlock]
     ):
-        self.path = path
+        self.result = result
+        self.path = result.path
         self.toks = tokens
         self.n = len(tokens)
         self.i = 0
-        self.result = ParsedUnit(path=path)
         self.comment_by_end = {c.end_line: c for c in comments}
-        root = SymbolRecord(
-            symbol_id=0,
-            kind=SymbolKind.FILE,
-            name=path,
-            qualified_name=path,
-            location=Location(path, 1, line_count),
-        )
-        self.result.symbols.append(root)
 
     # ------------------------------------------------------------------
     # token helpers
 
-    def peek(self, k: int = 0) -> Token | None:
-        j = self.i + k
-        return self.toks[j] if j < self.n else None
-
     def text(self, k: int = 0) -> str:
-        t = self.peek(k)
-        return t.text if t else ""
+        j = self.i + k
+        return self.toks[j].text if j < self.n else ""
 
-    def line(self) -> int:
-        t = self.peek()
-        if t:
-            return t.line
-        return self.toks[-1].line if self.toks else 1
+    def kind(self, k: int = 0) -> str:
+        j = self.i + k
+        return self.toks[j].kind if j < self.n else ""
 
     def next(self) -> Token | None:
-        t = self.peek()
-        if t:
-            self.i += 1
-        return t
+        if self.i >= self.n:
+            return None
+        self.i += 1
+        return self.toks[self.i - 1]
 
     def accept(self, text: str) -> bool:
         if self.text() == text:
@@ -161,52 +167,74 @@ class _Parser:
             elif t.text == ";" and depth == 0:
                 return
 
-    def skip_balanced(self, open_text: str, close_text: str):
-        """Consume from the current opening token through its matching
-        closer."""
-        if self.text() != open_text:
-            return
+    def group(self, stop: tuple[str, ...] = ()) -> tuple[list[Token], bool]:
+        """Consume the bracketed group that opens at the cursor and return
+        its tokens, brackets included, and whether its closer was reached.
+        Only the opener's own kind nests, so '<' pairs with '>' alone (a
+        ``>>`` arrives as two). The walk ends unclosed at the end of input
+        or before a ``stop`` token."""
+        toks = self.toks
+        open_text = toks[self.i].text
+        close_text = _CLOSERS[open_text]
+        start = j = self.i
         depth = 0
-        while self.i < self.n:
-            t = self.next()
-            if t.text == open_text:
+        while j < self.n:
+            tx = toks[j].text
+            if tx == open_text:
                 depth += 1
-            elif t.text == close_text:
+            elif tx == close_text:
                 depth -= 1
                 if depth == 0:
-                    return
+                    self.i = j + 1
+                    return toks[start : j + 1], True
+            elif tx in stop:
+                break
+            j += 1
+        self.i = j
+        return toks[start:j], False
+
+    def qualified_name(self, angles: bool = False, ends: str = "") -> list[str]:
+        """Read ``id (:: id)*`` at the cursor and return its identifiers; a
+        '::' after the last one is consumed too. The name stops before the
+        identifier ``ends``. With ``angles``, a template argument list
+        after an identifier is skipped."""
+        names: list[str] = []
+        while self.kind() == "id" and self.text() != ends:
+            names.append(self.next().text)
+            if angles and self.text() == "<":
+                self.group()
+            if not self.accept("::"):
+                break
+        return names
+
+    def skip_to(self, stops: tuple[str, ...], opener: str = ""):
+        """Advance to the next ``stops`` token, consuming each group that
+        ``opener`` starts whole."""
+        while self.i < self.n and self.text() not in stops:
+            if self.text() == opener:
+                self.group()
+            else:
+                self.i += 1
 
     # ------------------------------------------------------------------
     # symbol construction
 
     def add_symbol(
-        self,
-        scope: _Scope,
-        kind: SymbolKind,
-        name: str,
-        start_line: int,
-        *,
-        qualified: str | None = None,
-        signature: str = "",
-        is_definition: bool = True,
-        template_params: str = "",
-        is_virtual: bool = False,
-        has_override: bool = False,
+        self, scope: _Scope, kind: SymbolKind, chain: list[str], start_line: int,
+        **fields,
     ) -> int:
+        """Record the symbol that ``chain``, qualified in ``scope``, names;
+        ``fields`` are further ``SymbolRecord`` fields."""
         local_id = len(self.result.symbols)
         doc = self.comment_by_end.get(start_line - 1)
         record = SymbolRecord(
             symbol_id=local_id,
             kind=kind,
-            name=name,
-            qualified_name=qualified if qualified is not None else scope.qualify(name),
-            signature=signature,
+            name=chain[-1],
+            qualified_name=scope.qualify("::".join(chain)),
             location=Location(self.path, start_line, start_line),
-            is_definition=is_definition,
-            template_params=template_params,
             doc_comment=doc.text if doc else "",
-            is_virtual=is_virtual,
-            has_override=has_override,
+            **fields,
         )
         self.result.symbols.append(record)
         self.result.contains.append((scope.local_id, local_id))
@@ -226,68 +254,52 @@ class _Parser:
     # ------------------------------------------------------------------
     # grammar
 
-    def parse(self):
-        root_scope = _Scope(local_id=0, prefix="")
-        self.parse_scope(root_scope, bounded=False)
-
     def parse_scope(self, scope: _Scope, bounded: bool) -> int:
         """Parse declarations until EOF or, when bounded, the matching '}'.
         Returns the line of the closing brace (or last line seen)."""
-        last_line = self.line()
+        last_line = self.toks[-1].line if self.n else 1
         while self.i < self.n:
-            t = self.peek()
+            t = self.toks[self.i]
             last_line = t.line
             tx = t.text
             if tx == "}":
+                self.next()
                 if bounded:
-                    self.next()
                     return t.line
                 self.note_error()
+            elif tx == ";":
                 self.next()
-                continue
-            if tx == ";":
-                self.next()
-                continue
-            if tx in ("public", "private", "protected") and self.text(1) == ":":
+            elif tx in ("public", "private", "protected") and self.text(1) == ":":
                 self.i += 2
-                continue
-            if tx == "[" and self.text(1) == "[":
+            elif tx == "[" and self.text(1) == "[":
                 self._skip_attributes()
-                continue
-            if tx == "namespace":
-                self.parse_namespace(scope)
-                continue
-            if tx == "template":
-                self.parse_templated(scope)
-                continue
-            if tx in _CLASS_KEYS:
-                self.parse_class(scope, template_params="")
-                continue
-            if tx == "enum":
-                self.parse_enum(scope)
-                continue
-            if tx == "union":
+            elif tx == "namespace":
+                self.parse_namespace(scope, t.line)
+            elif tx == "template":
+                self.parse_templated(scope, t.line)
+            elif tx in _CLASS_KEYS:
+                self.parse_class(scope, "", t.line)
+            elif tx == "enum":
+                self.parse_enum(scope, t.line)
+            elif tx == "union":
                 # treated like a struct definition without member analysis
                 self.next()
-                if self.peek() and self.peek().kind == "id":
+                if self.kind() == "id":
                     self.next()
                 if self.text() == "{":
-                    self.skip_balanced("{", "}")
+                    self.group()
                 self.skip_statement()
-                continue
-            if tx in ("using", "typedef", "static_assert", "asm", "goto"):
+            elif tx in ("using", "typedef", "static_assert", "asm", "goto"):
                 self.skip_statement()
-                continue
-            if tx == "friend":
+            elif tx == "friend":
                 self._skip_friend()
-                continue
-            if tx == "extern" and self.peek(1) and self.peek(1).kind == "str":
+            elif tx == "extern" and self.kind(1) == "str":
                 self.i += 2
                 if self.text() == "{":
                     self.next()
                     self.parse_scope(scope, bounded=True)
-                continue
-            self.parse_declaration(scope, template_params="")
+            else:
+                self.parse_declaration(scope, "", t.line)
         if bounded:
             self.note_error()
         return last_line
@@ -296,10 +308,12 @@ class _Parser:
         # [[...]] appears as two '[' tokens
         while self.text() == "[" and self.text(1) == "[":
             self.next()
-            self.skip_balanced("[", "]")
+            self.group()
             self.accept("]")
 
     def _skip_friend(self):
+        # unlike skip_statement, a friend function's body ends the skip,
+        # and a stray closer counts below zero
         depth = 0
         while self.i < self.n:
             t = self.next()
@@ -313,19 +327,12 @@ class _Parser:
             elif t.text == ";" and depth <= 0:
                 return
 
-    def parse_namespace(self, scope: _Scope):
-        start_line = self.line()
+    def parse_namespace(self, scope: _Scope, start_line: int):
         self.next()  # 'namespace'
-        names: list[str] = []
-        while self.peek() and self.peek().kind == "id":
-            names.append(self.next().text)
-            if not self.accept("::"):
-                break
-        if self.text() == "=":
-            self.skip_statement()  # namespace alias
-            return
+        names = self.qualified_name()
         if self.text() != "{":
-            self.note_error()
+            if self.text() != "=":  # '=' makes a namespace alias
+                self.note_error()
             self.skip_statement()
             return
         self.next()  # '{'
@@ -334,20 +341,23 @@ class _Parser:
         created: list[int] = []
         current = scope
         for nm in names:
-            local = self.add_symbol(current, SymbolKind.NAMESPACE, nm, start_line)
+            local = self.add_symbol(current, SymbolKind.NAMESPACE, [nm], start_line)
             created.append(local)
             current = _Scope(local_id=local, prefix=current.qualify(nm))
         end_line = self.parse_scope(current, bounded=True)
         for local in created:
             self.set_end_line(local, end_line)
 
-    def parse_templated(self, scope: _Scope):
-        start_line = self.line()
+    def parse_templated(self, scope: _Scope, start_line: int):
         self.next()  # 'template'
-        params = self._capture_template_params()
+        params = ""
+        if self.text() == "<":
+            toks, closed = self.group()
+            inner = toks[1:-1] if closed else toks[1:]
+            params = "<" + render_tokens([t.text for t in inner]) + ">"
         tx = self.text()
         if tx in _CLASS_KEYS:
-            self.parse_class(scope, template_params=params, start_line=start_line)
+            self.parse_class(scope, params, start_line)
         elif tx in ("using", "friend", "typedef"):
             self.skip_statement()
         elif tx == "template":
@@ -355,79 +365,41 @@ class _Parser:
             self.note_error()
             self.skip_statement()
         else:
-            self.parse_declaration(
-                scope, template_params=params, start_line=start_line
-            )
+            self.parse_declaration(scope, params, start_line)
 
-    def _capture_template_params(self) -> str:
-        if self.text() != "<":
-            return ""
-        toks: list[str] = []
-        depth = 0
-        while self.i < self.n:
-            t = self.next()
-            if t.text == "<":
-                depth += 1
-            elif t.text == ">":
-                depth -= 1
-                if depth == 0:
-                    break
-            elif t.text == ">>":
-                depth -= 2
-                if depth <= 0:
-                    break
-            if depth > 0 and not (depth == 1 and t.text == "<"):
-                toks.append(t.text)
-        return "<" + render_tokens(toks) + ">"
-
-    def parse_class(
-        self, scope: _Scope, template_params: str, start_line: int | None = None
-    ):
-        if start_line is None:
-            start_line = self.line()
+    def parse_class(self, scope: _Scope, template_params: str, start_line: int):
         keyword = self.next().text  # 'class' | 'struct'
         self._skip_attributes()
-        if self.text() == "alignas":
-            self.next()
-            self.skip_balanced("(", ")")
-        names: list[str] = []
-        while self.peek() and self.peek().kind == "id" and self.text() not in (
-            "final",
-        ):
-            names.append(self.next().text)
-            if not self.accept("::"):
-                break
+        if self.accept("alignas") and self.text() == "(":
+            self.group()
+        names = self.qualified_name(ends="final")
         if not names:
             # anonymous struct or parse damage
             self.note_error()
             if self.text() == "{":
-                self.skip_balanced("{", "}")
+                self.group()
             self.skip_statement()
             return
         self.accept("final")
-        name = names[-1]
-        qualified = scope.qualify("::".join(names))
-        if self.text() == ";":
-            self.next()
-            self.add_symbol(
-                scope,
-                SymbolKind.FORWARD_DECLARATION,
-                name,
-                start_line,
-                qualified=qualified,
-                is_definition=False,
-                template_params=template_params,
-            )
-            return
+        is_definition = self.text() != ";"
         bases: list[str] = []
-        if self.accept(":"):
-            bases = self._parse_base_list()
-        if self.text() != "{":
+        if is_definition and self.accept(":"):
+            while self.i < self.n and self.text() != "{":
+                while self.text() in ("public", "protected", "private", "virtual"):
+                    self.next()
+                segs = self.qualified_name(angles=True)
+                if segs:
+                    bases.append("::".join(segs))
+                if not self.accept(","):
+                    break
+        if is_definition and self.text() != "{":
             # elaborated type in a declaration, e.g. "class X x;"
             self.skip_statement()
             return
-        self.next()  # '{'
-        if template_params:
+        self.next()  # ';' or '{'
+        if not is_definition:
+            kind = SymbolKind.FORWARD_DECLARATION
+        elif template_params:
             kind = SymbolKind.TEMPLATE_CLASS
         elif keyword == "struct":
             kind = SymbolKind.STRUCT
@@ -436,75 +408,55 @@ class _Parser:
         local = self.add_symbol(
             scope,
             kind,
-            name,
+            names,
             start_line,
-            qualified=qualified,
+            is_definition=is_definition,
             template_params=template_params,
         )
+        if not is_definition:
+            return
         for base in bases:
             self.result.pending_bases.append(PendingBase(local, base))
         inner = _Scope(
-            local_id=local, prefix=qualified, is_class=True, class_name=name
+            local_id=local,
+            prefix=scope.qualify("::".join(names)),
+            is_class=True,
+            class_name=names[-1],
         )
         end_line = self.parse_scope(inner, bounded=True)
         self.set_end_line(local, end_line)
         self.skip_statement()  # trailing declarators are not indexed
 
-    def _parse_base_list(self) -> list[str]:
-        bases: list[str] = []
-        while self.i < self.n and self.text() != "{":
-            while self.text() in ("public", "protected", "private", "virtual"):
-                self.next()
-            segs: list[str] = []
-            while self.peek() and self.peek().kind == "id":
-                segs.append(self.next().text)
-                if self.text() == "<":
-                    self.skip_balanced("<", ">")
-                if not self.accept("::"):
-                    break
-            if segs:
-                bases.append("::".join(segs))
-            if not self.accept(","):
-                break
-        return bases
-
-    def parse_enum(self, scope: _Scope):
-        start_line = self.line()
+    def parse_enum(self, scope: _Scope, start_line: int):
         self.next()  # 'enum'
         if self.text() in _CLASS_KEYS:
             self.next()
         name = ""
-        if self.peek() and self.peek().kind == "id":
+        if self.kind() == "id":
             name = self.next().text
         if self.accept(":"):
-            while self.i < self.n and self.text() not in ("{", ";"):
-                self.next()
-        if self.text() == "{":
-            open_line = self.line()
-            self.skip_balanced("{", "}")
-            end_line = self.toks[self.i - 1].line if self.i else open_line
-            if name:
-                local = self.add_symbol(scope, SymbolKind.ENUM, name, start_line)
-                self.set_end_line(local, end_line)
-            self.accept(";")
-        elif self.text() == ";":
-            self.next()
-            if name:
-                self.add_symbol(
-                    scope, SymbolKind.ENUM, name, start_line, is_definition=False
-                )
-        else:
+            self.skip_to(("{", ";"))
+        tx = self.text()
+        if tx not in ("{", ";"):
             self.note_error()
             self.skip_statement()
+            return
+        end_line = self.group()[0][-1].line if tx == "{" else start_line
+        self.accept(";")
+        if name:
+            local = self.add_symbol(
+                scope, SymbolKind.ENUM, [name], start_line, is_definition=tx == "{"
+            )
+            self.set_end_line(local, end_line)
 
     # ------------------------------------------------------------------
     # general declarations: functions, constructors, variables
 
-    def parse_declaration(
-        self, scope: _Scope, template_params: str, start_line: int | None = None
-    ):
-        if start_line is None:
-            start_line = self.line()
+    def parse_declaration(self, scope: _Scope, template_params: str, start_line: int):
+        """Read one declarator: leading specifiers, then tokens up to the
+        first '(', ';', '=' or '{'. Their trailing qualified name, found by
+        ``_trailing_chain`` with its start, is a function's name before a
+        '('; otherwise each comma-separated part may name a variable."""
         is_virtual = False
         while True:
             tx = self.text()
@@ -512,275 +464,145 @@ class _Parser:
                 if tx == "virtual":
                     is_virtual = True
                 self.next()
-                continue
-            if tx == "[" and self.text(1) == "[":
+            elif tx == "[" and self.text(1) == "[":
                 self._skip_attributes()
-                continue
-            if tx == "alignas" and self.text(1) == "(":
+            elif tx == "alignas" and self.text(1) == "(":
                 self.next()
-                self.skip_balanced("(", ")")
-                continue
-            break
+                self.group()
+            else:
+                break
 
         buf: list[Token] = []
-        while self.i < self.n:
-            t = self.peek()
+        while True:
+            if self.i >= self.n:
+                return
+            t = self.toks[self.i]
             tx = t.text
-            if tx == "(":
-                chain = _trailing_chain(buf)
-                if not chain:
-                    self.note_error()
-                    self.skip_statement()
-                    return
-                self._parse_function(
-                    scope, buf, chain, template_params, is_virtual, start_line
-                )
-                return
-            if tx == ";":
-                self.next()
-                self._emit_variables(scope, buf, start_line)
-                return
-            if tx == "=":
-                self._emit_variables(scope, buf, start_line)
-                self.skip_statement()
-                return
-            if tx == "{":
-                if _trailing_chain(buf):
-                    self._emit_variables(scope, buf, start_line)
-                else:
-                    self.note_error()
-                self.skip_balanced("{", "}")
-                self.accept(";")
-                return
+            if tx in ("(", ";", "=", "{"):
+                break
             if tx == "<" and buf and buf[-1].kind == "id":
-                self._capture_angles_into(buf)
-                continue
-            if tx == "operator":
-                buf.append(self._collect_operator_name())
-                continue
-            if tx in ("}", "class", "struct", "enum", "namespace", "template"):
+                # a ';' or '{' ends a runaway: this was a comparison, not
+                # template arguments
+                buf += self.group(stop=(";", "{"))[0]
+            elif tx == "operator":
+                # the whole operator name becomes one identifier token
+                self.next()  # 'operator'
+                name = "operator"
+                if self.text() + self.text(1) in ("()", "[]"):
+                    name += self.next().text + self.next().text
+                else:
+                    while self.i < self.n and self.text() not in ("(", ";", "{"):
+                        name += self.next().text
+                buf.append(Token(name, "id", t.line))
+            elif tx in ("}", "class", "struct", "enum", "namespace", "template"):
                 self.note_error()
-                if tx == "}":
-                    return
-                self.skip_statement()
+                if tx != "}":
+                    self.skip_statement()
                 return
-            buf.append(self.next())
+            else:
+                buf.append(t)
+                self.i += 1
 
-    def _collect_operator_name(self) -> Token:
-        start = self.next()  # 'operator'
-        name = "operator"
-        if self.text() == "(" and self.text(1) == ")":
-            self.i += 2
-            name += "()"
-        elif self.text() == "[" and self.text(1) == "]":
-            self.i += 2
-            name += "[]"
-        else:
-            while self.i < self.n and self.text() not in ("(", ";", "{"):
-                name += self.next().text
-        return Token(name, "id", start.line)
-
-    def _capture_angles_into(self, buf: list[Token]):
-        depth = 0
-        while self.i < self.n:
-            t = self.next()
-            buf.append(t)
-            if t.text == "<":
-                depth += 1
-            elif t.text == ">":
-                depth -= 1
-                if depth == 0:
-                    return
-            elif t.text == ">>":
-                depth -= 2
-                if depth <= 0:
-                    return
-            elif t.text in (";", "{"):
-                # runaway: this was a comparison, not template arguments
-                self.i -= 1
-                buf.pop()
-                return
-
-    def _parse_function(
-        self,
-        scope: _Scope,
-        buf: list[Token],
-        chain: list[str],
-        template_params: str,
-        is_virtual: bool,
-        start_line: int,
-    ):
-        name = chain[-1]
-        chain_len = _chain_token_length(chain)
-        ret_tokens = buf[: len(buf) - chain_len]
-        is_ctor = False
-        if scope.is_class and not ret_tokens and name == scope.class_name:
-            is_ctor = True
-        elif len(chain) >= 2 and not ret_tokens and chain[-1] == chain[-2]:
-            is_ctor = True  # out-of-line constructor definition
-
-        if (
-            ret_tokens
-            and len(chain) == 1
-            and self.peek(1)
-            and self.peek(1).kind in ("str", "num", "chr")
-        ):
-            # vexing-parse disambiguation: literal arguments cannot name
-            # types, so this is a variable with constructor arguments
-            self._emit_variables(scope, buf, start_line)
-            self.skip_statement()
+        chain, start = _trailing_chain(buf)
+        # vexing-parse disambiguation: literal arguments cannot name
+        # types, so this is a variable with constructor arguments
+        vexing = start > 0 and len(chain) == 1 and self.kind(1) in ("str", "num", "chr")
+        if tx == "(" and chain and not vexing:
+            signature, is_definition, has_override = self._function_tail()
+            if template_params:
+                kind = SymbolKind.TEMPLATE_FUNCTION
+            elif not start and (
+                (scope.is_class and chain[-1] == scope.class_name)
+                # out-of-line constructor definition
+                or (len(chain) >= 2 and chain[-1] == chain[-2])
+            ):
+                kind = SymbolKind.CONSTRUCTOR
+            elif scope.is_class or len(chain) >= 2:
+                kind = SymbolKind.MEMBER_FUNCTION
+            else:
+                kind = SymbolKind.FREE_FUNCTION
+            local = self.add_symbol(
+                scope,
+                kind,
+                chain,
+                start_line,
+                signature=signature,
+                is_definition=is_definition,
+                template_params=template_params,
+                is_virtual=is_virtual,
+                has_override=has_override,
+            )
+            body_end = self._scan_body(local) if self.accept("{") else start_line
+            self.set_end_line(local, body_end)
             return
+        if tx in ("(", "{") and not chain:
+            self.note_error()
+        else:
+            for k, part in enumerate(_split_top_level(buf, ",")):
+                names, at = _trailing_chain(part)
+                # a leading part needs a type before its name
+                if len(names) == 1 and not names[0].startswith("~") and (k or at):
+                    self.add_symbol(scope, SymbolKind.VARIABLE, names, start_line)
+        if tx == "{":
+            self.group()
+            self.accept(";")
+        else:
+            self.skip_statement()
 
-        self.next()  # '('
-        params = self._capture_param_tokens()
-        signature = normalize_signature(params)
+    def _function_tail(self) -> tuple[str, bool, bool]:
+        """Read a function's parameter list, from its '(', and what follows
+        it up to the body or the end of the declaration. Returns the
+        signature, whether this is a definition and whether it overrides."""
+        params, closed = self.group()
+        if not closed:
+            self.note_error()
+        signature = normalize_signature(params[1:-1] if closed else params[1:])
 
         has_override = False
         is_definition = False
-        body_end = start_line
         while self.i < self.n:
             tx = self.text()
-            if tx in ("const", "volatile", "final", "&", "&&"):
+            if tx in ("const", "volatile", "final", "&", "&&", "override"):
+                has_override = has_override or tx == "override"
                 self.next()
-                continue
-            if tx == "override":
-                has_override = True
-                self.next()
-                continue
-            if tx in ("noexcept", "throw"):
+            elif tx in ("noexcept", "throw"):
                 self.next()
                 if self.text() == "(":
-                    self.skip_balanced("(", ")")
-                continue
-            if tx == "->":
+                    self.group()
+            elif tx == "->":
                 self.next()
-                while self.i < self.n and self.text() not in ("{", ";", "="):
-                    if self.text() == "<":
-                        self.skip_balanced("<", ">")
-                    else:
-                        self.next()
-                continue
-            if tx == "requires":
+                self.skip_to(("{", ";", "="), "<")
+            elif tx == "requires":
                 self.next()
-                while self.i < self.n and self.text() not in ("{", ";"):
-                    if self.text() == "(":
-                        self.skip_balanced("(", ")")
-                    else:
-                        self.next()
-                continue
-            if tx == "=":
-                nxt = self.text(1)
+                self.skip_to(("{", ";"), "(")
+            elif tx == ":":
+                # a constructor initializer list; its parens and braces nest
                 self.next()
-                if nxt in ("default", "delete"):
-                    self.next()
-                    is_definition = True
-                elif nxt == "0":
-                    self.next()
-                    is_definition = False
-                self.accept(";")
+                while True:
+                    self.skip_to((";", "{"), "(")
+                    # brace either starts the body or an init list entry; an
+                    # entry brace always follows an identifier or '>'
+                    prev = self.toks[self.i - 1]
+                    if self.text() != "{" or (prev.kind != "id" and prev.text != ">"):
+                        break
+                    self.group()
+            else:
                 break
-            if tx == ":":
-                self.next()
-                self._skip_ctor_initializers()
-                continue
-            if tx == "{":
-                is_definition = True
-                break
-            if tx == ";":
-                self.next()
-                break
+        tx = self.text()
+        if tx == "=":
+            self.next()
+            if self.text() in ("default", "delete", "0"):
+                is_definition = self.next().text != "0"
+            self.accept(";")
+        elif tx == "{":
+            is_definition = True
+        elif tx == ";":
+            self.next()
+        elif tx:
             self.note_error()
             self.skip_statement()
-            break
 
-        if template_params:
-            kind = SymbolKind.TEMPLATE_FUNCTION
-        elif is_ctor:
-            kind = SymbolKind.CONSTRUCTOR
-        elif scope.is_class or len(chain) >= 2:
-            kind = SymbolKind.MEMBER_FUNCTION
-        else:
-            kind = SymbolKind.FREE_FUNCTION
-        qualified = scope.qualify("::".join(chain))
-        local = self.add_symbol(
-            scope,
-            kind,
-            name,
-            start_line,
-            qualified=qualified,
-            signature=signature,
-            is_definition=is_definition,
-            template_params=template_params,
-            is_virtual=is_virtual,
-            has_override=has_override,
-        )
-        if self.text() == "{":
-            self.next()
-            body_end = self._scan_body(local)
-        self.set_end_line(local, body_end)
-
-    def _capture_param_tokens(self) -> list[Token]:
-        toks: list[Token] = []
-        depth = 1
-        while self.i < self.n:
-            t = self.next()
-            if t.text == "(":
-                depth += 1
-            elif t.text == ")":
-                depth -= 1
-                if depth == 0:
-                    return toks
-            toks.append(t)
-        self.note_error()
-        return toks
-
-    def _skip_ctor_initializers(self):
-        """Consume a constructor initializer list up to (not including) the
-        body brace. Initializer parens and braces nest."""
-        while self.i < self.n:
-            tx = self.text()
-            if tx == "{":
-                # brace either starts the body or an init list entry; an
-                # entry brace always follows an identifier or '>'
-                prev = self.toks[self.i - 1].text if self.i else ""
-                if prev in (")", "}", ":") or prev == ",":
-                    return
-                if self.toks[self.i - 1].kind in ("id",) or prev == ">":
-                    self.skip_balanced("{", "}")
-                    continue
-                return
-            if tx == "(":
-                self.skip_balanced("(", ")")
-                continue
-            if tx in (";",):
-                return
-            self.next()
-
-    def _emit_variables(self, scope: _Scope, buf: list[Token], start_line: int):
-        if len(buf) < 2:
-            return
-        groups = _split_top_level(buf, ",")
-        first = True
-        for group in groups:
-            chain = _trailing_chain(group)
-            if not chain or len(chain) != 1:
-                first = False
-                continue
-            name = chain[0]
-            if name in CPP_KEYWORDS or name.startswith("~"):
-                first = False
-                continue
-            if first and len(group) < 2:
-                first = False
-                continue
-            self.add_symbol(
-                scope,
-                SymbolKind.VARIABLE,
-                name,
-                start_line,
-                qualified=scope.qualify(name),
-            )
-            first = False
+        return signature, is_definition, has_override
 
     # ------------------------------------------------------------------
     # body scanning: call extraction
@@ -788,97 +610,82 @@ class _Parser:
     def _scan_body(self, caller_local: int) -> int:
         """Scan an already-opened function body, recording call expressions.
         Returns the line of the closing brace."""
+        calls = self.result.pending_calls
+        toks = self.toks
         depth = 1
         prev_text = "{"
-        last_line = self.toks[self.i - 1].line if self.i else 1
         while self.i < self.n:
-            t = self.next()
-            last_line = t.line
+            t = toks[self.i]
             tx = t.text
-            if tx == "{":
-                depth += 1
-                prev_text = tx
-                continue
-            if tx == "}":
-                depth -= 1
-                if depth == 0:
-                    return t.line
-                prev_text = tx
-                continue
             # keywords that look like calls before "(" are not callees
             if t.kind == "id" and tx not in CPP_KEYWORDS:
+                chain = self.qualified_name()
+                if toks[self.i - 1].text == "::":
+                    self.i -= 1  # no identifier follows it
                 after_member = prev_text in (".", "->")
-                chain = [tx]
-                while self.text() == "::" and self.peek(1) and self.peek(1).kind == "id":
-                    self.next()
-                    nxt = self.next()
-                    chain.append(nxt.text)
-                    last_line = nxt.line
-                callee = "::".join(chain)
-                follow = self.text()
-                if follow == "(":
-                    if prev_text == "new":
-                        self._record_call(caller_local, callee, True, t.line)
-                    elif after_member:
-                        self._record_call(caller_local, chain[-1], False, t.line)
-                    else:
-                        self._record_call(caller_local, callee, False, t.line)
+                if self.text() == "(":
+                    callee = chain[-1] if after_member else "::".join(chain)
+                    calls.append(
+                        PendingCall(caller_local, callee, prev_text == "new", t.line)
+                    )
                 elif (
                     not after_member
-                    and chain[0] not in TYPE_KEYWORDS
-                    and self.peek()
-                    and self.peek().kind == "id"
+                    and self.kind() == "id"
                     and self.text(1) in ("(", "{")
                     and self.text(2) != ")"  # skip empty-arg decls like T x()
                 ):
                     # constructor-style declaration: Type var(args)
-                    var_tok = self.next()
-                    self._record_call(caller_local, callee, True, t.line)
-                    last_line = var_tok.line
+                    self.i += 1
+                    calls.append(
+                        PendingCall(caller_local, "::".join(chain), True, t.line)
+                    )
                 prev_text = chain[-1]
                 continue
+            self.i += 1
+            if tx == "{":
+                depth += 1
+            elif tx == "}":
+                depth -= 1
+                if depth == 0:
+                    return t.line
             prev_text = tx
         self.note_error()
-        return last_line
-
-    def _record_call(self, caller: int, callee: str, ctor_style: bool, line: int):
-        self.result.pending_calls.append(
-            PendingCall(caller, callee, ctor_style, line)
-        )
+        return toks[-1].line
 
 
 # ----------------------------------------------------------------------
 # token utilities shared with signature normalization
 
 
-def _trailing_chain(buf: list[Token]) -> list[str]:
-    """Longest trailing qualified-name chain in ``buf``; the last segment may
-    carry a '~' destructor mark. Keywords never form a chain."""
+def _split_shifts(tokens: list[Token]) -> list[Token]:
+    """``tokens`` with each ``>>`` read as two ``>`` (see the module
+    docstring)."""
+    out: list[Token] = []
+    for t in tokens:
+        out += [Token(">", "punct", t.line)] * 2 if t.text == ">>" else [t]
+    return out
+
+
+def _trailing_chain(buf: list[Token]) -> tuple[list[str], int]:
+    """Longest trailing qualified-name chain in ``buf`` and the index of
+    its first token; the last segment may carry a '~' destructor mark.
+    Keywords never form a chain."""
     j = len(buf) - 1
     if j < 0 or buf[j].kind != "id" or buf[j].text in CPP_KEYWORDS:
-        return []
-    seg = buf[j].text
-    j -= 1
-    if j >= 0 and buf[j].text == "~":
-        seg = "~" + seg
+        return [], 0
+    chain = [buf[j].text]
+    if j >= 1 and buf[j - 1].text == "~":
         j -= 1
-    chain = [seg]
+        chain[0] = "~" + chain[0]
     while (
-        j >= 1
-        and buf[j].text == "::"
-        and buf[j - 1].kind == "id"
-        and buf[j - 1].text not in CPP_KEYWORDS
+        j >= 2
+        and buf[j - 1].text == "::"
+        and buf[j - 2].kind == "id"
+        and buf[j - 2].text not in CPP_KEYWORDS
     ):
-        chain.insert(0, buf[j - 1].text)
         j -= 2
-    return chain
-
-
-def _chain_token_length(chain: list[str]) -> int:
-    length = 2 * len(chain) - 1
-    if chain and chain[-1].startswith("~"):
-        length += 1
-    return length
+        chain.insert(0, buf[j].text)
+    return chain, j
 
 
 def _split_top_level(buf: list[Token], sep: str) -> list[list[Token]]:
@@ -924,34 +731,27 @@ def _is_parameter_name(texts: list[str], at: int) -> bool:
 def normalize_signature(param_tokens: list[Token]) -> str:
     """Normalize a parameter list: whitespace collapsed, parameter names and
     default arguments removed, const qualifiers kept, '(void)' folded to
-    '()'."""
-    groups = _split_top_level(param_tokens, ",")
+    '()'. A ``>>`` is read as two ``>``."""
     rendered: list[str] = []
-    for group in groups:
-        eq_split = _split_top_level(group, "=")
-        toks = eq_split[0]
+    for group in _split_top_level(_split_shifts(param_tokens), ","):
+        toks = _split_top_level(group, "=")[0]  # a default argument is dropped
         if not toks:
             continue
         texts = [t.text for t in toks]
-        kinds = [t.kind for t in toks]
-        bracket = next((k for k, tx in enumerate(texts) if tx == "["), None)
-        if bracket is not None and bracket > 0 and kinds[bracket - 1] == "id":
-            if texts[bracket - 1] not in TYPE_KEYWORDS and (
-                bracket < 2 or texts[bracket - 2] != "::"
-            ):
-                if _is_parameter_name(texts, bracket - 1):
-                    del texts[bracket - 1]
-                    del kinds[bracket - 1]
-        elif (
-            len(texts) > 1
-            and kinds[-1] == "id"
-            and texts[-1] not in TYPE_KEYWORDS
-            and texts[-2] != "::"
-            and texts[-1] != "..."
-            and _is_parameter_name(texts, len(texts) - 1)
+        # the name is the identifier before the first '[', or else the last
+        # token; a qualified name or a builtin type is not a name
+        bracket = next((k for k, tx in enumerate(texts) if tx == "["), 0)
+        at = len(texts) - 1
+        if bracket and toks[bracket - 1].kind == "id":
+            at = bracket - 1
+        if (
+            toks[at].kind == "id"
+            and texts[at] not in TYPE_KEYWORDS
+            and texts[at - 1] != "::"
+            and _is_parameter_name(texts, at)
         ):
-            texts = texts[:-1]
+            del texts[at]
         rendered.append(render_tokens(texts))
     if rendered == ["void"]:
         rendered = []
-    return "(" + ", ".join(r for r in rendered if r) + ")"
+    return "(" + ", ".join(rendered) + ")"

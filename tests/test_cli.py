@@ -616,6 +616,17 @@ class TestQuickStartScripts:
         if script == "run_toy_pipeline.py":
             assert '"status": "SUCCESS"' in proc.stdout
 
+    def test_readme_library_imports(self):
+        import cppatlas
+
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        block = re.search(r"from cppatlas import \(.*?\)", readme, re.S)
+        exec(block.group(0), {})
+        assert cppatlas.__all__ == sorted(cppatlas.__all__)
+        for name in cppatlas.__all__:
+            assert f"`{name}`" in readme or name in block.group(0), name
+            assert getattr(cppatlas, name)
+
 
 class TestInstalledEntryPoint:
     def test_serve_round_trip_over_stdio(self, index_file):

@@ -1,10 +1,341 @@
-"""Hand-written sources pinning single parser behaviors."""
+"""The parser against the frozen copy of the parser it replaced, and
+hand-written sources pinning single parser behaviors.
 
+`refparser.py` is the parser before one bracket walker, one qualified-name
+reader and one declarator scan replaced its separate loops. Both must give
+the same `ParsedUnit` (symbols, containment, pending bases and calls,
+includes, error count) on the corpus, the fixtures, a catalogue of
+constructs and token soup. Two differences are declared, and the
+differential tests read the reference their way:
+
+1. ``>>`` is two ``>`` everywhere, so it closes two template levels. The
+   reference is given the text with each ``>>`` respelled ``> >``; on
+   arbitrary text, where a ``>>`` may sit in a comment or literal, inputs
+   holding one are skipped.
+2. The file record ends at the lexer's last line, counted at ``\\n`` only.
+   On text with another line break that ``str.splitlines`` knows, the
+   reference's file record is given that end line.
+"""
+
+import dataclasses
+import pathlib
 import textwrap
 
-from cppatlas.index import build_index
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+import corpusgen
+import refparser
+from cppatlas.cxx import parser
+from cppatlas.cxx.lexer import lex
+from cppatlas.index import IndexContainer, build_index, persist_index
+from cppatlas.intent import build_intent_index
 from cppatlas.model import EdgeKind, SymbolKind
-from cppatlas.repo import load_repository
+from cppatlas.repo import Repository, SourceUnit, load_repository
+
+DATA = pathlib.Path(__file__).parent / "data"
+# line breaks of str.splitlines other than "\n" ("\r\n" counts once)
+OTHER_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def flat(parsed) -> tuple:
+    """A ParsedUnit as plain values: the two modules' dataclasses never
+    compare equal, the model records inside them do."""
+    return (
+        parsed.path,
+        parsed.symbols,
+        parsed.contains,
+        [(b.derived, b.base_text) for b in parsed.pending_bases],
+        [(c.caller, c.callee_text, c.ctor_style, c.line) for c in parsed.pending_calls],
+        parsed.includes,
+        parsed.error_count,
+    )
+
+
+def lexer_lines(text: str) -> int:
+    return text.count("\n") + (0 if text.endswith("\n") else 1)
+
+
+def respell(text: str) -> str:
+    """Each ``>>`` token as ``> >``, for text with no ``>>=`` and no ``>``
+    in a comment or literal."""
+    while ">>" in text:
+        text = text.replace(">>", "> >")
+    return text
+
+
+def parse(text: str, path: str = "a.h"):
+    return parser.parse_unit(SourceUnit.make(path, text))
+
+
+def assert_same(text: str, ref_text: str | None = None, path: str = "a.h"):
+    """The parser on ``text`` against the reference on ``ref_text``
+    (default: the same text), with declared difference 2 applied."""
+    got = parse(text, path)
+    want = refparser.parse_unit(SourceUnit.make(path, ref_text or text))
+    if any(ch in text for ch in OTHER_BREAKS):
+        root = want.symbols[0]
+        location = dataclasses.replace(root.location, end_line=lexer_lines(text))
+        want.symbols[0] = dataclasses.replace(root, location=location)
+    assert flat(got) == flat(want), repr(text)
+
+
+# --- differential: corpus, fixtures, catalogue, soup --------------------
+
+
+@pytest.mark.parametrize("first", range(0, 200, 20))
+def test_parsers_agree_on_corpusgen(first):
+    for seed in range(first, first + 20):
+        for path, content in corpusgen.generate(seed).files.items():
+            if SourceUnit.make(path, content).kind in ("header", "source"):
+                assert_same(content, path=path)
+
+
+def test_parsers_agree_on_fixtures():
+    paths = [p for p in sorted(DATA.rglob("*")) if p.is_file()]
+    assert paths
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        unit = SourceUnit.make(path.relative_to(DATA).as_posix(), text)
+        if unit.kind in ("header", "source"):
+            assert_same(unit.content, path=unit.path)
+
+
+# one snippet per construct the parser docstring names, then constructs
+# corpusgen never writes, then recovery paths
+CATALOGUE = {
+    "nested_namespaces": "namespace a { namespace b { int x = 1; } }\n"
+    "namespace c::d { void f(); }\n",
+    "anonymous_namespace": "namespace {\nint hidden = 2;\nvoid helper() {}\n}\n",
+    "class_definition": "class Widget {\npublic:\n    int size() const;\n"
+    "private:\n    int n_;\n};\n",
+    "struct_definition": "struct Point {\n    int x, y;\n};\n",
+    "enum_definition": "enum Color { RED, GREEN };\nenum Mode;\n",
+    "forward_declarations": "class Later;\nstruct Soon;\n"
+    "template <class T> class Box;\n",
+    "free_functions": "int add(int a, int b) { return a + b; }\n"
+    "void log(const char* msg = \"x\");\n",
+    "member_functions": "class Calc {\n"
+    "    int add(int a, int b) { return plus(a, b); }\n"
+    "    virtual void reset() = 0;\n    int get() const override;\n};\n",
+    "constructors": "class Box {\npublic:\n    Box();\n"
+    "    explicit Box(int n) : n_(n) {}\n"
+    "    Box(const Box& other) : Box(other.n_) {}\n    int n_;\n};\n"
+    "Box::Box() : n_(0) {}\n",
+    "destructors": "class Box {\npublic:\n    virtual ~Box();\n};\n"
+    "Box::~Box() { release(); }\n",
+    "inheritance_lists": "class Base {};\nclass Mid : public Base {};\n"
+    "class Leaf final : protected virtual Mid, private ns::Other<int> {};\n",
+    "template_class": "template <typename T, int N = 4>\n"
+    "class Buffer {\n    T data[N];\n};\n",
+    "template_functions": "template <typename T>\n"
+    "T clamp(T v, T lo, T hi) { return v < lo ? lo : v; }\n"
+    "template <class It> void sort(It first, It last);\n",
+    "namespace_scope_variables": "namespace cfg {\nint retries = 3;\n"
+    "const char* name = \"x\", *alias;\nstatic double ratio{0.5};\n}\n",
+    "class_scope_variables": "struct Conf {\n    static const int limit = 10;\n"
+    "    int a, b;\n    bool on{true};\n};\n",
+    "calls_in_bodies": "void run() {\n    helper();\n    util::log(1);\n"
+    "    obj.method(2);\n    ptr->go();\n    auto* w = new Widget(3);\n"
+    "    Widget local(4);\n    Widget braced{5};\n    if (check()) { retry(); }\n}\n",
+    "out_of_line_definition": "namespace app {\nclass Search { void run(); };\n"
+    "void Search::run() { scan(); }\n}\n",
+    "friend_with_body": "class Money {\n    friend bool operator==(const Money& a, "
+    "const Money& b) { return a.v == b.v; }\n    friend class Bank;\n    int v;\n};\n",
+    "default_and_delete": "class Once {\n    Once() = default;\n"
+    "    Once(const Once&) = delete;\n    Once& operator=(const Once&) = delete;\n"
+    "    ~Once() = default;\n};\n",
+    "noexcept_and_throw": "void a() noexcept;\nvoid b() noexcept(true) {}\n"
+    "void c() throw();\nvoid d() throw(int) {}\n",
+    "requires_clause": "template <typename T>\n"
+    "void only(T v) requires (sizeof(T) > 1) { use(v); }\n"
+    "template <typename T> requires Small<T> void tiny(T);\n",
+    "extern_c_block": "extern \"C\" {\nint c_api(int);\nvoid c_free(void* p);\n}\n"
+    "extern \"C\" int single(void);\n",
+    "operators": "struct Fn {\n    int operator()(int x) const { return x; }\n"
+    "    int& operator[](unsigned i);\n    Fn& operator<<(int v);\n"
+    "    bool operator<(const Fn& o) const;\n};\n"
+    "std::ostream& operator<<(std::ostream& os, const Fn& f);\n",
+    "attributes": "[[nodiscard]] int value();\nclass [[deprecated]] Old {};\n"
+    "[[maybe_unused]] static int unused = 0;\n",
+    "alignas": "struct alignas(16) Vec { float v[4]; };\nalignas(8) int aligned;\n",
+    "union": "union Number { int i; float f; };\nunion { int raw; } anon;\n"
+    "int after_union;\n",
+    "enum_class_with_base": "enum class Level : int { Low, High };\n"
+    "enum struct Kind : unsigned char;\n",
+    "typedef_and_using": "typedef unsigned long size_type;\nusing Handle = int*;\n"
+    "using namespace std;\ntemplate <typename T> using Vec = std::vector<T>;\n"
+    "int after_alias;\n",
+    "static_assert": "static_assert(sizeof(int) == 4, \"int\");\n"
+    "struct S { static_assert(true); int x; };\n",
+    "namespace_alias": "namespace fs = std::filesystem;\n"
+    "namespace very::deep { int v; }\nnamespace vd = very::deep;\n",
+    "brace_initialised_ctor_initializers": "class Holder {\n"
+    "    Holder(int n) : items_{n, 2}, name_{\"x\"}, base_(n) { init(); }\n"
+    "    Holder() : Holder{0} {}\n    Holder(char c) : Base<int>{c} {}\n"
+    "    std::vector<int> items_;\n};\n",
+    "literal_vexing_parse": "Widget w(\"name\");\nWidget v(3);\nWidget c('c');\n"
+    "Widget f(int);\nWidget g();\n",
+    "unbalanced_open_braces": "void open() {\n    if (x) {\n        call();\n}\n"
+    "class Broken {\n",
+    "unbalanced_closers": "}\n};\nvoid later();\n)\n]\nint tail;\n",
+    "scope_operator_before_no_name": "namespace a:: { int v; }\n"
+    "class B:: { int w; };\nclass C : public D:: { };\n"
+    "void f() { a :: (1); b::c:: (2); }\n",
+    "comparison_read_as_template_arguments": "int a < b;\nT<int c;\nint d;\n"
+    "x < y { 1 };\nint e;\n",
+    "operator_name_runaway": "bool operator {};\nint operator + ;\nint after;\n",
+    "friend_before_a_stray_closer": "friend ) void f();\nint after;\n"
+    "friend ( ] ;\nint last;\n",
+    "qualified_unnamed_parameters": "void take(std::string, ns::Widget, const ::G&);\n",
+    "trailing_return_then_specifier": "struct S {\n    virtual auto f() -> int = 0;\n"
+    "    auto g() -> S& = default;\n};\nauto h() -> int = delete;\n",
+    "requires_clause_then_delete": "template <class T>\n"
+    "void f(T) requires C<T> = delete;\n"
+    "int after;\n",
+    "template_base_closed_by_shift": "namespace n {\n"
+    "class D : public B<std::vector<int>> { void f(); };\nvoid g();\n}\n",
+    "trailing_return_closed_by_shift": "auto h() -> std::map<int, std::vector<int>> "
+    "{ return {}; }\nvoid k();\n",
+    "parameters_closed_by_shift": "void f(std::map<int, std::vector<int>> m, int x);\n",
+    "variables_closed_by_shift": "std::map<int, std::vector<int>> a, b;\n",
+    "shift_in_a_body": "int shift(int v) { return v >> 2; }\nvoid after();\n",
+}
+
+
+@pytest.mark.parametrize("text", CATALOGUE.values(), ids=CATALOGUE.keys())
+def test_parsers_agree_on_catalogue(text):
+    assert len(parse(text).symbols) > 1
+    assert_same(text, respell(text))
+
+
+SOUP = (
+    "namespace class struct enum union template typename using typedef "
+    "friend virtual override final const static inline explicit operator "
+    "public private protected extern int void auto noexcept throw requires "
+    "default delete new return alignas static_assert decltype "
+    "A B x f std vector 0 1 \"s\" 'c' < > >> :: ( ) { } [ ] ; , = ~ -> & * . :"
+).split() + [
+    "\n", "// doc\n", "/* doc */", "extern \"C\"", "void f(", "int x", "class A {",
+    "struct B : public A", "template <typename T>", "} ;", ") {", "x.y(", "new T(",
+    "T v(1);", "= 0 ;", "= default ;", "operator()", "operator<<", "~A()",
+    "[[nodiscard]]", ": m(1), n{2}", "-> V<W<int>>",
+]
+
+
+@settings(
+    max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(st.lists(st.sampled_from(SOUP), max_size=40).map(" ".join))
+def test_parsers_agree_on_token_soup(text):
+    assert_same(text, respell(text))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text())
+def test_parsers_agree_on_arbitrary_text(text):
+    assume(">>" not in text)
+    assert_same(text)
+
+
+@pytest.mark.parametrize("source", ["toyrepo", "motivation", 0, 7, 42, 101])
+def test_index_bytes_do_not_depend_on_the_parser(source, tmp_path, monkeypatch):
+    if isinstance(source, str):
+        repo = load_repository(DATA / source)
+    else:
+        files = corpusgen.generate(source).files
+        units = tuple(SourceUnit.make(path, text) for path, text in files.items())
+        repo = Repository("mem", units)
+    written = []
+    for parse_unit in (parser.parse_unit, refparser.parse_unit):
+        monkeypatch.setattr("cppatlas.index.parse_unit", parse_unit)
+        index = build_index(repo)
+        path = tmp_path / f"{len(written)}.caidx"
+        persist_index(IndexContainer(index, build_intent_index(index)), path)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+
+
+# --- declared difference 1: ">>" closes two template levels -------------
+
+
+def both_spellings(text: str):
+    """Parse ``text``, which spells closers ``>>``, and check that the
+    ``> >`` spelling gives equal records."""
+    parsed = parse(text)
+    assert flat(parse(respell(text))) == flat(parsed)
+    return parsed
+
+
+def names(parsed) -> list[str]:
+    return [s.qualified_name for s in parsed.symbols[1:]]
+
+
+def test_shift_closes_a_template_base_list():
+    parsed = both_spellings(
+        "namespace n {\n"
+        "class D : public B<std::vector<int>> { void f(); };\n"
+        "void g();\n"
+        "}\n"
+        "struct S : Base<A<int>>, Other { int v; };\n"
+        "void after();\n"
+    )
+    assert names(parsed) == ["n", "n::D", "n::D::f", "n::g", "S", "S::v", "after"]
+    assert parsed.symbols[1].location.end_line == 4
+    assert [b.base_text for b in parsed.pending_bases] == ["B", "Base", "Other"]
+    assert parsed.error_count == 0
+
+
+def test_shift_closes_a_trailing_return_type():
+    parsed = both_spellings(
+        "auto h() -> std::map<int, std::vector<int>> { return {}; }\nvoid k();\n"
+    )
+    assert names(parsed) == ["h", "k"]
+    assert parsed.symbols[1].is_definition
+
+
+def test_shift_closes_a_parameter_type():
+    parsed = both_spellings(
+        "void f(std::map<int, std::vector<int>> m, int x);\n"
+        "void f(std::map<int, std::vector<int>> m, int x) {}\n"
+    )
+    want = "(std::map < int , std::vector < int > >, int)"
+    assert [s.signature for s in parsed.symbols[1:]] == [want, want]
+    typed = lex("std::map<int, std::vector<int>> m, int x").tokens
+    assert parser.normalize_signature(typed) == want
+
+
+def test_shift_closes_template_parameters():
+    parsed = both_spellings("template <typename T = std::vector<int>> void t(T);\n")
+    assert parsed.symbols[1].template_params == "<typename T = std::vector < int >>"
+    assert parsed.symbols[1].kind is SymbolKind.TEMPLATE_FUNCTION
+
+
+def test_shift_closes_a_variable_type():
+    parsed = both_spellings("std::map<int, std::vector<int>> a, b;\n")
+    assert names(parsed) == ["a", "b"]
+    assert {s.kind for s in parsed.symbols[1:]} == {SymbolKind.VARIABLE}
+
+
+# --- declared difference 2: lines end at "\n" only -----------------------
+
+
+@pytest.mark.parametrize(
+    "brk", list(OTHER_BREAKS), ids=[hex(ord(c)) for c in OTHER_BREAKS]
+)
+def test_file_record_counts_lines_like_the_lexer(brk):
+    parsed = parse(f"void a();{brk}int x;\nvoid b();\n")
+    assert [s.location.start_line for s in parsed.symbols[1:]] == [1, 1, 2]
+    assert parsed.symbols[0].location.end_line == 2
+
+
+@pytest.mark.parametrize(
+    "text, lines", [("", 1), ("\n", 1), ("int a;", 1), ("int a;\n\n", 2),
+                    ("int a;\nint b;", 2), ("int a;\r\nint b;\r\n", 2)]
+)
+def test_file_record_line_count(text, lines):
+    assert parse(text).symbols[0].location.end_line == lines
 
 
 def index_source(tmp_path, **files):
