@@ -14,7 +14,7 @@ partial symbols are still emitted. Out-of-line qualified definitions
 kind ``member_function``; lexical containment still points at the enclosing
 file or namespace.
 
-Two reading rules hold for every unit:
+Four reading rules hold for every unit:
 
 - ``>>`` is read as two ``>`` tokens, wherever it occurs. In a template
   argument list C++11 closes two levels with it (N1757), and nothing the
@@ -25,6 +25,10 @@ Two reading rules hold for every unit:
   counts lines: one per ``\\n``, plus one for text after the last ``\\n``.
   Other characters that ``str.splitlines`` breaks at (``\\f``, ``\\v``,
   ``\\x85``, ``\\u2028``, a lone ``\\r``, ...) do not end a line.
+- A variable's initializer does not end its declaration: ``int a = 1,
+  *b;`` records ``b`` as well.
+- After a top-level ``=`` in a parameter, ``<`` and ``>`` are comparisons,
+  so ``void f(int x = a < b, int y)`` has signature ``(int, int)``.
 """
 
 from __future__ import annotations
@@ -45,6 +49,11 @@ _LEADING_SPECIFIERS = frozenset(
 _CLASS_KEYS = ("class", "struct")
 
 _CLOSERS = {"(": ")", "[": "]", "{": "}", "<": ">"}
+
+# what may stand before the name of a declarator after the first, and the
+# tokens that end its part
+_DECLARATOR_MARKS = frozenset(("*", "&", "&&", "const", "volatile"))
+_DECLARATOR_ENDS = frozenset(("(", "[", "{", ")", "]", "}", ",", ";", "="))
 
 
 @dataclass(frozen=True)
@@ -151,9 +160,11 @@ class _Parser:
             return True
         return False
 
-    def skip_statement(self):
-        """Advance past the next top-level ';', balancing all bracket kinds;
-        a '{...}' block along the way is consumed wholly."""
+    def skip_statement(self, ends: tuple[str, ...] = (";",)) -> str:
+        """Advance past the next top-level token of ``ends`` and return it,
+        balancing all bracket kinds; a '{...}' block along the way is
+        consumed wholly. Returns '' at the end of input or before an
+        unmatched '}'."""
         depth = 0
         while self.i < self.n:
             t = self.next()
@@ -162,10 +173,11 @@ class _Parser:
             elif t.text in ")]}":
                 if depth == 0 and t.text == "}":
                     self.i -= 1
-                    return
+                    return ""
                 depth = max(0, depth - 1)
-            elif t.text == ";" and depth == 0:
-                return
+            elif t.text in ends and depth == 0:
+                return t.text
+        return ""
 
     def group(self, stop: tuple[str, ...] = ()) -> tuple[list[Token], bool]:
         """Consume the bracketed group that opens at the cursor and return
@@ -546,8 +558,31 @@ class _Parser:
         if tx == "{":
             self.group()
             self.accept(";")
+        elif tx == "=":
+            self._declarators_after_initializer(scope, start_line)
         else:
             self.skip_statement()
+
+    def _declarators_after_initializer(self, scope: _Scope, start_line: int):
+        """From the '=' of a variable's initializer to the end of the
+        statement, record each later declarator that is one name, after
+        pointer and reference marks alone and before ',', ';', '=' or '{':
+        ``int a = 1, *b, c = 2;`` goes on with ``b`` and ``c``. The cursor
+        ends where ``skip_statement`` would leave it. A ',' in template
+        arguments also ends a part, as in ``N<A, B>::v``, which the marks
+        rule keeps from naming ``v``."""
+        while self.skip_statement((",", ";")) == ",":
+            part: list[Token] = []
+            while self.i < self.n and self.text() not in _DECLARATOR_ENDS:
+                part.append(self.next())
+            names, at = _trailing_chain(part)
+            if (
+                len(names) == 1
+                and at == len(part) - 1
+                and all(t.text in _DECLARATOR_MARKS for t in part[:at])
+                and self.text() in (",", ";", "=", "{")
+            ):
+                self.add_symbol(scope, SymbolKind.VARIABLE, names, start_line)
 
     def _function_tail(self) -> tuple[str, bool, bool]:
         """Read a function's parameter list, from its '(', and what follows
@@ -689,16 +724,24 @@ def _trailing_chain(buf: list[Token]) -> tuple[list[str], int]:
 
 
 def _split_top_level(buf: list[Token], sep: str) -> list[list[Token]]:
+    """``buf`` split at each ``sep`` outside brackets. After a top-level
+    '=' in a part, its '<' and '>' are comparisons, not brackets: in
+    ``int x = a < b, int y`` the ',' still splits."""
     groups: list[list[Token]] = [[]]
     depth = 0
+    angles = True
     for t in buf:
-        if t.text in "([{<":
+        tx = t.text
+        if tx in "([{" or (angles and tx == "<"):
             depth += 1
-        elif t.text in ")]}>":
+        elif tx in ")]}" or (angles and tx == ">"):
             depth = max(0, depth - 1)
-        elif t.text == sep and depth == 0:
+        elif tx == sep and depth == 0:
             groups.append([])
+            angles = True
             continue
+        elif tx == "=" and depth == 0:
+            angles = False
         groups[-1].append(t)
     return groups
 

@@ -564,6 +564,16 @@ def _structural_to_dict(index: StructuralIndex) -> dict:
 
 
 def _structural_from_dict(d: dict, snapshot: str) -> StructuralIndex:
+    sources, includes, errors = d["sources"], d["includes"], d["parse_error_count"]
+    if type(snapshot) is not str or type(errors) is not int:
+        raise ValueError("repo_snapshot must be a str and parse_error_count an int")
+    # JSON object keys are always strings
+    if type(sources) is not dict or not set(map(type, sources.values())) <= {str}:
+        raise ValueError("sources must map each path to its text")
+    if type(includes) is not dict or not all(
+        type(v) is list and set(map(type, v)) <= {str} for v in includes.values()
+    ):
+        raise ValueError("includes must map each path to a list of str")
     (kinds,) = read_columns(d, {"kinds": str})
     kinds = [SymbolKind(k) for k in kinds]
     (files,) = read_columns(d, {"files": str})
@@ -593,10 +603,10 @@ def _structural_from_dict(d: dict, snapshot: str) -> StructuralIndex:
         symbols=symbols,
         edges=edges,
         call_sites=call_sites,
-        sources=dict(d["sources"]),
-        includes={k: list(v) for k, v in d["includes"].items()},
+        sources=sources,
+        includes=includes,
         repo_snapshot=snapshot,
-        parse_error_count=d["parse_error_count"],
+        parse_error_count=errors,
         graph=Graph(edges, call_sites),
     )
     _build_lookup(index)

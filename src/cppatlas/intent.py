@@ -46,25 +46,38 @@ def _segments(ident: str) -> tuple[str, ...]:
     )
 
 
-class _Buckets(dict):
-    """Memo of each token's sha1 bucket for one ``dim``, emptied when it
-    reaches ``_MEMO_SIZE`` entries."""
+_LETTERS_RE = re.compile(r"[a-z]+")
+_DIGITS_RE = re.compile(r"[0-9]+")
+
+
+class _Cells(dict):
+    """Memo of each string's cell for one ``dim``: the sha1 bucket of a
+    run of lowercase letters, the bucket less ``dim`` for a run of digits
+    and less ``2 * dim`` for anything else, so ``% dim`` gives the bucket
+    of any string back. Emptied when it reaches ``_MEMO_SIZE`` entries."""
 
     def __init__(self, dim: int):
         super().__init__()
         self.dim = dim
 
-    def __missing__(self, token: str) -> int:
+    def __missing__(self, word: str) -> int:
         if len(self) >= _MEMO_SIZE:
             self.clear()
-        digest = hashlib.sha1(token.encode("utf-8")).hexdigest()
-        bucket = self[token] = int(digest, 16) % self.dim
-        return bucket
+        # a lone surrogate, which JSON can carry, hashes too
+        digest = hashlib.sha1(word.encode("utf-8", "surrogatepass")).hexdigest()
+        if _LETTERS_RE.fullmatch(word):
+            form = 0
+        elif _DIGITS_RE.fullmatch(word):
+            form = 1
+        else:
+            form = 2
+        cell = self[word] = int(digest, 16) % self.dim - form * self.dim
+        return cell
 
 
 @lru_cache(maxsize=8)
-def _buckets(dim: int) -> _Buckets:
-    return _Buckets(dim)
+def _cell_memo(dim: int) -> _Cells:
+    return _Cells(dim)
 
 
 def split_identifier(ident: str) -> list[str]:
@@ -76,9 +89,13 @@ def tokenize(text: str) -> list[str]:
     return list(chain.from_iterable(map(_segments, _IDENT_RE.findall(text))))
 
 
-def _summary_parts(record: SymbolRecord, snippet: str) -> list[str]:
-    # "member_function" gives two parts, so the joined text still reads
-    # "member function" and each part is one word or one run of digits
+def summarize_artifact(record: SymbolRecord, snippet: str) -> str:
+    """Flat text summary of one symbol: kind, name parts, scope parts,
+    signature, doc comment and body identifiers, as runs of lowercase
+    letters or digits joined by single spaces. Token repetition is
+    intentional; it becomes term frequency."""
+    # "member_function" gives two parts, so the text still reads
+    # "member function"
     parts = record.kind.value.split("_")
     parts.extend(_segments(record.name))
     for segment in record.qualified_name.split("::"):
@@ -86,14 +103,7 @@ def _summary_parts(record: SymbolRecord, snippet: str) -> list[str]:
     for text in (record.signature, record.template_params, record.doc_comment,
                  snippet):
         parts.extend(tokenize(text))
-    return parts
-
-
-def summarize_artifact(record: SymbolRecord, snippet: str) -> str:
-    """Flat text summary of one symbol: kind, name parts, scope parts,
-    signature, doc comment and body identifiers. Token repetition is
-    intentional; it becomes term frequency."""
-    return " ".join(_summary_parts(record, snippet))
+    return " ".join(parts)
 
 
 class HashEmbeddingProvider:
@@ -108,28 +118,58 @@ class HashEmbeddingProvider:
         return f"hash-tf-{self.dim}"
 
     def embed(self, text: str) -> tuple[float, ...]:
-        return tuple(self.embed_tokens([tokenize(text)])[0].tolist())
+        return self.embed_many([text])[0]
 
     def embed_many(self, texts: list[str]) -> list[tuple[float, ...]]:
-        rows = self.embed_tokens([tokenize(t) for t in texts]).tolist()
-        return [tuple(row) for row in rows]
+        return [tuple(row) for row in self.embed_texts(texts).tolist()]
+
+    def embed_texts(self, texts: list[str]) -> np.ndarray:
+        """``embed_tokens`` of each text's ``tokenize`` tokens, shape
+        (texts, dim). A text in the form ``summarize_artifact`` writes is
+        not tokenized: its runs of letters are its tokens, and its runs of
+        digits, which ``tokenize`` drops, have no cell. Any other text,
+        such as one edited by hand in an index file, is tokenized."""
+        # splitting the joined texts once splits each text on " "
+        cells, rows = self._lookup(
+            " ".join(texts).split(" "), [t.count(" ") + 1 for t in texts]
+        )
+        words = cells >= 0
+        matrix = self._unit_rows(cells[words], rows[words], len(texts))
+        others = sorted(set(rows[cells < -self.dim].tolist()))
+        if others:
+            matrix[others] = self.embed_tokens([tokenize(texts[i]) for i in others])
+        return matrix
 
     def embed_tokens(self, token_lists: list[list[str]]) -> np.ndarray:
         """One unit row of bucket counts per token list, shape
-        (lists, dim). Counts are whole numbers, so every norm is exact."""
-        dim, rows = self.dim, len(token_lists)
-        lengths = [len(tokens) for tokens in token_lists]
+        (lists, dim)."""
+        cells, rows = self._lookup(
+            chain.from_iterable(token_lists), list(map(len, token_lists))
+        )
+        return self._unit_rows(cells % self.dim, rows, len(token_lists))
+
+    def _lookup(self, words, lengths: list[int]) -> tuple[np.ndarray, np.ndarray]:
+        """The ``_Cells`` cell of each word, and the row it is in: the
+        first ``lengths[0]`` words are in row 0, and so on."""
         cells = np.fromiter(
-            map(_buckets(dim).__getitem__, chain.from_iterable(token_lists)),
+            map(_cell_memo(self.dim).__getitem__, words),
             dtype=np.intp,
             count=sum(lengths),
         )
-        cells += np.repeat(np.arange(rows, dtype=np.intp) * dim, lengths)
+        return cells, np.repeat(np.arange(len(lengths), dtype=np.intp), lengths)
+
+    def _unit_rows(self, buckets: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+        """``n`` rows of bucket counts, each scaled to unit norm. Counts are
+        whole numbers, so every norm is exact."""
+        dim = self.dim
         # unit weights make bincount count in float64, except that it
         # returns ints when there is no token at all
-        counts = np.bincount(cells, weights=np.ones(len(cells)), minlength=rows * dim)
-        matrix = counts.astype(np.float64, copy=False).reshape(rows, dim)
-        norms = np.linalg.norm(matrix, axis=1)
+        counts = np.bincount(
+            rows * dim + buckets, weights=np.ones(len(buckets)), minlength=n * dim
+        )
+        matrix = counts.astype(np.float64, copy=False).reshape(n, dim)
+        # sums of squared whole numbers are exact in any order
+        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
         norms[norms == 0.0] = 1.0
         matrix /= norms[:, None]
         return matrix
@@ -187,13 +227,47 @@ class CommandEmbeddingProvider:
         return self.embed_many([text])[0]
 
 
-@dataclass(frozen=True)
 class IntentDoc:
-    symbol_id: int
-    qualified_name: str
-    kind: str
-    text: str
-    vector: tuple[float, ...]
+    """One symbol's summary ``text`` and its embedding ``vector``, a tuple
+    of floats. A doc made with a tuple keeps it. A doc that
+    ``build_intent_index`` or ``IntentIndex.from_dict`` made holds only
+    its row of the index ``matrix``, and ``vector`` makes the tuple each
+    time it is read. Docs compare without their vectors; ``IntentIndex``
+    compares its matrix."""
+
+    __slots__ = ("symbol_id", "qualified_name", "kind", "text", "_vector")
+
+    def __init__(self, symbol_id: int, qualified_name: str, kind: str,
+                 text: str, vector: "tuple[float, ...] | np.ndarray"):
+        self.symbol_id = symbol_id
+        self.qualified_name = qualified_name
+        self.kind = kind
+        self.text = text
+        self._vector = vector
+
+    @property
+    def vector(self) -> tuple[float, ...]:
+        row = self._vector
+        if isinstance(row, tuple):
+            return row
+        # cells with the same bits share one float object: a hashed row
+        # holds a few distinct values, most of its cells 0.0
+        bits, where = np.unique(row.view(np.int64), return_inverse=True)
+        return tuple(map(bits.view(np.float64).tolist().__getitem__, where.tolist()))
+
+    def _key(self) -> tuple:
+        return self.symbol_id, self.qualified_name, self.kind, self.text
+
+    def __eq__(self, other):
+        if not isinstance(other, IntentDoc):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"IntentDoc{self._key()!r}"
 
 
 @dataclass(frozen=True)
@@ -201,10 +275,11 @@ class IntentIndex:
     """Intent documents plus ``matrix``, their vectors as one C-contiguous
     float64 array of shape (docs, dim) that every query multiplies.
 
-    ``matrix`` holds the same vectors as ``docs``: built once, when the
-    index is built or loaded (or here, from the docs, when it is not
-    given); it takes no part in equality. ``to_dict`` writes it out only
-    for providers other than the hash embedder."""
+    ``matrix`` is the one store of the vectors of docs built or loaded
+    here. It is made once, when the index is built or loaded (or here,
+    from the docs' vectors, when it is not given), and two indexes are
+    equal only if their matrices are equal bit for bit. ``to_dict``
+    writes it out only for providers other than the hash embedder."""
 
     provider_name: str
     dim: int
@@ -218,6 +293,16 @@ class IntentIndex:
             object.__setattr__(
                 self, "matrix", matrix.reshape(len(self.docs), self.dim)
             )
+
+    def __eq__(self, other):
+        if not isinstance(other, IntentIndex):
+            return NotImplemented
+        return (
+            (self.provider_name, self.dim, self.repo_snapshot, self.docs)
+            == (other.provider_name, other.dim, other.repo_snapshot, other.docs)
+            and self.matrix.shape == other.matrix.shape
+            and self.matrix.tobytes() == other.matrix.tobytes()
+        )
 
     def to_dict(self) -> dict:
         """Docs as ``symbol_id`` and ``text`` columns. The hash provider's
@@ -242,12 +327,16 @@ class IntentIndex:
     def from_dict(data: dict, symbols: list[SymbolRecord]) -> "IntentIndex":
         """Rebuild an index from ``to_dict`` output over the ``symbols`` it
         was built from, which give each doc its qualified name and kind.
-        Raises ``ValueError`` on a bad ``dim``, a doc that is not a real
-        symbol, or stored vectors that are not ``dim`` finite numbers per
-        doc."""
-        dim = data["dim"]
+        Raises ``ValueError`` on a bad ``dim``, a name or snapshot that is
+        not a string, a doc that is not a real symbol, or stored vectors
+        that are not ``dim`` finite numbers per doc."""
+        provider_name, dim, snapshot = (
+            data["provider_name"], data["dim"], data["repo_snapshot"]
+        )
         if type(dim) is not int or dim < 1:
             raise ValueError(f"intent dim must be a positive int, not {dim!r}")
+        if type(provider_name) is not str or type(snapshot) is not str:
+            raise ValueError("intent provider_name and repo_snapshot must be strings")
         ids, texts = read_columns(data["docs"], {"symbol_id": int, "text": str})
         if ids and not 0 <= min(ids) <= max(ids) < len(symbols):
             raise ValueError("intent doc symbol_id out of range")
@@ -255,22 +344,22 @@ class IntentIndex:
         if any(r.is_synthetic for r in records):
             raise ValueError("intent doc names a synthetic symbol")
         provider = HashEmbeddingProvider(dim)
-        if data["provider_name"] == provider.name:
-            matrix = provider.embed_tokens([tokenize(t) for t in texts])
-            vectors = map(_sparse_tuple, matrix)
+        if provider_name == provider.name:
+            matrix = provider.embed_texts(texts)
         else:
             matrix = _decode_matrix(data["vectors"], len(texts), dim)
-            vectors = map(tuple, matrix.tolist())
-        return IntentIndex(
-            provider_name=data["provider_name"],
-            dim=dim,
-            repo_snapshot=data["repo_snapshot"],
-            docs=tuple(
-                IntentDoc(r.symbol_id, r.qualified_name, r.kind.value, t, v)
-                for r, t, v in zip(records, texts, vectors)
-            ),
-            matrix=matrix,
-        )
+        return _index(provider_name, dim, snapshot, records, texts, matrix)
+
+
+def _index(provider_name: str, dim: int, repo_snapshot: str,
+           records: list[SymbolRecord], texts: list[str],
+           matrix: np.ndarray) -> IntentIndex:
+    """One doc per record and text, whose vector is its row of ``matrix``."""
+    docs = tuple(
+        IntentDoc(r.symbol_id, r.qualified_name, r.kind.value, t, row)
+        for r, t, row in zip(records, texts, matrix)
+    )
+    return IntentIndex(provider_name, dim, repo_snapshot, docs, matrix)
 
 
 def _decode_matrix(encoded: str, rows: int, dim: int) -> np.ndarray:
@@ -283,56 +372,23 @@ def _decode_matrix(encoded: str, rows: int, dim: int) -> np.ndarray:
     return matrix
 
 
-def _sparse_tuple(row: np.ndarray) -> tuple[float, ...]:
-    """``tuple(row.tolist())`` in which every zero is the same ``0.0``
-    object: most of a hashed vector is zero, so this saves a float object
-    per zero entry."""
-    cells = [0.0] * len(row)
-    nonzero = np.flatnonzero(row)
-    for col, value in zip(nonzero.tolist(), row[nonzero].tolist()):
-        cells[col] = value
-    return tuple(cells)
-
-
 def build_intent_index(index: StructuralIndex, provider=None) -> IntentIndex:
     """One intent document per real (non-synthetic) symbol, embedded in
     symbol id order."""
     provider = provider or HashEmbeddingProvider()
     records = [r for r in index.symbols if not r.is_synthetic]
     lines = {path: text.split("\n") for path, text in index.sources.items()}
-    parts = [
-        _summary_parts(r, snippet_of(lines.get(r.location.file), r))
+    texts = [
+        summarize_artifact(r, snippet_of(lines.get(r.location.file), r))
         for r in records
     ]
-    texts = [" ".join(p) for p in parts]
     if isinstance(provider, HashEmbeddingProvider):
-        # every part is a lowercase word or a run of digits; tokenizing the
-        # joined text again would keep the words and drop the digit runs
-        matrix = provider.embed_tokens(
-            [[w for w in p if not w.isdigit()] for p in parts]
-        )
-        vectors = [_sparse_tuple(row) for row in matrix]
+        matrix = provider.embed_texts(texts)
     else:
-        vectors = provider.embed_many(texts)
-        matrix = np.array(vectors, dtype=np.float64)
+        matrix = np.array(provider.embed_many(texts), dtype=np.float64)
         matrix = matrix.reshape(len(texts), provider.dim)
-    docs = tuple(
-        IntentDoc(
-            symbol_id=r.symbol_id,
-            qualified_name=r.qualified_name,
-            kind=r.kind.value,
-            text=t,
-            vector=v,
-        )
-        for r, t, v in zip(records, texts, vectors)
-    )
-    return IntentIndex(
-        provider_name=provider.name,
-        dim=provider.dim,
-        repo_snapshot=index.repo_snapshot,
-        docs=docs,
-        matrix=matrix,
-    )
+    return _index(provider.name, provider.dim, index.repo_snapshot, records, texts,
+                  matrix)
 
 
 def query_code_intent(

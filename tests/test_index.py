@@ -239,6 +239,12 @@ class TestPersistence:
             lambda s: s["edges"]["calls"]["from"].__setitem__(0, True),
             lambda s: s["symbols"]["start_line"].__setitem__(0, 1.0),
             lambda s: s["symbols"].update(name="calc"),
+            lambda s: s["sources"].update({next(iter(s["sources"])): 7}),
+            lambda s: s.update(sources=list(s["sources"].items())),
+            lambda s: s["includes"].update({next(iter(s["includes"])): "a.h"}),
+            lambda s: s["includes"].update({next(iter(s["includes"])): [3]}),
+            lambda s: s.update(parse_error_count=False),
+            lambda s: s.update(parse_error_count="0"),
         ],
         ids=["missing-call-sites", "dangling-edge", "dangling-call-site",
              "unknown-edge-kind", "second-parent", "missing-edge-kind",
@@ -246,7 +252,10 @@ class TestPersistence:
              "short-call-site-column", "kind-index-past-table",
              "negative-kind-index", "file-index-past-table",
              "negative-call-site-file", "unknown-kind-name",
-             "bool-edge-endpoint", "float-line", "column-not-a-list"],
+             "bool-edge-endpoint", "float-line", "column-not-a-list",
+             "source-not-text", "sources-not-an-object", "includes-not-a-list",
+             "include-not-text",
+             "bool-parse-error-count", "string-parse-error-count"],
     )
     def test_malformed_structural_payload_rejected(
         self, toy_index, tmp_path, corrupt
@@ -258,6 +267,19 @@ class TestPersistence:
         path.write_text(json.dumps(payload))
         with pytest.raises(CorruptIndex):
             load_index(path)
+
+    @pytest.mark.parametrize("snapshot", [7, None, ["abc"]])
+    def test_snapshot_that_is_not_a_string_rejected(
+        self, toy_index, snapshot, tmp_path
+    ):
+        path = tmp_path / "atlas.json"
+        persist_index(toy_index, path)
+        payload = json.loads(path.read_text())
+        payload["repo_snapshot"] = snapshot
+        path.write_text(json.dumps(payload))
+        for expected in (None, toy_index.repo_snapshot):
+            with pytest.raises(CorruptIndex):
+                load_index(path, expected_snapshot=expected)
 
     @staticmethod
     def _assert_corruptions_rejected(container, corruptions, tmp_path):
@@ -296,6 +318,7 @@ class TestPersistence:
             "null text": lambda i: i["docs"]["text"].__setitem__(0, None),
             "number text": lambda i: i["docs"]["text"].__setitem__(1, 7),
             "text column a string": lambda i: i["docs"].update(text="calc"),
+            "number snapshot": lambda i: i.update(repo_snapshot=7),
         }
         self._assert_corruptions_rejected(
             IndexContainer(structural=toy_index, intent=toy_intent),
@@ -341,6 +364,7 @@ class TestPersistence:
             "zero dim": lambda i: i.update(dim=0, vectors=""),
             "negative dim": lambda i: i.update(dim=-dim),
             "float dim": lambda i: i.update(dim=float(dim)),
+            "number provider name": lambda i: i.update(provider_name=7),
         }
         self._assert_corruptions_rejected(
             IndexContainer(structural=toy_index, intent=intent),

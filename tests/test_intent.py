@@ -1,6 +1,8 @@
 import json
 import math
+import pathlib
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from cppatlas.errors import (
     ProviderUnavailable,
     SnapshotMismatch,
 )
-from cppatlas.index import build_index
+from cppatlas.index import IndexContainer, build_index, load_index, persist_index
 from cppatlas.intent import (
     CommandEmbeddingProvider,
     HashEmbeddingProvider,
@@ -436,7 +438,7 @@ def test_heavy_ties_at_the_boundary_match_reference(toy_intent, text):
             assert len(got) == min(k, len(intent.docs))
 
 
-def test_matrix_is_built_once_and_kept_out_of_equality(toy_index, toy_intent):
+def test_matrix_is_built_once_and_kept_out_of_repr_and_file(toy_index, toy_intent):
     clone = IntentIndex.from_dict(toy_intent.to_dict(), toy_index.symbols)
     assert clone == toy_intent
     assert "matrix" not in repr(clone)
@@ -448,5 +450,107 @@ def test_matrix_is_built_once_and_kept_out_of_equality(toy_index, toy_intent):
         toy_intent.docs,
     )
     assert _bits(rebuilt.matrix.ravel()) == _bits(toy_intent.matrix.ravel())
+    assert rebuilt == toy_intent
     empty = IntentIndex("hash-tf-256", 256, "", ())
     assert empty.matrix.shape == (0, 256)
+
+
+def test_the_matrix_is_the_one_vector_store(toy_intent):
+    docs = toy_intent.docs
+    assert not any(isinstance(d._vector, tuple) for d in docs)
+    for row, doc in enumerate(docs):
+        assert _bits(doc.vector) == _bits(toy_intent.matrix[row])
+        assert all(type(x) is float for x in doc.vector)
+    # equality sees the vectors: a zero cell made 0.5, or only its sign
+    zero = np.flatnonzero(toy_intent.matrix[3] == 0.0)[0]
+    for value in (0.5, -0.0):
+        matrix = toy_intent.matrix.copy()
+        matrix[3, zero] = value
+        other = IntentIndex(toy_intent.provider_name, toy_intent.dim,
+                            toy_intent.repo_snapshot, docs, matrix)
+        assert other != toy_intent
+        assert other.docs == toy_intent.docs
+    given_vectors = _duplicated(toy_intent, 1)
+    assert given_vectors == toy_intent
+    assert given_vectors.docs[3].vector == docs[3].vector
+
+
+# --- differential: the stored-word embed path against tokenizing each text
+
+
+def _word_run(letters: bool):
+    return st.from_regex(r"[a-z]{1,5}" if letters else r"[0-9]{1,3}",
+                         fullmatch=True)
+
+
+# the form summarize_artifact writes, and what a hand-edited file may hold:
+# uppercase, "_", empty texts, doubled, leading or trailing spaces, tabs,
+# non-ASCII letters and digits, a lone surrogate
+_STORED_FORM = st.lists(
+    st.one_of(_word_run(True), _word_run(False)), min_size=1, max_size=8
+).map(" ".join)
+_EDITED = st.one_of(
+    st.text(alphabet="abz09 _\tAZ\u00e9\u00b2\u212a\ud800", max_size=24),
+    _STORED_FORM.map(lambda t: t.replace(" ", "  ", 1)),
+    _STORED_FORM.map(" {}".format),
+    _STORED_FORM.map("{} ".format),
+    _STORED_FORM.map(str.upper),
+)
+
+
+@pytest.fixture(scope="module")
+def toy_payload(toy_index, toy_intent):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "toy.caidx"
+        persist_index(IndexContainer(toy_index, toy_intent), path)
+        return json.loads(path.read_text(encoding="utf-8"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    texts=st.lists(st.one_of(_STORED_FORM, _EDITED), min_size=1, max_size=12),
+    dim=st.sampled_from([1, 2, 7, 256]),
+)
+def test_loaded_matrix_is_the_tokenized_embedding(toy_payload, texts, dim):
+    payload = json.loads(json.dumps(toy_payload))
+    docs = payload["intent"]["docs"]
+    assert len(texts) <= len(docs["text"])
+    docs["symbol_id"] = docs["symbol_id"][: len(texts)]
+    docs["text"] = texts
+    payload["intent"].update(dim=dim, provider_name=f"hash-tf-{dim}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "edited.caidx"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        loaded = load_index(path).intent
+    want = HashEmbeddingProvider(dim).embed_tokens([tokenize(t) for t in texts])
+    assert loaded.matrix.tobytes() == want.tobytes()
+    reference = refintent.HashEmbeddingProvider(dim)
+    for row, (doc, text) in enumerate(zip(loaded.docs, texts)):
+        assert _bits(loaded.matrix[row]) == _bits(reference.embed(text))
+        assert doc.vector == tuple(want[row].tolist())
+    assert HashEmbeddingProvider(dim).embed_many(texts) == [
+        tuple(row) for row in want.tolist()
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42, 101])
+def test_build_matches_reference_matrix_and_bytes(seed, tmp_path):
+    index = _repo_index(corpusgen.generate(seed).files)
+    intent = build_intent_index(index)
+    provider = refintent.HashEmbeddingProvider()
+    real = [r for r in index.symbols if not r.is_synthetic]
+    texts = [refintent.summarize_artifact(r, refintent.snippet_for(index, r))
+             for r in real]
+    reference = IntentIndex(
+        provider.name, provider.dim, index.repo_snapshot,
+        tuple(IntentDoc(r.symbol_id, r.qualified_name, r.kind.value, t,
+                        provider.embed(t)) for r, t in zip(real, texts)),
+    )
+    assert intent.matrix.tobytes() == reference.matrix.tobytes()
+    assert intent == reference
+    persist_index(IndexContainer(index, intent), tmp_path / "built.caidx")
+    persist_index(IndexContainer(index, reference), tmp_path / "reference.caidx")
+    built = (tmp_path / "built.caidx").read_bytes()
+    assert built == (tmp_path / "reference.caidx").read_bytes()
+    loaded = load_index(tmp_path / "built.caidx").intent
+    assert loaded.matrix.tobytes() == reference.matrix.tobytes()
