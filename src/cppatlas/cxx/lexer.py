@@ -26,12 +26,31 @@ characters before it) begins a preprocessor directive instead, which
 are spliced out before an ``#include`` target is read, and the include is
 recorded on the directive's last line. In mid-line, ``#`` and ``##`` are
 punct tokens.
+
+Most lines need none of that. A line is *plain* when it holds only ASCII
+letters, digits, ``_``, blanks other than ``\\n`` and the one-character
+``_PUNCT`` marks other than ``/``, ``#`` and ``\\``, with no ``.`` before a
+digit. Where the scanner stands at a line start (only blanks, comments and
+stray characters since the last newline), ``_PLAIN_RUN_RE`` takes the run
+of plain lines from there in one match, and one ``findall`` splits it into
+``\\n`` markers and the ``id``, ``num`` and ``punct`` patterns of
+``_LEXEMES``. Both paths give the same tokens: on a plain line the scanner
+tries those three patterns in the same order, every lexeme before them
+needs a character the line lacks (``/``, a quote or a ``#``), and a blank
+matches none of the three, so ``findall`` skips it as ``space`` would. The
+first character decides the kind (a letter or ``_``: ``id``; a digit:
+``num``; else ``punct``, since a ``.`` that starts a number is not plain),
+and the markers give the lines. Every other line is scanned as above.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from dataclasses import dataclass, field
+from itertools import accumulate, compress, repeat
+from operator import itemgetter, not_
+from typing import NamedTuple
 
 CPP_KEYWORDS = frozenset(
     """
@@ -84,9 +103,32 @@ _TOKEN_RE = re.compile("|".join(f"(?P<{k}>{v})" for k, v in _LEXEMES.items()))
 _DIRECTIVE_RE = re.compile(r"#(?:\\\n|[^\n])*")
 _TOKEN_KINDS = frozenset(["id", "num", "punct", "str", "chr"])
 
+# a plain line's characters: "." may not stand before a digit
+_PLAIN_PUNCT = {p for p in _PUNCT if len(p) == 1} - set("/#\\")
+_PLAIN_CHARS = (
+    r"[A-Za-z0-9_ \t\r\f\v"
+    + "".join(map(re.escape, sorted(_PLAIN_PUNCT - {"."})))
+    + "]*"
+)
+_PLAIN_LINE = rf"{_PLAIN_CHARS}(?:\.(?![0-9]){_PLAIN_CHARS})*"
+# whole plain lines, the last one ended by "\n" or by the end of the text
+_PLAIN_RUN_RE = re.compile(
+    rf"(?:{_PLAIN_LINE}\n)+(?:{_PLAIN_LINE}\Z)?|{_PLAIN_LINE}\Z"
+)
+# the lookahead lets a blank fail at once, not at each punct alternative
+_PLAIN_LEXEME_RE = re.compile(
+    rf"\n|{_LEXEMES['id']}|{_LEXEMES['num']}"
+    rf"|(?=[^ \t\r\f\v])(?:{_LEXEMES['punct']})"
+)
+# a plain token's kind by its first character
+_PLAIN_KIND = {
+    **dict.fromkeys(string.ascii_letters + "_", "id"),
+    **dict.fromkeys(string.digits, "num"),
+    **dict.fromkeys(_PLAIN_PUNCT, "punct"),
+}
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     text: str
     kind: str  # "id" | "num" | "str" | "chr" | "punct"
     line: int
@@ -113,6 +155,12 @@ def lex(text: str) -> LexResult:
     at_line_start = True
     pos = 0
     while pos < len(text):
+        if at_line_start and (run := _PLAIN_RUN_RE.match(text, pos)):
+            line = _lex_plain(run.group(), line, out.tokens)
+            pos = run.end()
+            if pos == len(text):
+                break
+            # the run ended at a line that is not plain
         m = _TOKEN_RE.match(text, pos)
         kind = m.lastgroup
         if at_line_start and kind == "punct" and text[pos] == "#":
@@ -154,3 +202,15 @@ def lex(text: str) -> LexResult:
                 at_line_start = False
         line += lexeme.count("\n")
     return out
+
+
+def _lex_plain(run: str, line: int, tokens: list[Token]) -> int:
+    """Append the tokens of a run of plain lines that starts on ``line``,
+    with no Python statement per token; return the line the run ends on."""
+    lexemes = _PLAIN_LEXEME_RE.findall(run)
+    breaks = list(map("\n".__eq__, lexemes))
+    kinds = map(_PLAIN_KIND.get, map(itemgetter(0), lexemes))
+    lines = accumulate(breaks, initial=line)
+    rows = map(tuple.__new__, repeat(Token), zip(lexemes, kinds, lines))
+    tokens.extend(compress(rows, map(not_, breaks)))
+    return line + run.count("\n")

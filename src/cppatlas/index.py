@@ -22,6 +22,14 @@ over the sorted edge list at the end of ``build_index`` and again on
 ``load_index``, where the closure check also runs. Queries walk it rather
 than scanning edges.
 
+A call's target depends only on the caller's enclosing scope, the callee
+text and whether the call is constructor-style, so each distinct such key
+is resolved once per build. The lookup tables (``by_name``,
+``by_qualified``, ``by_suffix``) are built once, before resolution; the
+``unresolved:`` sentinels get the largest ids, so appending them keeps
+every id list sorted. Symbol ids are assigned in place on the records the
+parser just made.
+
 The result is deterministic: identical repositories produce identical
 indices, ids, edge lists and serialized bytes.
 """
@@ -34,7 +42,7 @@ import logging
 import warnings
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cxx.parser import ParsedUnit, parse_unit
@@ -99,6 +107,10 @@ class Graph:
         return self._by_callee.get(callee, [])
 
 
+# the graph of an index whose graph is not built yet; a Graph is read-only
+_NO_EDGES = Graph()
+
+
 @dataclass
 class StructuralIndex:
     """Symbol graph plus lookup tables and the source text it was built from.
@@ -121,7 +133,7 @@ class StructuralIndex:
     includes: dict[str, list[str]] = field(default_factory=dict)
     repo_snapshot: str = ""
     parse_error_count: int = 0
-    graph: Graph = field(default_factory=Graph, repr=False, compare=False)
+    graph: Graph = field(default=_NO_EDGES, repr=False, compare=False)
 
     def symbol(self, symbol_id: int) -> SymbolRecord:
         return self.symbols[symbol_id]
@@ -145,9 +157,10 @@ def build_index(repo: Repository) -> StructuralIndex:
     next_id = 0
     for pu in parsed:
         offsets.append(next_id)
-        for rec in pu.symbols:
-            index.symbols.append(replace(rec, symbol_id=next_id))
+        for rec in pu.symbols:  # fresh records of this build: no copy
+            rec.symbol_id = next_id
             next_id += 1
+        index.symbols.extend(pu.symbols)
         index.includes[pu.path] = list(pu.includes)
         index.parse_error_count += pu.error_count
 
@@ -186,8 +199,14 @@ def build_index(repo: Repository) -> StructuralIndex:
             )
     resolved: list[tuple[int, int | str, Location]] = []
     unresolved_names: set[str] = set()
+    # a call's target depends on nothing of its caller but the scope
+    targets: dict[tuple[tuple[str, ...], str, bool], int | None] = {}
     for caller, callee_text, ctor_style, line, path in raw_calls:
-        target = _resolve_call(index, graph, caller, callee_text, ctor_style)
+        scope = _scope_of(index.symbols[caller].qualified_name)
+        key = (scope, callee_text, ctor_style)
+        if key not in targets:
+            targets[key] = _resolve_call(index, graph, *key)
+        target = targets[key]
         loc = Location(path, line, line)
         if target is None:
             unresolved_names.add(callee_text)
@@ -195,6 +214,7 @@ def build_index(repo: Repository) -> StructuralIndex:
         else:
             resolved.append((caller, target, loc))
 
+    first_sentinel = len(index.symbols)
     sentinel_ids: dict[str, int] = {}
     for name in sorted(unresolved_names):
         sid = len(index.symbols)
@@ -209,13 +229,12 @@ def build_index(repo: Repository) -> StructuralIndex:
             )
         )
         sentinel_ids[name] = sid
+    _build_lookup(index, first_sentinel)  # sentinel ids are the largest
 
     for caller, target, loc in resolved:
         callee = target if isinstance(target, int) else sentinel_ids[target]
         index.call_sites.append(CallSite(caller, callee, loc))
         edges.add(StructuralEdge(EdgeKind.CALLS, caller, callee))
-
-    _build_lookup(index)  # sentinels joined the table
 
     # --- overloads ---------------------------------------------------
     groups: dict[tuple[str, str], list[int]] = defaultdict(list)
@@ -258,29 +277,30 @@ def build_index(repo: Repository) -> StructuralIndex:
     return index
 
 
-def _build_lookup(index: StructuralIndex):
-    by_name: dict[str, list[int]] = defaultdict(list)
-    by_qualified: dict[str, list[int]] = defaultdict(list)
-    for rec in index.symbols:
-        by_name[rec.name].append(rec.symbol_id)
-        by_qualified[rec.qualified_name].append(rec.symbol_id)
-    index.by_name = {k: sorted(v) for k, v in by_name.items()}
-    index.by_qualified = {k: sorted(v) for k, v in by_qualified.items()}
-    by_suffix: dict[str, list[int]] = defaultdict(list)
-    for name, ids in index.by_qualified.items():
+def _build_lookup(index: StructuralIndex, start: int = 0):
+    """Enter ``index.symbols[start:]`` into the lookup tables. Ids come in
+    order, each above every id entered before, so every id list is sorted
+    as it grows."""
+    for rec in index.symbols[start:]:
+        sid, name = rec.symbol_id, rec.qualified_name
+        index.by_name.setdefault(rec.name, []).append(sid)
+        index.by_qualified.setdefault(name, []).append(sid)
         cut = name.find("::")
         while cut != -1:
             suffix = name[cut + 2 :]
             if "::" in suffix:
-                by_suffix[suffix].extend(ids)
+                index.by_suffix.setdefault(suffix, []).append(sid)
             cut = name.find("::", cut + 1)
-    index.by_suffix = {k: sorted(v) for k, v in by_suffix.items()}
 
 
-def _scope_prefixes(qualified_name: str) -> list[str]:
+def _scope_of(qualified_name: str) -> tuple[str, ...]:
+    """The enclosing scope's segments: all but the last."""
+    return tuple(qualified_name.split("::")[:-1])
+
+
+def _scope_prefixes(scope: tuple[str, ...]) -> list[str]:
     """Enclosing scope prefixes, innermost first, ending with '' (global)."""
-    parts = qualified_name.split("::")[:-1]
-    return ["::".join(parts[:k]) for k in range(len(parts), -1, -1)]
+    return ["::".join(scope[:k]) for k in range(len(scope), -1, -1)]
 
 
 def _resolve_base(
@@ -288,7 +308,7 @@ def _resolve_base(
 ) -> int | None:
     """Resolve a base specifier to a class definition id, or None."""
     derived_rec = index.symbols[derived]
-    for prefix in _scope_prefixes(derived_rec.qualified_name):
+    for prefix in _scope_prefixes(_scope_of(derived_rec.qualified_name)):
         qualified = f"{prefix}::{base_text}" if prefix else base_text
         candidates = [
             i
@@ -344,19 +364,17 @@ def _pick_candidate(
 def _resolve_call(
     index: StructuralIndex,
     graph: Graph,
-    caller: int,
+    scope: tuple[str, ...],
     callee_text: str,
     ctor_style: bool,
 ) -> int | None:
     """Three-step lookup for bare callees: member of the enclosing
     class, then the innermost enclosing namespace, then global scope.
-    Enclosure comes from the caller's qualified name, so an out-of-line
-    member definition still sees its class. Qualified callees walk the
-    caller's scope prefixes outward instead."""
-    caller_rec = index.symbols[caller]
-
+    Enclosure is the caller's ``scope`` (from its qualified name), so an
+    out-of-line member definition still sees its class. Qualified callees
+    walk the scope's prefixes outward instead."""
     if "::" in callee_text:
-        for prefix in _scope_prefixes(caller_rec.qualified_name):
+        for prefix in _scope_prefixes(scope):
             qualified = f"{prefix}::{callee_text}" if prefix else callee_text
             found = _pick_candidate(
                 index, graph, index.by_qualified.get(qualified, []), ctor_style
@@ -365,11 +383,9 @@ def _resolve_call(
                 return found
         return None
 
-    parts = caller_rec.qualified_name.split("::")[:-1]
-
     def innermost(kinds) -> str | None:
-        for k in range(len(parts), 0, -1):
-            prefix = "::".join(parts[:k])
+        for k in range(len(scope), 0, -1):
+            prefix = "::".join(scope[:k])
             if any(
                 index.symbols[i].kind in kinds
                 for i in index.by_qualified.get(prefix, [])
@@ -385,8 +401,8 @@ def _resolve_call(
     if ns is not None and ns not in scopes:
         scopes.append(ns)
     scopes.append("")
-    for scope in scopes:
-        qualified = f"{scope}::{callee_text}" if scope else callee_text
+    for prefix in scopes:
+        qualified = f"{prefix}::{callee_text}" if prefix else callee_text
         found = _pick_candidate(
             index, graph, index.by_qualified.get(qualified, []), ctor_style
         )

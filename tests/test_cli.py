@@ -533,6 +533,17 @@ class TestConfigFile:
         assert code == 0
         assert load_index(out).intent.dim == 32
 
+    @pytest.mark.parametrize("flag", ["--out", "--config"])
+    def test_path_it_cannot_open_is_a_plain_error_line(self, flag, toyrepo_root,
+                                                       tmp_path, capsys):
+        missing = str(tmp_path / "missing" / "x")
+        args = ["--out", str(tmp_path / "x.caidx"), flag, missing]
+        code, stdout, stderr = run_cli(capsys, "index", "--root",
+                                       str(toyrepo_root), *args)
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: [Errno 2] ")
+        assert stderr.count("\n") == 1 and stderr.endswith("\n")
+
     @pytest.mark.parametrize("raw", [
         {"provider": 5},
         {"pipeline": {"vote_weights": 3}},

@@ -14,9 +14,10 @@ from cppatlas.index import (
 )
 from cppatlas.intent import IntentDoc, IntentIndex
 from cppatlas.model import UNRESOLVED_PREFIX, EdgeKind, SymbolKind
-from cppatlas.repo import load_repository
+from cppatlas.repo import Repository, SourceUnit, load_repository
 
 import corpusgen
+import refindex
 
 
 def _external(intent):
@@ -100,6 +101,76 @@ def test_build_is_deterministic(toyrepo_root):
     a = build_index(load_repository(toyrepo_root))
     b = build_index(load_repository(toyrepo_root))
     assert a == b
+
+
+def _assert_same_build(repo, tmp_path):
+    """``build_index`` against the frozen build in refindex.py: the same
+    lookup tables, key order included, and the same persisted bytes."""
+    got, want = build_index(repo), refindex.build_index(repo)
+    for table in ("by_name", "by_qualified", "by_suffix"):
+        assert list(getattr(got, table).items()) == list(
+            getattr(want, table).items()
+        ), table
+    assert got == want
+    persist_index(got, tmp_path / "got.caidx")
+    persist_index(want, tmp_path / "want.caidx")
+    assert (tmp_path / "got.caidx").read_bytes() == (
+        tmp_path / "want.caidx"
+    ).read_bytes()
+    return got
+
+
+@pytest.mark.parametrize("first", range(0, 60, 10))
+def test_build_matches_the_frozen_build_on_corpusgen(first, tmp_path):
+    for seed in range(first, first + 10):
+        files = corpusgen.generate(seed).files
+        units = tuple(SourceUnit.make(p, t) for p, t in sorted(files.items()))
+        _assert_same_build(Repository(f"seed{seed}", units), tmp_path)
+
+
+def test_build_matches_the_frozen_build_on_both_call_styles(tmp_path):
+    # one scope calls Gadget in both styles: the plain call reaches the
+    # function, the constructor-style one the class's constructor
+    text = (
+        "namespace app {\n"
+        "struct Gadget { Gadget(int v); };\n"
+        "int Gadget(long v);\n"
+        "void first() { Gadget(1); Gadget g(2); }\n"
+        "void second() { Gadget h(3); Gadget(4); app::Gadget(5); }\n"
+        "}\n"
+    )
+    repo = Repository("styles", (SourceUnit.make("a.cpp", text),))
+    index = _assert_same_build(repo, tmp_path)
+    kinds = {index.symbols[s.callee].kind for s in index.call_sites}
+    assert kinds == {SymbolKind.CONSTRUCTOR, SymbolKind.FREE_FUNCTION}
+
+
+def test_build_matches_the_frozen_build_on_seeds_side_by_side(tmp_path):
+    # every seed reuses the same namespaces and names, so names collide
+    # across seeds, overload cliques span them and sentinels are shared
+    units = tuple(sorted(
+        (
+            SourceUnit.make(f"s{seed}/{path}", text)
+            for seed in range(24)
+            for path, text in corpusgen.generate(seed).files.items()
+        ),
+        key=lambda u: u.path,
+    ))
+    index = _assert_same_build(Repository("side-by-side", units), tmp_path)
+
+    def seed_of(symbol_id):
+        return index.symbols[symbol_id].location.file.split("/")[0]
+
+    callers_of: dict[int, set[str]] = {}
+    for site in index.call_sites:
+        if index.symbols[site.callee].qualified_name.startswith(UNRESOLVED_PREFIX):
+            callers_of.setdefault(site.callee, set()).add(seed_of(site.caller))
+    assert any(len(seeds) > 1 for seeds in callers_of.values())
+    assert any(
+        seed_of(e.src) != seed_of(e.dst)
+        for e in index.edges
+        if e.kind is EdgeKind.OVERLOAD_OF
+    )
 
 
 class TestToyRepoGraph:

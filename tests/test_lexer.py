@@ -3,7 +3,9 @@
 `reflexer.py` is the loop `cppatlas.cxx.lexer` replaced. Both must return
 the same tokens (text, kind, line), comment blocks, includes and error
 count on the corpus, the fixtures and arbitrary text; the contract cases
-pin down the behaviour both share.
+pin down the behaviour both share. The scanner lexes runs of plain lines
+in bulk, so the boundary cases put a plain run next to every lexeme that
+takes the token-by-token path.
 
 One difference is declared: the scanner splices backslash-newlines out of
 a directive before reading its ``#include`` target, and the reference
@@ -13,6 +15,7 @@ therefore leave includes out of the comparison.
 """
 
 import pathlib
+import re
 import time
 
 import pytest
@@ -247,3 +250,105 @@ def test_stray_character_is_one_error(lex, stray):
     result = lex(f"{stray} #define X\na {stray} b")
     assert result.error_count == 2
     assert tokens(result) == [("a", "id", 2), ("b", "id", 2)]
+
+
+# --- plain runs against the token-by-token path -------------------------
+
+
+@LEXERS
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # numbers that a plain line cannot hold
+        ("a = .5;\n", "a:1 =:1 .5:1 ;:1"),
+        ("int a;\nb = x.5;\n", "int:1 a:1 ;:1 b:2 =:2 x:2 .5:2 ;:2"),
+        ("a;\nn = 1'000;\n", "a:1 ;:1 n:2 =:2 1'000:2 ;:2"),
+        ("a;\nf = 1e+5 + 0x1p-3;\n", "a:1 ;:1 f:2 =:2 1e+5:2 +:2 0x1p-3:2 ;:2"),
+        # literals right after a plain line
+        ('a b\nu8"a" c\n', 'a:1 b:1 u8"a":2 c:2'),
+        ("a\nL'x' c\n", "a:1 L'x':2 c:2"),
+        ('a\nR"(x\ny)" c\nd\n', 'a:1 R"(x\ny)":2 c:3 d:4'),
+        # a block comment that closes mid-line before plain text
+        ("a\n/* c\n */ int x;\nint y;\n", "a:1 int:3 x:3 ;:3 int:4 y:4 ;:4"),
+        # line ends and blanks
+        ("int a;\r\nint b;\r\n", "int:1 a:1 ;:1 int:2 b:2 ;:2"),
+        ("int\fa;\v\nb", "int:1 a:1 ;:1 b:2"),
+        ("a;\nb c", "a:1 ;:1 b:2 c:2"),
+        ("a\n \t \nb\n", "a:1 b:3"),
+    ],
+)
+def test_plain_run_next_to_the_scanned_path(lex, text, expected):
+    result = lex(text)
+    assert [f"{t.text}:{t.line}" for t in result.tokens] == expected.split(" ")
+    assert result.error_count == 0
+
+
+@LEXERS
+def test_directive_with_continuation_after_a_plain_run(lex):
+    result = lex("int a;\n#include <x.h> \\\n  y\nint b;\n")
+    assert tokens(result) == [
+        ("int", "id", 1), ("a", "id", 1), (";", "punct", 1),
+        ("int", "id", 4), ("b", "id", 4), (";", "punct", 4),
+    ]
+    assert result.includes == [(3, "x.h")]
+
+
+@LEXERS
+@pytest.mark.parametrize("stray", ["`", "é"])
+def test_stray_character_before_a_plain_line(lex, stray):
+    result = lex(f"a {stray}b\nc d\n")
+    assert result.error_count == 1
+    assert tokens(result) == [
+        ("a", "id", 1), ("b", "id", 1), ("c", "id", 2), ("d", "id", 2)
+    ]
+
+
+def test_plain_lines_need_no_scanner(monkeypatch):
+    # the bulk path alone lexes text of plain lines
+    monkeypatch.setattr(lexer, "_TOKEN_RE", None)
+    text = "int a = b->c[0x1f] + 1e5;\n\tx... y::z\r\n\n.x, 1.e9 @ $"
+    assert tokens(lexer.lex(text)) == tokens(reflexer.lex(text))
+
+
+PLAIN_PIECES = [
+    "int", "x", "_a1", "L", "R", "u8", "0", "42", "0x1f", "1e", "e", ".", "...",
+    ".*", "->", "::", ";", ",", "{", "}", "(", ")", "<<=", ">>", "<", ">", "*",
+    "&&", "=", "!", "?", ":", "@", "$", " ", "  ", "\t", "\r", "\f", "\v",
+]
+SPECIAL_LINES = [
+    "#include <a.h>", '#include "b.h"', "#define X \\", "  # pragma once",
+    "// c", "/* a", "*/ x", "/* a */ y", 'u8"a" b', "L'x'", 'R"(', ')" z',
+    '"abc', "'", ".5", "x.5", "1.5", "1'000", "1e+5", "0x1p-3", "`", "é",
+    "\\", "a / b", "\x85", " ", "\x00",
+]
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    st.lists(
+        st.one_of(
+            st.lists(st.sampled_from(PLAIN_PIECES), max_size=12)
+            .map("".join)
+            .filter(lambda line: not re.search(r"\.[0-9]", line)),
+            st.sampled_from(SPECIAL_LINES),
+        ),
+        max_size=12,
+    ),
+    st.sampled_from(["", "\n", "\r\n"]),
+)
+def test_lexers_agree_on_plain_and_special_lines(lines, last):
+    assert_same("\n".join(lines) + last, spliced_includes_may_differ=True)
+
+
+def test_token_is_a_positional_triple():
+    token = lexer.Token("x", "id", 3)
+    assert (token.text, token.kind, token.line) == ("x", "id", 3)
+    assert token == lexer.Token(text="x", kind="id", line=3)
+    result = lexer.lex("a\nb")
+    assert type(result.tokens) is list
+    assert result.tokens == [lexer.Token("a", "id", 1), lexer.Token("b", "id", 2)]
+    assert all(type(t) is lexer.Token for t in result.tokens)
