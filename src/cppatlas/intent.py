@@ -407,28 +407,33 @@ def query_code_intent(
             f"index was built with {intent.provider_name!r}, "
             f"queried with {provider.name!r}"
         )
-    scores = intent.matrix @ np.asarray(provider.embed(text), dtype=np.float64)
+    if isinstance(provider, HashEmbeddingProvider):
+        query = provider.embed_texts([text])[0]
+    else:
+        query = np.asarray(provider.embed(text), dtype=np.float64)
+    # every score comes from the one full product, never from a subset of
+    # rows, whose sums may differ in the last bit
+    scores = intent.matrix @ query
     n = len(scores)
     if k < n:
         # every doc scoring at least the k-th best, so ties at the
         # boundary are ordered like the rest
-        kth = scores[np.argpartition(scores, n - k)[n - k]]
-        candidates = np.flatnonzero(scores >= kth).tolist()
+        candidates = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
     else:
-        candidates = range(n)
-    docs, values = intent.docs, scores.tolist()
+        candidates = np.arange(n)
+    docs = intent.docs
     ranked = sorted(
-        candidates,
-        key=lambda i: (-values[i], docs[i].qualified_name, docs[i].symbol_id),
+        zip(scores[candidates].tolist(), candidates.tolist()),
+        key=lambda c: (-c[0], docs[c[1]].qualified_name, docs[c[1]].symbol_id),
     )
     return [
         {
             "symbol_id": docs[i].symbol_id,
             "qualified_name": docs[i].qualified_name,
             "kind": docs[i].kind,
-            "score": values[i],
+            "score": score,
         }
-        for i in ranked[:k]
+        for score, i in ranked[:k]
     ]
 
 

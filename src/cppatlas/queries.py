@@ -26,7 +26,6 @@ from .model import (
     CLASS_KINDS,
     FUNCTION_KINDS,
     EdgeKind,
-    StructuralEdge,
     SymbolRecord,
 )
 
@@ -224,12 +223,16 @@ def resolve_seed(index: StructuralIndex, seed: str | int) -> list[int]:
     """Symbol ids a defect seed refers to. Bare names fan out to every
     record with that name; qualified names match exactly or, failing
     that, as a trailing scope path ("Calculator::add" finds
-    "calc::Calculator::add"). Unknown seeds resolve to nothing."""
-    if isinstance(seed, int) or (isinstance(seed, str) and seed.isdigit()):
-        sid = int(seed)
-        if 0 <= sid < len(index.symbols):
-            return [sid]
-        return []
+    "calc::Calculator::add"). A symbol id is an int or a string of
+    decimal digits. Unknown seeds, ids out of range and digit strings
+    that ``int`` cannot read resolve to nothing."""
+    if isinstance(seed, str) and seed.isdecimal():
+        try:
+            seed = int(seed)
+        except ValueError:  # more digits than int() converts
+            return []
+    if isinstance(seed, int):
+        return [seed] if 0 <= seed < len(index.symbols) else []
     if "::" in seed:
         return list(index.by_qualified.get(seed) or index.by_suffix.get(seed, []))
     return list(index.by_name.get(seed, []))
@@ -267,7 +270,7 @@ def defect_subgraph(
 
     ordered = sorted(nodes)
     edges = [
-        StructuralEdge(kind, src, dst).to_dict()
+        {"kind": kind.value, "from": src, "to": dst}
         for kind in _SUBGRAPH_KINDS
         for src in ordered
         for dst in graph.targets(kind, src)

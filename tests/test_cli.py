@@ -324,6 +324,20 @@ class TestQueryGoesThroughTheTools:
                                   str(tmp_path / "twin"), "find-class", "Twin")
         assert json.loads(stderr)["candidates"] == ["x::Twin", "y::Twin"]
 
+    @pytest.mark.parametrize("seed", ["\u00b2", "\u2460", "7" * 5000],
+                             ids=["superscript-two", "circled-one",
+                                  "5000-digits"])
+    def test_digit_seed_that_is_no_id_is_a_json_envelope(
+            self, index_file, ctx, capsys, seed):
+        code, stdout, stderr = run_cli(capsys, "query", "--index",
+                                       str(index_file), "subgraph", seed)
+        assert (code, stdout) == (2, "")
+        assert "Traceback" not in stderr
+        envelope = json.loads(stderr)
+        assert envelope["error_kind"] == "NoSeedsResolved"
+        assert envelope == server_error(ctx, "DefectSubgraph",
+                                        {"seeds": [seed]})
+
     @pytest.mark.parametrize("argv,tool", [
         (["inheritance", "Calculator"], "GetInheritanceChain"),
         (["calls", "calc::Calculator::add"], "GetFunctionCalls"),

@@ -293,6 +293,32 @@ def test_command_provider_through_index_build(toy_index):
     assert hits
 
 
+class _RecordingProvider:
+    """A provider that is not the hash embedder, though it embeds like it,
+    and records the texts it is asked to embed one at a time."""
+
+    def __init__(self):
+        self.inner = HashEmbeddingProvider()
+        self.name, self.dim = "recording-hash", self.inner.dim
+        self.embedded: list[str] = []
+
+    def embed(self, text):
+        self.embedded.append(text)
+        return self.inner.embed(text)
+
+    def embed_many(self, texts):
+        return self.inner.embed_many(texts)
+
+
+def test_other_providers_are_queried_through_embed(toy_index, toy_intent):
+    provider = _RecordingProvider()
+    intent = build_intent_index(toy_index, provider)
+    text = "subtract two integers"
+    hits = query_code_intent(intent, text, k=7, provider=provider)
+    assert provider.embedded == [text]
+    assert hits == query_code_intent(toy_intent, text, k=7)
+
+
 # --- differential: the memoized build and matrix query against the frozen
 # tokenizer, summarizer, embedder and full sort in refintent.py
 

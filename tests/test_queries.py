@@ -207,6 +207,12 @@ class TestSeedsAndSubgraph:
             assert toy_index.symbols[extra].qualified_name.startswith("unresolved:")
         assert resolve_seed(toy_index, "no_such_symbol") == []
         assert resolve_seed(toy_index, 10_000) == []
+        # str.isdigit() holds for these, yet int() cannot read them: "²",
+        # "①", and more digits than int() converts
+        for seed in ("\u00b2", "\u2460", "1" * 5000):
+            assert resolve_seed(toy_index, seed) == []
+        # ARABIC-INDIC DIGIT THREE is decimal, and int() reads it as 3
+        assert resolve_seed(toy_index, "\u0663") == [3]
 
     def test_zero_hops_keeps_only_seeds(self, toy_index):
         sub = defect_subgraph(toy_index, ["calc::Calculator::subtract"], hops=0)

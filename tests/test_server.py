@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from cppatlas.errors import NoSeedsResolved
 from cppatlas.server import handle_line, handle_request, serve
 from cppatlas.tools import ToolContext, dispatch_tool
 
@@ -17,6 +18,18 @@ def ctx(toy_index, toy_intent):
 
 def roundtrip(ctx, request):
     return json.loads(handle_line(ctx, json.dumps(request)))
+
+
+# digit strings that int() cannot read: "²", "①" and more digits than
+# int() converts
+NOT_AN_ID = ["\u00b2", "\u2460", "9" * 5000]
+
+
+@pytest.mark.parametrize("seed", NOT_AN_ID,
+                         ids=["superscript-two", "circled-one", "5000-digits"])
+def test_digit_seed_that_is_no_id_resolves_nothing(ctx, seed):
+    with pytest.raises(NoSeedsResolved):
+        dispatch_tool(ctx, "DefectSubgraph", {"seeds": [seed]})
 
 
 class TestHandleRequest:
@@ -160,7 +173,23 @@ class TestServeLoop:
             assert resp["result"] == dispatch_tool(ctx, req["tool"],
                                                    req["arguments"])
 
+    def test_seed_that_is_no_id_does_not_end_the_loop(self, ctx):
+        lines = [
+            json.dumps({"request_id": i, "tool": "DefectSubgraph",
+                        "arguments": {"seeds": [seed]}})
+            for i, seed in enumerate(NOT_AN_ID)
+        ]
+        lines.append(json.dumps({"request_id": 9, "tool": "FindClass",
+                                 "arguments": {"name": "Calculator"}}))
+        handled, out = self.run(ctx, lines)
+        assert handled == 4
+        assert [r["request_id"] for r in out] == [0, 1, 2, 9]
+        assert [r.get("error_kind") for r in out] == ["NoSeedsResolved"] * 3 + [
+            None]
+        assert out[3]["result"]["record"]["qualified_name"] == "calc::Calculator"
+
     def test_eof_returns_request_count(self, ctx):
         handled, out = self.run(ctx, [])
         assert handled == 0
         assert out == []
+
