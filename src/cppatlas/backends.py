@@ -74,7 +74,7 @@ def load_transcript(path: str | Path) -> list[dict]:
             continue
         try:
             turns.append(json.loads(line))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # or nested too deep
             raise BackendError(f"{path}:{lineno}: bad transcript line: {exc}") from exc
     return turns
 

@@ -43,6 +43,8 @@ import warnings
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import count, repeat
+from operator import gt
 from pathlib import Path
 
 from .cxx.parser import ParsedUnit, parse_unit
@@ -450,41 +452,67 @@ def _find_override_targets(
 
 
 def _check_closure(index: StructuralIndex):
-    n = len(index.symbols)
-    for i, rec in enumerate(index.symbols):
-        if rec.symbol_id != i:
-            raise AssertionError("symbol ids are not dense")
-        if not rec.qualified_name.endswith(rec.name):
-            raise AssertionError(f"qualified name mismatch for {rec.name!r}")
-    for e in index.edges:
-        if not (0 <= e.src < n and 0 <= e.dst < n):
-            raise AssertionError(f"dangling edge {e}")
-    for c in index.call_sites:
-        if not (0 <= c.caller < n and 0 <= c.callee < n):
-            raise AssertionError(f"dangling call site {c}")
-    for rec in index.symbols:
-        parents = index.graph.sources(EdgeKind.CONTAINS, rec.symbol_id)
-        if len(parents) > 1:
-            raise AssertionError(f"symbol {rec.symbol_id} has two parents")
-        if rec.is_synthetic:
-            if parents:
-                raise AssertionError("synthetic symbol must be a root")
-        elif not parents:
-            raise AssertionError(
-                f"symbol {rec.qualified_name} lacks a containment parent"
-            )
-    # acyclicity: every walk upward ends at a root, or at a node that an
-    # earlier walk already took to one
-    rooted: set[int] = set()
-    for start in range(n):
-        seen = set()
-        cur = start
-        while cur not in rooted and (up := index.parent(cur)) is not None:
-            if cur in seen:
-                raise AssertionError("containment cycle")
-            seen.add(cur)
-            cur = up
-        rooted |= seen
+    """Check a built index: dense ids, then ``_check_columns`` over its
+    records, edge list and call sites."""
+    symbols, edges, sites = index.symbols, index.edges, index.call_sites
+    if any(rec.symbol_id != i for i, rec in enumerate(symbols)):
+        raise AssertionError("symbol ids are not dense")
+    contains = [e for e in edges if e.kind is EdgeKind.CONTAINS]
+    _check_columns(
+        [rec.name for rec in symbols],
+        [rec.qualified_name for rec in symbols],
+        [rec.is_synthetic for rec in symbols],
+        ([e.src for e in contains], [e.dst for e in contains]),
+        [[e.src for e in edges], [e.dst for e in edges]],
+        [[c.caller for c in sites], [c.callee for c in sites]],
+    )
+
+
+def _check_columns(names, qualified_names, synthetic, contains, edge_ends,
+                   site_ends):
+    """The closure of a symbol graph given as columns, whose ids are rows:
+    every qualified name ends in its name; every edge end (``edge_ends``)
+    and call-site end (``site_ends``) is a row; and the ``contains`` pairs
+    (parents, children; their columns are among ``edge_ends``) make a
+    forest whose roots are exactly the ``synthetic`` rows. Raises
+    ``AssertionError`` otherwise."""
+    # imported here, not at the top, to keep numpy's import order (and so
+    # peak RSS) as it was; masks are tested with count_nonzero, which,
+    # unlike any/all, sets up no reduction on first use (64 KB of RSS)
+    import numpy as np
+
+    n = len(names)
+    if not all(map(str.endswith, qualified_names, names)):
+        name = next(b for a, b in zip(qualified_names, names) if not a.endswith(b))
+        raise AssertionError(f"qualified name mismatch for {name!r}")
+    for what, columns in (("edge", edge_ends), ("call site", site_ends)):
+        for ids in columns:
+            if ids and not (0 <= min(ids) and max(ids) < n):
+                bad = next(i for i in ids if not 0 <= i < n)
+                raise AssertionError(f"dangling {what} end {bad}")
+    parents, children = (np.asarray(ids, dtype=np.intp) for ids in contains)
+    counts = np.bincount(children, minlength=n)
+    if np.count_nonzero(counts > 1):
+        raise AssertionError(f"symbol {int(np.argmax(counts > 1))} has two parents")
+    rooted = counts == 0
+    synthetic = np.fromiter(synthetic, dtype=bool, count=n)
+    if np.count_nonzero(synthetic & ~rooted):
+        raise AssertionError("synthetic symbol must be a root")
+    if np.count_nonzero(rooted & ~synthetic):
+        raise AssertionError(
+            f"symbol {int(np.argmax(rooted & ~synthetic))} lacks a containment parent"
+        )
+    # acyclicity by pointer jumping: after k rounds ``up`` holds each row's
+    # 2**k-th ancestor (a root holds itself), so once 2**k >= n every row
+    # outside a cycle has reached its root
+    up = np.arange(n)
+    up[children] = parents
+    reach = 1
+    while reach < n:
+        up = up[up]
+        reach *= 2
+    if np.count_nonzero(~rooted[up]):
+        raise AssertionError("containment cycle")
 
 
 # ----------------------------------------------------------------------
@@ -595,26 +623,34 @@ def _structural_from_dict(d: dict, snapshot: str) -> StructuralIndex:
     (files,) = read_columns(d, {"files": str})
 
     def locations(file, start_line, end_line) -> list[Location]:
-        return list(map(Location, _decode(file, files, "file"), start_line, end_line))
+        if any(map(gt, start_line, end_line)):
+            raise ValueError("a span ends before it starts")
+        return _bulk(Location, zip(_decode(file, files, "file"), start_line, end_line))
 
-    kind, file, start_line, end_line, *fields = read_columns(
-        d["symbols"], _SYMBOL_COLUMNS
+    kind, file, start_line, end_line, name, qualified, signature, *rest = (
+        read_columns(d["symbols"], _SYMBOL_COLUMNS)
     )
-    rows = zip(
-        _decode(kind, kinds, "kind"), locations(file, start_line, end_line), *fields
-    )
-    symbols = [
-        SymbolRecord(i, k, name, qualified, signature, loc, *rest)
-        for i, (k, loc, name, qualified, signature, *rest) in enumerate(rows)
-    ]
+    kind = _decode(kind, kinds, "kind")
+    symbols = list(map(
+        SymbolRecord, count(), kind, name, qualified, signature,
+        locations(file, start_line, end_line), *rest,
+    ))
     if set(d["edges"]) != {k.value for k in EdgeKind}:
         raise ValueError(f"edge kinds {sorted(d['edges'])} are not EdgeKind's")
-    edges = []
+    edges, ends = [], {}
     for k in EdgeKind:
-        src, dst = read_columns(d["edges"][k.value], {"from": int, "to": int})
-        edges.extend(StructuralEdge(k, s, t) for s, t in zip(src, dst))
+        src, dst = ends[k] = read_columns(d["edges"][k.value], {"from": int, "to": int})
+        edges += _bulk(StructuralEdge, zip(repeat(k), src, dst))
     caller, callee, *where = read_columns(d["call_sites"], _SITE_COLUMNS)
-    call_sites = list(map(CallSite, caller, callee, locations(*where)))
+    call_sites = _bulk(CallSite, zip(caller, callee, locations(*where)))
+    _check_columns(
+        name,
+        qualified,
+        (rec.is_synthetic for rec in symbols),
+        ends[EdgeKind.CONTAINS],
+        [ids for pair in ends.values() for ids in pair],
+        [caller, callee],
+    )
     index = StructuralIndex(
         symbols=symbols,
         edges=edges,
@@ -627,6 +663,12 @@ def _structural_from_dict(d: dict, snapshot: str) -> StructuralIndex:
     )
     _build_lookup(index)
     return index
+
+
+def _bulk(cls, rows) -> list:
+    """``cls`` named tuples from ``rows`` of its fields, made without
+    calling ``cls``, so without any check a subclass adds."""
+    return list(map(tuple.__new__, repeat(cls), rows))
 
 
 def persist_index(
@@ -676,7 +718,7 @@ def load_index(
     with _collector_paused():
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise CorruptIndex(f"index file {path} is not valid JSON") from exc
         if not isinstance(payload, dict) or payload.get("format") != FORMAT_MAGIC:
             raise CorruptIndex(f"index file {path} has a foreign or missing header")
@@ -687,7 +729,6 @@ def load_index(
         try:
             snapshot = payload["repo_snapshot"]
             structural = _structural_from_dict(payload["structural"], snapshot)
-            _check_closure(structural)
             intent = None
             if payload.get("intent") is not None:
                 from .intent import IntentIndex

@@ -9,8 +9,9 @@ resolver could not find.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class SymbolKind(str, Enum):
@@ -53,17 +54,25 @@ CLASS_KINDS = frozenset(
 UNRESOLVED_PREFIX = "unresolved:"
 
 
-@dataclass(frozen=True)
-class Location:
-    """Line span inside one source unit. Lines are 1-based, end inclusive."""
-
+class _Span(NamedTuple):
     file: str
     start_line: int
     end_line: int
 
-    def __post_init__(self):
-        if self.start_line > self.end_line:
-            raise ValueError(f"bad span {self.start_line}..{self.end_line}")
+
+class Location(_Span):
+    """Line span inside one source unit. Lines are 1-based, end inclusive.
+
+    Calling ``Location`` checks the span; ``Location._make``,
+    ``loc._replace(...)`` and ``tuple.__new__(Location, ...)`` do not, so
+    code that uses them checks its spans first."""
+
+    __slots__ = ()
+
+    def __new__(cls, file: str, start_line: int, end_line: int):
+        if start_line > end_line:
+            raise ValueError(f"bad span {start_line}..{end_line}")
+        return tuple.__new__(cls, (file, start_line, end_line))
 
     def to_dict(self) -> dict:
         return {
@@ -88,7 +97,7 @@ class SymbolRecord:
     name: str
     qualified_name: str
     signature: str = ""
-    location: Location = field(default_factory=lambda: Location("", 0, 0))
+    location: Location = Location("", 0, 0)
     is_definition: bool = True
     template_params: str = ""
     doc_comment: str = ""
@@ -117,8 +126,7 @@ class SymbolRecord:
         }
 
 
-@dataclass(frozen=True, order=True)
-class StructuralEdge:
+class StructuralEdge(NamedTuple):
     """Directed typed edge; ``src`` and ``dst`` are symbol ids."""
 
     kind: EdgeKind
@@ -129,8 +137,7 @@ class StructuralEdge:
         return {"kind": self.kind.value, "from": self.src, "to": self.dst}
 
 
-@dataclass(frozen=True)
-class CallSite:
+class CallSite(NamedTuple):
     """One call expression, kept separately from the deduplicated edge list
     because a caller may invoke the same callee several times."""
 

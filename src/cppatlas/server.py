@@ -40,7 +40,7 @@ def handle_request(ctx: ToolContext, request: dict) -> dict:
 def handle_line(ctx: ToolContext, line: str) -> str:
     try:
         request = json.loads(line)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # or nested too deep
         return _encode(
             _error_response(None, BadRequest(f"not valid JSON: {exc}"))
         )

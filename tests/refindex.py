@@ -1,11 +1,13 @@
 """Frozen copy of ``build_index`` and its resolve helpers as they were
 before symbol ids were assigned in place, each call scope resolved once and
-the lookup tables built in one pass.
+the lookup tables built in one pass; and of ``_check_closure`` as it was
+before it ran over id columns.
 
 It is the reference `test_index.py` compares `cppatlas.index.build_index`
 against: the same persisted bytes and the same ``by_name``,
-``by_qualified`` and ``by_suffix`` tables. Nothing in `src/` imports it; do
-not edit it to match `cppatlas.index`.
+``by_qualified`` and ``by_suffix`` tables. `test_closure.py` compares the
+closure check against its ``_check_closure``. Nothing in `src/` imports
+it; do not edit it to match `cppatlas.index`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from collections import defaultdict
 from dataclasses import replace
 
 from cppatlas.cxx.parser import ParsedUnit, parse_unit
-from cppatlas.index import _EDGE_ORDER, Graph, StructuralIndex, _check_closure
+from cppatlas.index import _EDGE_ORDER, Graph, StructuralIndex
 from cppatlas.model import (
     CLASS_KINDS,
     FUNCTION_KINDS,
@@ -332,3 +334,41 @@ def _find_override_targets(
                     nxt.append(up)
         frontier = sorted(nxt)
     return []
+
+
+def _check_closure(index: StructuralIndex):
+    n = len(index.symbols)
+    for i, rec in enumerate(index.symbols):
+        if rec.symbol_id != i:
+            raise AssertionError("symbol ids are not dense")
+        if not rec.qualified_name.endswith(rec.name):
+            raise AssertionError(f"qualified name mismatch for {rec.name!r}")
+    for e in index.edges:
+        if not (0 <= e.src < n and 0 <= e.dst < n):
+            raise AssertionError(f"dangling edge {e}")
+    for c in index.call_sites:
+        if not (0 <= c.caller < n and 0 <= c.callee < n):
+            raise AssertionError(f"dangling call site {c}")
+    for rec in index.symbols:
+        parents = index.graph.sources(EdgeKind.CONTAINS, rec.symbol_id)
+        if len(parents) > 1:
+            raise AssertionError(f"symbol {rec.symbol_id} has two parents")
+        if rec.is_synthetic:
+            if parents:
+                raise AssertionError("synthetic symbol must be a root")
+        elif not parents:
+            raise AssertionError(
+                f"symbol {rec.qualified_name} lacks a containment parent"
+            )
+    # acyclicity: every walk upward ends at a root, or at a node that an
+    # earlier walk already took to one
+    rooted: set[int] = set()
+    for start in range(n):
+        seen = set()
+        cur = start
+        while cur not in rooted and (up := index.parent(cur)) is not None:
+            if cur in seen:
+                raise AssertionError("containment cycle")
+            seen.add(cur)
+            cur = up
+        rooted |= seen

@@ -13,7 +13,7 @@ from cppatlas.index import (
     persist_index,
 )
 from cppatlas.intent import IntentDoc, IntentIndex
-from cppatlas.model import UNRESOLVED_PREFIX, EdgeKind, SymbolKind
+from cppatlas.model import UNRESOLVED_PREFIX, EdgeKind, Location, SymbolKind
 from cppatlas.repo import Repository, SourceUnit, load_repository
 
 import corpusgen
@@ -225,6 +225,12 @@ class TestToyRepoGraph:
         assert ("calc::SciCalculator::power", "unresolved:multiply") in sites
 
 
+def test_location_span_must_not_end_before_it_starts():
+    with pytest.raises(ValueError):
+        Location("a", 3, 2)
+    assert Location("a", 3, 3).end_line == 3
+
+
 class TestPersistence:
     def test_round_trip_equals_original(self, toy_index, tmp_path):
         path = tmp_path / "atlas.json"
@@ -253,6 +259,12 @@ class TestPersistence:
             load_index(path)
         with pytest.raises(CorruptIndex):
             load_index(tmp_path / "absent.json")
+
+    def test_file_nested_past_the_parser_depth_rejected(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        with pytest.raises(CorruptIndex):
+            load_index(path)
 
     def test_foreign_header_rejected(self, tmp_path):
         path = tmp_path / "foreign.json"
@@ -316,6 +328,10 @@ class TestPersistence:
             lambda s: s["includes"].update({next(iter(s["includes"])): [3]}),
             lambda s: s.update(parse_error_count=False),
             lambda s: s.update(parse_error_count="0"),
+            lambda s: s["symbols"]["end_line"].__setitem__(
+                1, s["symbols"]["start_line"][1] - 1),
+            lambda s: s["call_sites"]["end_line"].__setitem__(
+                0, s["call_sites"]["start_line"][0] - 1),
         ],
         ids=["missing-call-sites", "dangling-edge", "dangling-call-site",
              "unknown-edge-kind", "second-parent", "missing-edge-kind",
@@ -326,7 +342,9 @@ class TestPersistence:
              "bool-edge-endpoint", "float-line", "column-not-a-list",
              "source-not-text", "sources-not-an-object", "includes-not-a-list",
              "include-not-text",
-             "bool-parse-error-count", "string-parse-error-count"],
+             "bool-parse-error-count", "string-parse-error-count",
+             "symbol-span-ends-before-it-starts",
+             "call-site-span-ends-before-it-starts"],
     )
     def test_malformed_structural_payload_rejected(
         self, toy_index, tmp_path, corrupt

@@ -111,7 +111,7 @@ def assert_same(text: str, ref_text: str | None = None, path: str = "a.h",
     want = refparser.parse_unit(SourceUnit.make(path, ref_text or text))
     if any(ch in text for ch in OTHER_BREAKS):
         root = want.symbols[0]
-        location = dataclasses.replace(root.location, end_line=lexer_lines(text))
+        location = root.location._replace(end_line=lexer_lines(text))
         want.symbols[0] = dataclasses.replace(root, location=location)
     assert flat(read_as_before) == flat(want), repr(text)
     if not firing:

@@ -704,6 +704,14 @@ class TestBackends:
             load_transcript(path)
         assert "bad.jsonl:2" in str(exc.value)
 
+    def test_transcript_line_nested_past_the_parser_depth(self, tmp_path):
+        path = tmp_path / "deep.jsonl"
+        path.write_text('{"turn": "stop"}\n' + "[" * 100000 + "]" * 100000,
+                        encoding="utf-8")
+        with pytest.raises(BackendError) as exc:
+            load_transcript(path)
+        assert "deep.jsonl:2" in str(exc.value)
+
     def test_heuristic_judge_is_token_overlap(self, flavor_break):
         judge = HeuristicJudge()
         issue_text = "the flavor string returns basic"

@@ -188,6 +188,15 @@ class TestServeLoop:
             None]
         assert out[3]["result"]["record"]["qualified_name"] == "calc::Calculator"
 
+    def test_line_nested_past_the_parser_depth_does_not_end_the_loop(self, ctx):
+        good = json.dumps({"request_id": 1, "tool": "FindClass",
+                           "arguments": {"name": "Calculator"}})
+        handled, out = self.run(ctx, ["[" * 100000 + "]" * 100000, good])
+        assert handled == 2
+        assert out[0]["error_kind"] == "BadRequest"
+        assert out[0]["request_id"] is None
+        assert out[1]["result"]["record"]["qualified_name"] == "calc::Calculator"
+
     def test_eof_returns_request_count(self, ctx):
         handled, out = self.run(ctx, [])
         assert handled == 0
