@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .pipeline import PipelineConfig
-from .repo import DEFAULT_INCLUDE_GLOBS
+from .repo import DEFAULT_INCLUDE_GLOBS, include_glob_parts
 from .runner import RunnerConfig
 
 
@@ -103,13 +103,15 @@ class AppConfig:
     def from_dict(raw: dict) -> "AppConfig":
         """Build from the keys present; omitted keys keep the field defaults.
         The ``runner`` section becomes ``pipeline.runner``. Raises
-        ``ValueError`` for an unknown key or a value of the wrong type."""
+        ``ValueError`` for an unknown key, a value of the wrong type or an
+        include glob that could name no file inside the root."""
         _check_keys(raw, _field_names(AppConfig) | {"runner"}, "config")
         top = {}
         if "include_globs" in raw:
-            top["include_globs"] = _typed(
-                "include_globs", DEFAULT_INCLUDE_GLOBS, raw["include_globs"]
-            )
+            globs = _typed("include_globs", DEFAULT_INCLUDE_GLOBS, raw["include_globs"])
+            for pattern in globs:
+                include_glob_parts(pattern, "include_globs entry")
+            top["include_globs"] = globs
         runner = RunnerConfig(**_section(RunnerConfig, raw, "runner"))
         return AppConfig(
             **top,

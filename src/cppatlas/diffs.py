@@ -79,8 +79,12 @@ def _strip_path(raw: str) -> str:
 
 def parse_unified_diff(text: str, origin: str = "external") -> PatchCandidate:
     """Parse unified diff text; raises ``MalformedDiff`` on corrupt headers,
-    bad body prefixes or count mismatches. Empty text parses to an empty,
-    no-op candidate."""
+    bad body prefixes, count mismatches or a lone surrogate in the text.
+    Empty text parses to an empty, no-op candidate."""
+    try:
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    except UnicodeEncodeError as exc:  # a lone surrogate
+        raise MalformedDiff(f"diff text is not valid Unicode: {exc}") from exc
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -162,7 +166,7 @@ def parse_unified_diff(text: str, origin: str = "external") -> PatchCandidate:
         if fp.path not in touched:
             touched.append(fp.path)
     return PatchCandidate(
-        id=hashlib.sha256(text.encode("utf-8")).hexdigest(),
+        id=digest,
         diff=text,
         files=tuple(files),
         touched_files=tuple(touched),

@@ -37,7 +37,8 @@ class FileMissing(EngineError):
 
 
 class RunnerUnavailable(EngineError):
-    """Test command could not be launched: its executable does not exist."""
+    """Test command could not be launched: it is empty, its executable does
+    not exist or cannot be run, or an argument cannot be passed to the OS."""
 
 
 class MaterializationFailed(EngineError):

@@ -8,8 +8,11 @@ requires a build environment.
 
 from __future__ import annotations
 
+import fnmatch
+import functools
 import hashlib
 import logging
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
@@ -114,31 +117,122 @@ class Repository:
         return Repository(self.root, tuple(keep.values()))
 
 
+@functools.lru_cache(maxsize=256)
+def include_glob_parts(pattern: str, where: str = "include glob") -> tuple[str, ...]:
+    """The parts ``load_repository`` matches for one include glob.
+
+    Raises ``ValueError`` for a glob that could name no file inside the root:
+    one with no parts (``""`` or ``"."``), an absolute one, one with a ``..``
+    part, or one with ``**`` inside a longer part. A glob that ends in ``/``
+    names directories only, so it gets an empty last part that no entry
+    matches."""
+    pure = PurePosixPath(pattern)
+    parts = pure.parts
+    if not parts or pure.is_absolute() or ".." in parts:
+        raise ValueError(f"{where} {pattern!r} must name files inside the root")
+    if any("**" in part and part != "**" for part in parts):
+        raise ValueError(f"{where} {pattern!r}: '**' must be a whole part")
+    return parts + ("",) if pattern.endswith("/") else parts
+
+
+@functools.lru_cache(maxsize=256)
+def _glob_plan(tails: frozenset) -> tuple:
+    """How a directory's entries continue the pattern tails pending there:
+    the ``**`` tails that carry on into real subdirectories, one matcher for
+    the last parts that keep files, and ``(matcher, rest)`` for each other
+    part that leads into a directory."""
+    here = set(tails)
+    for tail in tails:  # "**" also stands for the directory itself
+        while tail[0] == "**" and len(tail) > 1:
+            tail = tail[1:]
+            here.add(tail)
+    deep = frozenset(t for t in here if t[0] == "**")
+    lasts = [fnmatch.translate(t[0]) for t in here if len(t) == 1 and t[0] != "**"]
+    keep = re.compile("|".join(lasts)).fullmatch if lasts else None
+    inner = tuple(
+        (re.compile(fnmatch.translate(t[0])).fullmatch, t[1:])
+        for t in here
+        if len(t) > 1 and t[0] != "**"
+    )
+    return deep, keep, inner
+
+
+def _matching_files(top: str, patterns: list[tuple[str, ...]]) -> set[tuple[str, ...]]:
+    """The parts, below ``top``, of every regular file a pattern matches; each
+    directory is listed at most once, with every tail pending there."""
+    found: set[tuple[str, ...]] = set()
+    stack = [(top, (), frozenset(patterns))]
+    while stack:
+        path, rel, tails = stack.pop()
+        deep, keep, inner = _glob_plan(tails)
+        try:
+            with os.scandir(path) as listing:
+                entries = list(listing)
+        except OSError:
+            continue
+        for entry in entries:
+            name = entry.name
+            try:
+                if keep is not None and keep(name) and entry.is_file():
+                    found.add(rel + (name,))
+                below = deep if deep and entry.is_dir(follow_symlinks=False) else None
+                if inner:
+                    more = {rest for match, rest in inner if match(name)}
+                    if more and entry.is_dir():
+                        below = below | more if below else frozenset(more)
+            except OSError:
+                continue
+            if below:
+                stack.append((entry.path, rel + (name,), below))
+    return found
+
+
 def load_repository(
     root: str | Path, include_globs: tuple[str, ...] | None = None
 ) -> Repository:
     """Read every file under ``root`` matched by the include globs.
 
-    Unreadable or non-UTF-8 files are skipped with a warning; an empty match
-    set still yields a valid (empty) repository.
+    The globs match as ``Path.glob`` does on Python 3.11, in one walk that
+    lists each directory at most once:
+
+    - a glob's parts are those of ``PurePosixPath(glob)``, and
+      ``include_glob_parts`` rejects a glob that could leave the root;
+    - ``**`` stands for the directory itself and for every directory below
+      it that is reached without entering a symlinked directory;
+    - every other part is an ``fnmatch`` pattern, matched case-sensitively
+      against entry names, hidden names included;
+    - a part that is not the last continues into entries that are
+      directories after following symlinks;
+    - the last part keeps entries that are regular files after following
+      symlinks, so FIFOs, broken links and a directory named ``x.h`` are
+      not read;
+    - a file that several globs match is read once;
+    - files are read in the order of their path parts, the order
+      ``sorted()`` gives ``Path`` objects.
+
+    A directory that cannot be listed, and an entry whose type cannot be
+    read (a symlink loop, say), are passed over. Unreadable or non-UTF-8
+    files are skipped with a warning; an empty match set still yields a
+    valid (empty) repository.
     """
     root_path = Path(root)
     if not root_path.is_dir():
         raise RootNotFound(f"repository root not found: {root}")
-    globs = include_globs or DEFAULT_INCLUDE_GLOBS
-    matched: set[Path] = set()
-    for pattern in globs:
-        matched.update(p for p in root_path.glob(pattern) if p.is_file())
+    patterns = [include_glob_parts(g) for g in include_globs or DEFAULT_INCLUDE_GLOBS]
+    top = str(root_path)
+    # the file names Path would give, so that a read error reads the same
+    prefix = "" if top == "." else top if top.endswith("/") else top + "/"
     units = []
-    for p in sorted(matched):
-        rel = p.relative_to(root_path).as_posix()
+    for parts in sorted(_matching_files(top, patterns)):
+        rel = "/".join(parts)
         try:
-            content = p.read_text(encoding="utf-8")
+            with open(prefix + rel, encoding="utf-8") as f:
+                content = f.read()
         except (OSError, UnicodeDecodeError) as exc:
             log.warning("skipping unreadable unit %s: %s", rel, exc)
             continue
         units.append(SourceUnit.make(rel, content))
-    return Repository(str(root_path), tuple(units))
+    return Repository(top, tuple(units))
 
 
 def extract_mentioned_symbols(text: str, keywords: frozenset[str]) -> tuple[str, ...]:

@@ -114,7 +114,10 @@ def _truncate(data: bytes, limit: int) -> str:
 def run_test(
     repo: Repository, test: TestCase, config: RunnerConfig | None = None
 ) -> TestOutcome:
-    """Materialize ``repo`` and run one test command inside it."""
+    """Materialize ``repo`` and run one test command inside it. Raises
+    ``RunnerUnavailable`` for a command that cannot be launched."""
+    if not test.command:
+        raise RunnerUnavailable(f"test {test.test_id!r} has an empty command")
     config = config or RunnerConfig()
     scratch = tempfile.mkdtemp(prefix="cppatlas-run-", dir=config.scratch_root)
     scratch_path = Path(scratch)
@@ -137,7 +140,9 @@ def run_test(
                 stderr=subprocess.PIPE,
                 start_new_session=True,
             )
-        except FileNotFoundError as exc:
+        # OSError: no such program, or not one that runs; ValueError: an
+        # argument holding a NUL byte or a lone surrogate
+        except (OSError, ValueError) as exc:
             raise RunnerUnavailable(f"cannot launch {command[0]!r}: {exc}") from exc
         with proc:
             try:

@@ -586,6 +586,18 @@ class TestConfigFile:
         assert (code, stdout) == (2, "")
         assert stderr.startswith("error: ")
 
+    @pytest.mark.parametrize("pattern", ["", "/abs/*.h", "../*.h", "src/../../*.h"])
+    def test_include_glob_leaving_the_root_exits_two(self, pattern, toyrepo_root,
+                                                      tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"include_globs": [pattern]}), encoding="utf-8")
+        code, stdout, stderr = run_cli(capsys, "index", "--root", str(toyrepo_root),
+                                       "--out", str(tmp_path / "x.caidx"),
+                                       "--config", str(config))
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: include_globs entry ")
+        assert stderr.count("\n") == 1 and stderr.endswith("\n")
+
     def test_defaults_come_from_the_dataclasses(self):
         assert AppConfig.from_dict({}) == AppConfig()
         partial = AppConfig.from_dict({

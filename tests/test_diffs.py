@@ -133,6 +133,7 @@ def test_patching_missing_file_fails():
         "--- a/x.h\n+++ b/x.h\n@@ -1,2 +1,1 @@\n-a\n+b\n",  # count short
         "--- a/x.h\n@@ -1,1 +1,1 @@\n-a\n+b\n",  # missing +++ line
         "--- a/x.h\n+++ b/x.h\n@@ -1,1 +1,1 @@\n*a\n+b\n",  # bad prefix
+        "--- a/x.h\n+++ b/x.h\n@@ -1,1 +1,1 @@\n-a\n+b // \ud800\n",  # lone surrogate
     ],
 )
 def test_malformed_diffs_rejected(text):

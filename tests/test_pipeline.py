@@ -22,6 +22,7 @@ from cppatlas.errors import (
     GenerationFailed,
     JudgeError,
     ReproductionFailed,
+    RunnerUnavailable,
 )
 from cppatlas.index import build_index
 from cppatlas.intent import tokenize
@@ -542,6 +543,20 @@ class TestGenerateCandidates:
         kinds = [o["error_kind"] for o in backend.observations[1:4]]
         assert kinds == ["MalformedDiff", "MalformedDiff", "MalformedDiff"]
 
+    def test_lone_surrogate_diff_is_rejected(self, repo, good_fix):
+        old = repo.unit("src/calc.cpp").content
+        new = old.replace("a - b;", "a - b; // \ud800")
+        backend = ScriptedBackend([
+            {"turn": "emit", "kind": "patch",
+             "diff": make_diff(old, new, "src/calc.cpp")},
+            emit_patch(good_fix),
+        ])
+        result = generate_candidates(repo, ISSUE, backend)
+        assert [c.id for c in result.candidates] == [good_fix.id]
+        assert result.rejected == 1
+        assert backend.observations[1]["event"] == "patch_rejected"
+        assert backend.observations[1]["error_kind"] == "MalformedDiff"
+
     def test_budget_caps_turns(self, repo, good_fix, flavor_break, fix_and_break):
         config = PipelineConfig(generate_budget=3)
         backend = ScriptedBackend([
@@ -798,6 +813,18 @@ class TestRunPipeline:
         gen = ScriptedBackend([emit_patch(good_fix)])
         with pytest.raises(ReproductionFailed):
             run_pipeline(repo, ISSUE, ScriptedBackend([]), gen,
+                         structural=toy_index, intent=toy_intent)
+
+    @pytest.mark.parametrize(
+        "command", [[], [""], [PY, "-c", "pass\0"], [PY, "\ud800"]],
+        ids=["empty", "empty program", "NUL", "lone surrogate"])
+    def test_unlaunchable_repro_test_is_runner_unavailable(
+            self, repo, toy_index, toy_intent, good_fix, command):
+        test = {"test_id": "bad", "command": command}
+        repro = ScriptedBackend([{"turn": "emit", "kind": "test", "test": test}])
+        gen = ScriptedBackend([emit_patch(good_fix)])
+        with pytest.raises(RunnerUnavailable):
+            run_pipeline(repo, ISSUE, repro, gen,
                          structural=toy_index, intent=toy_intent)
 
     def test_generation_failure_propagates(self, repo, toy_index, toy_intent):

@@ -140,6 +140,15 @@ def test_missing_binary_raises(tmp_path):
         )
 
 
+@pytest.mark.parametrize("command", [(), ("",), (PY, "-c", "pass\0"), (PY, "\ud800")],
+                         ids=["empty", "empty program", "NUL", "lone surrogate"])
+def test_unlaunchable_command_raises(tmp_path, command):
+    with pytest.raises(RunnerUnavailable):
+        run_test(repo_of(**{"x.txt": "1\n"}), TestCase("bad", command),
+                 RunnerConfig(scratch_root=str(tmp_path)))
+    assert list(tmp_path.iterdir()) == []  # no scratch tree left behind
+
+
 def test_unsafe_paths_rejected(tmp_path):
     evil = Repository(
         "/virtual", (SourceUnit.make("../escape.txt", "x\n"),)
