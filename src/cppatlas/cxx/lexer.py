@@ -1,9 +1,9 @@
 """Tokenizer for the supported C++ subset.
 
-Produces a flat token stream plus side tables for comment blocks and
-``#include`` targets. Preprocessor lines are consumed without expansion.
-The lexer never raises on malformed input: lexical damage (unterminated
-literals, stray bytes) is counted and skipped so parsing can recover.
+Produces tokens as parallel columns (texts, kinds, lines) plus side tables
+for comment blocks and ``#include`` targets; preprocessor lines are consumed
+without expansion. The lexer never raises on malformed input: damage
+(unterminated literals, stray bytes) is counted and skipped.
 
 ``_TOKEN_RE`` is one alternation with a named group per lexeme. Where two
 lexemes can start at the same character, the earlier one wins:
@@ -32,15 +32,15 @@ letters, digits, ``_``, blanks other than ``\\n`` and the one-character
 ``_PUNCT`` marks other than ``/``, ``#`` and ``\\``, with no ``.`` before a
 digit. Where the scanner stands at a line start (only blanks, comments and
 stray characters since the last newline), ``_PLAIN_RUN_RE`` takes the run
-of plain lines from there in one match, and one ``findall`` splits it into
-``\\n`` markers and the ``id``, ``num`` and ``punct`` patterns of
-``_LEXEMES``. Both paths give the same tokens: on a plain line the scanner
-tries those three patterns in the same order, every lexeme before them
-needs a character the line lacks (``/``, a quote or a ``#``), and a blank
-matches none of the three, so ``findall`` skips it as ``space`` would. The
-first character decides the kind (a letter or ``_``: ``id``; a digit:
-``num``; else ``punct``, since a ``.`` that starts a number is not plain),
-and the markers give the lines. Every other line is scanned as above.
+of plain lines from there in one match, and one ``findall`` per line splits
+it by the ``id``, ``num`` and ``punct`` patterns of ``_LEXEMES``. Both paths
+give the same tokens: on a plain line the scanner tries those three
+patterns in the same order, every lexeme before them needs a character the
+line lacks (``/``, a quote or a ``#``), and a blank matches none of the
+three, so ``findall`` skips it as ``space`` would. The first character
+decides the kind (a letter or ``_``: ``id``; a digit: ``num``; else
+``punct``, since a ``.`` that starts a number is not plain). Every other
+line is scanned as above.
 """
 
 from __future__ import annotations
@@ -48,9 +48,7 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass, field
-from itertools import accumulate, compress, repeat
-from operator import itemgetter, not_
-from typing import NamedTuple
+from operator import itemgetter
 
 CPP_KEYWORDS = frozenset(
     """
@@ -117,7 +115,7 @@ _PLAIN_RUN_RE = re.compile(
 )
 # the lookahead lets a blank fail at once, not at each punct alternative
 _PLAIN_LEXEME_RE = re.compile(
-    rf"\n|{_LEXEMES['id']}|{_LEXEMES['num']}"
+    rf"{_LEXEMES['id']}|{_LEXEMES['num']}"
     rf"|(?=[^ \t\r\f\v])(?:{_LEXEMES['punct']})"
 )
 # a plain token's kind by its first character
@@ -126,12 +124,6 @@ _PLAIN_KIND = {
     **dict.fromkeys(string.digits, "num"),
     **dict.fromkeys(_PLAIN_PUNCT, "punct"),
 }
-
-
-class Token(NamedTuple):
-    text: str
-    kind: str  # "id" | "num" | "str" | "chr" | "punct"
-    line: int
 
 
 @dataclass(frozen=True)
@@ -143,7 +135,9 @@ class CommentBlock:
 
 @dataclass
 class LexResult:
-    tokens: list[Token] = field(default_factory=list)
+    tokens: list[str] = field(default_factory=list)  # texts
+    kinds: list[str] = field(default_factory=list)  # id num str chr punct
+    lines: list[int] = field(default_factory=list)  # never decrease
     comments: list[CommentBlock] = field(default_factory=list)
     includes: list[tuple[int, str]] = field(default_factory=list)
     error_count: int = 0
@@ -156,7 +150,7 @@ def lex(text: str) -> LexResult:
     pos = 0
     while pos < len(text):
         if at_line_start and (run := _PLAIN_RUN_RE.match(text, pos)):
-            line = _lex_plain(run.group(), line, out.tokens)
+            line = _lex_plain(run.group(), line, out)
             pos = run.end()
             if pos == len(text):
                 break
@@ -167,7 +161,9 @@ def lex(text: str) -> LexResult:
             m, kind = _DIRECTIVE_RE.match(text, pos), "directive"
         lexeme, pos = m.group(), m.end()
         if kind in _TOKEN_KINDS:
-            out.tokens.append(Token(lexeme, kind, line))
+            out.tokens.append(lexeme)
+            out.kinds.append(kind)
+            out.lines.append(line)
             at_line_start = False
         elif kind == "space":
             if "\n" in lexeme:
@@ -204,13 +200,12 @@ def lex(text: str) -> LexResult:
     return out
 
 
-def _lex_plain(run: str, line: int, tokens: list[Token]) -> int:
-    """Append the tokens of a run of plain lines that starts on ``line``,
-    with no Python statement per token; return the line the run ends on."""
-    lexemes = _PLAIN_LEXEME_RE.findall(run)
-    breaks = list(map("\n".__eq__, lexemes))
-    kinds = map(_PLAIN_KIND.get, map(itemgetter(0), lexemes))
-    lines = accumulate(breaks, initial=line)
-    rows = map(tuple.__new__, repeat(Token), zip(lexemes, kinds, lines))
-    tokens.extend(compress(rows, map(not_, breaks)))
+def _lex_plain(run: str, line: int, out: LexResult) -> int:
+    """Append the tokens of plain lines from ``line``; return the last line."""
+    start = len(out.tokens)
+    for n, plain in enumerate(run.split("\n"), line):
+        found = _PLAIN_LEXEME_RE.findall(plain)
+        out.tokens += found
+        out.lines += [n] * len(found)
+    out.kinds += map(_PLAIN_KIND.__getitem__, map(itemgetter(0), out.tokens[start:]))
     return line + run.count("\n")

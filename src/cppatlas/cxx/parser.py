@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 from ..model import Location, SymbolKind, SymbolRecord
 from ..repo import SourceUnit
-from .lexer import CPP_KEYWORDS, TYPE_KEYWORDS, CommentBlock, Token, lex
+from .lexer import CPP_KEYWORDS, TYPE_KEYWORDS, CommentBlock, lex
 
 _LEADING_SPECIFIERS = frozenset(
     """
@@ -106,7 +106,7 @@ def parse_unit(unit: SourceUnit) -> ParsedUnit:
         raise ValueError(f"cannot parse unit of kind {unit.kind!r}")
     text = unit.content
     lexed = lex(text)
-    tokens = _split_shifts(lexed.tokens) if ">>" in text else lexed.tokens
+    columns = _split_shifts(lexed.tokens, lexed.kinds, lexed.lines)
     line_count = text.count("\n") + (0 if text.endswith("\n") else 1)
     root = SymbolRecord(
         symbol_id=0,
@@ -121,19 +121,24 @@ def parse_unit(unit: SourceUnit) -> ParsedUnit:
         includes=[target for _, target in lexed.includes],
         error_count=lexed.error_count,
     )
-    parser = _Parser(result, tokens, lexed.comments)
+    parser = _Parser(result, columns, lexed.comments)
     parser.parse_scope(_Scope(local_id=0, prefix=""), bounded=False)
     return result
 
 
 class _Parser:
+    """A cursor ``i`` over the token columns, which never passes the ``n``
+    tokens; ``texts`` and ``kinds`` end in three ``""`` sentinels, so
+    ``text(k)`` and ``kind(k)`` (k <= 2) need no bounds check."""
+
     def __init__(
-        self, result: ParsedUnit, tokens: list[Token], comments: list[CommentBlock]
+        self, result: ParsedUnit, columns: tuple, comments: list[CommentBlock]
     ):
         self.result = result
         self.path = result.path
-        self.toks = tokens
-        self.n = len(tokens)
+        texts, kinds, self.lines = columns
+        self.texts, self.kinds = texts + ["", "", ""], kinds + ["", "", ""]
+        self.n = len(texts)
         self.i = 0
         self.comment_by_end = {c.end_line: c for c in comments}
 
@@ -141,18 +146,17 @@ class _Parser:
     # token helpers
 
     def text(self, k: int = 0) -> str:
-        j = self.i + k
-        return self.toks[j].text if j < self.n else ""
+        return self.texts[self.i + k]
 
     def kind(self, k: int = 0) -> str:
-        j = self.i + k
-        return self.toks[j].kind if j < self.n else ""
+        return self.kinds[self.i + k]
 
-    def next(self) -> Token | None:
-        if self.i >= self.n:
-            return None
-        self.i += 1
-        return self.toks[self.i - 1]
+    def next(self) -> str:
+        """Consume the token at the cursor and return its text, '' at the end."""
+        tx = self.texts[self.i]
+        if self.i < self.n:
+            self.i += 1
+        return tx
 
     def accept(self, text: str) -> bool:
         if self.text() == text:
@@ -167,43 +171,43 @@ class _Parser:
         unmatched '}'."""
         depth = 0
         while self.i < self.n:
-            t = self.next()
-            if t.text in "([{":
+            tx = self.next()
+            if tx in "([{":
                 depth += 1
-            elif t.text in ")]}":
-                if depth == 0 and t.text == "}":
+            elif tx in ")]}":
+                if depth == 0 and tx == "}":
                     self.i -= 1
                     return ""
                 depth = max(0, depth - 1)
-            elif t.text in ends and depth == 0:
-                return t.text
+            elif tx in ends and depth == 0:
+                return tx
         return ""
 
-    def group(self, stop: tuple[str, ...] = ()) -> tuple[list[Token], bool]:
-        """Consume the bracketed group that opens at the cursor and return
-        its tokens, brackets included, and whether its closer was reached.
-        Only the opener's own kind nests, so '<' pairs with '>' alone (a
-        ``>>`` arrives as two). The walk ends unclosed at the end of input
-        or before a ``stop`` token."""
-        toks = self.toks
-        open_text = toks[self.i].text
+    def group(self, stop: tuple[str, ...] = ()) -> int:
+        """Move the cursor past the bracketed group that opens at it and
+        return where its inside ends: at its closer, or, unclosed, at the
+        cursor. Only the opener's own kind nests, so '<' pairs with '>'
+        alone (a ``>>`` arrives as two). The walk ends unclosed at the end
+        of input or before a ``stop`` token."""
+        texts = self.texts
+        open_text = texts[self.i]
         close_text = _CLOSERS[open_text]
-        start = j = self.i
+        j = self.i
         depth = 0
         while j < self.n:
-            tx = toks[j].text
+            tx = texts[j]
             if tx == open_text:
                 depth += 1
             elif tx == close_text:
                 depth -= 1
                 if depth == 0:
                     self.i = j + 1
-                    return toks[start : j + 1], True
+                    return j
             elif tx in stop:
                 break
             j += 1
         self.i = j
-        return toks[start:j], False
+        return j
 
     def qualified_name(self, angles: bool = False, ends: str = "") -> list[str]:
         """Read ``id (:: id)*`` at the cursor and return its identifiers; a
@@ -212,7 +216,7 @@ class _Parser:
         after an identifier is skipped."""
         names: list[str] = []
         while self.kind() == "id" and self.text() != ends:
-            names.append(self.next().text)
+            names.append(self.next())
             if angles and self.text() == "<":
                 self.group()
             if not self.accept("::"):
@@ -254,11 +258,8 @@ class _Parser:
 
     def set_end_line(self, local_id: int, end_line: int):
         sym = self.result.symbols[local_id]
-        sym.location = Location(
-            sym.location.file,
-            sym.location.start_line,
-            max(sym.location.start_line, end_line),
-        )
+        file, start_line, _ = sym.location
+        sym.location = Location(file, start_line, max(start_line, end_line))
 
     def note_error(self):
         self.result.error_count += 1
@@ -269,15 +270,14 @@ class _Parser:
     def parse_scope(self, scope: _Scope, bounded: bool) -> int:
         """Parse declarations until EOF or, when bounded, the matching '}'.
         Returns the line of the closing brace (or last line seen)."""
-        last_line = self.toks[-1].line if self.n else 1
+        last_line = self.lines[-1] if self.n else 1
         while self.i < self.n:
-            t = self.toks[self.i]
-            last_line = t.line
-            tx = t.text
+            tx = self.texts[self.i]
+            last_line = line = self.lines[self.i]
             if tx == "}":
                 self.next()
                 if bounded:
-                    return t.line
+                    return line
                 self.note_error()
             elif tx == ";":
                 self.next()
@@ -286,13 +286,13 @@ class _Parser:
             elif tx == "[" and self.text(1) == "[":
                 self._skip_attributes()
             elif tx == "namespace":
-                self.parse_namespace(scope, t.line)
+                self.parse_namespace(scope, line)
             elif tx == "template":
-                self.parse_templated(scope, t.line)
+                self.parse_templated(scope, line)
             elif tx in _CLASS_KEYS:
-                self.parse_class(scope, "", t.line)
+                self.parse_class(scope, "", line)
             elif tx == "enum":
-                self.parse_enum(scope, t.line)
+                self.parse_enum(scope, line)
             elif tx == "union":
                 # treated like a struct definition without member analysis
                 self.next()
@@ -311,7 +311,7 @@ class _Parser:
                     self.next()
                     self.parse_scope(scope, bounded=True)
             else:
-                self.parse_declaration(scope, "", t.line)
+                self.parse_declaration(scope, "", line)
         if bounded:
             self.note_error()
         return last_line
@@ -328,15 +328,15 @@ class _Parser:
         # and a stray closer counts below zero
         depth = 0
         while self.i < self.n:
-            t = self.next()
-            if t.text in "([{":
+            tx = self.next()
+            if tx in "([{":
                 depth += 1
-            elif t.text in ")]}":
+            elif tx in ")]}":
                 depth -= 1
-                if depth == 0 and t.text == "}":
+                if depth == 0 and tx == "}":
                     self.accept(";")
                     return
-            elif t.text == ";" and depth <= 0:
+            elif tx == ";" and depth <= 0:
                 return
 
     def parse_namespace(self, scope: _Scope, start_line: int):
@@ -364,9 +364,9 @@ class _Parser:
         self.next()  # 'template'
         params = ""
         if self.text() == "<":
-            toks, closed = self.group()
-            inner = toks[1:-1] if closed else toks[1:]
-            params = "<" + render_tokens([t.text for t in inner]) + ">"
+            start = self.i + 1
+            end = self.group()
+            params = "<" + render_tokens(self.texts[start:end]) + ">"
         tx = self.text()
         if tx in _CLASS_KEYS:
             self.parse_class(scope, params, start_line)
@@ -380,7 +380,7 @@ class _Parser:
             self.parse_declaration(scope, params, start_line)
 
     def parse_class(self, scope: _Scope, template_params: str, start_line: int):
-        keyword = self.next().text  # 'class' | 'struct'
+        keyword = self.next()  # 'class' | 'struct'
         self._skip_attributes()
         if self.accept("alignas") and self.text() == "(":
             self.group()
@@ -445,7 +445,7 @@ class _Parser:
             self.next()
         name = ""
         if self.kind() == "id":
-            name = self.next().text
+            name = self.next()
         if self.accept(":"):
             self.skip_to(("{", ";"))
         tx = self.text()
@@ -453,7 +453,9 @@ class _Parser:
             self.note_error()
             self.skip_statement()
             return
-        end_line = self.group()[0][-1].line if tx == "{" else start_line
+        if tx == "{":
+            self.group()
+        end_line = self.lines[self.i - 1] if tx == "{" else start_line
         self.accept(";")
         if name:
             local = self.add_symbol(
@@ -484,38 +486,41 @@ class _Parser:
             else:
                 break
 
-        buf: list[Token] = []
+        first = self.i
+        ops: list[tuple[int, int]] = []  # operator names, one identifier each
         while True:
             if self.i >= self.n:
                 return
-            t = self.toks[self.i]
-            tx = t.text
+            tx = self.texts[self.i]
             if tx in ("(", ";", "=", "{"):
                 break
-            if tx == "<" and buf and buf[-1].kind == "id":
+            if tx == "<" and self.i > first and (
+                self.kind(-1) == "id" or (ops and ops[-1][1] == self.i)
+            ):
                 # a ';' or '{' ends a runaway: this was a comparison, not
                 # template arguments
-                buf += self.group(stop=(";", "{"))[0]
+                self.group(stop=(";", "{"))
             elif tx == "operator":
-                # the whole operator name becomes one identifier token
-                self.next()  # 'operator'
-                name = "operator"
+                at = self.i
+                self.next()
                 if self.text() + self.text(1) in ("()", "[]"):
-                    name += self.next().text + self.next().text
+                    self.i += 2
                 else:
-                    while self.i < self.n and self.text() not in ("(", ";", "{"):
-                        name += self.next().text
-                buf.append(Token(name, "id", t.line))
+                    self.skip_to(("(", ";", "{"))
+                ops.append((at, self.i))
             elif tx in ("}", "class", "struct", "enum", "namespace", "template"):
                 self.note_error()
                 if tx != "}":
                     self.skip_statement()
                 return
             else:
-                buf.append(t)
                 self.i += 1
+        buf, buf_kinds = self.texts[first : self.i], self.kinds[first : self.i]
+        for at, end in reversed(ops):
+            cut = slice(at - first, end - first)
+            buf[cut], buf_kinds[cut] = ["".join(buf[cut])], ["id"]
 
-        chain, start = _trailing_chain(buf)
+        chain, start = _trailing_chain(buf, buf_kinds)
         # vexing-parse disambiguation: literal arguments cannot name
         # types, so this is a variable with constructor arguments
         vexing = start > 0 and len(chain) == 1 and self.kind(1) in ("str", "num", "chr")
@@ -550,8 +555,8 @@ class _Parser:
         if tx in ("(", "{") and not chain:
             self.note_error()
         else:
-            for k, part in enumerate(_split_top_level(buf, ",")):
-                names, at = _trailing_chain(part)
+            for k, (a, b) in enumerate(_split_top_level(buf, ",")):
+                names, at = _trailing_chain(buf[a:b], buf_kinds[a:b])
                 # a leading part needs a type before its name
                 if len(names) == 1 and not names[0].startswith("~") and (k or at):
                     self.add_symbol(scope, SymbolKind.VARIABLE, names, start_line)
@@ -572,14 +577,14 @@ class _Parser:
         arguments also ends a part, as in ``N<A, B>::v``, which the marks
         rule keeps from naming ``v``."""
         while self.skip_statement((",", ";")) == ",":
-            part: list[Token] = []
-            while self.i < self.n and self.text() not in _DECLARATOR_ENDS:
-                part.append(self.next())
-            names, at = _trailing_chain(part)
+            start = self.i
+            self.skip_to(_DECLARATOR_ENDS)
+            part = self.texts[start : self.i]
+            names, at = _trailing_chain(part, self.kinds[start : self.i])
             if (
                 len(names) == 1
                 and at == len(part) - 1
-                and all(t.text in _DECLARATOR_MARKS for t in part[:at])
+                and all(tx in _DECLARATOR_MARKS for tx in part[:at])
                 and self.text() in (",", ";", "=", "{")
             ):
                 self.add_symbol(scope, SymbolKind.VARIABLE, names, start_line)
@@ -588,10 +593,11 @@ class _Parser:
         """Read a function's parameter list, from its '(', and what follows
         it up to the body or the end of the declaration. Returns the
         signature, whether this is a definition and whether it overrides."""
-        params, closed = self.group()
-        if not closed:
+        start = self.i + 1
+        end = self.group()
+        if end == self.i:  # not closed
             self.note_error()
-        signature = normalize_signature(params[1:-1] if closed else params[1:])
+        signature = normalize_signature(self.texts[start:end], self.kinds[start:end])
 
         has_override = False
         is_definition = False
@@ -617,8 +623,8 @@ class _Parser:
                     self.skip_to((";", "{"), "(")
                     # brace either starts the body or an init list entry; an
                     # entry brace always follows an identifier or '>'
-                    prev = self.toks[self.i - 1]
-                    if self.text() != "{" or (prev.kind != "id" and prev.text != ">"):
+                    after_name = self.kind(-1) == "id" or self.text(-1) == ">"
+                    if self.text() != "{" or not after_name:
                         break
                     self.group()
             else:
@@ -627,7 +633,7 @@ class _Parser:
         if tx == "=":
             self.next()
             if self.text() in ("default", "delete", "0"):
-                is_definition = self.next().text != "0"
+                is_definition = self.next() != "0"
             self.accept(";")
         elif tx == "{":
             is_definition = True
@@ -646,22 +652,22 @@ class _Parser:
         """Scan an already-opened function body, recording call expressions.
         Returns the line of the closing brace."""
         calls = self.result.pending_calls
-        toks = self.toks
+        texts, kinds, lines = self.texts, self.kinds, self.lines
         depth = 1
         prev_text = "{"
         while self.i < self.n:
-            t = toks[self.i]
-            tx = t.text
+            tx = texts[self.i]
             # keywords that look like calls before "(" are not callees
-            if t.kind == "id" and tx not in CPP_KEYWORDS:
+            if kinds[self.i] == "id" and tx not in CPP_KEYWORDS:
+                line = lines[self.i]
                 chain = self.qualified_name()
-                if toks[self.i - 1].text == "::":
+                if texts[self.i - 1] == "::":
                     self.i -= 1  # no identifier follows it
                 after_member = prev_text in (".", "->")
                 if self.text() == "(":
                     callee = chain[-1] if after_member else "::".join(chain)
                     calls.append(
-                        PendingCall(caller_local, callee, prev_text == "new", t.line)
+                        PendingCall(caller_local, callee, prev_text == "new", line)
                     )
                 elif (
                     not after_member
@@ -672,7 +678,7 @@ class _Parser:
                     # constructor-style declaration: Type var(args)
                     self.i += 1
                     calls.append(
-                        PendingCall(caller_local, "::".join(chain), True, t.line)
+                        PendingCall(caller_local, "::".join(chain), True, line)
                     )
                 prev_text = chain[-1]
                 continue
@@ -682,68 +688,72 @@ class _Parser:
             elif tx == "}":
                 depth -= 1
                 if depth == 0:
-                    return t.line
+                    return lines[self.i - 1]
             prev_text = tx
         self.note_error()
-        return toks[-1].line
+        return lines[-1]
 
 
 # ----------------------------------------------------------------------
 # token utilities shared with signature normalization
 
 
-def _split_shifts(tokens: list[Token]) -> list[Token]:
-    """``tokens`` with each ``>>`` read as two ``>`` (see the module
-    docstring)."""
-    out: list[Token] = []
-    for t in tokens:
-        out += [Token(">", "punct", t.line)] * 2 if t.text == ">>" else [t]
-    return out
+def _split_shifts(texts: list[str], *columns: list) -> tuple[list, ...]:
+    """The token columns, texts first, with each ``>>`` read as two ``>``
+    (see the module docstring)."""
+    if ">>" not in texts:
+        return (texts, *columns)
+    rows: list[tuple] = []
+    for row in zip(texts, *columns):
+        rows += [(">", *row[1:])] * 2 if row[0] == ">>" else [row]
+    return tuple(map(list, zip(*rows)))
 
 
-def _trailing_chain(buf: list[Token]) -> tuple[list[str], int]:
-    """Longest trailing qualified-name chain in ``buf`` and the index of
-    its first token; the last segment may carry a '~' destructor mark.
+def _trailing_chain(texts: list[str], kinds: list[str]) -> tuple[list[str], int]:
+    """Longest trailing qualified-name chain in a token run and the index
+    of its first token; the last segment may carry a '~' destructor mark.
     Keywords never form a chain."""
-    j = len(buf) - 1
-    if j < 0 or buf[j].kind != "id" or buf[j].text in CPP_KEYWORDS:
+    j = len(texts) - 1
+    if j < 0 or kinds[j] != "id" or texts[j] in CPP_KEYWORDS:
         return [], 0
-    chain = [buf[j].text]
-    if j >= 1 and buf[j - 1].text == "~":
+    chain = [texts[j]]
+    if j >= 1 and texts[j - 1] == "~":
         j -= 1
         chain[0] = "~" + chain[0]
     while (
         j >= 2
-        and buf[j - 1].text == "::"
-        and buf[j - 2].kind == "id"
-        and buf[j - 2].text not in CPP_KEYWORDS
+        and texts[j - 1] == "::"
+        and kinds[j - 2] == "id"
+        and texts[j - 2] not in CPP_KEYWORDS
     ):
         j -= 2
-        chain.insert(0, buf[j].text)
+        chain.insert(0, texts[j])
     return chain, j
 
 
-def _split_top_level(buf: list[Token], sep: str) -> list[list[Token]]:
-    """``buf`` split at each ``sep`` outside brackets. After a top-level
-    '=' in a part, its '<' and '>' are comparisons, not brackets: in
-    ``int x = a < b, int y`` the ',' still splits."""
-    groups: list[list[Token]] = [[]]
-    depth = 0
+def _split_top_level(texts: list[str], sep: str) -> list[tuple[int, int]]:
+    """The index ranges of ``texts`` between each ``sep`` outside
+    brackets. After a top-level '=' in a part, its '<' and '>' are
+    comparisons, not brackets: in ``int x = a < b, int y`` the ',' still
+    splits."""
+    if sep not in texts:
+        return [(0, len(texts))]
+    ranges: list[tuple[int, int]] = []
+    start = depth = 0
     angles = True
-    for t in buf:
-        tx = t.text
+    for k, tx in enumerate(texts):
         if tx in "([{" or (angles and tx == "<"):
             depth += 1
         elif tx in ")]}" or (angles and tx == ">"):
             depth = max(0, depth - 1)
         elif tx == sep and depth == 0:
-            groups.append([])
+            ranges.append((start, k))
+            start = k + 1
             angles = True
-            continue
         elif tx == "=" and depth == 0:
             angles = False
-        groups[-1].append(t)
-    return groups
+    ranges.append((start, len(texts)))
+    return ranges
 
 
 def render_tokens(texts: list[str]) -> str:
@@ -771,30 +781,31 @@ def _is_parameter_name(texts: list[str], at: int) -> bool:
     return any(tx not in _TYPE_PREFIXES for tx in texts[:at])
 
 
-def normalize_signature(param_tokens: list[Token]) -> str:
-    """Normalize a parameter list: whitespace collapsed, parameter names and
-    default arguments removed, const qualifiers kept, '(void)' folded to
-    '()'. A ``>>`` is read as two ``>``."""
+def normalize_signature(texts: list[str], kinds: list[str]) -> str:
+    """Normalize a parameter list's token columns: whitespace collapsed,
+    parameter names and default arguments removed, const qualifiers kept,
+    '(void)' folded to '()', a ``>>`` read as two ``>``."""
+    texts, kinds = _split_shifts(texts, kinds)
     rendered: list[str] = []
-    for group in _split_top_level(_split_shifts(param_tokens), ","):
-        toks = _split_top_level(group, "=")[0]  # a default argument is dropped
-        if not toks:
+    for start, end in _split_top_level(texts, ","):
+        end = start + _split_top_level(texts[start:end], "=")[0][1]  # no default
+        part, part_kinds = texts[start:end], kinds[start:end]
+        if not part:
             continue
-        texts = [t.text for t in toks]
         # the name is the identifier before the first '[', or else the last
         # token; a qualified name or a builtin type is not a name
-        bracket = next((k for k, tx in enumerate(texts) if tx == "["), 0)
-        at = len(texts) - 1
-        if bracket and toks[bracket - 1].kind == "id":
+        bracket = next((k for k, tx in enumerate(part) if tx == "["), 0)
+        at = len(part) - 1
+        if bracket and part_kinds[bracket - 1] == "id":
             at = bracket - 1
         if (
-            toks[at].kind == "id"
-            and texts[at] not in TYPE_KEYWORDS
-            and texts[at - 1] != "::"
-            and _is_parameter_name(texts, at)
+            part_kinds[at] == "id"
+            and part[at] not in TYPE_KEYWORDS
+            and part[at - 1] != "::"
+            and _is_parameter_name(part, at)
         ):
-            del texts[at]
-        rendered.append(render_tokens(texts))
+            del part[at]
+        rendered.append(render_tokens(part))
     if rendered == ["void"]:
         rendered = []
     return "(" + ", ".join(rendered) + ")"

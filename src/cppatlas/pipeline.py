@@ -138,7 +138,7 @@ def reproduce(
         if turn.get("turn") == "emit" and turn.get("kind") == "test":
             try:
                 test = TestCase.from_dict(turn["test"])
-            except (KeyError, TypeError):
+            except (KeyError, TypeError, ValueError):
                 observation = {"event": "test_rejected",
                                "message": "bad test payload"}
                 continue

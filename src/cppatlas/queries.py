@@ -116,10 +116,11 @@ def find_function(
 
 
 def _declared_signature(signature: str) -> str:
-    tokens = lex(signature).tokens
-    if len(tokens) >= 2 and tokens[0].text == "(" and tokens[-1].text == ")":
-        tokens = tokens[1:-1]
-    return normalize_signature(tokens)
+    lexed = lex(signature)
+    texts, kinds = lexed.tokens, lexed.kinds
+    if len(texts) >= 2 and texts[0] == "(" and texts[-1] == ")":
+        texts, kinds = texts[1:-1], kinds[1:-1]
+    return normalize_signature(texts, kinds)
 
 
 def _single_function(

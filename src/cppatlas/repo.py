@@ -40,7 +40,12 @@ _BACKTICK_RE = re.compile(r"`([^`\n]+)`")
 
 
 def unit_kind(path: str) -> str:
-    suffix = PurePosixPath(path).suffix.lower()
+    # PurePosixPath(path).suffix, where "" and "." parts do not count
+    name = path.rpartition("/")[2]
+    if name in ("", "."):
+        name = next((p for p in reversed(path.split("/")) if p not in ("", ".")), "")
+    dot = name.rfind(".")
+    suffix = name[dot:].lower() if 0 < dot < len(name) - 1 else ""
     if suffix in HEADER_EXTS:
         return "header"
     if suffix in SOURCE_EXTS:
@@ -212,8 +217,8 @@ def load_repository(
 
     A directory that cannot be listed, and an entry whose type cannot be
     read (a symlink loop, say), are passed over. Unreadable or non-UTF-8
-    files are skipped with a warning; an empty match set still yields a
-    valid (empty) repository.
+    files, and files whose names are not UTF-8, are skipped with a warning;
+    an empty match set still yields a valid (empty) repository.
     """
     root_path = Path(root)
     if not root_path.is_dir():
@@ -226,9 +231,10 @@ def load_repository(
     for parts in sorted(_matching_files(top, patterns)):
         rel = "/".join(parts)
         try:
+            rel.encode("utf-8")  # a name that is not UTF-8 holds surrogates
             with open(prefix + rel, encoding="utf-8") as f:
                 content = f.read()
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, UnicodeError) as exc:
             log.warning("skipping unreadable unit %s: %s", rel, exc)
             continue
         units.append(SourceUnit.make(rel, content))

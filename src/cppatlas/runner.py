@@ -53,10 +53,17 @@ class TestCase:
 
     @staticmethod
     def from_dict(data: dict) -> "TestCase":
+        """Rejects a command that is not a list of strings, or a bad timeout."""
+        command, timeout = data["command"], data.get("timeout_seconds")
+        if not (isinstance(command, list) and all(isinstance(a, str) for a in command)):
+            raise ValueError(f"bad test command {command!r}")
+        in_range = type(timeout) in (int, float) and 0 <= timeout < float("inf")
+        if timeout is not None and not in_range:
+            raise ValueError(f"bad test timeout {timeout!r}")
         return TestCase(
             test_id=str(data["test_id"]),
-            command=tuple(str(a) for a in data["command"]),
-            timeout_seconds=data.get("timeout_seconds"),
+            command=tuple(command),
+            timeout_seconds=timeout,
             description=data.get("description", ""),
         )
 

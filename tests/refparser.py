@@ -1,7 +1,8 @@
 """Frozen copy of the declaration parser that `cppatlas.cxx.parser` replaced.
 
 It is the reference the parser is compared against in `test_parser.py`.
-Nothing in `src/` imports it; do not edit it to match the parser.
+Nothing in `src/` imports it; do not edit it to match the parser. It reads
+the live lexer's token columns as `Token` rows through `tokenrows.py`.
 
 The original module docstring follows.
 
@@ -29,7 +30,8 @@ from dataclasses import dataclass, field
 
 from cppatlas.model import Location, SymbolKind, SymbolRecord
 from cppatlas.repo import SourceUnit
-from cppatlas.cxx.lexer import CPP_KEYWORDS, TYPE_KEYWORDS, CommentBlock, Token, lex
+from cppatlas.cxx.lexer import CPP_KEYWORDS, TYPE_KEYWORDS, CommentBlock
+from tokenrows import Token, lex
 
 log = logging.getLogger(__name__)
 

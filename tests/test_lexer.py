@@ -33,6 +33,10 @@ LEXERS = pytest.mark.parametrize(
 
 
 def tokens(result) -> list[tuple[str, str, int]]:
+    """(text, kind, line) per token: the scanner gives columns, the
+    reference one object per token."""
+    if isinstance(result, lexer.LexResult):
+        return list(zip(result.tokens, result.kinds, result.lines, strict=True))
     return [(t.text, t.kind, t.line) for t in result.tokens]
 
 
@@ -279,7 +283,7 @@ def test_stray_character_is_one_error(lex, stray):
 )
 def test_plain_run_next_to_the_scanned_path(lex, text, expected):
     result = lex(text)
-    assert [f"{t.text}:{t.line}" for t in result.tokens] == expected.split(" ")
+    assert [f"{text}:{line}" for text, _, line in tokens(result)] == expected.split(" ")
     assert result.error_count == 0
 
 
@@ -344,11 +348,20 @@ def test_lexers_agree_on_plain_and_special_lines(lines, last):
     assert_same("\n".join(lines) + last, spliced_includes_may_differ=True)
 
 
-def test_token_is_a_positional_triple():
-    token = lexer.Token("x", "id", 3)
-    assert (token.text, token.kind, token.line) == ("x", "id", 3)
-    assert token == lexer.Token(text="x", kind="id", line=3)
-    result = lexer.lex("a\nb")
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="ab1_ ;.<>#/*'\"\\\n\r\t`é"))
+def test_tokens_are_parallel_columns(text):
+    result = lexer.lex(text)
     assert type(result.tokens) is list
-    assert result.tokens == [lexer.Token("a", "id", 1), lexer.Token("b", "id", 2)]
-    assert all(type(t) is lexer.Token for t in result.tokens)
+    assert len(result.tokens) == len(result.kinds) == len(result.lines)
+    assert all(type(tx) is str and tx for tx in result.tokens)
+    assert set(result.kinds) <= {"id", "num", "str", "chr", "punct"}
+    assert result.lines == sorted(result.lines)
+    assert all(1 <= line <= text.count("\n") + 1 for line in result.lines)
+
+
+def test_column_contract_on_a_small_text():
+    result = lexer.lex('a\n"s" 1 \'c\' +\nb')
+    assert result.tokens == ["a", '"s"', "1", "'c'", "+", "b"]
+    assert result.kinds == ["id", "str", "num", "chr", "punct", "id"]
+    assert result.lines == [1, 2, 2, 2, 2, 3]

@@ -40,6 +40,7 @@ from hypothesis import strategies as st
 
 import corpusgen
 import refparser
+import tokenrows
 from cppatlas.cxx import parser
 from cppatlas.cxx.lexer import lex
 from cppatlas.index import IndexContainer, build_index, persist_index
@@ -82,6 +83,23 @@ def parse(text: str, path: str = "a.h"):
     return parser.parse_unit(SourceUnit.make(path, text))
 
 
+def reference_split(texts: list[str], sep: str) -> list[tuple[int, int]]:
+    """The reference's ``_split_top_level`` in the parser's form: it splits
+    token rows into groups, the parser's splits texts into index ranges."""
+    ranges, start = [], 0
+    # the reference reads only the texts
+    rows = tokenrows.rows(texts, [""] * len(texts))
+    for group in refparser._split_top_level(rows, sep):
+        ranges.append((start, start + len(group)))
+        start += len(group) + 1
+    return ranges
+
+
+def columns(text: str) -> tuple[list[str], list[str]]:
+    lexed = lex(text)
+    return lexed.tokens, lexed.kinds
+
+
 @contextlib.contextmanager
 def reference_reading():
     """This parser with declared differences 3 and 4 switched off."""
@@ -96,7 +114,7 @@ def reference_reading():
 
     with mock.patch.object(
         parser._Parser, "_declarators_after_initializer", read_unrecorded
-    ), mock.patch.object(parser, "_split_top_level", refparser._split_top_level):
+    ), mock.patch.object(parser, "_split_top_level", reference_split):
         yield
 
 
@@ -238,6 +256,11 @@ CATALOGUE = {
     "parameters_closed_by_shift": "void f(std::map<int, std::vector<int>> m, int x);\n",
     "variables_closed_by_shift": "std::map<int, std::vector<int>> a, b;\n",
     "shift_in_a_body": "int shift(int v) { return v >> 2; }\nvoid after();\n",
+    "operator_names_then_more_tokens": "struct S {\n"
+    "    int operator()<int>(int) const;\n    int operator[] x, operator() y;\n"
+    "    S& operator=(const S&);\n};\nX operator+ (X, X);\n",
+    "enum_left_open": "int before;\nenum E { A, B\n",
+    "parameters_left_open": "void f(int a,\n",
 }
 
 
@@ -344,8 +367,8 @@ def test_shift_closes_a_parameter_type():
     )
     want = "(std::map < int , std::vector < int > >, int)"
     assert [s.signature for s in parsed.symbols[1:]] == [want, want]
-    typed = lex("std::map<int, std::vector<int>> m, int x").tokens
-    assert parser.normalize_signature(typed) == want
+    typed = columns("std::map<int, std::vector<int>> m, int x")
+    assert parser.normalize_signature(*typed) == want
 
 
 def test_shift_closes_template_parameters():
@@ -436,9 +459,9 @@ def test_declarators_after_an_initializer_are_recorded(text, want, reference):
 def test_comparison_in_a_default_argument_keeps_later_parameters(
     params, want, reference
 ):
-    typed = lex(params).tokens
-    assert parser.normalize_signature(typed) == want
-    assert refparser.normalize_signature(typed) == reference
+    typed = columns(params)
+    assert parser.normalize_signature(*typed) == want
+    assert refparser.normalize_signature(tokenrows.rows(*typed)) == reference
     text = f"void f({params});\nvoid f({params}) {{}}\n"
     parsed = parse(text)
     assert [s.signature for s in parsed.symbols[1:]] == [want, want]

@@ -773,6 +773,34 @@ class TestRunPipeline:
         assert reasons[flavor_break.id] == "repro_still_failing:t-subtract-fixed"
         assert json.dumps(result.to_dict())  # wire-serializable
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("command", "ls -l"), ("command", ["ls", 1]), ("command", None),
+         ("timeout_seconds", "x"), ("timeout_seconds", float("nan")),
+         ("timeout_seconds", float("inf")), ("timeout_seconds", -1),
+         ("timeout_seconds", True)],
+        ids=["string-command", "non-string-argument", "null-command",
+             "string-timeout", "nan-timeout", "infinite-timeout",
+             "negative-timeout", "bool-timeout"],
+    )
+    def test_bad_test_payload_is_reported_and_the_run_goes_on(
+        self, repo, toy_index, toy_intent, good_fix, field, value
+    ):
+        bad = {**subtract_test().to_dict(), field: value}
+        with pytest.raises(ValueError):
+            TestCase.from_dict(bad)
+        repro = ScriptedBackend(
+            [{"turn": "emit", "kind": "test", "test": bad}, emit_test(subtract_test())],
+            name="repro",
+        )
+        gen = ScriptedBackend([emit_patch(good_fix)], name="gen")
+        result = run_pipeline(repo, ISSUE, repro, gen,
+                              structural=toy_index, intent=toy_intent)
+        assert repro.observations[1] == {"event": "test_rejected",
+                                         "message": "bad test payload"}
+        assert result.status == "SUCCESS"
+        assert result.reproduction.test.test_id == "t-subtract-fixed"
+
     def test_all_candidates_invalid_is_failure_not_error(self, repo, toy_index,
                                                          toy_intent, flavor_break):
         repro, gen = self.backends(flavor_break)

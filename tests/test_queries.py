@@ -25,6 +25,7 @@ from cppatlas.queries import (
     snippet_for,
 )
 from cppatlas.repo import load_repository
+from cppatlas.tools import ToolContext, dispatch_tool
 
 import corpusgen
 
@@ -113,6 +114,69 @@ class TestFindFunction:
         assert rec.signature == "(const Widget)"
         with pytest.raises(NotFound):
             find_function(index, "take", signature="(const)")
+
+
+SIGNATURE_SOURCE = """namespace sig {
+void shifts(std::map<int, std::vector<int>> m);
+void shifts(std::map<int, std::vector<int>> m, int x) {}
+void defaults(int x = a < b, int y);
+void defaults(int x = a<b, int y) {}
+void nothing(void);
+void nothing() {}
+struct Functor { int operator()(int a, double b) const; };
+void callback(int (*fn)(int), double scale);
+}
+"""
+SHIFT_ONE = "(std::map < int , std::vector < int > >)"
+SHIFT_TWO = "(std::map < int , std::vector < int > >, int)"
+
+
+@pytest.fixture(scope="module")
+def signature_index(tmp_path_factory):
+    root = tmp_path_factory.mktemp("signatures")
+    (root / "sig.h").write_text(SIGNATURE_SOURCE, encoding="utf-8")
+    return build_index(load_repository(root))
+
+
+@pytest.mark.parametrize(
+    "name, signature, want",
+    [
+        # ">>" closes two template levels, in the argument as in the source
+        ("shifts", "(std::map<int, std::vector<int>> m)", [(SHIFT_ONE, False)]),
+        ("shifts", "std::map<int, std::vector<int>> m, int x", [(SHIFT_TWO, True)]),
+        ("shifts", "(std::map<int,std::vector<int> >, int)", [(SHIFT_TWO, True)]),
+        # a '<' in a default argument is a comparison
+        ("defaults", "(int x = a < b, int y)", [("(int, int)", True),
+                                                ("(int, int)", False)]),
+        ("defaults", "(int = c > d, int)", [("(int, int)", True),
+                                            ("(int, int)", False)]),
+        ("defaults", "(int x = a<b)", None),
+        ("nothing", "(void)", [("()", True), ("()", False)]),
+        ("nothing", "void", [("()", True), ("()", False)]),
+        ("operator()", "int,double", [("(int, double)", False)]),
+        ("sig::Functor::operator()", "(int a, double b)", [("(int, double)", False)]),
+        # a parenthesised declarator keeps its name: it is not the last token
+        ("callback", "(int (*fn)(int) , double)",
+         [("(int ( * fn ) ( int ), double)", False)]),
+        ("callback", "(int (*)(int), double)", None),
+        ("callback", "((int (*fn)(int)), double)", None),
+    ],
+)
+def test_signature_argument_is_read_like_a_declaration(
+    signature_index, name, signature, want
+):
+    ctx = ToolContext(structural=signature_index)
+    arguments = {"name": name, "signature": signature}
+    if want is None:
+        with pytest.raises(NotFound):
+            find_function(signature_index, name, signature)
+        with pytest.raises(NotFound):
+            dispatch_tool(ctx, "FindFunction", arguments)
+        return
+    recs = find_function(signature_index, name, signature)
+    assert [(r.signature, r.is_definition) for r in recs] == want
+    matches = dispatch_tool(ctx, "FindFunction", arguments)["matches"]
+    assert [m["record"] for m in matches] == [r.to_dict() for r in recs]
 
 
 class TestInheritanceChain:

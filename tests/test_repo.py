@@ -1,7 +1,13 @@
+from pathlib import PurePosixPath
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cppatlas.errors import RootNotFound
 from cppatlas.repo import (
+    HEADER_EXTS,
+    SOURCE_EXTS,
     IssueDescription,
     content_digest,
     extract_mentioned_symbols,
@@ -46,6 +52,30 @@ def test_non_utf8_units_are_skipped(tmp_path):
     (tmp_path / "bad.h").write_bytes(b"\xff\xfe\x00garbage")
     repo = load_repository(tmp_path)
     assert repo.paths() == ["ok.h"]
+
+
+def pathlib_kind(path: str) -> str:
+    suffix = PurePosixPath(path).suffix.lower()
+    return ("header" if suffix in HEADER_EXTS
+            else "source" if suffix in SOURCE_EXTS else "other")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["", ".", "..", "a", "b.", ".h", "..h", "x.H",
+                                 "x.tar.h", ".x", "c.cpp", "d.CC", "e.cu", "é.hpp"]),
+                max_size=5).map("/".join))
+def test_unit_kind_reads_the_suffix_as_pathlib_does(path):
+    assert unit_kind(path) == pathlib_kind(path)
+
+
+@pytest.mark.parametrize(
+    "path, kind",
+    [("..h", "header"), (".h", "other"), ("a.", "other"), ("b.H", "header"),
+     ("a/.x/b", "other"), ("x.tar.h", "header"), ("a/b.cc/", "source"),
+     ("a/b.cc/.", "source"), ("a/b.h//./", "header"), ("a/..", "other")],
+)
+def test_unit_kind_on_odd_paths(path, kind):
+    assert unit_kind(path) == pathlib_kind(path) == kind
 
 
 def test_unit_kind_and_digest():

@@ -4,7 +4,11 @@ warnings in the same order, for default and custom globs over trees with
 hidden names, symlinks, FIFOs, odd names and corpusgen seeds side by side.
 
 A directory that cannot be listed is not covered: these tests may run as
-root, where ``chmod`` does not stop a listing."""
+root, where ``chmod`` does not stop a listing.
+
+One difference is declared: a file whose name is not UTF-8 (a byte 0xff,
+say) is skipped with the warning of an unreadable unit, where the per-glob
+loader raised ``UnicodeEncodeError`` from ``snapshot_id``."""
 
 import builtins
 import contextlib
@@ -205,6 +209,27 @@ def test_corpusgen_seeds_side_by_side(tmp_path, caplog):
             path.write_text(text, encoding="utf-8")
     repo, _ = assert_same(tmp_path, None, caplog)
     assert len(repo.units) > 60
+
+
+def test_name_that_is_not_utf8_is_skipped_not_fatal(tmp_path, caplog):
+    write(tmp_path, "ok.h")
+    os.makedirs(os.path.join(bytes(tmp_path), b"d\xfe"))
+    for rel in (b"\xff.h", b"d\xfe/x.cpp"):
+        with open(os.path.join(bytes(tmp_path), rel), "wb") as f:
+            f.write(b"int x;\n")
+    with pytest.raises(UnicodeEncodeError):
+        refrepo.load_repository(tmp_path)
+    with caplog.at_level(logging.WARNING):
+        repo = load_repository(tmp_path)
+    assert repo.paths() == ["ok.h"]
+    warnings = [r.getMessage() for r in caplog.records]
+    assert [w.split(":")[0] for w in warnings] == [
+        "skipping unreadable unit d\udcfe/x.cpp",
+        "skipping unreadable unit \udcff.h",
+    ]
+    ok_only = tmp_path / "ok_only"
+    write(ok_only, "ok.h")
+    assert repo.snapshot_id == load_repository(ok_only).snapshot_id
 
 
 BAD_GLOBS = ["", ".", "./", "/abs/*.h", "//abs/*.h", "../*.h", "src/../../*.h",
