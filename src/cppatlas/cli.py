@@ -125,10 +125,15 @@ def _read_issue(path: str) -> IssueDescription:
 
 
 def _read_tests(path: str | None) -> list[TestCase]:
+    """The ``tests`` list of a JSON object; ``ValueError`` on any other
+    shape."""
     if not path:
         return []
     data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [TestCase.from_dict(t) for t in data.get("tests", [])]
+    tests = data.get("tests", []) if isinstance(data, dict) else None
+    if not (isinstance(tests, list) and all(isinstance(t, dict) for t in tests)):
+        raise ValueError(f"{path}: expected an object whose tests are objects")
+    return [TestCase.from_dict(t) for t in tests]
 
 
 def _cmd_pipeline(args) -> int:

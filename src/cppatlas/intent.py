@@ -273,19 +273,24 @@ class IntentDoc:
 @dataclass(frozen=True)
 class IntentIndex:
     """Intent documents plus ``matrix``, their vectors as one C-contiguous
-    float64 array of shape (docs, dim) that every query multiplies.
+    float64 array of shape (docs, dim) that queries multiply.
 
     ``matrix`` is the one store of the vectors of docs built or loaded
     here. It is made once, when the index is built or loaded (or here,
     from the docs' vectors, when it is not given), and two indexes are
-    equal only if their matrices are equal bit for bit. ``to_dict``
-    writes it out only for providers other than the hash embedder."""
+    equal only if their matrices are equal bit for bit. It is read-only,
+    so the bucket postings a query derives from it and keeps here cannot
+    go stale. ``to_dict`` writes it out only for providers other than the
+    hash embedder."""
 
     provider_name: str
     dim: int
     repo_snapshot: str
     docs: tuple[IntentDoc, ...]
     matrix: np.ndarray = field(default=None, repr=False, compare=False)
+    # ``_postings`` of the matrix once a query has read them: a tuple, or
+    # () when the matrix is too dense to have them
+    _postings: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.matrix is None:
@@ -293,6 +298,7 @@ class IntentIndex:
             object.__setattr__(
                 self, "matrix", matrix.reshape(len(self.docs), self.dim)
             )
+        self.matrix.flags.writeable = False
 
     def __eq__(self, other):
         if not isinstance(other, IntentIndex):
@@ -355,6 +361,8 @@ def _index(provider_name: str, dim: int, repo_snapshot: str,
            records: list[SymbolRecord], texts: list[str],
            matrix: np.ndarray) -> IntentIndex:
     """One doc per record and text, whose vector is its row of ``matrix``."""
+    # before the rows are taken, so that no row is a writable view
+    matrix.flags.writeable = False
     docs = tuple(
         IntentDoc(r.symbol_id, r.qualified_name, r.kind.value, t, row)
         for r, t, row in zip(records, texts, matrix)
@@ -391,12 +399,125 @@ def build_intent_index(index: StructuralIndex, provider=None) -> IntentIndex:
                   matrix)
 
 
+# A score is read from a product over whole aligned 4-row blocks of the
+# matrix: block b holds rows 4b to 4b + 3, and the last block runs on to the
+# matrix's end, so it also holds the n % 4 tail rows. OpenBLAS's
+# matrix-vector kernels take rows four at a time and the tail rows with
+# narrower kernels, so a product over whole blocks gives each of its rows
+# the bits that the full product gives it; a product over any other set of
+# rows, or over a single row, may differ in the last bit. OpenBLAS splits a
+# product of about 460,000 cells (1,800 rows at dim 256) or more over its
+# threads, and each thread's leftover rows take the narrower kernels. So no
+# product here spans more than 2**18 cells (1,023 rows at dim 256), and a
+# score equals the single-threaded full product's whatever the thread count.
+_PRODUCT_CELLS = 1 << 18
+# A product call costs about what 10 more blocks in a product cost (2.8 us
+# against 0.26 us a block at dim 256), so blocks up to this many apart are
+# read in one product.
+_GAP = 8
+# Postings are read only when the matrix and the query each hold nonzeros in
+# at most one cell in _SPARSE. A posting entry costs several times what a
+# cell of the dense product costs (a gather, a multiply and a bincount add
+# against one fused multiply-add), and a dense matrix's postings would
+# outweigh the matrix. The hash embedder's docs fill about 5% of their cells
+# and its queries about 2%; an external provider's vectors are dense.
+_SPARSE = 8
+
+
+def _postings(intent: IntentIndex) -> tuple:
+    """The matrix's bucket postings, or () when more than one cell in
+    ``_SPARSE`` is nonzero: CSR offsets by bucket, the row of each entry,
+    ascending within its bucket, the entry's value, and the largest absolute
+    value. Derived on the first query that reads them, and kept on the
+    index."""
+    if intent._postings is None:
+        matrix, dim = intent.matrix, intent.matrix.shape[1]
+        nonzero = matrix != 0
+        postings = ()
+        if np.count_nonzero(nonzero) * _SPARSE <= nonzero.size:
+            cells = np.flatnonzero(nonzero)
+            rows, buckets = np.divmod(cells, dim)
+            # numpy sorts ints of up to 16 bits stably by radix
+            narrow = buckets.astype(np.min_scalar_type(dim - 1))
+            order = np.argsort(narrow, kind="stable")
+            values = matrix.ravel()[cells[order]]
+            offsets = np.zeros(dim + 1, dtype=np.intp)
+            np.cumsum(np.bincount(buckets, minlength=dim), out=offsets[1:])
+            top = float(np.abs(values).max()) if len(values) else 0.0
+            postings = (offsets, rows[order].astype(np.int32), values, top)
+        object.__setattr__(intent, "_postings", postings)
+    return intent._postings
+
+
+def _candidate_rows(postings: tuple, query: np.ndarray, buckets: np.ndarray,
+                    n: int, k: int) -> np.ndarray | None:
+    """The rows whose score may be at least the k-th best: those whose
+    score summed over the query's ``buckets`` postings is within a rounding
+    margin of the k-th best such sum. None when the margin is not finite."""
+    offsets, rows, values, top = postings
+    weights = query[buckets]
+    spans = [slice(offsets[b], offsets[b + 1]) for b in buckets.tolist()]
+    approx = np.bincount(
+        np.concatenate([rows[s] for s in spans]),
+        weights=np.concatenate(
+            [values[s] * w for s, w in zip(spans, weights.tolist())]
+        ),
+        minlength=n,
+    )
+    kth = np.partition(approx, n - k)[n - k]
+    # A sum of d products m_i * q_i, in any order, fused or not, is off by
+    # at most about d * eps / 2 times the sum of |m_i * q_i|, which is at
+    # most top * sum |q_i|, plus far less than d * tiny from underflow. A
+    # row's postings sum and its product (d <= dim for each) thus differ by
+    # at most about dim * eps times that, and every row of the exact top k
+    # has a postings sum of at least kth less twice it. The slack doubles
+    # that again, to cover the rounding of the bound itself.
+    dim = len(query)
+    slack = (4 * dim * np.finfo(np.float64).eps * top * float(np.abs(weights).sum())
+             + dim * np.finfo(np.float64).tiny)
+    if not np.isfinite(kth - slack):
+        return None
+    return np.flatnonzero(approx >= kth - slack)
+
+
+def _row_scores(matrix: np.ndarray, query: np.ndarray,
+                rows: np.ndarray) -> np.ndarray:
+    """``(matrix @ query)[rows]`` for ascending ``rows``, read from products
+    over the whole blocks that hold them. Blocks at most ``_GAP`` apart
+    share one product, which covers the blocks between them too, and no
+    product spans more than ``_PRODUCT_CELLS`` cells."""
+    n, dim = matrix.shape
+    last = max(n // 4, 1) - 1
+    blocks = np.minimum(rows >> 2, last)
+    # the last block holds up to 3 more rows than the others
+    per_product = max((_PRODUCT_CELLS // dim - 3) // 4, 1)
+    runs = blocks // per_product
+    cuts = np.flatnonzero(
+        (blocks[1:] - blocks[:-1] > _GAP) | (runs[1:] != runs[:-1])
+    ) + 1
+    firsts = blocks[np.append(0, cuts)].tolist()
+    finals = blocks[np.append(cuts, len(blocks)) - 1].tolist()
+    scores = np.empty(n)
+    for first, final in zip(firsts, finals):
+        lo, hi = 4 * first, n if final == last else 4 * final + 4
+        scores[lo:hi] = matrix[lo:hi] @ query
+    return scores[rows]
+
+
 def query_code_intent(
     intent: IntentIndex, text: str, k: int = 10, provider=None
 ) -> list[dict]:
-    """Top-k symbols by cosine similarity against the query embedding:
-    one matrix-vector product, then a partial sort. Ties break
-    lexicographically on qualified name, then id."""
+    """Top-k symbols by cosine similarity against the query embedding.
+    Ties break lexicographically on qualified name, then id.
+
+    Every score equals the full single-threaded ``matrix @ query``, bit for
+    bit, for any BLAS thread count. When the matrix and the query are both
+    sparse (see ``_SPARSE``), the query's bucket postings pick the rows
+    that may be in the top k, and only their 4-row blocks are multiplied:
+    the cost is the postings of a few buckets plus a few passes over one
+    value per doc, not the whole matrix. Otherwise every block is
+    multiplied. Either way only the rows scoring at least the k-th best
+    are sorted."""
     if k < 1:
         raise BadRequest("k must be >= 1")
     if not intent.docs:
@@ -411,19 +532,25 @@ def query_code_intent(
         query = provider.embed_texts([text])[0]
     else:
         query = np.asarray(provider.embed(text), dtype=np.float64)
-    # every score comes from the one full product, never from a subset of
-    # rows, whose sums may differ in the last bit
-    scores = intent.matrix @ query
-    n = len(scores)
-    if k < n:
-        # every doc scoring at least the k-th best, so ties at the
+    matrix = intent.matrix
+    n, dim = matrix.shape
+    rows = None
+    buckets = np.flatnonzero(query)
+    if k < n and query.shape == (dim,) and 0 < len(buckets) * _SPARSE <= dim:
+        postings = _postings(intent)
+        if postings:
+            rows = _candidate_rows(postings, query, buckets, n, k)
+    if rows is None:
+        rows = np.arange(n)
+    scores = _row_scores(matrix, query, rows)
+    if k < len(rows):
+        # every row scoring at least the k-th best, so ties at the
         # boundary are ordered like the rest
-        candidates = np.flatnonzero(scores >= np.partition(scores, n - k)[n - k])
-    else:
-        candidates = np.arange(n)
+        keep = scores >= np.partition(scores, len(rows) - k)[len(rows) - k]
+        rows, scores = rows[keep], scores[keep]
     docs = intent.docs
     ranked = sorted(
-        zip(scores[candidates].tolist(), candidates.tolist()),
+        zip(scores.tolist(), rows.tolist()),
         key=lambda c: (-c[0], docs[c[1]].qualified_name, docs[c[1]].symbol_id),
     )
     return [

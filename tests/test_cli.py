@@ -496,6 +496,22 @@ class TestPipelineCommand:
         assert json.loads(stdout)["strategy"] == "min_complexity"
 
 
+    @pytest.mark.parametrize("raw", [[1], {"tests": {"t": 1}}, {"tests": [5]}],
+                             ids=json.dumps)
+    def test_malformed_tests_file_exits_two(self, raw, toyrepo_root, tmp_path,
+                                            capsys):
+        issue, repro, gen, tests, _ = write_pipeline_inputs(
+            tmp_path, toyrepo_root)
+        tests.write_text(json.dumps(raw), encoding="utf-8")
+        code, stdout, stderr = run_cli(
+            capsys, "pipeline", "--root", str(toyrepo_root),
+            "--issue", str(issue), "--repro-transcript", str(repro),
+            "--gen-transcript", str(gen), "--tests", str(tests),
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
 class TestEvalLocCommand:
     def test_rates_from_instances_file(self, tmp_path, capsys):
         instances = tmp_path / "instances.json"

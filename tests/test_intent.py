@@ -1,6 +1,9 @@
+import base64
 import json
 import math
+import os
 import pathlib
+import subprocess
 import sys
 import tempfile
 
@@ -580,3 +583,243 @@ def test_build_matches_reference_matrix_and_bytes(seed, tmp_path):
     assert built == (tmp_path / "reference.caidx").read_bytes()
     loaded = load_index(tmp_path / "built.caidx").intent
     assert loaded.matrix.tobytes() == reference.matrix.tobytes()
+
+
+# --- differential: the top k from bucket postings and 4-row block products
+# against the full product and full sort in refintent.py. refintent sorts
+# every doc and then slices, so its answer for k is its answer for n + 3
+# cut to k.
+
+
+def _assert_every_k_matches_reference(intent, texts, ks=None, provider=None):
+    n = len(intent.docs)
+    for text in texts:
+        full = refintent.query_code_intent(intent, text, k=n + 3,
+                                           provider=provider)
+        for k in ks or range(1, n + 4):
+            got = query_code_intent(intent, text, k=k, provider=provider)
+            assert got == full[:k]
+            assert json.dumps(got) == json.dumps(full[:k])
+
+
+def _first(intent, n: int) -> IntentIndex:
+    return IntentIndex(intent.provider_name, intent.dim, intent.repo_snapshot,
+                       intent.docs[:n], intent.matrix[:n])
+
+
+def _unused_bucket_word(intent) -> str:
+    # a word whose bucket no doc holds, so the query shares none
+    used = np.flatnonzero(intent.matrix.any(axis=0))
+    provider = HashEmbeddingProvider(intent.dim)
+    return next(
+        w for w in (f"zz{c}{d}" for c in "abcdefghij" for d in "klmnopqrst")
+        if not np.isin(np.flatnonzero(provider.embed_texts([w])[0]), used).any()
+    )
+
+
+def _texts(intent) -> list[str]:
+    words = [d.text.split(" ") for d in intent.docs]
+    return [
+        "",
+        _unused_bucket_word(intent),
+        words[0][0],
+        " ".join(words[len(words) // 2][:3]),
+        " ".join(words[-1][:6]),
+        "value compute update",
+    ]
+
+
+@pytest.fixture(scope="module")
+def wide_index():
+    # 80 corpusgen seeds side by side: 1,539 real symbols, with repeated
+    # names across seeds
+    files = {}
+    for seed in range(80):
+        files.update({f"s{seed}/{path}": text
+                      for path, text in corpusgen.generate(seed).files.items()})
+    return _repo_index(files)
+
+
+@pytest.fixture(scope="module")
+def wide_intent(wide_index):
+    return build_intent_index(wide_index)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_tiny_indexes_match_reference_for_every_k(toy_intent, n):
+    intent = _first(toy_intent, n)
+    _assert_every_k_matches_reference(intent, _texts(toy_intent))
+    _assert_every_k_matches_reference(_duplicated(intent, 3), _texts(toy_intent))
+
+
+# n % 4 is 0, 1, 2 and 3: the last block holds 4 to 7 rows
+@pytest.mark.parametrize("n", [400, 401, 1498, 1499])
+def test_indexes_of_each_tail_length_match_reference(wide_intent, n):
+    intent = _first(wide_intent, n)
+    ks = [*range(1, 41), *range(41, n - 3, 97), *range(n - 3, n + 4)]
+    _assert_every_k_matches_reference(intent, _texts(intent), ks)
+    assert intent._postings  # the texts took the postings path
+
+
+def test_heavy_ties_in_a_wide_index_match_reference(wide_intent):
+    intent = _duplicated(_first(wide_intent, 375), 4)
+    assert len(intent.docs) == 1500
+    ks = [*range(1, 41), 374, 375, 376, 749, 750, 751, 1125, 1499, 1500, 1503]
+    _assert_every_k_matches_reference(intent, _texts(intent), ks)
+
+
+class _SignedProvider:
+    """Not the hash embedder: its vectors keep the hash embedder's buckets
+    with signed weights that are not unit length, so they are as sparse."""
+
+    name, dim = "signed-hash-256", 256
+
+    def __init__(self):
+        self.weights = np.random.default_rng(7).normal(0.0, 3.0, self.dim)
+
+    def embed(self, text):
+        vector = HashEmbeddingProvider(self.dim).embed_texts([text])[0]
+        return tuple((vector * self.weights).tolist())
+
+
+def test_signed_stored_vectors_match_reference(wide_index, wide_intent):
+    hashed = wide_intent.matrix
+    cells = np.random.default_rng(11).normal(0.0, 5.0, hashed.shape)
+    payload = dict(wide_intent.to_dict(), provider_name=_SignedProvider.name)
+    raw = (hashed * cells).astype("<f8").tobytes()
+    payload["vectors"] = base64.b64encode(raw).decode("ascii")
+    intent = IntentIndex.from_dict(payload, wide_index.symbols)
+    norms = np.linalg.norm(intent.matrix, axis=1)
+    assert (intent.matrix < 0).any() and not np.allclose(norms[norms > 0], 1.0)
+    ks = [*range(1, 31), 200, 1000, len(intent.docs) - 1, len(intent.docs)]
+    _assert_every_k_matches_reference(intent, _texts(wide_intent), ks,
+                                      provider=_SignedProvider())
+    assert intent._postings
+
+
+class _GivenProvider:
+    """Embeds a text of ``dim`` numbers as those numbers."""
+
+    def __init__(self, dim: int):
+        self.name, self.dim = f"given-{dim}", dim
+
+    def embed(self, text):
+        return tuple(float(x) for x in text.split())
+
+
+def test_postings_only_when_the_matrix_and_the_query_are_sparse():
+    # one cell in eight nonzero is sparse; one more is not
+    rng = np.random.default_rng(5)
+    provider = _GivenProvider(8)
+    sparse_query, dense_query = "0 0 0 1.5 0 0 0 0", "0 2 0 1.5 0 0 0 0"
+    for nonzero, sparse in ((16, True), (17, False)):
+        matrix = np.zeros((16, 8))
+        matrix.ravel()[rng.choice(128, nonzero, replace=False)] = rng.normal(
+            size=nonzero)
+        docs = tuple(IntentDoc(i, f"d{i % 5}", "function", "", tuple(row))
+                     for i, row in enumerate(matrix.tolist()))
+        intent = IntentIndex(provider.name, 8, "", docs)
+        _assert_every_k_matches_reference(intent, [dense_query], provider=provider)
+        assert intent._postings is None
+        _assert_every_k_matches_reference(intent, [sparse_query], provider=provider)
+        assert bool(intent._postings) is sparse
+        assert intent._postings is not None
+
+
+def test_postings_are_derived_by_the_first_query_not_by_build_or_load(
+        toy_index, toy_intent, tmp_path):
+    built = build_intent_index(toy_index)
+    persist_index(IndexContainer(toy_index, built), tmp_path / "toy.caidx")
+    loaded = load_index(tmp_path / "toy.caidx").intent
+    for intent in (built, loaded):
+        assert intent._postings is None
+        query_code_intent(intent, "subtract numbers", k=3)
+        postings = intent._postings
+        assert postings
+        query_code_intent(intent, "calculator", k=3)
+        assert intent._postings is postings
+    assert loaded == built == toy_intent
+    assert "_postings" not in repr(loaded)
+
+
+def test_matrix_is_read_only(toy_index, toy_intent):
+    clone = IntentIndex.from_dict(toy_intent.to_dict(), toy_index.symbols)
+    given = IntentIndex(toy_intent.provider_name, toy_intent.dim,
+                        toy_intent.repo_snapshot, toy_intent.docs,
+                        toy_intent.matrix.copy())
+    for intent in (toy_intent, clone, given, _duplicated(toy_intent, 2),
+                   build_intent_index(toy_index, _RecordingProvider())):
+        with pytest.raises(ValueError):
+            intent.matrix[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            intent.matrix[1] *= 2.0
+    for doc in clone.docs:
+        with pytest.raises(ValueError):
+            doc._vector[0] = 0.5
+
+
+def test_a_row_whose_postings_sum_rounds_low_stays_a_candidate():
+    # Row 0 sums its products in bucket order one unit in the last place
+    # below the full product. Row 1 scores exactly that product through a
+    # single cell, so with no rounding margin row 1 alone would look like
+    # the best, and the tie would go to it instead of to row 0's name.
+    provider, buckets = _GivenProvider(64), [3, 10, 17, 24, 31]
+    query = np.zeros(64)
+    query[buckets] = [1.0, 0.1, 0.7, 0.3, 0.9]
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        matrix = np.zeros((8, 64))
+        matrix[0, buckets] = np.round(rng.normal(size=5), 3)
+        exact = (matrix @ query)[0]
+        in_order = 0.0
+        for b in buckets:
+            in_order += matrix[0, b] * query[b]
+        if in_order < exact:
+            break
+    else:
+        pytest.skip("no row rounds low in bucket order here")
+    matrix[1, 3] = exact
+    docs = tuple(IntentDoc(i, f"n{i}", "function", "", tuple(row))
+                 for i, row in enumerate(matrix.tolist()))
+    intent = IntentIndex(provider.name, 64, "", docs)
+    text = " ".join(map(repr, query.tolist()))
+    assert [h["symbol_id"] for h in query_code_intent(
+        intent, text, k=1, provider=provider)] == [0]
+    _assert_every_k_matches_reference(intent, [text], provider=provider)
+    assert intent._postings
+
+
+# An intent index of 2,002 docs: OpenBLAS splits one product of its whole
+# matrix over two threads, and the first thread's leftover rows take other
+# kernels than they take on one thread.
+_THREADS_CHILD = """
+import json, random
+from cppatlas.intent import (HashEmbeddingProvider, IntentDoc, IntentIndex,
+                             query_code_intent)
+rng = random.Random(2002)
+vocab = ["".join(rng.choice("abcdefghijklmnopqrstuvwxyz")
+                 for _ in range(rng.randint(3, 9))) for _ in range(400)]
+texts = [" ".join(rng.choice(vocab) for _ in range(rng.randint(4, 40)))
+         for _ in range(2002)]
+matrix = HashEmbeddingProvider().embed_texts(texts)
+docs = tuple(IntentDoc(i, f"n{i % 97}::f", "function", t, row)
+             for i, (t, row) in enumerate(zip(texts, matrix)))
+intent = IntentIndex("hash-tf-256", 256, "", docs, matrix)
+queries = [(texts[i], 2002) for i in [*range(985, 1015), *range(1990, 2002)]]
+queries += [(" ".join(rng.sample(vocab, 3)), k) for k in (1, 10, 2002) * 10]
+print(json.dumps([query_code_intent(intent, t, k=k) for t, k in queries]))
+"""
+
+
+def test_answers_do_not_depend_on_the_blas_thread_count():
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _THREADS_CHILD], env=env,
+                              capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
