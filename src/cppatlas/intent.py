@@ -420,7 +420,10 @@ _GAP = 8
 # cell of the dense product costs (a gather, a multiply and a bincount add
 # against one fused multiply-add), and a dense matrix's postings would
 # outweigh the matrix. The hash embedder's docs fill about 5% of their cells
-# and its queries about 2%; an external provider's vectors are dense.
+# and its queries about 2%; an external provider's vectors are dense. A
+# matrix of at most _PRODUCT_CELLS cells never gets postings: one product
+# over all of it costs less than a query through them (47 against 102 us on
+# a 24-doc index at dim 256, 359 us when the query derives them).
 _SPARSE = 8
 
 
@@ -511,7 +514,8 @@ def query_code_intent(
     Ties break lexicographically on qualified name, then id.
 
     Every score equals the full single-threaded ``matrix @ query``, bit for
-    bit, for any BLAS thread count. When the matrix and the query are both
+    bit, for any BLAS thread count. When the matrix is larger than one
+    product (``_PRODUCT_CELLS``) and the matrix and the query are both
     sparse (see ``_SPARSE``), the query's bucket postings pick the rows
     that may be in the top k, and only their 4-row blocks are multiplied:
     the cost is the postings of a few buckets plus a few passes over one
@@ -536,7 +540,8 @@ def query_code_intent(
     n, dim = matrix.shape
     rows = None
     buckets = np.flatnonzero(query)
-    if k < n and query.shape == (dim,) and 0 < len(buckets) * _SPARSE <= dim:
+    if (k < n and n * dim > _PRODUCT_CELLS and query.shape == (dim,)
+            and 0 < len(buckets) * _SPARSE <= dim):
         postings = _postings(intent)
         if postings:
             rows = _candidate_rows(postings, query, buckets, n, k)

@@ -423,7 +423,9 @@ def validate(
 ) -> dict[str, tuple[bool, str | None, list[TestOutcome]]]:
     """Per-candidate validation verdicts. A candidate is valid when all
     reproduction tests pass on the patched snapshot and no regression
-    test that passed on the baseline fails on it."""
+    test that passed on the baseline fails on it. A regression test's
+    baseline status is asked of ``cache`` only when the test fails on the
+    patched snapshot."""
     runner = runner or RunnerConfig()
     cache = cache or BaselineCache()
     verdicts: dict[str, tuple[bool, str | None, list[TestOutcome]]] = {}
@@ -443,10 +445,10 @@ def validate(
                 break
         if verdict is None:
             for test in regression_tests:
-                baseline_status = cache.status(repo, test, runner)
                 outcome = run_test(patched, test, runner)
                 outcomes.append(outcome)
-                if baseline_status == "pass" and outcome.status != "pass":
+                if (outcome.status != "pass"
+                        and cache.status(repo, test, runner) == "pass"):
                     verdict = (False, f"regression:{test.test_id}", outcomes)
                     break
         verdicts[candidate.id] = verdict or (True, None, outcomes)

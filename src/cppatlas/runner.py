@@ -4,12 +4,21 @@ A snapshot is written to a scratch directory and each test command runs
 with that directory as its working directory. Outcomes are judged purely
 by exit code: zero passes, anything else fails, and a wall-clock overrun
 is reported as ``timeout``.
+
+A test finishes when its stdout and stderr have both reached end of file
+and its process has exited, all before the deadline. One poll loop waits
+for all three at once: the exit is watched through a pidfd, so the loop
+wakes the moment the test exits and never sleeps between checks. Where
+``os.pidfd_open`` is missing or fails, the loop waits on the pipes alone
+and then on ``Popen.wait`` for what is left of the deadline, which polls
+the exit with short sleeps.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import selectors
 import shutil
 import signal
 import subprocess
@@ -24,6 +33,7 @@ from .repo import Repository
 log = logging.getLogger(__name__)
 
 _OUTPUT_LIMIT = 65536
+_READ_SIZE = 65536
 
 
 @dataclass(frozen=True)
@@ -152,14 +162,11 @@ def run_test(
         except (OSError, ValueError) as exc:
             raise RunnerUnavailable(f"cannot launch {command[0]!r}: {exc}") from exc
         with proc:
-            try:
-                stdout, stderr = proc.communicate(timeout=timeout)
-                status = "pass" if proc.returncode == 0 else "fail"
-            except subprocess.TimeoutExpired as exc:
-                stdout, stderr = exc.stdout or b"", exc.stderr or b""
-                status = "timeout"
-            finally:
-                _kill_group(proc)
+            finished, stdout, stderr = _collect(proc, timeout)
+        if not finished:
+            status = "timeout"
+        else:
+            status = "pass" if proc.returncode == 0 else "fail"
         return TestOutcome(
             test_id=test.test_id,
             status=status,
@@ -172,6 +179,59 @@ def run_test(
     finally:
         if not config.keep_scratch:
             shutil.rmtree(scratch_path, ignore_errors=True)
+
+
+def _collect(proc: subprocess.Popen, timeout: float) -> tuple[bool, bytes, bytes]:
+    """Read the test's stdout and stderr until both reach end of file and
+    the test has exited, or until ``timeout`` seconds pass; then SIGKILL
+    its process group and reap it. Returns whether it finished in time,
+    and what it wrote to each stream by then."""
+    deadline = time.monotonic() + timeout
+    out, err = proc.stdout.fileno(), proc.stderr.fileno()
+    chunks: dict[int, list[bytes]] = {out: [], err: []}
+    pidfd = _open_pidfd(proc.pid)
+    try:
+        with selectors.PollSelector() as selector:
+            for fd in (out, err, pidfd):
+                if fd is not None:
+                    selector.register(fd, selectors.EVENT_READ)
+            while selector.get_map():
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                ready = selector.select(remaining)
+                if time.monotonic() > deadline:
+                    break
+                for key, _ in ready:
+                    data = b"" if key.fd == pidfd else os.read(key.fd, _READ_SIZE)
+                    if data:
+                        chunks[key.fd].append(data)
+                    else:  # end of file, or the test exited
+                        selector.unregister(key.fd)
+            finished = not selector.get_map()
+        if finished and pidfd is None:
+            try:
+                proc.wait(timeout=deadline - time.monotonic())
+            except subprocess.TimeoutExpired:
+                finished = False
+    finally:
+        # Unless the fallback's wait reaped it, the leader is alive or an
+        # unreaped zombie here, so its pid, which is the group's id, cannot
+        # have passed to another process.
+        _kill_group(proc)
+        if pidfd is not None:
+            os.close(pidfd)
+    proc.wait()
+    return finished, b"".join(chunks[out]), b"".join(chunks[err])
+
+
+def _open_pidfd(pid: int) -> int | None:
+    """A descriptor that polls readable once ``pid`` exits, or None where
+    the platform has none to give."""
+    try:
+        return os.pidfd_open(pid)
+    except (AttributeError, OSError):  # no pidfd_open, or it failed
+        return None
 
 
 def _kill_group(proc: subprocess.Popen):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cppatlas import intent as intent_module
 from cppatlas.errors import (
     BadRequest,
     EmptyIndex,
@@ -602,6 +603,14 @@ def _assert_every_k_matches_reference(intent, texts, ks=None, provider=None):
             assert json.dumps(got) == json.dumps(full[:k])
 
 
+def _postings_at_any_size(monkeypatch, intent):
+    # A matrix of at most _PRODUCT_CELLS cells is multiplied whole; moving
+    # the rule to just below this one lets its sparse queries read postings.
+    n, dim = intent.matrix.shape
+    cells = min(intent_module._PRODUCT_CELLS, n * dim - 1)
+    monkeypatch.setattr(intent_module, "_PRODUCT_CELLS", cells)
+
+
 def _first(intent, n: int) -> IntentIndex:
     return IntentIndex(intent.provider_name, intent.dim, intent.repo_snapshot,
                        intent.docs[:n], intent.matrix[:n])
@@ -646,16 +655,18 @@ def wide_intent(wide_index):
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-def test_tiny_indexes_match_reference_for_every_k(toy_intent, n):
+def test_tiny_indexes_match_reference_for_every_k(toy_intent, n, monkeypatch):
     intent = _first(toy_intent, n)
+    _postings_at_any_size(monkeypatch, intent)
     _assert_every_k_matches_reference(intent, _texts(toy_intent))
     _assert_every_k_matches_reference(_duplicated(intent, 3), _texts(toy_intent))
 
 
 # n % 4 is 0, 1, 2 and 3: the last block holds 4 to 7 rows
 @pytest.mark.parametrize("n", [400, 401, 1498, 1499])
-def test_indexes_of_each_tail_length_match_reference(wide_intent, n):
+def test_indexes_of_each_tail_length_match_reference(wide_intent, n, monkeypatch):
     intent = _first(wide_intent, n)
+    _postings_at_any_size(monkeypatch, intent)  # 400 and 401 need it
     ks = [*range(1, 41), *range(41, n - 3, 97), *range(n - 3, n + 4)]
     _assert_every_k_matches_reference(intent, _texts(intent), ks)
     assert intent._postings  # the texts took the postings path
@@ -707,11 +718,12 @@ class _GivenProvider:
         return tuple(float(x) for x in text.split())
 
 
-def test_postings_only_when_the_matrix_and_the_query_are_sparse():
+def test_postings_only_when_the_matrix_and_the_query_are_sparse(monkeypatch):
     # one cell in eight nonzero is sparse; one more is not
     rng = np.random.default_rng(5)
     provider = _GivenProvider(8)
     sparse_query, dense_query = "0 0 0 1.5 0 0 0 0", "0 2 0 1.5 0 0 0 0"
+    monkeypatch.setattr(intent_module, "_PRODUCT_CELLS", 16 * 8 - 1)
     for nonzero, sparse in ((16, True), (17, False)):
         matrix = np.zeros((16, 8))
         matrix.ravel()[rng.choice(128, nonzero, replace=False)] = rng.normal(
@@ -727,7 +739,8 @@ def test_postings_only_when_the_matrix_and_the_query_are_sparse():
 
 
 def test_postings_are_derived_by_the_first_query_not_by_build_or_load(
-        toy_index, toy_intent, tmp_path):
+        toy_index, toy_intent, tmp_path, monkeypatch):
+    _postings_at_any_size(monkeypatch, toy_intent)
     built = build_intent_index(toy_index)
     persist_index(IndexContainer(toy_index, built), tmp_path / "toy.caidx")
     loaded = load_index(tmp_path / "toy.caidx").intent
@@ -740,6 +753,25 @@ def test_postings_are_derived_by_the_first_query_not_by_build_or_load(
         assert intent._postings is postings
     assert loaded == built == toy_intent
     assert "_postings" not in repr(loaded)
+
+
+def test_an_index_of_one_product_never_builds_postings(toy_index, monkeypatch):
+    # the toy index (24 docs at dim 256) is far below the size rule
+    intent = build_intent_index(toy_index)
+    n, dim = intent.matrix.shape
+    assert n * dim <= intent_module._PRODUCT_CELLS
+    for text in _texts(intent):
+        for k in (1, 3, n - 1):
+            query_code_intent(intent, text, k=k)
+    assert intent._postings is None
+    # the rule's boundary: a matrix of exactly one product is multiplied
+    # whole, and one cell more reads postings
+    monkeypatch.setattr(intent_module, "_PRODUCT_CELLS", n * dim)
+    query_code_intent(intent, "subtract numbers", k=3)
+    assert intent._postings is None
+    monkeypatch.setattr(intent_module, "_PRODUCT_CELLS", n * dim - 1)
+    query_code_intent(intent, "subtract numbers", k=3)
+    assert intent._postings
 
 
 def test_matrix_is_read_only(toy_index, toy_intent):
@@ -758,7 +790,7 @@ def test_matrix_is_read_only(toy_index, toy_intent):
             doc._vector[0] = 0.5
 
 
-def test_a_row_whose_postings_sum_rounds_low_stays_a_candidate():
+def test_a_row_whose_postings_sum_rounds_low_stays_a_candidate(monkeypatch):
     # Row 0 sums its products in bucket order one unit in the last place
     # below the full product. Row 1 scores exactly that product through a
     # single cell, so with no rounding margin row 1 alone would look like
@@ -782,6 +814,7 @@ def test_a_row_whose_postings_sum_rounds_low_stays_a_candidate():
     docs = tuple(IntentDoc(i, f"n{i}", "function", "", tuple(row))
                  for i, row in enumerate(matrix.tolist()))
     intent = IntentIndex(provider.name, 64, "", docs)
+    _postings_at_any_size(monkeypatch, intent)
     text = " ".join(map(repr, query.tolist()))
     assert [h["symbol_id"] for h in query_code_intent(
         intent, text, k=1, provider=provider)] == [0]

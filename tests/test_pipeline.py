@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cppatlas.pipeline
 from cppatlas.backends import (
     HeuristicJudge,
     ScriptedBackend,
@@ -46,6 +47,8 @@ from cppatlas.repo import IssueDescription, load_repository
 from cppatlas.runner import RunnerConfig, TestCase
 from cppatlas.server import handle_request
 from cppatlas.tools import ToolContext
+
+import refrunner
 
 PY = sys.executable
 
@@ -634,6 +637,93 @@ class TestValidate:
         assert verdicts[good_fix.id][:2] == (True, None)
 
 
+def counted_runs(monkeypatch, module) -> list[tuple[str, str]]:
+    """The (snapshot, test) of every ``run_test`` call made through
+    ``module`` from now on, in order."""
+    calls = []
+    run = module.run_test
+
+    def counted(repo, test, runner=None):
+        calls.append((repo.snapshot_id, test.test_id))
+        return run(repo, test, runner)
+
+    monkeypatch.setattr(module, "run_test", counted)
+    return calls
+
+
+def verdict_fields(verdicts):
+    # wall-clock time is not an output
+    return {
+        cid: (ok, reason, [(o.test_id, o.status, o.exit_code, o.stdout,
+                            o.stderr, o.command) for o in outcomes])
+        for cid, (ok, reason, outcomes) in verdicts.items()
+    }
+
+
+def broken_test():
+    # fails on the baseline, and on every candidate here
+    return content_test("t-broken", "return 42;")
+
+
+class TestValidateMatchesFrozen:
+    """``validate`` against the frozen ``refrunner.validate``: the same
+    verdicts and outcomes, the same runs on patched snapshots, and a
+    baseline run only for a regression test that failed on one."""
+
+    @pytest.mark.parametrize("regression", [
+        [], ["t-flavor"], ["t-broken"], ["t-broken", "t-flavor"],
+        ["t-flavor", "t-broken"],
+    ])
+    @pytest.mark.parametrize("seeds", [
+        {}, {"t-subtract-fixed": "fail"}, {"t-flavor": "fail"},
+        {"t-broken": "pass", "t-flavor": "pass"},
+    ], ids=["unseeded", "repro", "flavor-fail", "both-pass"])
+    def test_verdicts_outcomes_and_runs(self, repo, good_fix, flavor_break,
+                                        fix_and_break, ghost_patch, stale_patch,
+                                        monkeypatch, regression, seeds):
+        candidates = [good_fix, flavor_break, fix_and_break, ghost_patch,
+                      stale_patch]
+        tests = {t.test_id: t for t in (flavor_test(), broken_test())}
+        regression = [tests[t] for t in regression]
+        caches = BaselineCache(), refrunner.BaselineCache()
+        for cache in caches:
+            for test_id, status in seeds.items():
+                cache.seed(repo, test_id, status)
+        live_runs = counted_runs(monkeypatch, cppatlas.pipeline)
+        ref_runs = counted_runs(monkeypatch, refrunner)
+        live = validate(repo, candidates, [subtract_test()], regression,
+                        cache=caches[0])
+        ref = refrunner.validate(repo, candidates, [subtract_test()], regression,
+                                 cache=caches[1])
+        assert verdict_fields(live) == verdict_fields(ref)
+
+        baseline = repo.snapshot_id
+        assert ([r for r in live_runs if r[0] != baseline]
+                == [r for r in ref_runs if r[0] != baseline])
+        failed_patched = {
+            o.test_id for _, _, outcomes in live.values() for o in outcomes
+            if o.status != "pass" and o.test_id in {t.test_id for t in regression}
+        }
+        assert sorted(t for s, t in live_runs if s == baseline) == sorted(
+            failed_patched - set(seeds))
+        assert len(live_runs) <= len(ref_runs)
+
+    def test_the_toy_shape_runs_one_test_fewer(self, repo, good_fix,
+                                               flavor_break, monkeypatch):
+        # the candidates pipeline-toy keeps after pruning, with its
+        # reproduction's baseline status seeded as run_pipeline does
+        caches = BaselineCache(), refrunner.BaselineCache()
+        for cache in caches:
+            cache.seed(repo, "t-subtract-fixed", "fail")
+        live_runs = counted_runs(monkeypatch, cppatlas.pipeline)
+        ref_runs = counted_runs(monkeypatch, refrunner)
+        args = [good_fix, flavor_break], [subtract_test()], [flavor_test()]
+        live = validate(repo, *args, cache=caches[0])
+        ref = refrunner.validate(repo, *args, cache=caches[1])
+        assert verdict_fields(live) == verdict_fields(ref)
+        assert (len(live_runs), len(ref_runs)) == (3, 4)
+
+
 def report(candidate, valid=True, vote=0.5, comp=10, reason=None):
     return CandidateReport(
         candidate=candidate, valid=valid, reason=reason, align=0.0,
@@ -854,6 +944,24 @@ class TestRunPipeline:
         with pytest.raises(RunnerUnavailable):
             run_pipeline(repo, ISSUE, repro, gen,
                          structural=toy_index, intent=toy_intent)
+
+    def test_the_toy_shape_runs_four_tests(self, repo, toy_index, toy_intent,
+                                           good_fix, cosmetic_twin, flavor_break,
+                                           stale_patch, monkeypatch):
+        # pipeline-toy's emissions: the twin and the duplicate collapse into
+        # the fix, the stale patch does not apply, and the flavor test
+        # passes on the fix, so its baseline run is never needed
+        runs = counted_runs(monkeypatch, cppatlas.pipeline)
+        repro, gen = self.backends(cosmetic_twin, flavor_break, stale_patch,
+                                   good_fix, good_fix)
+        result = run_pipeline(repo, ISSUE, repro, gen,
+                              regression_tests=[flavor_test()],
+                              structural=toy_index, intent=toy_intent)
+        assert result.selected.candidate.id == good_fix.id
+        assert len(runs) == 4
+        # the one baseline run is the reproduction's
+        assert [t for snapshot, t in runs if snapshot == repo.snapshot_id] == [
+            "t-subtract-fixed"]
 
     def test_generation_failure_propagates(self, repo, toy_index, toy_intent):
         repro = ScriptedBackend([emit_test(subtract_test())])
