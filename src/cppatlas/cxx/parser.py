@@ -781,6 +781,26 @@ def _is_parameter_name(texts: list[str], at: int) -> bool:
     return any(tx not in _TYPE_PREFIXES for tx in texts[:at])
 
 
+def _declarator_name(texts: list[str], kinds: list[str]) -> int | None:
+    """Where the name of a parenthesised declarator is, as ``fn`` in
+    ``int (*fn)(int)`` or ``r`` in ``int (&r)[3]``: an identifier that is
+    not a keyword, right after a '*', '&' or '&&' and right before the
+    parameter's first ')', whose '(' is outside every bracket. None when
+    the parameter has no such name."""
+    if ")" not in texts:
+        return None
+    close = texts.index(")")
+    at = close - 1
+    if (at < 2 or kinds[at] != "id" or texts[at] in CPP_KEYWORDS
+            or texts[at - 1] not in ("*", "&", "&&")):
+        return None
+    # no ')' comes before, so the last '(' before it opens its group
+    opener = max((k for k in range(close) if texts[k] == "("), default=0)
+    closers = _CLOSERS.values()
+    depth = sum((tx in _CLOSERS) - (tx in closers) for tx in texts[:opener])
+    return at if opener and depth == 0 else None
+
+
 def normalize_signature(texts: list[str], kinds: list[str]) -> str:
     """Normalize a parameter list's token columns: whitespace collapsed,
     parameter names and default arguments removed, const qualifiers kept,
@@ -792,18 +812,23 @@ def normalize_signature(texts: list[str], kinds: list[str]) -> str:
         part, part_kinds = texts[start:end], kinds[start:end]
         if not part:
             continue
-        # the name is the identifier before the first '[', or else the last
-        # token; a qualified name or a builtin type is not a name
-        bracket = next((k for k, tx in enumerate(part) if tx == "["), 0)
-        at = len(part) - 1
-        if bracket and part_kinds[bracket - 1] == "id":
-            at = bracket - 1
-        if (
-            part_kinds[at] == "id"
-            and part[at] not in TYPE_KEYWORDS
-            and part[at - 1] != "::"
-            and _is_parameter_name(part, at)
-        ):
+        # the name is inside a parenthesised declarator, or else the
+        # identifier before the first '[', or else the last token; a
+        # qualified name or a builtin type is not a name
+        at = _declarator_name(part, part_kinds)
+        if at is None:
+            bracket = next((k for k, tx in enumerate(part) if tx == "["), 0)
+            at = len(part) - 1
+            if bracket and part_kinds[bracket - 1] == "id":
+                at = bracket - 1
+            if not (
+                part_kinds[at] == "id"
+                and part[at] not in TYPE_KEYWORDS
+                and part[at - 1] != "::"
+                and _is_parameter_name(part, at)
+            ):
+                at = None
+        if at is not None:
             del part[at]
         rendered.append(render_tokens(part))
     if rendered == ["void"]:

@@ -102,6 +102,10 @@ class Graph:
     def sources(self, kind: EdgeKind, node: int) -> list[int]:
         return self._in[kind].get(node, [])
 
+    def tables(self, kind: EdgeKind) -> tuple[dict, dict]:
+        """The out- and in-neighbour tables of ``kind``: node to ids."""
+        return self._out[kind], self._in[kind]
+
     def sites_from(self, caller: int) -> list[int]:
         return self._by_caller.get(caller, [])
 
@@ -113,13 +117,33 @@ class Graph:
 _NO_EDGES = Graph()
 
 
+class _Sources(dict):
+    """An index's sources, path to text: a dict that refuses every change
+    in place. It is written and compared as a plain dict."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("an index's sources are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return _Sources, (dict(self),)
+
+
 @dataclass
 class StructuralIndex:
     """Symbol graph plus lookup tables and the source text it was built from.
 
     ``graph`` is derived from ``edges`` and ``call_sites``, and
     ``by_suffix`` from the qualified names; both are rebuilt on load,
-    never persisted, and take no part in equality."""
+    never persisted, and take no part in equality.
+
+    ``sources`` is read-only: whatever mapping is assigned to it is copied
+    into a dict that refuses changes in place. So the trigram filter that
+    ``queries.grep_baseline`` derives from it on first use and keeps in
+    ``_trigrams`` cannot go stale; assigning new sources drops the filter.
+    A build or a load never derives it."""
 
     symbols: list[SymbolRecord] = field(default_factory=list)
     edges: list[StructuralEdge] = field(default_factory=list)
@@ -136,6 +160,14 @@ class StructuralIndex:
     repo_snapshot: str = ""
     parse_error_count: int = 0
     graph: Graph = field(default=_NO_EDGES, repr=False, compare=False)
+    _trigrams: tuple = field(default=None, init=False, repr=False, compare=False)
+
+    def __setattr__(self, name, value):
+        if name == "sources":
+            if type(value) is not _Sources:
+                value = _Sources(value)
+            object.__setattr__(self, "_trigrams", None)
+        object.__setattr__(self, name, value)
 
     def symbol(self, symbol_id: int) -> SymbolRecord:
         return self.symbols[symbol_id]

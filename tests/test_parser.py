@@ -5,7 +5,7 @@ hand-written sources pinning single parser behaviors.
 reader and one declarator scan replaced its separate loops. Both must give
 the same `ParsedUnit` (symbols, containment, pending bases and calls,
 includes, error count) on the corpus, the fixtures, a catalogue of
-constructs and token soup. Four differences are declared, and the
+constructs and token soup. Five differences are declared, and the
 differential tests read the reference their way:
 
 1. ``>>`` is two ``>`` everywhere, so it closes two template levels. The
@@ -19,12 +19,15 @@ differential tests read the reference their way:
    b;`` names ``b`` too. The reference skipped the rest of the statement.
 4. After a top-level '=' in a parameter, '<' and '>' are comparisons, so
    ``void f(int x = a < b, int y)`` has two parameters, not one.
+5. A parenthesised declarator's name is dropped from the signature:
+   ``void f(int (*fn)(int))`` has signature ``(int ( * ) ( int ))``. The
+   reference kept ``fn``, as it is not the parameter's last token.
 
-For 3 and 4 the reference is compared with this parser run with those two
-switched off (``reference_reading``): later declarators are still read,
-but not recorded, and parameters are split the reference's way. On the
-corpus and the fixtures neither fires, so there the parser itself is
-compared too.
+For 3 to 5 the reference is compared with this parser run with those
+three switched off (``reference_reading``): later declarators are still
+read, but not recorded, parameters are split the reference's way, and no
+name is looked for inside parentheses. On the corpus and the fixtures
+none fires, so there the parser itself is compared too.
 """
 
 import contextlib
@@ -102,7 +105,7 @@ def columns(text: str) -> tuple[list[str], list[str]]:
 
 @contextlib.contextmanager
 def reference_reading():
-    """This parser with declared differences 3 and 4 switched off."""
+    """This parser with declared differences 3 to 5 switched off."""
     read = parser._Parser._declarators_after_initializer
 
     def read_unrecorded(self, scope, start_line):
@@ -114,15 +117,16 @@ def reference_reading():
 
     with mock.patch.object(
         parser._Parser, "_declarators_after_initializer", read_unrecorded
-    ), mock.patch.object(parser, "_split_top_level", reference_split):
+    ), mock.patch.object(parser, "_split_top_level", reference_split), \
+            mock.patch.object(parser, "_declarator_name", lambda *_: None):
         yield
 
 
 def assert_same(text: str, ref_text: str | None = None, path: str = "a.h",
                 firing: bool = True):
     """The parser on ``text`` against the reference on ``ref_text``
-    (default: the same text), with declared differences 2 to 4 applied;
-    without ``firing``, differences 3 and 4 must not change the result."""
+    (default: the same text), with declared differences 2 to 5 applied;
+    without ``firing``, differences 3 to 5 must not change the result."""
     got = parse(text, path)
     with reference_reading():
         read_as_before = parse(text, path)
@@ -261,11 +265,14 @@ CATALOGUE = {
     "    S& operator=(const S&);\n};\nX operator+ (X, X);\n",
     "enum_left_open": "int before;\nenum E { A, B\n",
     "parameters_left_open": "void f(int a,\n",
+    "parenthesised_declarators": "void on(int (*fn)(int), double scale);\n"
+    "void on(int (*)(int), double) {}\nvoid grid(int (&cells)[3], int (*rows)[4]);\n"
+    "void member(void (C::*pm)(), std::function<void(int*p)> cb);\n",
 }
 
 
-# the catalogue entries that declared difference 3 or 4 changes
-FIRING = {"namespace_scope_variables"}
+# the catalogue entries that declared difference 3, 4 or 5 changes
+FIRING = {"namespace_scope_variables", "parenthesised_declarators"}
 
 
 @pytest.mark.parametrize("name", CATALOGUE)
@@ -775,3 +782,40 @@ class TestResilience:
         )
         assert idx.includes["a.cpp"] == ["dep.h", "vector"]
         assert only(idx, "x").kind is SymbolKind.VARIABLE
+
+
+# --- declared difference 5: names in parenthesised declarators -----------
+
+
+@pytest.mark.parametrize(
+    "params, want, reference",
+    [
+        ("int (*fn)(int), double", "(int ( * ) ( int ), double)",
+         "(int ( * fn ) ( int ), double)"),
+        ("int (&r)[3]", "(int ( & ) [ 3 ])", "(int ( & r ) [ 3 ])"),
+        ("int (*a)[3]", "(int ( * ) [ 3 ])", "(int ( * a ) [ 3 ])"),
+        ("int (&&r)", "(int ( && ))", "(int ( && r ))"),
+        ("void (C::*pm)()", "(void ( C::* ) ( ))", "(void ( C::* pm ) ( ))"),
+        ("std::map<int, int> (*f)(int)", "(std::map < int , int > ( * ) ( int ))",
+         "(std::map < int , int > ( * f ) ( int ))"),
+        # no name, a name after a qualifier, a keyword, a group inside
+        # template arguments or inside another group: nothing is dropped
+        ("int (*)(int)", "(int ( * ) ( int ))", "(int ( * ) ( int ))"),
+        ("int (* const p)", "(int ( * const p ))", "(int ( * const p ))"),
+        ("void (*const)(int)", "(void ( * const ) ( int ))",
+         "(void ( * const ) ( int ))"),
+        ("std::function<void(int*p)> cb", "(std::function < void ( int * p ) >)",
+         "(std::function < void ( int * p ) >)"),
+        ("(int (*fn)(int))", "(( int ( * fn ) ( int ) ))",
+         "(( int ( * fn ) ( int ) ))"),
+        ("int a[3], char *p", "(int [ 3 ], char *)", "(int [ 3 ], char *)"),
+    ],
+)
+def test_parenthesised_declarator_names_are_dropped(params, want, reference):
+    typed = columns(params)
+    assert parser.normalize_signature(*typed) == want
+    assert refparser.normalize_signature(tokenrows.rows(*typed)) == reference
+    text = f"void f({params});\nvoid f({params}) {{}}\n"
+    parsed = parse(text)
+    assert [s.signature for s in parsed.symbols[1:]] == [want, want]
+    assert_same(text, firing=want != reference)

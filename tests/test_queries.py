@@ -1,4 +1,7 @@
+import copy
+import json
 import pathlib
+import pickle
 import re
 
 import pytest
@@ -12,7 +15,15 @@ from cppatlas.errors import (
     NotFound,
     UnknownClass,
 )
-from cppatlas.index import build_index
+from cppatlas import queries
+from cppatlas.index import (
+    IndexContainer,
+    StructuralIndex,
+    build_index,
+    load_index,
+    persist_index,
+)
+from cppatlas.intent import build_intent_index
 from cppatlas.model import CLASS_KINDS, FUNCTION_KINDS, EdgeKind, SymbolKind
 from cppatlas.queries import (
     defect_subgraph,
@@ -25,6 +36,7 @@ from cppatlas.queries import (
     snippet_for,
 )
 from cppatlas.repo import load_repository
+from cppatlas.server import handle_line
 from cppatlas.tools import ToolContext, dispatch_tool
 
 import corpusgen
@@ -125,8 +137,12 @@ void nothing(void);
 void nothing() {}
 struct Functor { int operator()(int a, double b) const; };
 void callback(int (*fn)(int), double scale);
+void callback(int (*other)(int), double) {}
+void by_ref(int (&r)[3]);
+void rows(int (*a)[3]) {}
 }
 """
+CALLBACK = "(int ( * ) ( int ), double)"
 SHIFT_ONE = "(std::map < int , std::vector < int > >)"
 SHIFT_TWO = "(std::map < int , std::vector < int > >, int)"
 
@@ -155,11 +171,20 @@ def signature_index(tmp_path_factory):
         ("nothing", "void", [("()", True), ("()", False)]),
         ("operator()", "int,double", [("(int, double)", False)]),
         ("sig::Functor::operator()", "(int a, double b)", [("(int, double)", False)]),
-        # a parenthesised declarator keeps its name: it is not the last token
-        ("callback", "(int (*fn)(int) , double)",
-         [("(int ( * fn ) ( int ), double)", False)]),
-        ("callback", "(int (*)(int), double)", None),
+        # a parenthesised declarator's name is dropped, so a declaration
+        # and a definition naming the pointer differently are one function
+        ("callback", "(int (*fn)(int) , double)", [(CALLBACK, True),
+                                                   (CALLBACK, False)]),
+        ("callback", "(int (*)(int), double)", [(CALLBACK, True),
+                                                (CALLBACK, False)]),
+        ("callback", "(int (*g)(int), double d)", [(CALLBACK, True),
+                                                   (CALLBACK, False)]),
         ("callback", "((int (*fn)(int)), double)", None),
+        ("by_ref", "(int (&r)[3])", [("(int ( & ) [ 3 ])", False)]),
+        ("by_ref", "(int (&)[3])", [("(int ( & ) [ 3 ])", False)]),
+        ("rows", "(int (*a)[3])", [("(int ( * ) [ 3 ])", True)]),
+        ("rows", "int (*)[3]", [("(int ( * ) [ 3 ])", True)]),
+        ("rows", "(int *a[3])", None),
     ],
 )
 def test_signature_argument_is_read_like_a_declaration(
@@ -619,13 +644,21 @@ def _assert_grep_matches_scan(index):
         for regex in (False, True):
             if regex and pattern not in ("", ";", "::"):
                 continue
-            full = _ref_grep_baseline(index, pattern, 10**9, regex)
-            hits = len(full["matches"])
-            for max_results in sorted({1, 2, 50, max(hits - 1, 1), hits or 1,
-                                       hits + 1}):
-                want = _ref_grep_baseline(index, pattern, max_results, regex)
-                got = grep_baseline(index, pattern, max_results, regex)
-                assert got == want, (pattern, regex, max_results)
+            _assert_grep_same(index, pattern, regex)
+    # a regex that re.escape leaves unchanged takes the fixed-string path;
+    # one with metacharacters is still tried on every line
+    for pattern in [*words[::7], "::", r"\w+\(", "return|class", " {$", "a-b"]:
+        _assert_grep_same(index, pattern, True)
+
+
+def _assert_grep_same(index, pattern, regex):
+    """grep_baseline against the line scan, at every truncation point that
+    can differ."""
+    hits = len(_ref_grep_baseline(index, pattern, 10**9, regex)["matches"])
+    for max_results in sorted({1, 2, 50, max(hits - 1, 1), hits or 1, hits + 1}):
+        want = _ref_grep_baseline(index, pattern, max_results, regex)
+        assert grep_baseline(index, pattern, max_results, regex) == want, (
+            pattern, regex, max_results)
 
 
 @pytest.mark.parametrize("seed", [0, 7, 42, 101])
@@ -640,3 +673,179 @@ def test_fixed_string_grep_matches_the_scan_on_fixtures(
     _assert_grep_matches_scan(motivation_index)
     got = grep_baseline(toy_index, "a - b\n", regex=False)
     assert got == {"pattern": "a - b\n", "matches": [], "truncated": False}
+
+
+# --- the trigram filter of fixed-string greps
+
+
+def _assert_greps_same(index, patterns):
+    for pattern in patterns:
+        for regex in (False, True):
+            if not regex or re.escape(pattern) == pattern:
+                _assert_grep_same(index, pattern, regex)
+
+
+def test_grep_over_multibyte_text():
+    index = StructuralIndex(sources={
+        "a.h": "// größe\nint größe = 1;\nauto s = \"日本語\";\n",
+        "b.h": "日本\n語\nß\nγγγ γ\n",
+    })
+    # ö, ß and γ are 2 UTF-8 bytes and 日 is 3: "日" alone takes the
+    # filter, "ö" alone does not, "ße" does
+    _assert_greps_same(index, ["ö", "ß", "日", "ße", "größe", "日本", "日本語",
+                               "本語", "語\"", "γγ", "γ γ", "\u00e9", "e"])
+
+
+def test_grep_patterns_of_one_two_and_three_bytes():
+    index = StructuralIndex(sources={"a.h": "ab\nabc\nxabcx\nb\n", "b.h": "c\nbc\n"})
+    _assert_greps_same(index, ["a", "b", "c", "ab", "bc", "abc", "bca", "xab",
+                               "cx", "abcx", "", "x"])
+    assert index._trigrams is not None
+
+
+def test_grep_pattern_spanning_two_files_does_not_match():
+    index = StructuralIndex(sources={"a.h": "int tail_of", "b.h": "_next head;\n"})
+    assert grep_baseline(index, "of_n", regex=False)["matches"] == []
+    assert grep_baseline(index, "tail_of_next", regex=False)["matches"] == []
+    assert grep_baseline(index, "of", regex=False)["matches"][0]["path"] == "a.h"
+    _assert_greps_same(index, ["of_n", "f_n", "of_", "tail_of_next", "_next"])
+
+
+def test_grep_file_holding_every_trigram_apart():
+    # "abcd" has trigrams "abc" and "bcd"; "abcx bcd" holds both, not "abcd"
+    index = StructuralIndex(sources={
+        "a.h": "abcx bcd\n", "b.h": "xxabcdxx\nabcd\n", "c.h": "abc\nbcd\n"})
+    got = grep_baseline(index, "abcd", regex=False)
+    assert [(m["path"], m["line"]) for m in got["matches"]] == [("b.h", 1),
+                                                                ("b.h", 2)]
+    _assert_greps_same(index, ["abcd", "abc", "bcd", "x bcd"])
+
+
+def test_grep_several_hits_on_one_line():
+    index = StructuralIndex(sources={"a.h": "f(); f(); f();\nnone\nf();f();\n" * 3})
+    got = grep_baseline(index, "f()", regex=False, max_results=50)
+    assert [m["line"] for m in got["matches"]] == [1, 3, 4, 6, 7, 9]
+    _assert_greps_same(index, ["f()", "f();", "; f", "f", "none", ";"])
+
+
+def test_grep_over_crlf_text():
+    index = StructuralIndex(sources={
+        "a.h": "int a;\r\nint b;\r\n\r\nint a2;", "b.h": "x\r\n"})
+    got = grep_baseline(index, "int a", regex=False)
+    assert [m["text"] for m in got["matches"]] == ["int a;\r", "int a2;"]
+    _assert_greps_same(index, ["int a", ";\r", "\r", "x\r", "a2;", "\r\n", ""])
+
+
+def test_grep_over_no_sources_and_short_files():
+    empty = StructuralIndex(sources={})
+    _assert_greps_same(empty, ["", "a", "ab", "abc", "abcd"])
+    tiny = StructuralIndex(sources={
+        "a.h": "", "b.h": "x", "c.h": "xy", "d.h": "\n", "e.h": "xyz"})
+    _assert_greps_same(tiny, ["", "x", "y", "xy", "yz", "xyz", "xyzw", "\n"])
+
+
+def test_grep_over_files_past_a_build_chunk():
+    # more files than one build step marks, and not a multiple of 8
+    files = {f"f{i:03}.h": f"int v{i} = {i};\n" for i in range(203)}
+    for i in (0, 7, 8, 63, 64, 65, 127, 128, 200, 202):
+        files[f"f{i:03}.h"] += "needle();\n"
+    index = StructuralIndex(sources=files)
+    got = grep_baseline(index, "needle()", regex=False, max_results=100)
+    assert [m["path"] for m in got["matches"]] == [
+        f"f{i:03}.h" for i in (0, 7, 8, 63, 64, 65, 127, 128, 200, 202)]
+    _assert_greps_same(index, ["needle", "v202 ", "= 64;", "int v1", "nothing"])
+
+
+def test_grep_over_a_loaded_lone_surrogate(toyrepo_root, tmp_path):
+    path = tmp_path / "toy.caidx"
+    persist_index(build_index(load_repository(toyrepo_root)), path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    sources = payload["structural"]["sources"]
+    first = sorted(sources)[0]
+    sources[first] += "\nconst char* odd = \"\ud800x\";\n\udfff\n"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    index = load_index(path).structural
+    assert "\ud800x" in index.sources[first]
+    _assert_greps_same(index, ["\ud800", "\ud800x", "\"\ud800", "\udfff",
+                               "odd = \"\ud800x\";", "\ud800\udfff", "odd"])
+    ctx = ToolContext(structural=index)
+    line = json.dumps({"request_id": 1, "tool": "GrepBaseline",
+                       "arguments": {"pattern": "\ud800x", "regex": False}})
+    response = json.loads(handle_line(ctx, line))
+    assert response["ok"] and len(response["result"]["matches"]) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.dictionaries(
+        st.sampled_from(["a.h", "b.h", "c/d.cpp", "e.h", "f.h"]),
+        st.text(alphabet="ab \n\ré日\ud800", max_size=30),
+        max_size=5,
+    ),
+    st.lists(st.text(alphabet="ab \n\ré日\ud800", max_size=5), max_size=4),
+)
+def test_fixed_string_grep_matches_the_scan_fuzz(files, patterns):
+    _assert_greps_same(StructuralIndex(sources=files), patterns)
+
+
+def test_literal_regex_takes_the_fixed_string_path(toy_index, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("scanned every line")
+
+    want = grep_baseline(toy_index, "Calculator::add", regex=True)
+    monkeypatch.setattr(queries, "_scanned_lines", no_scan)
+    for pattern in ("Calculator::add", "flush4", "clamp", "", "日本"):
+        assert grep_baseline(toy_index, pattern) == grep_baseline(
+            toy_index, pattern, regex=False)
+    assert grep_baseline(toy_index, "Calculator::add") == want
+    with pytest.raises(AssertionError, match="scanned"):
+        grep_baseline(toy_index, "Calculator::ad+")
+
+
+def test_filter_is_built_on_the_first_grep_that_needs_it(toyrepo_root, tmp_path):
+    index = build_index(load_repository(toyrepo_root))
+    assert index._trigrams is None
+    persist_index(IndexContainer(index, build_intent_index(index)),
+                  tmp_path / "toy.caidx")
+    loaded = load_index(tmp_path / "toy.caidx").structural
+    assert loaded._trigrams is None
+    for pattern, regex in (("ab", False), ("", True), ("Calc.*", True),
+                           ("a\nb", False)):
+        grep_baseline(loaded, pattern, regex=regex)
+        assert loaded._trigrams is None
+    grep_baseline(loaded, "Calculator", regex=False)
+    assert loaded._trigrams is not None
+    assert loaded == index  # the filter takes no part in equality
+    assert "_trigrams" not in repr(loaded)
+
+
+def test_sources_are_read_only_so_the_filter_cannot_go_stale():
+    files = {"a.h": "int alpha;\n", "b.h": "int beta;\n"}
+    index = StructuralIndex(sources=files)
+    files["c.h"] = "int alpha2;\n"  # the index holds its own copy
+    assert list(index.sources) == ["a.h", "b.h"]
+    assert len(grep_baseline(index, "alpha", regex=False)["matches"]) == 1
+    sources = index.sources
+    for change in (
+        lambda: sources.__setitem__("a.h", "int gamma;\n"),
+        lambda: sources.__delitem__("a.h"),
+        lambda: sources.update({"c.h": "alpha"}),
+        lambda: sources.setdefault("c.h", "alpha"),
+        lambda: sources.pop("a.h"),
+        lambda: sources.popitem(),
+        lambda: sources.clear(),
+        lambda: sources.__ior__({"c.h": "alpha"}),
+    ):
+        with pytest.raises(TypeError):
+            change()
+    assert sources == {"a.h": "int alpha;\n", "b.h": "int beta;\n"}
+    assert json.loads(json.dumps(sources)) == sources
+    assert copy.deepcopy(index) == index
+    assert pickle.loads(pickle.dumps(sources)) == sources
+    # new sources drop the filter, and the next grep rebuilds it
+    index.sources = {"a.h": "int gamma;\n", "b.h": "int alpha;\n"}
+    assert index._trigrams is None
+    got = grep_baseline(index, "alpha", regex=False)
+    assert [m["path"] for m in got["matches"]] == ["b.h"]
+    with pytest.raises(TypeError):
+        index.sources["a.h"] = "alpha"
