@@ -50,6 +50,10 @@ _CLASS_KEYS = ("class", "struct")
 
 _CLOSERS = {"(": ")", "[": "]", "{": "}", "<": ">"}
 
+# scopes nested deeper than this are skipped as errors: each level takes two
+# or three frames of the interpreter's stack, which holds about 1,000
+_MAX_DEPTH = 100
+
 # what may stand before the name of a declarator after the first, and the
 # tokens that end its part
 _DECLARATOR_MARKS = frozenset(("*", "&", "&&", "const", "volatile"))
@@ -140,6 +144,7 @@ class _Parser:
         self.texts, self.kinds = texts + ["", "", ""], kinds + ["", "", ""]
         self.n = len(texts)
         self.i = 0
+        self.depth = 0  # bounded scopes open around the cursor
         self.comment_by_end = {c.end_line: c for c in comments}
 
     # ------------------------------------------------------------------
@@ -269,7 +274,14 @@ class _Parser:
 
     def parse_scope(self, scope: _Scope, bounded: bool) -> int:
         """Parse declarations until EOF or, when bounded, the matching '}'.
-        Returns the line of the closing brace (or last line seen)."""
+        Returns the line of the closing brace (or last line seen). A bounded
+        scope inside ``_MAX_DEPTH`` others is skipped whole as one error."""
+        if bounded:
+            if self.depth == _MAX_DEPTH:
+                self.note_error()
+                self.i -= 1  # back to its '{'
+                return self.lines[min(self.group(), self.n - 1)]
+            self.depth += 1
         last_line = self.lines[-1] if self.n else 1
         while self.i < self.n:
             tx = self.texts[self.i]
@@ -277,6 +289,7 @@ class _Parser:
             if tx == "}":
                 self.next()
                 if bounded:
+                    self.depth -= 1
                     return line
                 self.note_error()
             elif tx == ";":
@@ -313,6 +326,7 @@ class _Parser:
             else:
                 self.parse_declaration(scope, "", line)
         if bounded:
+            self.depth -= 1
             self.note_error()
         return last_line
 

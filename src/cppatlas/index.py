@@ -742,7 +742,8 @@ def load_index(
     path: str | Path, expected_snapshot: str | None = None
 ) -> IndexContainer:
     """Read a container back; warns with ``StaleIndexWarning`` when the
-    stored snapshot differs from ``expected_snapshot``."""
+    stored snapshot differs from ``expected_snapshot``. The hash embedder's
+    intent vectors are embedded on the first query that reads them."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:

@@ -1,5 +1,7 @@
 """Code intent index: embeds a textual summary of every symbol and
-answers natural-language queries by cosine similarity.
+answers natural-language queries by cosine similarity. With the hash
+embedder, a build or a load keeps the summaries only, and the first query
+that reads the vectors embeds them all.
 
 The built-in provider is a deterministic hashed term-frequency embedder,
 so two builds over identical sources produce identical vectors with no
@@ -15,7 +17,7 @@ import json
 import re
 import subprocess
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 
 import numpy as np
@@ -227,29 +229,52 @@ class CommandEmbeddingProvider:
         return self.embed_many([text])[0]
 
 
+class _Embedding:
+    """The hash embedder's matrix of the texts of the docs that one build or
+    load made, shared by the index and each of those docs. ``embed_texts``
+    makes it on the first read of ``matrix`` or of a row, and it is then
+    kept, read-only."""
+
+    def __init__(self, provider: HashEmbeddingProvider, texts: list[str]):
+        self._provider, self._texts = provider, texts
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        matrix = self._provider.embed_texts(self._texts)
+        matrix.flags.writeable = False
+        return matrix
+
+    def __getitem__(self, row: int) -> np.ndarray:
+        return self.matrix[row]
+
+
 class IntentDoc:
     """One symbol's summary ``text`` and its embedding ``vector``, a tuple
     of floats. A doc made with a tuple keeps it. A doc that
-    ``build_intent_index`` or ``IntentIndex.from_dict`` made holds only
-    its row of the index ``matrix``, and ``vector`` makes the tuple each
-    time it is read. Docs compare without their vectors; ``IntentIndex``
-    compares its matrix."""
+    ``build_intent_index`` or ``IntentIndex.from_dict`` made holds what its
+    index holds, the matrix or the ``_Embedding`` that makes it, and its
+    ``row`` there; ``vector`` makes the tuple each time it is read. Docs
+    compare without their vectors; ``IntentIndex`` compares its matrix."""
 
-    __slots__ = ("symbol_id", "qualified_name", "kind", "text", "_vector")
+    __slots__ = ("symbol_id", "qualified_name", "kind", "text", "_vector", "_row")
 
     def __init__(self, symbol_id: int, qualified_name: str, kind: str,
-                 text: str, vector: "tuple[float, ...] | np.ndarray"):
+                 text: str, vector: tuple[float, ...] | np.ndarray | _Embedding,
+                 row: int | None = None):
         self.symbol_id = symbol_id
         self.qualified_name = qualified_name
         self.kind = kind
         self.text = text
         self._vector = vector
+        self._row = row
 
     @property
     def vector(self) -> tuple[float, ...]:
         row = self._vector
         if isinstance(row, tuple):
             return row
+        if self._row is not None:
+            row = row[self._row]
         # cells with the same bits share one float object: a hashed row
         # holds a few distinct values, most of its cells 0.0
         bits, where = np.unique(row.view(np.int64), return_inverse=True)
@@ -272,33 +297,59 @@ class IntentDoc:
 
 @dataclass(frozen=True)
 class IntentIndex:
-    """Intent documents plus ``matrix``, their vectors as one C-contiguous
-    float64 array of shape (docs, dim) that queries multiply.
+    """Intent documents plus ``matrix``, their vectors as one C-contiguous,
+    read-only float64 array of shape (docs, dim) that queries multiply.
 
-    ``matrix`` is the one store of the vectors of docs built or loaded
-    here. It is made once, when the index is built or loaded (or here,
-    from the docs' vectors, when it is not given), and two indexes are
-    equal only if their matrices are equal bit for bit. It is read-only,
-    so the bucket postings a query derives from it and keeps here cannot
-    go stale. ``to_dict`` writes it out only for providers other than the
-    hash embedder."""
+    ``matrix`` and the bucket ``postings`` are derived on first use and
+    kept. For the hash embedder, ``build_intent_index`` and ``from_dict``
+    keep the docs' texts only, and the first read of ``matrix`` (by a
+    query, a doc's ``vector`` or equality) embeds them all. Another
+    provider's matrix is given as the fifth argument; with none,
+    ``matrix`` stacks the docs' vectors. Two indexes are equal only if
+    their matrices are equal bit for bit; ``to_dict`` writes the matrix
+    only for providers other than the hash embedder."""
 
     provider_name: str
     dim: int
     repo_snapshot: str
     docs: tuple[IntentDoc, ...]
-    matrix: np.ndarray = field(default=None, repr=False, compare=False)
-    # ``_postings`` of the matrix once a query has read them: a tuple, or
-    # () when the matrix is too dense to have them
-    _postings: tuple = field(default=None, init=False, repr=False, compare=False)
+    # the matrix, the _Embedding that makes it, or None to stack the vectors
+    _rows: np.ndarray | _Embedding | None = field(
+        default=None, repr=False, compare=False
+    )
 
-    def __post_init__(self):
-        if self.matrix is None:
-            matrix = np.array([d.vector for d in self.docs], dtype=np.float64)
-            object.__setattr__(
-                self, "matrix", matrix.reshape(len(self.docs), self.dim)
-            )
-        self.matrix.flags.writeable = False
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        rows = self._rows
+        if isinstance(rows, _Embedding):
+            return rows.matrix
+        if rows is None:
+            rows = np.array([d.vector for d in self.docs], dtype=np.float64)
+            rows = rows.reshape(len(self.docs), self.dim)
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
+    def postings(self) -> tuple:
+        """The matrix's bucket postings, or () when more than one cell in
+        ``_SPARSE`` is nonzero: CSR offsets by bucket, the row of each
+        entry, ascending within its bucket, the entry's value, and the
+        largest absolute value. Derived on the first query that reads
+        them."""
+        matrix, dim = self.matrix, self.matrix.shape[1]
+        nonzero = matrix != 0
+        if np.count_nonzero(nonzero) * _SPARSE > nonzero.size:
+            return ()
+        cells = np.flatnonzero(nonzero)
+        rows, buckets = np.divmod(cells, dim)
+        # numpy sorts ints of up to 16 bits stably by radix
+        narrow = buckets.astype(np.min_scalar_type(dim - 1))
+        order = np.argsort(narrow, kind="stable")
+        values = matrix.ravel()[cells[order]]
+        offsets = np.zeros(dim + 1, dtype=np.intp)
+        np.cumsum(np.bincount(buckets, minlength=dim), out=offsets[1:])
+        top = float(np.abs(values).max()) if len(values) else 0.0
+        return offsets, rows[order].astype(np.int32), values, top
 
     def __eq__(self, other):
         if not isinstance(other, IntentIndex):
@@ -312,9 +363,9 @@ class IntentIndex:
 
     def to_dict(self) -> dict:
         """Docs as ``symbol_id`` and ``text`` columns. The hash provider's
-        vectors are left out, since ``from_dict`` rebuilds them from the
-        text; any other provider's matrix is one base64 string of
-        little-endian float64, row by row."""
+        vectors are left out, since they are embedded from the text; any
+        other provider's matrix is one base64 string of little-endian
+        float64, row by row."""
         data = {
             "provider_name": self.provider_name,
             "dim": self.dim,
@@ -333,9 +384,11 @@ class IntentIndex:
     def from_dict(data: dict, symbols: list[SymbolRecord]) -> "IntentIndex":
         """Rebuild an index from ``to_dict`` output over the ``symbols`` it
         was built from, which give each doc its qualified name and kind.
-        Raises ``ValueError`` on a bad ``dim``, a name or snapshot that is
-        not a string, a doc that is not a real symbol, or stored vectors
-        that are not ``dim`` finite numbers per doc."""
+        The hash embedder's vectors are embedded from the texts on the
+        first read of the matrix. Raises ``ValueError`` on a bad ``dim``, a
+        name or snapshot that is not a string, a doc that is not a real
+        symbol, or stored vectors that are not ``dim`` finite numbers per
+        doc."""
         provider_name, dim, snapshot = (
             data["provider_name"], data["dim"], data["repo_snapshot"]
         )
@@ -351,23 +404,21 @@ class IntentIndex:
             raise ValueError("intent doc names a synthetic symbol")
         provider = HashEmbeddingProvider(dim)
         if provider_name == provider.name:
-            matrix = provider.embed_texts(texts)
+            rows = _Embedding(provider, texts)
         else:
-            matrix = _decode_matrix(data["vectors"], len(texts), dim)
-        return _index(provider_name, dim, snapshot, records, texts, matrix)
+            rows = _decode_matrix(data["vectors"], len(texts), dim)
+        return _index(provider_name, dim, snapshot, records, texts, rows)
 
 
 def _index(provider_name: str, dim: int, repo_snapshot: str,
            records: list[SymbolRecord], texts: list[str],
-           matrix: np.ndarray) -> IntentIndex:
-    """One doc per record and text, whose vector is its row of ``matrix``."""
-    # before the rows are taken, so that no row is a writable view
-    matrix.flags.writeable = False
+           rows: np.ndarray | _Embedding) -> IntentIndex:
+    """One doc per record and text, whose vector is its row of ``rows``."""
     docs = tuple(
-        IntentDoc(r.symbol_id, r.qualified_name, r.kind.value, t, row)
-        for r, t, row in zip(records, texts, matrix)
+        IntentDoc(r.symbol_id, r.qualified_name, r.kind.value, t, rows, i)
+        for i, (r, t) in enumerate(zip(records, texts))
     )
-    return IntentIndex(provider_name, dim, repo_snapshot, docs, matrix)
+    return IntentIndex(provider_name, dim, repo_snapshot, docs, rows)
 
 
 def _decode_matrix(encoded: str, rows: int, dim: int) -> np.ndarray:
@@ -381,8 +432,9 @@ def _decode_matrix(encoded: str, rows: int, dim: int) -> np.ndarray:
 
 
 def build_intent_index(index: StructuralIndex, provider=None) -> IntentIndex:
-    """One intent document per real (non-synthetic) symbol, embedded in
-    symbol id order."""
+    """One intent document per real (non-synthetic) symbol, in symbol id
+    order. The hash embedder embeds the docs on the first read of the
+    matrix; any other provider embeds them here."""
     provider = provider or HashEmbeddingProvider()
     records = [r for r in index.symbols if not r.is_synthetic]
     lines = {path: text.split("\n") for path, text in index.sources.items()}
@@ -391,12 +443,12 @@ def build_intent_index(index: StructuralIndex, provider=None) -> IntentIndex:
         for r in records
     ]
     if isinstance(provider, HashEmbeddingProvider):
-        matrix = provider.embed_texts(texts)
+        rows = _Embedding(provider, texts)
     else:
-        matrix = np.array(provider.embed_many(texts), dtype=np.float64)
-        matrix = matrix.reshape(len(texts), provider.dim)
+        rows = np.array(provider.embed_many(texts), dtype=np.float64)
+        rows = rows.reshape(len(texts), provider.dim)
     return _index(provider.name, provider.dim, index.repo_snapshot, records, texts,
-                  matrix)
+                  rows)
 
 
 # A score is read from a product over whole aligned 4-row blocks of the
@@ -425,31 +477,6 @@ _GAP = 8
 # over all of it costs less than a query through them (47 against 102 us on
 # a 24-doc index at dim 256, 359 us when the query derives them).
 _SPARSE = 8
-
-
-def _postings(intent: IntentIndex) -> tuple:
-    """The matrix's bucket postings, or () when more than one cell in
-    ``_SPARSE`` is nonzero: CSR offsets by bucket, the row of each entry,
-    ascending within its bucket, the entry's value, and the largest absolute
-    value. Derived on the first query that reads them, and kept on the
-    index."""
-    if intent._postings is None:
-        matrix, dim = intent.matrix, intent.matrix.shape[1]
-        nonzero = matrix != 0
-        postings = ()
-        if np.count_nonzero(nonzero) * _SPARSE <= nonzero.size:
-            cells = np.flatnonzero(nonzero)
-            rows, buckets = np.divmod(cells, dim)
-            # numpy sorts ints of up to 16 bits stably by radix
-            narrow = buckets.astype(np.min_scalar_type(dim - 1))
-            order = np.argsort(narrow, kind="stable")
-            values = matrix.ravel()[cells[order]]
-            offsets = np.zeros(dim + 1, dtype=np.intp)
-            np.cumsum(np.bincount(buckets, minlength=dim), out=offsets[1:])
-            top = float(np.abs(values).max()) if len(values) else 0.0
-            postings = (offsets, rows[order].astype(np.int32), values, top)
-        object.__setattr__(intent, "_postings", postings)
-    return intent._postings
 
 
 def _candidate_rows(postings: tuple, query: np.ndarray, buckets: np.ndarray,
@@ -542,7 +569,7 @@ def query_code_intent(
     buckets = np.flatnonzero(query)
     if (k < n and n * dim > _PRODUCT_CELLS and query.shape == (dim,)
             and 0 < len(buckets) * _SPARSE <= dim):
-        postings = _postings(intent)
+        postings = intent.postings
         if postings:
             rows = _candidate_rows(postings, query, buckets, n, k)
     if rows is None:

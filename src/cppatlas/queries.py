@@ -10,6 +10,7 @@ candidate spellings instead of guessing.
 from __future__ import annotations
 
 import re
+import sys
 from itertools import islice
 
 import numpy as np
@@ -408,6 +409,7 @@ def grep_baseline(
         lines = ()
     else:
         lines = _found_lines(index, pattern)
-    matches = list(islice(lines, max_results + 1))
+    # islice takes no count above sys.maxsize, and no list grows that long
+    matches = list(islice(lines, min(max_results, sys.maxsize - 1) + 1))
     return {"pattern": pattern, "matches": matches[:max_results],
             "truncated": len(matches) > max_results}

@@ -13,9 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cppatlas import intent as intent_module
+from cppatlas.cli import main
 from cppatlas.errors import (
     BadRequest,
+    CorruptIndex,
     EmptyIndex,
+    EngineError,
     ProviderUnavailable,
     SnapshotMismatch,
 )
@@ -34,6 +37,8 @@ from cppatlas.intent import (
 )
 from cppatlas.queries import snippet_for
 from cppatlas.repo import IssueDescription, Repository, SourceUnit
+from cppatlas.server import handle_line
+from cppatlas.tools import ToolContext, dispatch_tool
 
 import corpusgen
 import refintent
@@ -611,6 +616,12 @@ def _postings_at_any_size(monkeypatch, intent):
     monkeypatch.setattr(intent_module, "_PRODUCT_CELLS", cells)
 
 
+def _postings_read(intent):
+    # what a query kept as ``intent.postings``, or None before any query
+    # read them: reading the property itself would derive them
+    return vars(intent).get("postings")
+
+
 def _first(intent, n: int) -> IntentIndex:
     return IntentIndex(intent.provider_name, intent.dim, intent.repo_snapshot,
                        intent.docs[:n], intent.matrix[:n])
@@ -669,7 +680,7 @@ def test_indexes_of_each_tail_length_match_reference(wide_intent, n, monkeypatch
     _postings_at_any_size(monkeypatch, intent)  # 400 and 401 need it
     ks = [*range(1, 41), *range(41, n - 3, 97), *range(n - 3, n + 4)]
     _assert_every_k_matches_reference(intent, _texts(intent), ks)
-    assert intent._postings  # the texts took the postings path
+    assert _postings_read(intent)  # the texts took the postings path
 
 
 def test_heavy_ties_in_a_wide_index_match_reference(wide_intent):
@@ -705,7 +716,7 @@ def test_signed_stored_vectors_match_reference(wide_index, wide_intent):
     ks = [*range(1, 31), 200, 1000, len(intent.docs) - 1, len(intent.docs)]
     _assert_every_k_matches_reference(intent, _texts(wide_intent), ks,
                                       provider=_SignedProvider())
-    assert intent._postings
+    assert _postings_read(intent)
 
 
 class _GivenProvider:
@@ -732,10 +743,10 @@ def test_postings_only_when_the_matrix_and_the_query_are_sparse(monkeypatch):
                      for i, row in enumerate(matrix.tolist()))
         intent = IntentIndex(provider.name, 8, "", docs)
         _assert_every_k_matches_reference(intent, [dense_query], provider=provider)
-        assert intent._postings is None
+        assert _postings_read(intent) is None
         _assert_every_k_matches_reference(intent, [sparse_query], provider=provider)
-        assert bool(intent._postings) is sparse
-        assert intent._postings is not None
+        assert bool(_postings_read(intent)) is sparse
+        assert _postings_read(intent) is not None
 
 
 def test_postings_are_derived_by_the_first_query_not_by_build_or_load(
@@ -745,14 +756,16 @@ def test_postings_are_derived_by_the_first_query_not_by_build_or_load(
     persist_index(IndexContainer(toy_index, built), tmp_path / "toy.caidx")
     loaded = load_index(tmp_path / "toy.caidx").intent
     for intent in (built, loaded):
-        assert intent._postings is None
+        assert _postings_read(intent) is None
+        assert "matrix" not in vars(intent)
         query_code_intent(intent, "subtract numbers", k=3)
-        postings = intent._postings
+        postings = _postings_read(intent)
         assert postings
         query_code_intent(intent, "calculator", k=3)
-        assert intent._postings is postings
+        assert _postings_read(intent) is postings
+        assert intent.postings is postings
     assert loaded == built == toy_intent
-    assert "_postings" not in repr(loaded)
+    assert "postings" not in repr(loaded)
 
 
 def test_an_index_of_one_product_never_builds_postings(toy_index, monkeypatch):
@@ -763,15 +776,15 @@ def test_an_index_of_one_product_never_builds_postings(toy_index, monkeypatch):
     for text in _texts(intent):
         for k in (1, 3, n - 1):
             query_code_intent(intent, text, k=k)
-    assert intent._postings is None
+    assert _postings_read(intent) is None
     # the rule's boundary: a matrix of exactly one product is multiplied
     # whole, and one cell more reads postings
     monkeypatch.setattr(intent_module, "_PRODUCT_CELLS", n * dim)
     query_code_intent(intent, "subtract numbers", k=3)
-    assert intent._postings is None
+    assert _postings_read(intent) is None
     monkeypatch.setattr(intent_module, "_PRODUCT_CELLS", n * dim - 1)
     query_code_intent(intent, "subtract numbers", k=3)
-    assert intent._postings
+    assert _postings_read(intent)
 
 
 def test_matrix_is_read_only(toy_index, toy_intent):
@@ -787,7 +800,7 @@ def test_matrix_is_read_only(toy_index, toy_intent):
             intent.matrix[1] *= 2.0
     for doc in clone.docs:
         with pytest.raises(ValueError):
-            doc._vector[0] = 0.5
+            doc._vector[doc._row][0] = 0.5
 
 
 def test_a_row_whose_postings_sum_rounds_low_stays_a_candidate(monkeypatch):
@@ -819,7 +832,7 @@ def test_a_row_whose_postings_sum_rounds_low_stays_a_candidate(monkeypatch):
     assert [h["symbol_id"] for h in query_code_intent(
         intent, text, k=1, provider=provider)] == [0]
     _assert_every_k_matches_reference(intent, [text], provider=provider)
-    assert intent._postings
+    assert _postings_read(intent)
 
 
 # An intent index of 2,002 docs: OpenBLAS splits one product of its whole
@@ -856,3 +869,163 @@ def test_answers_do_not_depend_on_the_blas_thread_count():
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+# --- the matrix embedded on first use: against the eager embed, the embed
+# count per step, equality and repr, and edited texts in an index file
+
+
+def _eager(intent) -> np.ndarray:
+    return HashEmbeddingProvider(intent.dim).embed_texts(
+        [d.text for d in intent.docs])
+
+
+def _assert_deferred_is_eager(intent, doc_first: bool):
+    want = _eager(intent)
+    rows = range(len(intent.docs))
+    if doc_first:  # a doc's vector makes the matrix the index then reads
+        vectors = [_bits(intent.docs[row].vector) for row in rows]
+    assert intent.matrix.tobytes() == want.tobytes()
+    assert intent.matrix.shape == want.shape
+    assert intent.matrix.flags["C_CONTIGUOUS"]
+    if not doc_first:
+        vectors = [_bits(intent.docs[row].vector) for row in rows]
+    assert vectors == [_bits(row) for row in want]
+
+
+def _loaded(index, intent, path):
+    persist_index(IndexContainer(index, intent), path)
+    return load_index(path).intent
+
+
+@pytest.mark.parametrize("source", ["toy", "motivation", 0, 7, 42, 101])
+def test_deferred_matrix_and_vectors_equal_the_eager_embed(
+        source, toy_index, motivation_index, tmp_path):
+    index = {"toy": toy_index, "motivation": motivation_index}.get(source)
+    if index is None:
+        index = _repo_index(corpusgen.generate(source).files)
+    for doc_first in (False, True):
+        built = build_intent_index(index)
+        _assert_deferred_is_eager(built, doc_first)
+        loaded = _loaded(index, build_intent_index(index), tmp_path / "i.caidx")
+        _assert_deferred_is_eager(loaded, doc_first)
+        assert loaded == built
+
+
+_ODD_TEXTS = [
+    "", "123 456", "\ud800", "add  two", " leading", "trailing ",
+    "Calculator::add(int, int)", "café ² \t tab", "x" * 300,
+]
+
+
+def test_odd_texts_in_an_index_file_equal_the_eager_embed(toy_payload, tmp_path):
+    payload = json.loads(json.dumps(toy_payload))
+    docs = payload["intent"]["docs"]
+    docs["symbol_id"] = docs["symbol_id"][: len(_ODD_TEXTS)]
+    docs["text"] = _ODD_TEXTS
+    path = tmp_path / "odd.caidx"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    for doc_first in (False, True):
+        loaded = load_index(path).intent
+        assert [d.text for d in loaded.docs] == _ODD_TEXTS
+        _assert_deferred_is_eager(loaded, doc_first)
+    reference = refintent.HashEmbeddingProvider()
+    for doc, text in zip(loaded.docs, _ODD_TEXTS):
+        assert _bits(doc.vector) == _bits(reference.embed(text))
+
+
+@pytest.fixture
+def embeds(monkeypatch):
+    """How many texts each ``embed_texts`` call embedded, in call order."""
+    calls = []
+    embed_texts = HashEmbeddingProvider.embed_texts
+
+    def counted(self, texts):
+        calls.append(len(texts))
+        return embed_texts(self, texts)
+
+    monkeypatch.setattr(HashEmbeddingProvider, "embed_texts", counted)
+    return calls
+
+
+def test_the_docs_are_embedded_once_by_the_first_query_that_reads_them(
+        toy_index, tmp_path, capsys, embeds):
+    built = build_intent_index(toy_index)
+    n = len(built.docs)
+    assert embeds == []
+    path = tmp_path / "toy.caidx"
+    persist_index(IndexContainer(toy_index, built), path)
+    loaded = load_index(path).intent
+    assert embeds == []
+    assert main(["query", "--index", str(path), "find-class", "Calculator"]) == 0
+    capsys.readouterr()
+    assert embeds == []
+    ctx = ToolContext(load_index(path).structural, loaded)
+    line = json.dumps({"request_id": 1, "tool": "QueryCodeIntent",
+                       "arguments": {"text": "subtract numbers", "k": 3}})
+    first = handle_line(ctx, line)
+    assert embeds == [1, n]  # the query, then the docs
+    assert handle_line(ctx, line) == first
+    query_code_intent(loaded, "calculator", k=5)
+    _ = [d.vector for d in loaded.docs], loaded == built
+    assert embeds == [1, n, 1, 1, n]  # the built index, compared
+    assert json.loads(first)["result"]["hits"] == query_code_intent(
+        built, "subtract numbers", k=3)
+
+
+def test_equality_and_repr_do_not_depend_on_when_the_matrix_is_made(
+        toy_index, toy_intent, tmp_path, embeds):
+    built = build_intent_index(toy_index)
+    loaded = _loaded(toy_index, build_intent_index(toy_index), tmp_path / "t.caidx")
+    clone = IntentIndex.from_dict(built.to_dict(), toy_index.symbols)
+    eager = IntentIndex(built.provider_name, built.dim, built.repo_snapshot,
+                        built.docs, _eager(built))
+    stacked = IntentIndex(built.provider_name, built.dim, built.repo_snapshot,
+                          built.docs)
+    indexes = (built, loaded, clone, eager, stacked, toy_intent)
+    want = (f"IntentIndex(provider_name={built.provider_name!r}, "
+            f"dim={built.dim!r}, repo_snapshot={built.repo_snapshot!r}, "
+            f"docs={built.docs!r})")
+    calls = len(embeds)
+    assert all(repr(i) == want for i in indexes)
+    assert len(embeds) == calls  # repr embeds nothing
+    for a in indexes:
+        assert all(a == b for b in indexes)
+        assert hash(a) == hash(built)
+    other = IntentIndex(built.provider_name, built.dim, built.repo_snapshot,
+                        built.docs, np.zeros_like(_eager(built)))
+    assert all(other != i for i in indexes)
+
+
+_MUTATED_TEXT = st.one_of(
+    st.text(max_size=40),
+    st.text(alphabet="ab 09_:\té\ud800\U0001f600", max_size=60),
+    st.integers(0, 10**30).map(str),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(texts=st.lists(_MUTATED_TEXT, min_size=1, max_size=10),
+       query=st.text(max_size=20), k=st.integers(-2, 30),
+       dim=st.sampled_from([256, 256, 7]))
+def test_edited_texts_in_an_index_file_answer_or_fail_typed(
+        toy_payload, texts, query, k, dim):
+    payload = json.loads(json.dumps(toy_payload))
+    docs = payload["intent"]["docs"]
+    docs["symbol_id"] = docs["symbol_id"][: len(texts)]
+    docs["text"] = texts
+    payload["intent"].update(dim=dim, provider_name=f"hash-tf-{dim}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "edited.caidx"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        try:
+            container = load_index(path)
+        except CorruptIndex:
+            return
+    ctx = ToolContext(container.structural, container.intent)
+    try:
+        hits = dispatch_tool(ctx, "QueryCodeIntent", {"text": query, "k": k})
+    except EngineError:
+        return
+    assert dim == 256 and k >= 1
+    assert len(hits["hits"]) == min(k, len(texts))

@@ -771,6 +771,34 @@ class TestResilience:
         assert idx.parse_error_count == 1
         assert only(idx, "Fine").kind is SymbolKind.CLASS
 
+    @pytest.mark.parametrize("opener, closer, levels", [
+        ("namespace n {\n", "}\n", 500),
+        ("struct s {\n", "};\n", 3000),
+        ('extern "C" {\n', "}\n", 1500),
+    ])
+    def test_scopes_nested_past_the_limit_are_one_error(
+            self, tmp_path, opener, closer, levels):
+        limit = parser._MAX_DEPTH
+        text = opener * levels + "int deepest();\n" + closer * levels
+        idx = index_source(tmp_path / "deep", deep_dot_h=text + "class After {};\n")
+        assert idx.parse_error_count == 1
+        assert only(idx, "After").kind is SymbolKind.CLASS
+        assert not any(r.name == "deepest" for r in idx.symbols)
+        # the scope past the limit is recorded, but not what it holds
+        names = [r.qualified_name.count("::") for r in idx.symbols[1:-1]]
+        assert names == list(range(len(names)))
+        assert len(names) == (0 if opener.startswith("extern") else limit + 1)
+        intent = build_intent_index(idx)
+        persist_index(IndexContainer(idx, intent), tmp_path / "deep.caidx")
+
+    def test_scopes_nested_to_the_limit_are_read_whole(self):
+        limit = parser._MAX_DEPTH
+        parsed = parse("namespace n {\n" * limit + "int deepest();\n" + "}\n" * limit)
+        assert parsed.error_count == 0
+        assert parsed.symbols[-1].qualified_name == "n::" * limit + "deepest"
+        unclosed = parse("namespace n {\n" * (limit + 1))
+        assert unclosed.error_count == limit + 1
+
     def test_directives_and_includes_recorded(self, tmp_path):
         idx = index_source(
             tmp_path,

@@ -197,6 +197,24 @@ class TestServeLoop:
         assert out[0]["request_id"] is None
         assert out[1]["result"]["record"]["qualified_name"] == "calc::Calculator"
 
+    def test_grep_limit_past_the_largest_slice_does_not_end_the_loop(self, ctx):
+        lines = [
+            json.dumps({"request_id": i, "tool": "GrepBaseline",
+                        "arguments": {"pattern": "Calculator",
+                                      "max_results": limit}})
+            for i, limit in enumerate([2**63 - 1, 2**64, 3])
+        ]
+        handled, out = self.run(ctx, lines)
+        assert handled == 3
+        assert [r["request_id"] for r in out] == [0, 1, 2]
+        assert all(r["ok"] for r in out)
+        everything = dispatch_tool(ctx, "GrepBaseline",
+                                   {"pattern": "Calculator", "max_results": 1000})
+        assert not everything["truncated"]
+        assert out[0]["result"] == out[1]["result"] == everything
+        assert out[2]["result"]["matches"] == everything["matches"][:3]
+        assert out[2]["result"]["truncated"]
+
     def test_eof_returns_request_count(self, ctx):
         handled, out = self.run(ctx, [])
         assert handled == 0
