@@ -15,20 +15,21 @@ resolves deferred references:
   nearest base-class member with identical name and signature when that base
   member is virtual or the derived one is marked ``override``.
 
-Each index carries one ``Graph``: per-kind out- and in-neighbour lists and
-the call-site positions of every caller and callee. Resolution reads an
-interim graph over containment and inheritance; the final graph is built
-over the sorted edge list at the end of ``build_index`` and again on
-``load_index``, where the closure check also runs. Queries walk it rather
-than scanning edges.
+An index is read-only once made, and its fields are what an index file
+holds. Every table derived from them is made on its first read and kept
+(a ``functools.cached_property``): the ``graph`` that queries walk rather
+than scanning edges, the lookups ``by_name``, ``by_qualified`` and
+``by_suffix``, and the trigram filter that ``queries.grep_baseline``
+reads. Neither ``build_index`` nor ``load_index`` derives any of them;
+both run the closure check.
 
+Resolution reads an interim index over the real symbols, for its
+``by_qualified``, and an interim graph over containment and inheritance.
 A call's target depends only on the caller's enclosing scope, the callee
 text and whether the call is constructor-style, so each distinct such key
-is resolved once per build. The lookup tables (``by_name``,
-``by_qualified``, ``by_suffix``) are built once, before resolution; the
-``unresolved:`` sentinels get the largest ids, so appending them keeps
-every id list sorted. Symbol ids are assigned in place on the records the
-parser just made.
+is resolved once per build. The ``unresolved:`` sentinels get the largest
+ids. Symbol ids are assigned in place on the records the parser just
+made.
 
 The result is deterministic: identical repositories produce identical
 indices, ids, edge lists and serialized bytes.
@@ -43,6 +44,7 @@ import warnings
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import count, repeat
 from operator import gt
 from pathlib import Path
@@ -113,10 +115,6 @@ class Graph:
         return self._by_callee.get(callee, [])
 
 
-# the graph of an index whose graph is not built yet; a Graph is read-only
-_NO_EDGES = Graph()
-
-
 class _Sources(dict):
     """An index's sources, path to text: a dict that refuses every change
     in place. It is written and compared as a plain dict."""
@@ -131,46 +129,124 @@ class _Sources(dict):
         return _Sources, (dict(self),)
 
 
-@dataclass
+# A fixed string of at least 3 UTF-8 bytes is looked for only in the files
+# that hold every trigram (3-byte run) of it. Each trigram hashes to one of
+# _BUCKETS rows, each row an int with one bit per file. On a 0.5 MB corpus
+# of 1,159 files a third of the rows are nonzero, and the filter keeps
+# about 0.6 MB. The build marks a bool array of _BUCKETS x _CHUNK files at
+# a time (512 KiB), never one of _BUCKETS x all files, and packs it into a
+# numpy bitmap of 1 bit per cell (1.2 MB there) that it turns into the
+# rows. A query reads the rows with int operations alone: numpy calls cost
+# several times more when the tools in between have evicted the caches.
+_BUCKET_BITS = 13
+_BUCKETS = 1 << _BUCKET_BITS
+_CHUNK = 64
+
+
+def _bucket(code):
+    """The row of a trigram's code, its three bytes read big-endian: a
+    multiplicative hash, the same for an int and for a uint32 array."""
+    return ((code * 0x9E3779B1) & 0xFFFFFFFF) >> (32 - _BUCKET_BITS)
+
+
+def _ids_by(symbols, attr: str) -> dict[str, list[int]]:
+    """The ids of ``symbols``, in order, by the value of one attribute."""
+    table: dict[str, list[int]] = {}
+    for rec in symbols:
+        table.setdefault(getattr(rec, attr), []).append(rec.symbol_id)
+    return table
+
+
+@dataclass(frozen=True)
 class StructuralIndex:
-    """Symbol graph plus lookup tables and the source text it was built from.
+    """Symbol graph and the source text it was built from: the fields are
+    exactly what an index file holds, and no field can be reassigned.
 
-    ``graph`` is derived from ``edges`` and ``call_sites``, and
-    ``by_suffix`` from the qualified names; both are rebuilt on load,
-    never persisted, and take no part in equality.
-
-    ``sources`` is read-only: whatever mapping is assigned to it is copied
-    into a dict that refuses changes in place. So the trigram filter that
-    ``queries.grep_baseline`` derives from it on first use and keeps in
-    ``_trigrams`` cannot go stale; assigning new sources drops the filter.
-    A build or a load never derives it."""
+    ``sources`` is copied at construction into a dict that refuses changes
+    in place. The tables derived from the fields (``graph``, ``by_name``,
+    ``by_qualified``, ``by_suffix`` and ``trigrams``) are each made on
+    their first read and kept. They are no fields, so they take no part in
+    equality or ``repr``, and ``dataclasses.replace`` gives an index that
+    derives its own."""
 
     symbols: list[SymbolRecord] = field(default_factory=list)
     edges: list[StructuralEdge] = field(default_factory=list)
     call_sites: list[CallSite] = field(default_factory=list)
-    by_name: dict[str, list[int]] = field(default_factory=dict)
-    by_qualified: dict[str, list[int]] = field(default_factory=dict)
-    # ids by every trailing scope path of two or more segments: "b::c"
-    # holds the ids of "a::b::c" and "x::b::c"
-    by_suffix: dict[str, list[int]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
     sources: dict[str, str] = field(default_factory=dict)
     includes: dict[str, list[str]] = field(default_factory=dict)
     repo_snapshot: str = ""
     parse_error_count: int = 0
-    graph: Graph = field(default=_NO_EDGES, repr=False, compare=False)
-    _trigrams: tuple = field(default=None, init=False, repr=False, compare=False)
 
-    def __setattr__(self, name, value):
-        if name == "sources":
-            if type(value) is not _Sources:
-                value = _Sources(value)
-            object.__setattr__(self, "_trigrams", None)
-        object.__setattr__(self, name, value)
+    def __post_init__(self):
+        object.__setattr__(self, "sources", _Sources(self.sources))
 
-    def symbol(self, symbol_id: int) -> SymbolRecord:
-        return self.symbols[symbol_id]
+    @cached_property
+    def graph(self) -> Graph:
+        return Graph(self.edges, self.call_sites)
+
+    @cached_property
+    def by_name(self) -> dict[str, list[int]]:
+        return _ids_by(self.symbols, "name")
+
+    @cached_property
+    def by_qualified(self) -> dict[str, list[int]]:
+        return _ids_by(self.symbols, "qualified_name")
+
+    @cached_property
+    def by_suffix(self) -> dict[str, list[int]]:
+        """Ids by every trailing scope path of two or more segments: "b::c"
+        holds the ids of "a::b::c" and "x::b::c"."""
+        table: dict[str, list[int]] = {}
+        for rec in self.symbols:
+            name = rec.qualified_name
+            cut = name.find("::")
+            while cut != -1:
+                suffix = name[cut + 2 :]
+                if "::" in suffix:
+                    table.setdefault(suffix, []).append(rec.symbol_id)
+                cut = name.find("::", cut + 1)
+        return table
+
+    @cached_property
+    def trigrams(self) -> tuple[list, list[int], int]:
+        """The grep filter: the sources' (path, text) pairs in path order,
+        the rows, and the rows' width in bits. Bit ``width - 1 - f`` of row
+        b is set when file f holds a trigram of bucket b. Texts are UTF-8
+        encoded with lone surrogates passed through, as patterns are, so a
+        pattern's bytes lie in the bytes of every text holding it."""
+        import numpy as np  # here, not at the top: see _check_columns
+
+        files = sorted(self.sources.items())
+        bitmap = np.zeros((_BUCKETS, (len(files) + 7) // 8), dtype=np.uint8)
+        for first in range(0, len(files), _CHUNK):
+            data = [text.encode("utf-8", "surrogatepass")
+                    for _, text in files[first : first + _CHUNK]]
+            file = np.repeat(np.arange(len(data)), [len(d) for d in data])
+            b = np.frombuffer(b"".join(data), dtype=np.uint8).astype(np.uint32)
+            buckets = _bucket((b[:-2] << 16) | (b[1:-1] << 8) | b[2:])
+            inside = file[:-2] == file[2:]  # a trigram ends in the file it starts in
+            seen = np.zeros((_BUCKETS, len(data)), dtype=bool)
+            seen[buckets[inside], file[2:][inside]] = True
+            bits = np.packbits(seen, axis=1)
+            bitmap[:, first // 8 : first // 8 + bits.shape[1]] = bits
+        rows = [0] * _BUCKETS
+        for bucket in np.flatnonzero(bitmap.any(axis=1)).tolist():
+            rows[bucket] = int.from_bytes(bitmap[bucket].tobytes(), "big")
+        return files, rows, bitmap.shape[1] * 8
+
+    def grep_candidates(self, data: bytes):
+        """The (path, text) pairs, in path order, of the files holding a
+        trigram of each bucket that a trigram of ``data``, 3 bytes or
+        more, hashes to."""
+        files, rows, width = self.trigrams
+        held = -1
+        for i in range(len(data) - 2):
+            held &= rows[_bucket(int.from_bytes(data[i : i + 3], "big"))]
+        bits = format(held, f"0{width}b")
+        f = bits.find("1")
+        while f >= 0:
+            yield files[f]
+            f = bits.find("1", f + 1)
 
     def parent(self, symbol_id: int) -> int | None:
         parents = self.graph.sources(EdgeKind.CONTAINS, symbol_id)
@@ -184,19 +260,13 @@ def build_index(repo: Repository) -> StructuralIndex:
         if unit.kind in ("header", "source"):
             parsed.append(parse_unit(unit))
 
-    index = StructuralIndex(repo_snapshot=repo.snapshot_id)
-    index.sources = {u.path: u.content for u in repo.units}
-
+    symbols: list[SymbolRecord] = []
     offsets: list[int] = []
-    next_id = 0
     for pu in parsed:
-        offsets.append(next_id)
+        offsets.append(len(symbols))
         for rec in pu.symbols:  # fresh records of this build: no copy
-            rec.symbol_id = next_id
-            next_id += 1
-        index.symbols.extend(pu.symbols)
-        index.includes[pu.path] = list(pu.includes)
-        index.parse_error_count += pu.error_count
+            rec.symbol_id = len(symbols)
+            symbols.append(rec)
 
     edges: set[StructuralEdge] = set()
     for pu, off in zip(parsed, offsets):
@@ -205,20 +275,21 @@ def build_index(repo: Repository) -> StructuralIndex:
                 StructuralEdge(EdgeKind.CONTAINS, parent + off, child + off)
             )
 
-    _build_lookup(index)
+    # resolution looks names up among the real symbols only
+    real = StructuralIndex(symbols=symbols[:])
 
     # --- inheritance -------------------------------------------------
     for pu, off in zip(parsed, offsets):
         for pending in pu.pending_bases:
             derived = pending.derived + off
-            base = _resolve_base(index, derived, pending.base_text)
+            base = _resolve_base(real, derived, pending.base_text)
             if base is not None and base != derived:
                 edges.add(StructuralEdge(EdgeKind.INHERITS_FROM, derived, base))
             elif base is None:
                 log.debug(
                     "unresolved base %r of %s",
                     pending.base_text,
-                    index.symbols[derived].qualified_name,
+                    symbols[derived].qualified_name,
                 )
 
     # containment and inheritance are final here; calls and overrides read them
@@ -236,10 +307,10 @@ def build_index(repo: Repository) -> StructuralIndex:
     # a call's target depends on nothing of its caller but the scope
     targets: dict[tuple[tuple[str, ...], str, bool], int | None] = {}
     for caller, callee_text, ctor_style, line, path in raw_calls:
-        scope = _scope_of(index.symbols[caller].qualified_name)
+        scope = _scope_of(symbols[caller].qualified_name)
         key = (scope, callee_text, ctor_style)
         if key not in targets:
-            targets[key] = _resolve_call(index, graph, *key)
+            targets[key] = _resolve_call(real, graph, *key)
         target = targets[key]
         loc = Location(path, line, line)
         if target is None:
@@ -248,11 +319,10 @@ def build_index(repo: Repository) -> StructuralIndex:
         else:
             resolved.append((caller, target, loc))
 
-    first_sentinel = len(index.symbols)
     sentinel_ids: dict[str, int] = {}
     for name in sorted(unresolved_names):
-        sid = len(index.symbols)
-        index.symbols.append(
+        sid = len(symbols)
+        symbols.append(
             SymbolRecord(
                 symbol_id=sid,
                 kind=SymbolKind.FREE_FUNCTION,
@@ -263,16 +333,16 @@ def build_index(repo: Repository) -> StructuralIndex:
             )
         )
         sentinel_ids[name] = sid
-    _build_lookup(index, first_sentinel)  # sentinel ids are the largest
 
+    call_sites: list[CallSite] = []
     for caller, target, loc in resolved:
         callee = target if isinstance(target, int) else sentinel_ids[target]
-        index.call_sites.append(CallSite(caller, callee, loc))
+        call_sites.append(CallSite(caller, callee, loc))
         edges.add(StructuralEdge(EdgeKind.CALLS, caller, callee))
 
     # --- overloads ---------------------------------------------------
     groups: dict[tuple[str, str], list[int]] = defaultdict(list)
-    for rec in index.symbols:
+    for rec in symbols:
         if rec.kind in FUNCTION_KINDS and not rec.is_synthetic:
             scope_prefix = rec.qualified_name[: -len(rec.name)].rstrip(":")
             groups[(scope_prefix, rec.name)].append(rec.symbol_id)
@@ -285,46 +355,37 @@ def build_index(repo: Repository) -> StructuralIndex:
                 edges.add(StructuralEdge(EdgeKind.OVERLOAD_OF, ids[a], ids[b]))
 
     # --- overrides ---------------------------------------------------
-    for rec in index.symbols:
+    for rec in symbols:
         if rec.kind not in CLASS_KINDS or not rec.is_definition:
             continue
         members = [
-            index.symbols[c]
+            symbols[c]
             for c in graph.targets(EdgeKind.CONTAINS, rec.symbol_id)
-            if index.symbols[c].kind
+            if symbols[c].kind
             in (SymbolKind.MEMBER_FUNCTION, SymbolKind.TEMPLATE_FUNCTION)
         ]
         for member in members:
             for target in _find_override_targets(
-                index, graph, rec.symbol_id, member
+                real, graph, rec.symbol_id, member
             ):
                 edges.add(
                     StructuralEdge(EdgeKind.OVERRIDES, member.symbol_id, target)
                 )
 
-    index.edges = sorted(edges, key=lambda e: (_EDGE_ORDER[e.kind], e.src, e.dst))
-    index.call_sites.sort(
+    call_sites.sort(
         key=lambda c: (c.location.file, c.location.start_line, c.caller, c.callee)
     )
-    index.graph = Graph(index.edges, index.call_sites)
+    index = StructuralIndex(
+        symbols=symbols,
+        edges=sorted(edges, key=lambda e: (_EDGE_ORDER[e.kind], e.src, e.dst)),
+        call_sites=call_sites,
+        sources={u.path: u.content for u in repo.units},
+        includes={pu.path: list(pu.includes) for pu in parsed},
+        repo_snapshot=repo.snapshot_id,
+        parse_error_count=sum(pu.error_count for pu in parsed),
+    )
     _check_closure(index)
     return index
-
-
-def _build_lookup(index: StructuralIndex, start: int = 0):
-    """Enter ``index.symbols[start:]`` into the lookup tables. Ids come in
-    order, each above every id entered before, so every id list is sorted
-    as it grows."""
-    for rec in index.symbols[start:]:
-        sid, name = rec.symbol_id, rec.qualified_name
-        index.by_name.setdefault(rec.name, []).append(sid)
-        index.by_qualified.setdefault(name, []).append(sid)
-        cut = name.find("::")
-        while cut != -1:
-            suffix = name[cut + 2 :]
-            if "::" in suffix:
-                index.by_suffix.setdefault(suffix, []).append(sid)
-            cut = name.find("::", cut + 1)
 
 
 def _scope_of(qualified_name: str) -> tuple[str, ...]:
@@ -683,7 +744,7 @@ def _structural_from_dict(d: dict, snapshot: str) -> StructuralIndex:
         [ids for pair in ends.values() for ids in pair],
         [caller, callee],
     )
-    index = StructuralIndex(
+    return StructuralIndex(
         symbols=symbols,
         edges=edges,
         call_sites=call_sites,
@@ -691,10 +752,7 @@ def _structural_from_dict(d: dict, snapshot: str) -> StructuralIndex:
         includes=includes,
         repo_snapshot=snapshot,
         parse_error_count=errors,
-        graph=Graph(edges, call_sites),
     )
-    _build_lookup(index)
-    return index
 
 
 def _bulk(cls, rows) -> list:
@@ -742,8 +800,9 @@ def load_index(
     path: str | Path, expected_snapshot: str | None = None
 ) -> IndexContainer:
     """Read a container back; warns with ``StaleIndexWarning`` when the
-    stored snapshot differs from ``expected_snapshot``. The hash embedder's
-    intent vectors are embedded on the first query that reads them."""
+    stored snapshot differs from ``expected_snapshot``. Beyond the closure
+    check it derives nothing: the structural tables and the hash embedder's
+    intent vectors are each made on the first query that reads them."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:

@@ -13,8 +13,6 @@ import re
 import sys
 from itertools import islice
 
-import numpy as np
-
 from .cxx.lexer import lex
 from .cxx.parser import normalize_signature
 from .errors import (
@@ -290,76 +288,13 @@ def defect_subgraph(
     }
 
 
-# A fixed string of at least 3 UTF-8 bytes is looked for only in the files
-# that hold every trigram (3-byte run) of it. Each trigram hashes to one of
-# _BUCKETS rows, each row an int with one bit per file. On a 0.5 MB corpus
-# of 1,159 files a third of the rows are nonzero, and the filter keeps
-# about 0.6 MB. The build marks a bool array of _BUCKETS x _CHUNK files at
-# a time (512 KiB), never one of _BUCKETS x all files, and packs it into a
-# numpy bitmap of 1 bit per cell (1.2 MB there) that it turns into the
-# rows. A query reads the rows with int operations alone: numpy calls cost
-# several times more when the tools in between have evicted the caches.
-_BUCKET_BITS = 13
-_BUCKETS = 1 << _BUCKET_BITS
-_CHUNK = 64
-
-
-def _bucket(code):
-    """The row of a trigram's code, its three bytes read big-endian: a
-    multiplicative hash, the same for an int and for a uint32 array."""
-    return ((code * 0x9E3779B1) & 0xFFFFFFFF) >> (32 - _BUCKET_BITS)
-
-
-def _trigram_filter(index: StructuralIndex) -> tuple[list, list[int], int]:
-    """The sources' (path, text) pairs in path order, the rows, and the
-    rows' width in bits: bit ``width - 1 - f`` of row b is set when file f
-    holds a trigram of bucket b. Texts are UTF-8 encoded with lone
-    surrogates passed through, as patterns are, so a pattern's bytes lie in
-    the bytes of every text holding it. Derived on the first grep that
-    reads it and kept on the index, whose sources are read-only."""
-    if index._trigrams is None:
-        files = sorted(index.sources.items())
-        bitmap = np.zeros((_BUCKETS, (len(files) + 7) // 8), dtype=np.uint8)
-        for first in range(0, len(files), _CHUNK):
-            data = [text.encode("utf-8", "surrogatepass")
-                    for _, text in files[first : first + _CHUNK]]
-            file = np.repeat(np.arange(len(data)), [len(d) for d in data])
-            b = np.frombuffer(b"".join(data), dtype=np.uint8).astype(np.uint32)
-            buckets = _bucket((b[:-2] << 16) | (b[1:-1] << 8) | b[2:])
-            inside = file[:-2] == file[2:]  # a trigram ends in the file it starts in
-            seen = np.zeros((_BUCKETS, len(data)), dtype=bool)
-            seen[buckets[inside], file[2:][inside]] = True
-            bits = np.packbits(seen, axis=1)
-            bitmap[:, first // 8 : first // 8 + bits.shape[1]] = bits
-        rows = [0] * _BUCKETS
-        for bucket in np.flatnonzero(bitmap.any(axis=1)).tolist():
-            rows[bucket] = int.from_bytes(bitmap[bucket].tobytes(), "big")
-        index._trigrams = (files, rows, bitmap.shape[1] * 8)
-    return index._trigrams
-
-
-def _candidates(index: StructuralIndex, data: bytes):
-    """The (path, text) pairs, in path order, of the files holding a
-    trigram of each bucket that a trigram of ``data``, 3 bytes or more,
-    hashes to."""
-    files, rows, width = _trigram_filter(index)
-    held = -1
-    for i in range(len(data) - 2):
-        held &= rows[_bucket(int.from_bytes(data[i : i + 3], "big"))]
-    bits = format(held, f"0{width}b")
-    f = bits.find("1")
-    while f >= 0:
-        yield files[f]
-        f = bits.find("1", f + 1)
-
-
 def _found_lines(index: StructuralIndex, pattern: str):
     """``{"path", "line", "text"}`` of each line holding ``pattern``, a
     string with no newline ("" is on every line), in path then line
     order. Files whose trigrams rule it out are never read."""
     data = pattern.encode("utf-8", "surrogatepass")
     if len(data) >= 3:
-        files = _candidates(index, data)
+        files = index.grep_candidates(data)
     else:
         files = sorted(index.sources.items())
     for path, text in files:

@@ -5,7 +5,8 @@ as a list of decimal floats.
 
 It is the reference `test_format.py` compares the version 2 reader and
 writer against. Nothing in `src/` imports it; do not edit it to match
-`cppatlas.index`.
+`cppatlas.index`. It makes a ``StructuralIndex`` from the persisted fields
+alone, and imports no helper of `cppatlas.index`.
 """
 
 from __future__ import annotations
@@ -15,13 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cppatlas.index import (
-    FORMAT_MAGIC,
-    Graph,
-    IndexContainer,
-    StructuralIndex,
-    _build_lookup,
-)
+from cppatlas.index import FORMAT_MAGIC, IndexContainer, StructuralIndex
 from cppatlas.intent import IntentDoc, IntentIndex
 from cppatlas.model import (
     CallSite,
@@ -108,9 +103,7 @@ def load_v1(path: str | Path) -> IndexContainer:
         includes={k: list(v) for k, v in d["includes"].items()},
         repo_snapshot=payload["repo_snapshot"],
         parse_error_count=d["parse_error_count"],
-        graph=Graph(edges, call_sites),
     )
-    _build_lookup(structural)
     intent = None
     if payload["intent"] is not None:
         i = payload["intent"]

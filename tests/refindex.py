@@ -8,16 +8,20 @@ against: the same persisted bytes and the same ``by_name``,
 ``by_qualified`` and ``by_suffix`` tables. `test_closure.py` compares the
 closure check against its ``_check_closure``. Nothing in `src/` imports
 it; do not edit it to match `cppatlas.index`.
+
+It builds into a record of its own, ``RefIndex``, with its own copy of
+the ``Graph`` and the edge order, and imports nothing from
+`cppatlas.index`; ``persisted`` gives a record's persisted fields, the
+keyword arguments of a ``cppatlas.index.StructuralIndex``.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import defaultdict
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 from cppatlas.cxx.parser import ParsedUnit, parse_unit
-from cppatlas.index import _EDGE_ORDER, Graph, StructuralIndex
 from cppatlas.model import (
     CLASS_KINDS,
     FUNCTION_KINDS,
@@ -33,15 +37,69 @@ from cppatlas.repo import Repository
 
 log = logging.getLogger(__name__)
 
+_EDGE_ORDER = {k: i for i, k in enumerate(EdgeKind)}
 
-def build_index(repo: Repository) -> StructuralIndex:
+
+class Graph:
+    """Adjacency of one edge list: per-kind out- and in-neighbours, each
+    sorted by id, and the call-site positions of each caller and callee."""
+
+    def __init__(self, edges=(), call_sites=()):
+        self._out: dict[EdgeKind, dict[int, list[int]]] = {k: {} for k in EdgeKind}
+        self._in: dict[EdgeKind, dict[int, list[int]]] = {k: {} for k in EdgeKind}
+        for e in edges:
+            self._out[e.kind].setdefault(e.src, []).append(e.dst)
+            self._in[e.kind].setdefault(e.dst, []).append(e.src)
+        for table in (*self._out.values(), *self._in.values()):
+            for ids in table.values():
+                ids.sort()
+        self._by_caller: dict[int, list[int]] = {}
+        self._by_callee: dict[int, list[int]] = {}
+        for pos, site in enumerate(call_sites):
+            self._by_caller.setdefault(site.caller, []).append(pos)
+            self._by_callee.setdefault(site.callee, []).append(pos)
+
+    def targets(self, kind: EdgeKind, node: int) -> list[int]:
+        return self._out[kind].get(node, [])
+
+    def sources(self, kind: EdgeKind, node: int) -> list[int]:
+        return self._in[kind].get(node, [])
+
+
+@dataclass
+class RefIndex:
+    """What the reference build makes: the persisted fields first, then
+    the lookup tables."""
+
+    symbols: list[SymbolRecord] = field(default_factory=list)
+    edges: list[StructuralEdge] = field(default_factory=list)
+    call_sites: list[CallSite] = field(default_factory=list)
+    sources: dict[str, str] = field(default_factory=dict)
+    includes: dict[str, list[str]] = field(default_factory=dict)
+    repo_snapshot: str = ""
+    parse_error_count: int = 0
+    by_name: dict[str, list[int]] = field(default_factory=dict)
+    by_qualified: dict[str, list[int]] = field(default_factory=dict)
+    by_suffix: dict[str, list[int]] = field(default_factory=dict)
+
+
+_PERSISTED = ("symbols", "edges", "call_sites", "sources", "includes",
+              "repo_snapshot", "parse_error_count")
+
+
+def persisted(index: RefIndex) -> dict:
+    """The fields of ``index`` that an index file holds, by name."""
+    return {name: getattr(index, name) for name in _PERSISTED}
+
+
+def build_index(repo: Repository) -> RefIndex:
     """Parse every header/source unit and assemble the resolved graph."""
     parsed: list[ParsedUnit] = []
     for unit in repo.units:  # units are sorted by path
         if unit.kind in ("header", "source"):
             parsed.append(parse_unit(unit))
 
-    index = StructuralIndex(repo_snapshot=repo.snapshot_id)
+    index = RefIndex(repo_snapshot=repo.snapshot_id)
     index.sources = {u.path: u.content for u in repo.units}
 
     offsets: list[int] = []
@@ -156,12 +214,11 @@ def build_index(repo: Repository) -> StructuralIndex:
     index.call_sites.sort(
         key=lambda c: (c.location.file, c.location.start_line, c.caller, c.callee)
     )
-    index.graph = Graph(index.edges, index.call_sites)
     _check_closure(index)
     return index
 
 
-def _build_lookup(index: StructuralIndex):
+def _build_lookup(index: RefIndex):
     by_name: dict[str, list[int]] = defaultdict(list)
     by_qualified: dict[str, list[int]] = defaultdict(list)
     for rec in index.symbols:
@@ -187,7 +244,7 @@ def _scope_prefixes(qualified_name: str) -> list[str]:
 
 
 def _resolve_base(
-    index: StructuralIndex, derived: int, base_text: str
+    index: RefIndex, derived: int, base_text: str
 ) -> int | None:
     """Resolve a base specifier to a class definition id, or None."""
     derived_rec = index.symbols[derived]
@@ -205,7 +262,7 @@ def _resolve_base(
 
 
 def _pick_candidate(
-    index: StructuralIndex,
+    index: RefIndex,
     graph: Graph,
     ids: list[int],
     ctor_style: bool,
@@ -245,7 +302,7 @@ def _pick_candidate(
 
 
 def _resolve_call(
-    index: StructuralIndex,
+    index: RefIndex,
     graph: Graph,
     caller: int,
     callee_text: str,
@@ -299,7 +356,7 @@ def _resolve_call(
 
 
 def _find_override_targets(
-    index: StructuralIndex,
+    index: RefIndex,
     graph: Graph,
     class_id: int,
     member: SymbolRecord,
@@ -336,7 +393,15 @@ def _find_override_targets(
     return []
 
 
-def _check_closure(index: StructuralIndex):
+def _check_closure(index):
+    """Check the closure of ``index``, a ``RefIndex`` or any record with
+    ``symbols``, ``edges`` and ``call_sites``, over a graph of its own."""
+    graph = Graph(index.edges)
+
+    def parent(symbol_id: int) -> int | None:
+        parents = graph.sources(EdgeKind.CONTAINS, symbol_id)
+        return parents[0] if parents else None
+
     n = len(index.symbols)
     for i, rec in enumerate(index.symbols):
         if rec.symbol_id != i:
@@ -350,7 +415,7 @@ def _check_closure(index: StructuralIndex):
         if not (0 <= c.caller < n and 0 <= c.callee < n):
             raise AssertionError(f"dangling call site {c}")
     for rec in index.symbols:
-        parents = index.graph.sources(EdgeKind.CONTAINS, rec.symbol_id)
+        parents = graph.sources(EdgeKind.CONTAINS, rec.symbol_id)
         if len(parents) > 1:
             raise AssertionError(f"symbol {rec.symbol_id} has two parents")
         if rec.is_synthetic:
@@ -366,7 +431,7 @@ def _check_closure(index: StructuralIndex):
     for start in range(n):
         seen = set()
         cur = start
-        while cur not in rooted and (up := index.parent(cur)) is not None:
+        while cur not in rooted and (up := parent(cur)) is not None:
             if cur in seen:
                 raise AssertionError("containment cycle")
             seen.add(cur)

@@ -15,7 +15,6 @@ import corpusgen
 import refindex
 from cppatlas.errors import CorruptIndex
 from cppatlas.index import (
-    Graph,
     StructuralIndex,
     _check_closure,
     build_index,
@@ -37,15 +36,12 @@ def accepts(check, index) -> bool:
 
 
 def variant(index, symbols=None, edges=None, call_sites=None):
-    """``index`` with some lists replaced and its graph rebuilt."""
-    edges = index.edges if edges is None else edges
-    call_sites = index.call_sites if call_sites is None else call_sites
+    """``index`` with some lists replaced; it derives its own graph."""
     return dataclasses.replace(
         index,
         symbols=index.symbols if symbols is None else symbols,
-        edges=edges,
-        call_sites=call_sites,
-        graph=Graph(edges, call_sites),
+        edges=index.edges if edges is None else edges,
+        call_sites=index.call_sites if call_sites is None else call_sites,
     )
 
 

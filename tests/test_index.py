@@ -1,13 +1,22 @@
 import base64
+import dataclasses
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 
-from cppatlas.errors import CorruptIndex, StaleIndexWarning, VersionMismatch
+from cppatlas.errors import (
+    CorruptIndex,
+    EngineError,
+    StaleIndexWarning,
+    VersionMismatch,
+)
 from cppatlas.index import (
+    Graph,
     IndexContainer,
+    StructuralIndex,
     build_index,
     load_index,
     persist_index,
@@ -15,6 +24,7 @@ from cppatlas.index import (
 from cppatlas.intent import IntentDoc, IntentIndex
 from cppatlas.model import UNRESOLVED_PREFIX, EdgeKind, Location, SymbolKind
 from cppatlas.repo import Repository, SourceUnit, load_repository
+from cppatlas.tools import ToolContext, dispatch_tool
 
 import corpusgen
 import refindex
@@ -111,9 +121,9 @@ def _assert_same_build(repo, tmp_path):
         assert list(getattr(got, table).items()) == list(
             getattr(want, table).items()
         ), table
-    assert got == want
+    assert refindex.persisted(got) == refindex.persisted(want)
     persist_index(got, tmp_path / "got.caidx")
-    persist_index(want, tmp_path / "want.caidx")
+    persist_index(StructuralIndex(**refindex.persisted(want)), tmp_path / "want.caidx")
     assert (tmp_path / "got.caidx").read_bytes() == (
         tmp_path / "want.caidx"
     ).read_bytes()
@@ -500,3 +510,145 @@ class TestPersistence:
                 assert loaded.graph.sources(kind, sid) == toy_index.graph.sources(kind, sid)
             assert loaded.graph.sites_from(sid) == toy_index.graph.sites_from(sid)
             assert loaded.graph.sites_into(sid) == toy_index.graph.sites_into(sid)
+
+
+DERIVED = ("graph", "by_name", "by_qualified", "by_suffix", "trigrams")
+
+
+def _derived(index) -> set[str]:
+    return set(DERIVED) & set(vars(index))
+
+
+class TestDerivedTables:
+    """The tables derived from an index's fields are made on their first
+    read, once, and never by a build or a load."""
+
+    def test_neither_build_nor_load_derives_a_table(self, toyrepo_root, tmp_path):
+        built = build_index(load_repository(toyrepo_root))
+        assert _derived(built) == set()
+        persist_index(built, tmp_path / "toy.caidx")
+        loaded = load_index(tmp_path / "toy.caidx").structural
+        assert _derived(loaded) == set()
+        assert loaded == built
+
+    def test_each_table_is_made_on_its_first_read_and_once(
+        self, toy_index, monkeypatch
+    ):
+        graphs = []
+        init = Graph.__init__
+
+        def counted(self, *args):
+            graphs.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(Graph, "__init__", counted)
+        index = dataclasses.replace(toy_index)
+        for n, name in enumerate(DERIVED):
+            assert _derived(index) == set(DERIVED[:n])
+            first = getattr(index, name)
+            assert getattr(index, name) is first
+            assert vars(index)[name] is first
+        index.parent(3)
+        assert len(graphs) == 1
+
+    def test_find_class_derives_the_lookups_only(self, toy_index, tmp_path):
+        persist_index(toy_index, tmp_path / "toy.caidx")
+        loaded = load_index(tmp_path / "toy.caidx").structural
+        ctx = ToolContext(loaded)
+        for name in ("Calculator", "calc::SciCalculator"):
+            dispatch_tool(ctx, "FindClass", {"name": name})
+        assert _derived(loaded) == {"by_name", "by_qualified"}
+
+    def test_no_field_can_be_reassigned(self, toy_index):
+        for name in (*(f.name for f in dataclasses.fields(toy_index)), *DERIVED):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(toy_index, name, getattr(toy_index, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del toy_index.symbols
+
+    def test_replace_derives_a_graph_over_the_new_edges(self, toy_index):
+        site = toy_index.call_sites[0]
+        assert site.callee in toy_index.graph.targets(EdgeKind.CALLS, site.caller)
+        uncalled = dataclasses.replace(toy_index, edges=[
+            e for e in toy_index.edges if e.kind is not EdgeKind.CALLS])
+        assert _derived(uncalled) == set()
+        assert uncalled.graph.targets(EdgeKind.CALLS, site.caller) == []
+        for rec in toy_index.symbols:
+            assert uncalled.parent(rec.symbol_id) == toy_index.parent(rec.symbol_id)
+
+
+# one request per tool, each answered on the toy index
+_TOOL_CALLS = (
+    ("FindClass", {"name": "Calculator"}),
+    ("FindFunction", {"name": "add"}),
+    ("GetInheritanceChain", {"name": "calc::SciCalculator"}),
+    ("GetFunctionCalls", {"name": "calc::Calculator::add", "direction": "in"}),
+    ("QueryCodeIntent", {"text": "add two numbers", "k": 5}),
+    ("GrepBaseline", {"pattern": "Calculator", "regex": False}),
+    ("DefectSubgraph", {"seeds": ["Calculator::add", 3], "hops": 3}),
+)
+
+
+def _paths(node, path=()):
+    """The path of every list and every scalar under ``node``."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, (*path, key))
+        return
+    yield path
+    if isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, (*path, i))
+
+
+def _mutated(value, rng):
+    if isinstance(value, list):
+        if not value:
+            return [0]
+        return rng.choice([value[:-1], value + value[:1], value[::-1], []])
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return rng.choice([-1, 0, 1, 2, value - 1, value + 1, 31, 32, 10**6])
+    if isinstance(value, str):
+        return rng.choice(["", "x", "::", f"{value}::x", f"x::{value}",
+                           value[:-1], "Calculator", "\n"])
+    return rng.choice([0, "", None])
+
+
+def test_every_mutated_file_that_loads_answers_every_tool(
+    toy_index, toy_intent, tmp_path
+):
+    """An index file is a trust boundary, and a loaded index derives its
+    tables at query time: whatever a damaged file that loads holds, each
+    tool answers or raises an ``EngineError``, never anything else."""
+    path = tmp_path / "toy.caidx"
+    persist_index(IndexContainer(toy_index, toy_intent), path)
+    text = path.read_text(encoding="utf-8")
+    paths = [p for p in _paths(json.loads(text)) if p and p[0] in (
+        "structural", "intent")]
+    ctx = ToolContext(toy_index, toy_intent)
+    for tool, arguments in _TOOL_CALLS:  # each request finds its answer
+        dispatch_tool(ctx, tool, arguments)
+    rng = random.Random(2210)
+    loaded = 0
+    for _ in range(200):
+        payload = json.loads(text)
+        *parents, last = rng.choice(paths)
+        node = payload
+        for key in parents:
+            node = node[key]
+        node[last] = _mutated(node[last], rng)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        try:
+            container = load_index(path)
+        except CorruptIndex:
+            continue
+        loaded += 1
+        ctx = ToolContext(container.structural, container.intent)
+        for tool, arguments in _TOOL_CALLS:
+            try:
+                assert isinstance(dispatch_tool(ctx, tool, arguments), dict)
+            except EngineError:
+                pass
+    assert loaded >= 50

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import pathlib
 import pickle
@@ -700,7 +701,7 @@ def test_grep_patterns_of_one_two_and_three_bytes():
     index = StructuralIndex(sources={"a.h": "ab\nabc\nxabcx\nb\n", "b.h": "c\nbc\n"})
     _assert_greps_same(index, ["a", "b", "c", "ab", "bc", "abc", "bca", "xab",
                                "cx", "abcx", "", "x"])
-    assert index._trigrams is not None
+    assert vars(index).get("trigrams") is not None
 
 
 def test_grep_pattern_spanning_two_files_does_not_match():
@@ -804,19 +805,19 @@ def test_literal_regex_takes_the_fixed_string_path(toy_index, monkeypatch):
 
 def test_filter_is_built_on_the_first_grep_that_needs_it(toyrepo_root, tmp_path):
     index = build_index(load_repository(toyrepo_root))
-    assert index._trigrams is None
+    assert vars(index).get("trigrams") is None
     persist_index(IndexContainer(index, build_intent_index(index)),
                   tmp_path / "toy.caidx")
     loaded = load_index(tmp_path / "toy.caidx").structural
-    assert loaded._trigrams is None
+    assert vars(loaded).get("trigrams") is None
     for pattern, regex in (("ab", False), ("", True), ("Calc.*", True),
                            ("a\nb", False)):
         grep_baseline(loaded, pattern, regex=regex)
-        assert loaded._trigrams is None
+        assert vars(loaded).get("trigrams") is None
     grep_baseline(loaded, "Calculator", regex=False)
-    assert loaded._trigrams is not None
+    assert vars(loaded).get("trigrams") is not None
     assert loaded == index  # the filter takes no part in equality
-    assert "_trigrams" not in repr(loaded)
+    assert "trigrams" not in repr(loaded)
 
 
 def test_sources_are_read_only_so_the_filter_cannot_go_stale():
@@ -842,10 +843,15 @@ def test_sources_are_read_only_so_the_filter_cannot_go_stale():
     assert json.loads(json.dumps(sources)) == sources
     assert copy.deepcopy(index) == index
     assert pickle.loads(pickle.dumps(sources)) == sources
-    # new sources drop the filter, and the next grep rebuilds it
-    index.sources = {"a.h": "int gamma;\n", "b.h": "int alpha;\n"}
-    assert index._trigrams is None
-    got = grep_baseline(index, "alpha", regex=False)
+    # the sources cannot be reassigned either; new sources make a new
+    # index, which derives a filter of its own
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        index.sources = {"a.h": "int gamma;\n", "b.h": "int alpha;\n"}
+    assert index.sources is sources
+    other = dataclasses.replace(
+        index, sources={"a.h": "int gamma;\n", "b.h": "int alpha;\n"})
+    assert vars(other).get("trigrams") is None
+    got = grep_baseline(other, "alpha", regex=False)
     assert [m["path"] for m in got["matches"]] == ["b.h"]
     with pytest.raises(TypeError):
-        index.sources["a.h"] = "alpha"
+        other.sources["a.h"] = "alpha"
