@@ -162,22 +162,25 @@ class StructuralIndex:
     """Symbol graph and the source text it was built from: the fields are
     exactly what an index file holds, and no field can be reassigned.
 
-    ``sources`` is copied at construction into a dict that refuses changes
-    in place. The tables derived from the fields (``graph``, ``by_name``,
-    ``by_qualified``, ``by_suffix`` and ``trigrams``) are each made on
-    their first read and kept. They are no fields, so they take no part in
+    ``symbols``, ``edges`` and ``call_sites`` are made tuples at
+    construction, and ``sources`` is copied into a dict that refuses
+    changes in place. The tables derived from the fields (``graph``,
+    ``by_name``, ``by_qualified``, ``by_suffix`` and ``trigrams``) are
+    each made on their first read and kept. They are no fields, so they take no part in
     equality or ``repr``, and ``dataclasses.replace`` gives an index that
     derives its own."""
 
-    symbols: list[SymbolRecord] = field(default_factory=list)
-    edges: list[StructuralEdge] = field(default_factory=list)
-    call_sites: list[CallSite] = field(default_factory=list)
+    symbols: tuple[SymbolRecord, ...] = ()
+    edges: tuple[StructuralEdge, ...] = ()
+    call_sites: tuple[CallSite, ...] = ()
     sources: dict[str, str] = field(default_factory=dict)
     includes: dict[str, list[str]] = field(default_factory=dict)
     repo_snapshot: str = ""
     parse_error_count: int = 0
 
     def __post_init__(self):
+        for name in ("symbols", "edges", "call_sites"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         object.__setattr__(self, "sources", _Sources(self.sources))
 
     @cached_property
@@ -276,7 +279,7 @@ def build_index(repo: Repository) -> StructuralIndex:
             )
 
     # resolution looks names up among the real symbols only
-    real = StructuralIndex(symbols=symbols[:])
+    real = StructuralIndex(symbols=symbols)
 
     # --- inheritance -------------------------------------------------
     for pu, off in zip(parsed, offsets):
@@ -724,7 +727,7 @@ def _structural_from_dict(d: dict, snapshot: str) -> StructuralIndex:
         read_columns(d["symbols"], _SYMBOL_COLUMNS)
     )
     kind = _decode(kind, kinds, "kind")
-    symbols = list(map(
+    symbols = tuple(map(
         SymbolRecord, count(), kind, name, qualified, signature,
         locations(file, start_line, end_line), *rest,
     ))

@@ -334,8 +334,8 @@ class IntentIndex:
         """The matrix's bucket postings, or () when more than one cell in
         ``_SPARSE`` is nonzero: CSR offsets by bucket, the row of each
         entry, ascending within its bucket, the entry's value, and the
-        largest absolute value. Derived on the first query that reads
-        them."""
+        largest absolute value. The arrays are read-only. Derived on the
+        first query that reads them."""
         matrix, dim = self.matrix, self.matrix.shape[1]
         nonzero = matrix != 0
         if np.count_nonzero(nonzero) * _SPARSE > nonzero.size:
@@ -349,7 +349,10 @@ class IntentIndex:
         offsets = np.zeros(dim + 1, dtype=np.intp)
         np.cumsum(np.bincount(buckets, minlength=dim), out=offsets[1:])
         top = float(np.abs(values).max()) if len(values) else 0.0
-        return offsets, rows[order].astype(np.int32), values, top
+        arrays = offsets, rows[order].astype(np.int32), values
+        for array in arrays:
+            array.flags.writeable = False
+        return *arrays, top
 
     def __eq__(self, other):
         if not isinstance(other, IntentIndex):
@@ -455,18 +458,16 @@ def build_intent_index(index: StructuralIndex, provider=None) -> IntentIndex:
 # matrix: block b holds rows 4b to 4b + 3, and the last block runs on to the
 # matrix's end, so it also holds the n % 4 tail rows. OpenBLAS's
 # matrix-vector kernels take rows four at a time and the tail rows with
-# narrower kernels, so a product over whole blocks gives each of its rows
-# the bits that the full product gives it; a product over any other set of
-# rows, or over a single row, may differ in the last bit. OpenBLAS splits a
-# product of about 460,000 cells (1,800 rows at dim 256) or more over its
-# threads, and each thread's leftover rows take the narrower kernels. So no
-# product here spans more than 2**18 cells (1,023 rows at dim 256), and a
-# score equals the single-threaded full product's whatever the thread count.
+# narrower kernels. So a product over whole blocks, a slice of the matrix or
+# a stack of blocks gathered from it, gives each of its rows the bits that
+# the full product gives it, if the last block, whose tail rows must end
+# their product, is in a slice; a product over any other set of rows, or
+# over a single row, may differ in the last bit. OpenBLAS splits a product
+# of about 460,000 cells (1,800 rows at dim 256) or more over its threads,
+# and each thread's leftover rows take the narrower kernels. So no product
+# here spans more than 2**18 cells (1,023 rows at dim 256), and a score
+# equals the single-threaded full product's whatever the thread count.
 _PRODUCT_CELLS = 1 << 18
-# A product call costs about what 10 more blocks in a product cost (2.8 us
-# against 0.26 us a block at dim 256), so blocks up to this many apart are
-# read in one product.
-_GAP = 8
 # Postings are read only when the matrix and the query each hold nonzeros in
 # at most one cell in _SPARSE. A posting entry costs several times what a
 # cell of the dense product costs (a gather, a multiply and a bincount add
@@ -474,8 +475,8 @@ _GAP = 8
 # outweigh the matrix. The hash embedder's docs fill about 5% of their cells
 # and its queries about 2%; an external provider's vectors are dense. A
 # matrix of at most _PRODUCT_CELLS cells never gets postings: one product
-# over all of it costs less than a query through them (47 against 102 us on
-# a 24-doc index at dim 256, 359 us when the query derives them).
+# over all of it costs less than a query through them (27 against 54 us on
+# a 24-doc index at dim 256, about 300 us when the query derives them).
 _SPARSE = 8
 
 
@@ -494,7 +495,14 @@ def _candidate_rows(postings: tuple, query: np.ndarray, buckets: np.ndarray,
         ),
         minlength=n,
     )
-    kth = np.partition(approx, n - k)[n - k]
+    # The k-th best sum is the (n - k)-th in ascending order, where the n
+    # sums are the touched rows' negative ones, the untouched rows' zeros,
+    # then the touched rows' others (NaN last, as np.partition puts it).
+    touched = np.flatnonzero(approx != 0)
+    sums = approx[touched]
+    below = np.count_nonzero(sums < 0)
+    at = n - k if n - k < below else len(sums) - k  # its place in sums
+    kth = np.partition(sums, at)[at] if n - k < below or at >= below else 0.0
     # A sum of d products m_i * q_i, in any order, fused or not, is off by
     # at most about d * eps / 2 times the sum of |m_i * q_i|, which is at
     # most top * sum |q_i|, plus far less than d * tiny from underflow. A
@@ -507,30 +515,38 @@ def _candidate_rows(postings: tuple, query: np.ndarray, buckets: np.ndarray,
              + dim * np.finfo(np.float64).tiny)
     if not np.isfinite(kth - slack):
         return None
+    if kth - slack > 0:  # no untouched row, whose sum is 0, is a candidate
+        return touched[sums >= kth - slack]
     return np.flatnonzero(approx >= kth - slack)
 
 
 def _row_scores(matrix: np.ndarray, query: np.ndarray,
-                rows: np.ndarray) -> np.ndarray:
-    """``(matrix @ query)[rows]`` for ascending ``rows``, read from products
-    over the whole blocks that hold them. Blocks at most ``_GAP`` apart
-    share one product, which covers the blocks between them too, and no
-    product spans more than ``_PRODUCT_CELLS`` cells."""
+                rows: np.ndarray | None) -> np.ndarray:
+    """``matrix @ query``, or its ``rows`` (ascending) when given, read
+    from products of at most ``_PRODUCT_CELLS`` cells over whole blocks:
+    slices of the matrix for all of it, else the blocks that hold ``rows``
+    gathered into stacks, and the last block's own slice."""
     n, dim = matrix.shape
     last = max(n // 4, 1) - 1
-    blocks = np.minimum(rows >> 2, last)
     # the last block holds up to 3 more rows than the others
     per_product = max((_PRODUCT_CELLS // dim - 3) // 4, 1)
-    runs = blocks // per_product
-    cuts = np.flatnonzero(
-        (blocks[1:] - blocks[:-1] > _GAP) | (runs[1:] != runs[:-1])
-    ) + 1
-    firsts = blocks[np.append(0, cuts)].tolist()
-    finals = blocks[np.append(cuts, len(blocks)) - 1].tolist()
     scores = np.empty(n)
-    for first, final in zip(firsts, finals):
-        lo, hi = 4 * first, n if final == last else 4 * final + 4
-        scores[lo:hi] = matrix[lo:hi] @ query
+    if rows is None:
+        for first in range(0, last + 1, per_product):
+            hi = n if first + per_product > last else 4 * (first + per_product)
+            scores[4 * first:hi] = matrix[4 * first:hi] @ query
+        return scores
+    blocks = np.minimum(rows >> 2, last)
+    blocks = blocks[np.append(True, blocks[1:] != blocks[:-1])]
+    if blocks[-1] == last:
+        scores[4 * last:] = matrix[4 * last:] @ query
+        blocks = blocks[:-1]
+    stacked = matrix[: 4 * last].reshape(last, 4, dim)
+    grid = scores[: 4 * last].reshape(last, 4)
+    for first in range(0, len(blocks), per_product):
+        part = blocks[first:first + per_product]
+        grid[part] = (np.take(stacked, part, axis=0).reshape(-1, dim) @ query
+                      ).reshape(-1, 4)
     return scores[rows]
 
 
@@ -544,11 +560,11 @@ def query_code_intent(
     bit, for any BLAS thread count. When the matrix is larger than one
     product (``_PRODUCT_CELLS``) and the matrix and the query are both
     sparse (see ``_SPARSE``), the query's bucket postings pick the rows
-    that may be in the top k, and only their 4-row blocks are multiplied:
-    the cost is the postings of a few buckets plus a few passes over one
-    value per doc, not the whole matrix. Otherwise every block is
-    multiplied. Either way only the rows scoring at least the k-th best
-    are sorted."""
+    that may be in the top k, and only their 4-row blocks are gathered and
+    multiplied: the cost is set by the rows those postings touch, plus a
+    few fast passes over one value per doc, not by the whole matrix.
+    Otherwise every block is multiplied. Either way only the rows scoring
+    at least the k-th best are sorted."""
     if k < 1:
         raise BadRequest("k must be >= 1")
     if not intent.docs:
@@ -572,9 +588,9 @@ def query_code_intent(
         postings = intent.postings
         if postings:
             rows = _candidate_rows(postings, query, buckets, n, k)
+    scores = _row_scores(matrix, query, rows)
     if rows is None:
         rows = np.arange(n)
-    scores = _row_scores(matrix, query, rows)
     if k < len(rows):
         # every row scoring at least the k-th best, so ties at the
         # boundary are ordered like the rest

@@ -5,6 +5,11 @@ which split the file again for every symbol.
 
 It is the reference `test_intent.py` compares the new code against.
 Nothing in `src/` imports it; do not edit it to match `cppatlas.intent`.
+
+It also keeps `candidate_rows` and `row_scores`, the postings query's
+candidate selection and block products before the candidates' blocks
+were gathered into stacks: the k-th best postings sum read by a partition
+of all n sums, and one product per run of blocks at most `_GAP` apart.
 """
 
 from __future__ import annotations
@@ -124,3 +129,58 @@ def query_code_intent(
         }
         for doc, score in ranked[:k]
     ]
+
+
+# ---------------------------------------------------------------------------
+# the postings query's candidate rows and block products, as they were
+
+_PRODUCT_CELLS = 1 << 18
+_GAP = 8
+
+
+def candidate_rows(postings: tuple, query: np.ndarray, buckets: np.ndarray,
+                   n: int, k: int) -> np.ndarray | None:
+    """The rows whose score may be at least the k-th best: those whose
+    score summed over the query's ``buckets`` postings is within a rounding
+    margin of the k-th best such sum. None when the margin is not finite."""
+    offsets, rows, values, top = postings
+    weights = query[buckets]
+    spans = [slice(offsets[b], offsets[b + 1]) for b in buckets.tolist()]
+    approx = np.bincount(
+        np.concatenate([rows[s] for s in spans]),
+        weights=np.concatenate(
+            [values[s] * w for s, w in zip(spans, weights.tolist())]
+        ),
+        minlength=n,
+    )
+    kth = np.partition(approx, n - k)[n - k]
+    dim = len(query)
+    slack = (4 * dim * np.finfo(np.float64).eps * top * float(np.abs(weights).sum())
+             + dim * np.finfo(np.float64).tiny)
+    if not np.isfinite(kth - slack):
+        return None
+    return np.flatnonzero(approx >= kth - slack)
+
+
+def row_scores(matrix: np.ndarray, query: np.ndarray,
+               rows: np.ndarray) -> np.ndarray:
+    """``(matrix @ query)[rows]`` for ascending ``rows``, read from products
+    over the whole blocks that hold them. Blocks at most ``_GAP`` apart
+    share one product, which covers the blocks between them too, and no
+    product spans more than ``_PRODUCT_CELLS`` cells."""
+    n, dim = matrix.shape
+    last = max(n // 4, 1) - 1
+    blocks = np.minimum(rows >> 2, last)
+    # the last block holds up to 3 more rows than the others
+    per_product = max((_PRODUCT_CELLS // dim - 3) // 4, 1)
+    runs = blocks // per_product
+    cuts = np.flatnonzero(
+        (blocks[1:] - blocks[:-1] > _GAP) | (runs[1:] != runs[:-1])
+    ) + 1
+    firsts = blocks[np.append(0, cuts)].tolist()
+    finals = blocks[np.append(cuts, len(blocks)) - 1].tolist()
+    scores = np.empty(n)
+    for first, final in zip(firsts, finals):
+        lo, hi = 4 * first, n if final == last else 4 * final + 4
+        scores[lo:hi] = matrix[lo:hi] @ query
+    return scores[rows]

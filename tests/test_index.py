@@ -22,7 +22,8 @@ from cppatlas.index import (
     persist_index,
 )
 from cppatlas.intent import IntentDoc, IntentIndex
-from cppatlas.model import UNRESOLVED_PREFIX, EdgeKind, Location, SymbolKind
+from cppatlas.model import (
+    UNRESOLVED_PREFIX, EdgeKind, Location, StructuralEdge, SymbolKind)
 from cppatlas.repo import Repository, SourceUnit, load_repository
 from cppatlas.tools import ToolContext, dispatch_tool
 
@@ -121,9 +122,11 @@ def _assert_same_build(repo, tmp_path):
         assert list(getattr(got, table).items()) == list(
             getattr(want, table).items()
         ), table
-    assert refindex.persisted(got) == refindex.persisted(want)
+    # the frozen build's lists, as the tuples a StructuralIndex holds
+    frozen = StructuralIndex(**refindex.persisted(want))
+    assert refindex.persisted(got) == refindex.persisted(frozen)
     persist_index(got, tmp_path / "got.caidx")
-    persist_index(StructuralIndex(**refindex.persisted(want)), tmp_path / "want.caidx")
+    persist_index(frozen, tmp_path / "want.caidx")
     assert (tmp_path / "got.caidx").read_bytes() == (
         tmp_path / "want.caidx"
     ).read_bytes()
@@ -565,6 +568,23 @@ class TestDerivedTables:
                 setattr(toy_index, name, getattr(toy_index, name))
         with pytest.raises(dataclasses.FrozenInstanceError):
             del toy_index.symbols
+
+    def test_no_sequence_changes_in_place(self, toy_index, tmp_path):
+        # a change in place would leave the derived tables stale
+        edge = StructuralEdge(EdgeKind.INHERITS_FROM, 12, 20)
+        persist_index(toy_index, tmp_path / "toy.caidx")
+        given = dataclasses.replace(toy_index, symbols=list(toy_index.symbols),
+                                    edges=list(toy_index.edges),
+                                    call_sites=list(toy_index.call_sites))
+        for index in (toy_index, load_index(tmp_path / "toy.caidx").structural,
+                      given):
+            assert index == toy_index
+            for name in ("symbols", "edges", "call_sites"):
+                assert type(getattr(index, name)) is tuple
+            with pytest.raises(AttributeError):
+                index.edges.append(edge)
+            with pytest.raises(TypeError):
+                index.symbols[0] = index.symbols[1]
 
     def test_replace_derives_a_graph_over_the_new_edges(self, toy_index):
         site = toy_index.call_sites[0]

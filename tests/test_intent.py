@@ -704,13 +704,19 @@ class _SignedProvider:
         return tuple((vector * self.weights).tolist())
 
 
-def test_signed_stored_vectors_match_reference(wide_index, wide_intent):
+@pytest.fixture(scope="module")
+def signed_intent(wide_index, wide_intent):
+    # the wide index's vectors with signed weights of any length
     hashed = wide_intent.matrix
     cells = np.random.default_rng(11).normal(0.0, 5.0, hashed.shape)
     payload = dict(wide_intent.to_dict(), provider_name=_SignedProvider.name)
     raw = (hashed * cells).astype("<f8").tobytes()
     payload["vectors"] = base64.b64encode(raw).decode("ascii")
-    intent = IntentIndex.from_dict(payload, wide_index.symbols)
+    return IntentIndex.from_dict(payload, wide_index.symbols)
+
+
+def test_signed_stored_vectors_match_reference(signed_intent, wide_intent):
+    intent = signed_intent
     norms = np.linalg.norm(intent.matrix, axis=1)
     assert (intent.matrix < 0).any() and not np.allclose(norms[norms > 0], 1.0)
     ks = [*range(1, 31), 200, 1000, len(intent.docs) - 1, len(intent.docs)]
@@ -787,7 +793,7 @@ def test_an_index_of_one_product_never_builds_postings(toy_index, monkeypatch):
     assert _postings_read(intent)
 
 
-def test_matrix_is_read_only(toy_index, toy_intent):
+def test_matrix_is_read_only(toy_index, toy_intent, monkeypatch):
     clone = IntentIndex.from_dict(toy_intent.to_dict(), toy_index.symbols)
     given = IntentIndex(toy_intent.provider_name, toy_intent.dim,
                         toy_intent.repo_snapshot, toy_intent.docs,
@@ -801,6 +807,16 @@ def test_matrix_is_read_only(toy_index, toy_intent):
     for doc in clone.docs:
         with pytest.raises(ValueError):
             doc._vector[doc._row][0] = 0.5
+    # so are the postings that pick the candidate rows
+    _postings_at_any_size(monkeypatch, toy_intent)
+    for intent in (clone, given):
+        query_code_intent(intent, "subtract numbers", k=3)
+        offsets, rows, values, _ = _postings_read(intent)
+        for array in (offsets, rows, values):
+            with pytest.raises(ValueError):
+                array[0] = array[-1]
+            with pytest.raises(ValueError):
+                array[:] = 0
 
 
 def test_a_row_whose_postings_sum_rounds_low_stays_a_candidate(monkeypatch):
@@ -835,13 +851,104 @@ def test_a_row_whose_postings_sum_rounds_low_stays_a_candidate(monkeypatch):
     assert _postings_read(intent)
 
 
+# --- differential: the candidate rows and the gathered block products
+# against the frozen candidate_rows and row_scores in refintent.py, which
+# read the k-th best of all n postings sums and multiplied runs of blocks.
+
+
+def _frozen_top(intent, query, k):
+    # the frozen path's top k, as (score, row) pairs
+    n = len(intent.docs)
+    rows = refintent.candidate_rows(intent.postings, query,
+                                    np.flatnonzero(query), n, k)
+    rows = np.arange(n) if rows is None else rows
+    docs = intent.docs
+    return sorted(
+        zip(refintent.row_scores(intent.matrix, query, rows).tolist(),
+            rows.tolist()),
+        key=lambda c: (-c[0], docs[c[1]].qualified_name, docs[c[1]].symbol_id),
+    )[:k]
+
+
+def _assert_candidates_match_frozen(intent, texts, provider=None):
+    """For each text's query and each k, among them the boundaries of the
+    touched rows (those sharing a bucket with the query): the candidates
+    hold the frozen path's top k, and are the frozen path's candidates, as
+    the k-th best sum is exact; their scores have the frozen path's bits,
+    and so has every answer."""
+    n, dim = intent.matrix.shape
+    embedder = provider or HashEmbeddingProvider(dim)
+    for text in texts:
+        query = np.asarray(embedder.embed(text), dtype=np.float64)
+        buckets = np.flatnonzero(query)
+        if not len(buckets):
+            continue  # a query without buckets never reads postings
+        shares = intent.matrix[:, buckets].any(axis=1)
+        touched = int(np.count_nonzero(shares))
+        above = int(np.count_nonzero((intent.matrix @ query)[shares] > 0))
+        ks = {1, 2, 10, n - 1, n, *(touched + d for d in (-1, 0, 1)),
+              *(n - touched + above + d for d in (-1, 0, 1))}
+        for k in sorted(k for k in ks if 1 <= k <= n):
+            top = _frozen_top(intent, query, k)
+            rows = intent_module._candidate_rows(intent.postings, query,
+                                                 buckets, n, k)
+            assert (np.diff(rows) > 0).all()
+            assert {row for _, row in top} <= set(rows.tolist())
+            assert rows.tolist() == refintent.candidate_rows(
+                intent.postings, query, buckets, n, k).tolist()
+            scores = intent_module._row_scores(intent.matrix, query, rows)
+            assert scores.tobytes() == refintent.row_scores(
+                intent.matrix, query, rows).tobytes()
+            got = query_code_intent(intent, text, k=k, provider=provider)
+            assert [(h["score"].hex(), h["symbol_id"]) for h in got] == [
+                (score.hex(), intent.docs[row].symbol_id) for score, row in top]
+
+
+def _rare_word(intent) -> str:
+    # a word of the docs whose bucket the fewest docs hold
+    counts = np.count_nonzero(intent.matrix, axis=0)
+    provider = HashEmbeddingProvider(intent.dim)
+    words = sorted({w for d in intent.docs for w in d.text.split(" ") if w.isalpha()})
+    return min(words, key=lambda w: counts[
+        np.flatnonzero(provider.embed_texts([w])[0])[0]])
+
+
+# n % 4 is 0, 1, 2 and 3, for one block and for many
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 1200, 1201, 1202, 1203])
+def test_candidates_and_scores_match_the_frozen_path(wide_intent, n):
+    intent = _first(wide_intent, n)
+    texts = [*_texts(intent), _rare_word(intent)]
+    _assert_candidates_match_frozen(intent, texts)
+
+
+def test_signed_candidates_and_scores_match_the_frozen_path(signed_intent,
+                                                            wide_intent):
+    _assert_candidates_match_frozen(signed_intent, _texts(wide_intent),
+                                    provider=_SignedProvider())
+
+
+def test_a_gather_split_over_several_products_matches_the_frozen_path(
+        wide_intent, monkeypatch):
+    intent = _first(wide_intent, 1203)
+    dim = intent.dim
+    # products of at most 3 blocks, so a query's candidates need several
+    monkeypatch.setattr(intent_module, "_PRODUCT_CELLS", 16 * dim)
+    texts = _texts(intent)
+    _assert_candidates_match_frozen(intent, texts)
+    query = HashEmbeddingProvider(dim).embed_texts([texts[-1]])[0]
+    rows = intent_module._candidate_rows(intent.postings, query,
+                                         np.flatnonzero(query), 1203, 10)
+    assert len(np.unique(np.minimum(rows >> 2, 1203 // 4 - 1))) > 3
+
+
 # An intent index of 2,002 docs: OpenBLAS splits one product of its whole
 # matrix over two threads, and the first thread's leftover rows take other
 # kernels than they take on one thread.
 _THREADS_CHILD = """
 import json, random
+import numpy as np
 from cppatlas.intent import (HashEmbeddingProvider, IntentDoc, IntentIndex,
-                             query_code_intent)
+                             _candidate_rows, query_code_intent)
 rng = random.Random(2002)
 vocab = ["".join(rng.choice("abcdefghijklmnopqrstuvwxyz")
                  for _ in range(rng.randint(3, 9))) for _ in range(400)]
@@ -853,7 +960,17 @@ docs = tuple(IntentDoc(i, f"n{i % 97}::f", "function", t, row)
 intent = IntentIndex("hash-tf-256", 256, "", docs, matrix)
 queries = [(texts[i], 2002) for i in [*range(985, 1015), *range(1990, 2002)]]
 queries += [(" ".join(rng.sample(vocab, 3)), k) for k in (1, 10, 2002) * 10]
-print(json.dumps([query_code_intent(intent, t, k=k) for t, k in queries]))
+answers = [query_code_intent(intent, t, k=k) for t, k in queries]
+# the postings the sparse queries read, and the blocks each of them gathers,
+# less the last block, which is read on its own
+postings = vars(intent)["postings"]
+gathered = []
+for t, k in queries[42:]:
+    query = HashEmbeddingProvider().embed_texts([t])[0]
+    if k < 2002:
+        rows = _candidate_rows(postings, query, np.flatnonzero(query), 2002, k)
+        gathered.append(len(set((rows[rows < 4 * 499] >> 2).tolist())))
+print(json.dumps([answers, gathered]))
 """
 
 
@@ -869,6 +986,10 @@ def test_answers_do_not_depend_on_the_blas_thread_count():
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+    # the sparse queries read postings, so at 2 threads too, and gathered
+    # more than one block into a product
+    answers, gathered = json.loads(outputs[0])
+    assert len(gathered) == 20 and max(gathered) > 1
 
 
 # --- the matrix embedded on first use: against the eager embed, the embed
