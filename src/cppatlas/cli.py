@@ -57,9 +57,30 @@ def _fail(exc: EngineError) -> int:
     return EXIT_INPUT
 
 
+def _read_json(path: str, **defaults) -> dict:
+    """The JSON object in file ``path``, with each key of ``defaults`` set
+    to its default when absent. ``ValueError`` when the file holds no
+    object, is nested too deep to read, or holds a key of ``defaults``
+    whose value has another type than its default (a list: one whose
+    entries are not all objects)."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError as exc:
+        raise ValueError(f"{path}: JSON nested too deep") from exc
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    data = {**defaults, **data}
+    for key, default in defaults.items():
+        value = data[key]
+        if type(value) is not type(default) or (
+                type(value) is list and {type(v) for v in value} - {dict}):
+            raise ValueError(f"{path}: {key} has the wrong shape")
+    return data
+
+
 def _config(args) -> AppConfig:
     if getattr(args, "config", None):
-        return AppConfig.load(args.config)
+        return AppConfig.from_dict(_read_json(args.config))
     return AppConfig()
 
 
@@ -119,20 +140,14 @@ def _cmd_serve(args) -> int:
 
 
 def _read_issue(path: str) -> IssueDescription:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return IssueDescription.from_text(data.get("title", ""),
-                                      data.get("body", ""))
+    data = _read_json(path, title="", body="")
+    return IssueDescription.from_text(data["title"], data["body"])
 
 
 def _read_tests(path: str | None) -> list[TestCase]:
-    """The ``tests`` list of a JSON object; ``ValueError`` on any other
-    shape."""
     if not path:
         return []
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    tests = data.get("tests", []) if isinstance(data, dict) else None
-    if not (isinstance(tests, list) and all(isinstance(t, dict) for t in tests)):
-        raise ValueError(f"{path}: expected an object whose tests are objects")
+    tests = _read_json(path, tests=[])["tests"]
     return [TestCase.from_dict(t) for t in tests]
 
 
@@ -179,8 +194,8 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_eval_loc(args) -> int:
-    data = json.loads(Path(args.instances).read_text(encoding="utf-8"))
-    instances = [EvalInstance.from_dict(i) for i in data["instances"]]
+    instances = [EvalInstance.from_dict(i) for i in
+                 _read_json(args.instances, instances=[])["instances"]]
     file_rate, function_rate, reports = evaluate_localization(instances)
     _emit(
         {

@@ -7,10 +7,9 @@ value must have the type of the field default it replaces.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
+from .intent import DEFAULT_DIM, CommandEmbeddingProvider, HashEmbeddingProvider
 from .pipeline import PipelineConfig
 from .repo import DEFAULT_INCLUDE_GLOBS, include_glob_parts
 from .runner import RunnerConfig
@@ -68,13 +67,11 @@ def _section(cls, raw: dict, name: str, skip: str = "") -> dict:
 @dataclass(frozen=True)
 class ProviderConfig:
     type: str = "hash"  # "hash" or "command"
-    dim: int = 256
+    dim: int = DEFAULT_DIM
     command: tuple[str, ...] = ()
     name: str = ""
 
     def make(self):
-        from .intent import CommandEmbeddingProvider, HashEmbeddingProvider
-
         if self.type == "hash":
             return HashEmbeddingProvider(dim=self.dim)
         if self.type == "command":
@@ -93,11 +90,6 @@ class AppConfig:
     include_globs: tuple[str, ...] = DEFAULT_INCLUDE_GLOBS
     provider: ProviderConfig = field(default_factory=ProviderConfig)
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
-
-    @staticmethod
-    def load(path: str | Path) -> "AppConfig":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        return AppConfig.from_dict(raw)
 
     @staticmethod
     def from_dict(raw: dict) -> "AppConfig":

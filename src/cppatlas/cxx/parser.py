@@ -53,6 +53,7 @@ _CLOSERS = {"(": ")", "[": "]", "{": "}", "<": ">"}
 # scopes nested deeper than this are skipped as errors: each level takes two
 # or three frames of the interpreter's stack, which holds about 1,000
 _MAX_DEPTH = 100
+_LOCATION = SymbolRecord._fields.index("location")
 
 # what may stand before the name of a declarator after the first, and the
 # tokens that end its part
@@ -262,9 +263,12 @@ class _Parser:
         return local_id
 
     def set_end_line(self, local_id: int, end_line: int):
-        sym = self.result.symbols[local_id]
-        file, start_line, _ = sym.location
-        sym.location = Location(file, start_line, max(start_line, end_line))
+        rec = self.result.symbols[local_id]
+        file, start_line, _ = rec.location
+        if end_line > start_line:  # a new record, made without a call
+            self.result.symbols[local_id] = tuple.__new__(SymbolRecord, (
+                *rec[:_LOCATION], Location(file, start_line, end_line),
+                *rec[_LOCATION + 1:]))
 
     def note_error(self):
         self.result.error_count += 1

@@ -28,8 +28,7 @@ Resolution reads an interim index over the real symbols, for its
 A call's target depends only on the caller's enclosing scope, the callee
 text and whether the call is constructor-style, so each distinct such key
 is resolved once per build. The ``unresolved:`` sentinels get the largest
-ids. Symbol ids are assigned in place on the records the parser just
-made.
+ids.
 
 The result is deterministic: identical repositories produce identical
 indices, ids, edge lists and serialized bytes.
@@ -45,7 +44,7 @@ from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count, repeat
+from itertools import accumulate, chain, count, repeat
 from operator import gt
 from pathlib import Path
 
@@ -115,18 +114,18 @@ class Graph:
         return self._by_callee.get(callee, [])
 
 
-class _Sources(dict):
-    """An index's sources, path to text: a dict that refuses every change
-    in place. It is written and compared as a plain dict."""
+class _Table(dict):
+    """An index's sources or includes, by path: a dict that refuses every
+    change in place. It is written and compared as a plain dict."""
 
     def _refuse(self, *args, **kwargs):
-        raise TypeError("an index's sources are read-only")
+        raise TypeError("an index's tables are read-only")
 
     __setitem__ = __delitem__ = __ior__ = _refuse
     clear = pop = popitem = setdefault = update = _refuse
 
     def __reduce__(self):
-        return _Sources, (dict(self),)
+        return _Table, (dict(self),)
 
 
 # A fixed string of at least 3 UTF-8 bytes is looked for only in the files
@@ -162,11 +161,12 @@ class StructuralIndex:
     """Symbol graph and the source text it was built from: the fields are
     exactly what an index file holds, and no field can be reassigned.
 
-    ``symbols``, ``edges`` and ``call_sites`` are made tuples at
-    construction, and ``sources`` is copied into a dict that refuses
-    changes in place. The tables derived from the fields (``graph``,
-    ``by_name``, ``by_qualified``, ``by_suffix`` and ``trigrams``) are
-    each made on their first read and kept. They are no fields, so they take no part in
+    ``symbols``, ``edges`` and ``call_sites`` are made tuples of named
+    tuples at construction, and ``sources`` and ``includes`` (its lists
+    made tuples) are copied into dicts that refuse changes in place. The
+    tables derived from the fields (``graph``, ``by_name``,
+    ``by_qualified``, ``by_suffix`` and ``trigrams``) are each made on
+    their first read and kept. They are no fields, so they take no part in
     equality or ``repr``, and ``dataclasses.replace`` gives an index that
     derives its own."""
 
@@ -174,14 +174,16 @@ class StructuralIndex:
     edges: tuple[StructuralEdge, ...] = ()
     call_sites: tuple[CallSite, ...] = ()
     sources: dict[str, str] = field(default_factory=dict)
-    includes: dict[str, list[str]] = field(default_factory=dict)
+    includes: dict[str, tuple[str, ...]] = field(default_factory=dict)
     repo_snapshot: str = ""
     parse_error_count: int = 0
 
     def __post_init__(self):
         for name in ("symbols", "edges", "call_sites"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        object.__setattr__(self, "sources", _Sources(self.sources))
+        object.__setattr__(self, "sources", _Table(self.sources))
+        object.__setattr__(self, "includes", _Table(
+            (path, tuple(names)) for path, names in self.includes.items()))
 
     @cached_property
     def graph(self) -> Graph:
@@ -263,13 +265,10 @@ def build_index(repo: Repository) -> StructuralIndex:
         if unit.kind in ("header", "source"):
             parsed.append(parse_unit(unit))
 
-    symbols: list[SymbolRecord] = []
-    offsets: list[int] = []
-    for pu in parsed:
-        offsets.append(len(symbols))
-        for rec in pu.symbols:  # fresh records of this build: no copy
-            rec.symbol_id = len(symbols)
-            symbols.append(rec)
+    # every unit's records in one list, so that a record's id is its row
+    offsets = list(accumulate((len(pu.symbols) for pu in parsed), initial=0))
+    columns = list(zip(*chain.from_iterable(pu.symbols for pu in parsed)))
+    symbols = _bulk(SymbolRecord, zip(range(offsets[-1]), *columns[1:]))
 
     edges: set[StructuralEdge] = set()
     for pu, off in zip(parsed, offsets):
@@ -383,7 +382,7 @@ def build_index(repo: Repository) -> StructuralIndex:
         edges=sorted(edges, key=lambda e: (_EDGE_ORDER[e.kind], e.src, e.dst)),
         call_sites=call_sites,
         sources={u.path: u.content for u in repo.units},
-        includes={pu.path: list(pu.includes) for pu in parsed},
+        includes={pu.path: pu.includes for pu in parsed},
         repo_snapshot=repo.snapshot_id,
         parse_error_count=sum(pu.error_count for pu in parsed),
     )
@@ -631,7 +630,7 @@ class IndexContainer:
 # Columns of the v2 layout, each with the type of its cells. A symbol's id
 # is its row; its kind and file are rows of the "kinds" and "files" tables.
 _LOCATION_COLUMNS = {"file": int, "start_line": int, "end_line": int}
-# the rest of a SymbolRecord, in the order of its fields after "location"
+# the rest of a SymbolRecord's fields, in their order
 _RECORD_COLUMNS = {
     "name": str,
     "qualified_name": str,
@@ -666,37 +665,33 @@ def _decode(codes: list[int], table: list, what: str) -> list:
     return [table[i] for i in codes]
 
 
+def _columns(cls, rows) -> dict:
+    """``rows`` of the named tuple ``cls``, field by field."""
+    return dict(zip(cls._fields, zip(*rows) if rows else repeat(())))
+
+
 def _structural_to_dict(index: StructuralIndex) -> dict:
-    symbols, sites = index.symbols, index.call_sites
-    files = sorted({r.location.file for r in (*symbols, *sites)})
+    symbols = _columns(SymbolRecord, index.symbols)
+    sites = _columns(CallSite, index.call_sites)
+    for table in (symbols, sites):
+        table.update(_columns(Location, table.pop("location")))
+    files = sorted({*symbols["file"], *sites["file"]})
     file_row = {f: i for i, f in enumerate(files)}
     kind_row = {k: i for i, k in enumerate(SymbolKind)}
-
-    def located(rows) -> dict:
-        return {
-            "file": [file_row[r.location.file] for r in rows],
-            "start_line": [r.location.start_line for r in rows],
-            "end_line": [r.location.end_line for r in rows],
-        }
-
-    edges = {k.value: {"from": [], "to": []} for k in EdgeKind}
-    for e in index.edges:
-        edges[e.kind.value]["from"].append(e.src)
-        edges[e.kind.value]["to"].append(e.dst)
+    symbols["kind"] = map(kind_row.__getitem__, symbols["kind"])
+    for table in (symbols, sites):
+        table["file"] = map(file_row.__getitem__, table["file"])
+    ends = {k: ([], []) for k in EdgeKind}
+    for kind, src, dst in index.edges:
+        ends[kind][0].append(src)
+        ends[kind][1].append(dst)
     return {
         "kinds": [k.value for k in SymbolKind],
         "files": files,
-        "symbols": {
-            "kind": [kind_row[r.kind] for r in symbols],
-            **located(symbols),
-            **{name: [getattr(r, name) for r in symbols] for name in _RECORD_COLUMNS},
-        },
-        "edges": edges,
-        "call_sites": {
-            "caller": [c.caller for c in sites],
-            "callee": [c.callee for c in sites],
-            **located(sites),
-        },
+        "symbols": {name: list(symbols[name]) for name in _SYMBOL_COLUMNS},
+        "edges": {k.value: {"from": src, "to": dst}
+                  for k, (src, dst) in ends.items()},
+        "call_sites": {name: list(sites[name]) for name in _SITE_COLUMNS},
         "sources": index.sources,
         "includes": index.includes,
         "parse_error_count": index.parse_error_count,
@@ -727,8 +722,8 @@ def _structural_from_dict(d: dict, snapshot: str) -> StructuralIndex:
         read_columns(d["symbols"], _SYMBOL_COLUMNS)
     )
     kind = _decode(kind, kinds, "kind")
-    symbols = tuple(map(
-        SymbolRecord, count(), kind, name, qualified, signature,
+    symbols = _bulk(SymbolRecord, zip(
+        count(), kind, name, qualified, signature,
         locations(file, start_line, end_line), *rest,
     ))
     if set(d["edges"]) != {k.value for k in EdgeKind}:

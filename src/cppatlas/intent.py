@@ -31,7 +31,7 @@ from .errors import (
 )
 from .index import StructuralIndex, read_columns
 from .model import SymbolRecord
-from .queries import defect_subgraph, snippet_of
+from .queries import DEFAULT_HOPS, defect_subgraph, snippet_of
 from .repo import IssueDescription
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -108,11 +108,15 @@ def summarize_artifact(record: SymbolRecord, snippet: str) -> str:
     return " ".join(parts)
 
 
+DEFAULT_DIM = 256  # hash embedding width
+DEFAULT_K = 10  # intent hits per query
+
+
 class HashEmbeddingProvider:
     """Hashed term-frequency embedding: sha1(token) picks one of ``dim``
     buckets, counts are L2-normalized. Fully deterministic."""
 
-    def __init__(self, dim: int = 256):
+    def __init__(self, dim: int = DEFAULT_DIM):
         self.dim = dim
 
     @property
@@ -206,19 +210,20 @@ class CommandEmbeddingProvider:
                 f"embedding command exited {proc.returncode}: "
                 f"{proc.stderr.decode('utf-8', 'replace')[:200]}"
             )
-        try:
+        try:  # a reply of any shape, or nested too deep
             vectors = json.loads(proc.stdout.decode("utf-8"))["vectors"]
-        except (ValueError, KeyError) as exc:
-            raise ProviderUnavailable(f"bad embedding output: {exc}") from exc
-        if len(vectors) != len(texts):
-            raise ProviderUnavailable("embedding count mismatch")
+            matrix = np.array(vectors, dtype=np.float64)
+        except (ValueError, KeyError, TypeError, RecursionError,
+                OverflowError) as exc:
+            raise ProviderUnavailable(f"bad embedding output: {exc!r}") from exc
+        if type(vectors) is not list or len(vectors) != len(texts) or (
+                vectors and matrix.shape[1:] != (self.dim,)):
+            raise ProviderUnavailable(
+                f"embedding output is not {len(texts)} vectors of {self.dim}")
+        if not np.isfinite(matrix).all():
+            raise ProviderUnavailable("embedding has a non-finite entry")
         out = []
-        for vec in vectors:
-            if len(vec) != self.dim:
-                raise ProviderUnavailable("embedding dimension mismatch")
-            arr = np.asarray(vec, dtype=np.float64)
-            if not np.isfinite(arr).all():
-                raise ProviderUnavailable("embedding has a non-finite entry")
+        for arr in matrix:
             norm = float(np.linalg.norm(arr))
             if norm > 0.0:
                 arr = arr / norm
@@ -551,7 +556,7 @@ def _row_scores(matrix: np.ndarray, query: np.ndarray,
 
 
 def query_code_intent(
-    intent: IntentIndex, text: str, k: int = 10, provider=None
+    intent: IntentIndex, text: str, k: int = DEFAULT_K, provider=None
 ) -> list[dict]:
     """Top-k symbols by cosine similarity against the query embedding.
     Ties break lexicographically on qualified name, then id.
@@ -616,8 +621,8 @@ def localize(
     structural: StructuralIndex,
     intent: IntentIndex,
     issue: IssueDescription,
-    k: int = 10,
-    hops: int = 2,
+    k: int = DEFAULT_K,
+    hops: int = DEFAULT_HOPS,
     provider=None,
 ) -> dict:
     """Defect localization: intersect intent hits with the structural

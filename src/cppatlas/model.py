@@ -9,7 +9,6 @@ resolver could not find.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -75,15 +74,10 @@ class Location(_Span):
         return tuple.__new__(cls, (file, start_line, end_line))
 
     def to_dict(self) -> dict:
-        return {
-            "file": self.file,
-            "start_line": self.start_line,
-            "end_line": self.end_line,
-        }
+        return self._asdict()
 
 
-@dataclass
-class SymbolRecord:
+class SymbolRecord(NamedTuple):
     """One node of the structural graph.
 
     ``qualified_name`` is built from lexical nesting and always ends with
@@ -111,19 +105,8 @@ class SymbolRecord:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "symbol_id": self.symbol_id,
-            "kind": self.kind.value,
-            "name": self.name,
-            "qualified_name": self.qualified_name,
-            "signature": self.signature,
-            "location": self.location.to_dict(),
-            "is_definition": self.is_definition,
-            "template_params": self.template_params,
-            "doc_comment": self.doc_comment,
-            "is_virtual": self.is_virtual,
-            "has_override": self.has_override,
-        }
+        return {**self._asdict(), "kind": self.kind.value,
+                "location": self.location.to_dict()}
 
 
 class StructuralEdge(NamedTuple):

@@ -36,7 +36,8 @@ from .errors import (
     ReproductionFailed,
 )
 from .index import StructuralIndex, build_index
-from .intent import IntentIndex, build_intent_index, localize
+from .intent import DEFAULT_K, IntentIndex, build_intent_index, localize
+from .queries import DEFAULT_HOPS
 from .repo import IssueDescription, Repository
 from .runner import RunnerConfig, TestCase, TestOutcome, run_test
 from .tools import ToolContext, dispatch_tool
@@ -51,8 +52,8 @@ class PipelineConfig:
     reproduce_budget: int = 20
     generate_budget: int = 50
     candidate_count: int = 10
-    intent_k: int = 10
-    subgraph_hops: int = 2
+    intent_k: int = DEFAULT_K
+    subgraph_hops: int = DEFAULT_HOPS
     vote_weights: tuple[float, float, float] = DEFAULT_VOTE_WEIGHTS
     selection_strategy: str = "vote"  # or "min_complexity"
     runner: RunnerConfig = field(default_factory=RunnerConfig)

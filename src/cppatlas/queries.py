@@ -32,6 +32,7 @@ from .model import (
 )
 
 _SNIPPET_MAX_LINES = 12
+DEFAULT_HOPS = 2  # steps out from the seeds of a defect subgraph
 
 # edge kinds that carry locality for defect neighborhoods, in EdgeKind
 # order (the order result edges are listed in); overload edges are lexical
@@ -242,7 +243,7 @@ def resolve_seed(index: StructuralIndex, seed: str | int) -> list[int]:
 
 
 def defect_subgraph(
-    index: StructuralIndex, seeds: list[str | int], hops: int = 2
+    index: StructuralIndex, seeds: list[str | int], hops: int = DEFAULT_HOPS
 ) -> dict:
     """Undirected neighborhood around resolved seeds, following
     containment, inheritance, call and override edges up to ``hops``

@@ -21,7 +21,7 @@ def motivation_root() -> pathlib.Path:
 
 @pytest.fixture(scope="session")
 def toy_index(toyrepo_root):
-    # session-scoped: treat as read-only
+    # session-scoped: an index and every value it holds are read-only
     return build_index(load_repository(toyrepo_root))
 
 

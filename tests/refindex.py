@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from cppatlas.cxx.parser import ParsedUnit, parse_unit
 from cppatlas.model import (
@@ -107,7 +107,7 @@ def build_index(repo: Repository) -> RefIndex:
     for pu in parsed:
         offsets.append(next_id)
         for rec in pu.symbols:
-            index.symbols.append(replace(rec, symbol_id=next_id))
+            index.symbols.append(rec._replace(symbol_id=next_id))
             next_id += 1
         index.includes[pu.path] = list(pu.includes)
         index.parse_error_count += pu.error_count

@@ -223,11 +223,11 @@ class _Parser:
 
     def set_end_line(self, local_id: int, end_line: int):
         sym = self.result.symbols[local_id]
-        sym.location = Location(
+        self.result.symbols[local_id] = sym._replace(location=Location(
             sym.location.file,
             sym.location.start_line,
             max(sym.location.start_line, end_line),
-        )
+        ))
 
     def note_error(self):
         self.result.error_count += 1

@@ -8,6 +8,7 @@ script itself is checked only where a `cppatlas` script is on `PATH`.
 """
 
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -23,7 +24,9 @@ from cppatlas.cli import QUERY_TOOLS, main
 from cppatlas.config import AppConfig, ProviderConfig
 from cppatlas.diffs import make_diff
 from cppatlas.index import build_index, load_index
-from cppatlas.queries import find_class
+from cppatlas.intent import (
+    DEFAULT_DIM, DEFAULT_K, HashEmbeddingProvider, localize, query_code_intent)
+from cppatlas.queries import DEFAULT_HOPS, defect_subgraph, find_class
 from cppatlas.repo import load_repository
 from cppatlas.pipeline import PipelineConfig
 from cppatlas.runner import RunnerConfig, TestCase
@@ -52,6 +55,16 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_input_error(code, stdout, stderr):
+    """Exit 2 with one ``error:`` line on stderr and nothing on stdout."""
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+# a JSON file nested deeper than the parser recurses
+TOO_DEEP = "[" * 100_000 + "]" * 100_000
 
 
 @pytest.fixture(scope="module")
@@ -193,6 +206,16 @@ class TestQueryCommand:
         payload = json.loads(stdout)
         assert payload["candidates"]
         assert payload["mode"] in ("intersection", "intent_only")
+
+    @pytest.mark.parametrize("text", [
+        "[1]", TOO_DEEP, '{"title": 5}', '{"body": ["x"]}',
+    ], ids=["list", "too-deep", "title-a-number", "body-a-list"])
+    def test_malformed_issue_file_exits_two(self, text, index_file, tmp_path,
+                                            capsys):
+        issue = tmp_path / "issue.json"
+        issue.write_text(text, encoding="utf-8")
+        assert_input_error(*run_cli(capsys, "query", "--index", str(index_file),
+                                    "localize", str(issue)))
 
     def test_query_requires_a_source(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -541,6 +564,16 @@ class TestEvalLocCommand:
         assert code == 2
         assert json.loads(stderr)["error_kind"] == "IdMismatch"
 
+    @pytest.mark.parametrize("text", [
+        "[1]", '{"instances": [5]}', '{"instances": 5}', TOO_DEEP, "{}",
+    ], ids=["list", "instance-a-number", "instances-a-number", "too-deep",
+            "no-instances"])
+    def test_malformed_instances_file_exits_two(self, text, tmp_path, capsys):
+        instances = tmp_path / "instances.json"
+        instances.write_text(text, encoding="utf-8")
+        assert_input_error(*run_cli(capsys, "eval-loc", "--instances",
+                                    str(instances)))
+
 
 class TestConfigFile:
     def test_unknown_keys_fail_loudly(self, toyrepo_root, tmp_path, capsys):
@@ -573,6 +606,14 @@ class TestConfigFile:
         assert (code, stdout) == (2, "")
         assert stderr.startswith("error: [Errno 2] ")
         assert stderr.count("\n") == 1 and stderr.endswith("\n")
+
+    def test_config_nested_too_deep_exits_two(self, toyrepo_root, tmp_path,
+                                              capsys):
+        config = tmp_path / "config.json"
+        config.write_text(TOO_DEEP, encoding="utf-8")
+        assert_input_error(*run_cli(capsys, "index", "--root", str(toyrepo_root),
+                                    "--out", str(tmp_path / "x.caidx"),
+                                    "--config", str(config)))
 
     @pytest.mark.parametrize("raw", [
         {"provider": 5},
@@ -629,6 +670,17 @@ class TestConfigFile:
         )
         with pytest.raises(ValueError, match="vote_weights must have 3 entries"):
             AppConfig.from_dict({"pipeline": {"vote_weights": [1, 0]}})
+
+    def test_shared_defaults_keep_their_values(self):
+        def default(function, name):
+            return inspect.signature(function).parameters[name].default
+
+        assert (DEFAULT_K, DEFAULT_HOPS, DEFAULT_DIM) == (10, 2, 256)
+        assert default(query_code_intent, "k") == default(localize, "k") == (
+            PipelineConfig().intent_k) == DEFAULT_K
+        assert default(defect_subgraph, "hops") == default(localize, "hops") == (
+            PipelineConfig().subgraph_hops) == DEFAULT_HOPS
+        assert HashEmbeddingProvider().dim == ProviderConfig().dim == DEFAULT_DIM
 
 
 def checkout_env():

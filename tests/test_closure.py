@@ -140,20 +140,20 @@ def dangling_site(field, at):
 def swapped_ids(index):
     symbols = list(index.symbols)
     a, b = chain_of(index, 2)
-    symbols[a] = dataclasses.replace(symbols[a], symbol_id=b)
-    symbols[b] = dataclasses.replace(symbols[b], symbol_id=a)
+    symbols[a] = symbols[a]._replace(symbol_id=b)
+    symbols[b] = symbols[b]._replace(symbol_id=a)
     return variant(index, symbols=symbols)
 
 
 def shifted_ids(index):
-    symbols = [dataclasses.replace(r, symbol_id=r.symbol_id + 1) for r in index.symbols]
+    symbols = [r._replace(symbol_id=r.symbol_id + 1) for r in index.symbols]
     return variant(index, symbols=symbols)
 
 
 def name_mismatch(index):
     symbols = list(index.symbols)
     real = chain_of(index, 2)[1]
-    symbols[real] = dataclasses.replace(symbols[real], name="elsewhere")
+    symbols[real] = symbols[real]._replace(name="elsewhere")
     return variant(index, symbols=symbols)
 
 

@@ -10,6 +10,7 @@ import pytest
 from cppatlas.errors import (
     CorruptIndex,
     EngineError,
+    NotFound,
     StaleIndexWarning,
     VersionMismatch,
 )
@@ -24,6 +25,7 @@ from cppatlas.index import (
 from cppatlas.intent import IntentDoc, IntentIndex
 from cppatlas.model import (
     UNRESOLVED_PREFIX, EdgeKind, Location, StructuralEdge, SymbolKind)
+from cppatlas.queries import find_class
 from cppatlas.repo import Repository, SourceUnit, load_repository
 from cppatlas.tools import ToolContext, dispatch_tool
 
@@ -595,6 +597,87 @@ class TestDerivedTables:
         assert uncalled.graph.targets(EdgeKind.CALLS, site.caller) == []
         for rec in toy_index.symbols:
             assert uncalled.parent(rec.symbol_id) == toy_index.parent(rec.symbol_id)
+
+
+def _values(index) -> list:
+    """Every record, edge, call site and location an index holds."""
+    located = (*index.symbols, *index.call_sites)
+    return [*located, *index.edges, *(v.location for v in located)]
+
+
+class TestReadOnlyValues:
+    """Each value an index holds is a named tuple, so no derived table can
+    go stale under it."""
+
+    def test_no_value_of_a_built_or_loaded_index_can_be_assigned(
+        self, toy_index, tmp_path
+    ):
+        persist_index(toy_index, tmp_path / "toy.caidx")
+        loaded = load_index(tmp_path / "toy.caidx").structural
+        for index in (toy_index, loaded):
+            values = _values(index)
+            assert {type(v).__name__ for v in values} == {
+                "SymbolRecord", "StructuralEdge", "CallSite", "Location"}
+            for value in values:
+                for name in value._fields:
+                    with pytest.raises(AttributeError):
+                        setattr(value, name, getattr(value, name))
+                with pytest.raises(AttributeError):
+                    value.extra = 1
+            for table in (index.sources, index.includes):
+                with pytest.raises(TypeError):
+                    table["x.h"] = table[next(iter(table))]
+            assert {type(names) for names in index.includes.values()} == {tuple}
+
+    def test_a_rename_in_place_raises_and_the_lookups_hold(self, toy_index):
+        rec = find_class(toy_index, "Calculator")
+        with pytest.raises(AttributeError):
+            rec.qualified_name = "calc::Renamed"
+        with pytest.raises(AttributeError):
+            rec.name = "Renamed"
+        assert find_class(toy_index, "Calculator").qualified_name == (
+            "calc::Calculator")
+        with pytest.raises(NotFound):
+            find_class(toy_index, "Renamed")
+
+
+def _explicit_dict(rec) -> dict:
+    """``SymbolRecord.to_dict`` as it was once written out, key by key."""
+    return {
+        "symbol_id": rec.symbol_id,
+        "kind": rec.kind.value,
+        "name": rec.name,
+        "qualified_name": rec.qualified_name,
+        "signature": rec.signature,
+        "location": {
+            "file": rec.location.file,
+            "start_line": rec.location.start_line,
+            "end_line": rec.location.end_line,
+        },
+        "is_definition": rec.is_definition,
+        "template_params": rec.template_params,
+        "doc_comment": rec.doc_comment,
+        "is_virtual": rec.is_virtual,
+        "has_override": rec.has_override,
+    }
+
+
+@pytest.mark.parametrize("tree", ["toy", "motivation", 0, 7, 42, 101])
+def test_record_to_dict_keeps_its_keys_order_and_values(
+    tree, toy_index, motivation_index
+):
+    if tree == "toy":
+        index = toy_index
+    elif tree == "motivation":
+        index = motivation_index
+    else:
+        files = corpusgen.generate(tree).files
+        index = build_index(Repository(f"seed{tree}", tuple(
+            SourceUnit.make(p, t) for p, t in sorted(files.items()))))
+    for rec in index.symbols:
+        got, want = rec.to_dict(), _explicit_dict(rec)
+        assert list(got.items()) == list(want.items())
+        assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
 
 
 # one request per tool, each answered on the toy index

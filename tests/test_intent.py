@@ -98,6 +98,28 @@ class TestHashProvider:
         assert HashEmbeddingProvider(dim=64).name == "hash-tf-64"
 
 
+# replies of an embedding command, for one text and dim 2, that are not a
+# list of one vector of two numbers
+MALFORMED_REPLIES = {
+    "not-an-object": "[1]",
+    "vectors-a-number": '{"vectors": 5}',
+    "vector-a-number": '{"vectors": [3]}',
+    "cells-not-numbers": '{"vectors": [["a", "b"]]}',
+    "cells-are-lists": '{"vectors": [[[1, 2], [3, 4]]]}',
+    "ragged": '{"vectors": [[1, 2], [3]]}',
+    "cell-too-large": '{"vectors": [[1%s, 2]]}' % ("0" * 400),
+    "nested-too-deep": "[" * 100000 + "]" * 100000,
+    "vectors-nested-too-deep": '{"vectors": %s}' % ("[" * 100 + "]" * 100),
+}
+
+
+def replying(path, dim: int) -> CommandEmbeddingProvider:
+    """A command provider that prints the contents of ``path``."""
+    script = "import sys;sys.stdin.read();sys.stdout.write(open(sys.argv[1]).read())"
+    return CommandEmbeddingProvider(
+        (sys.executable, "-c", script, str(path)), name="scripted", dim=dim)
+
+
 class TestCommandProvider:
     def _provider(self, script: str, dim: int = 4) -> CommandEmbeddingProvider:
         return CommandEmbeddingProvider(
@@ -135,6 +157,24 @@ class TestCommandProvider:
         )
         with pytest.raises(ProviderUnavailable):
             missing.embed("x")
+
+    @pytest.mark.parametrize("reply", MALFORMED_REPLIES.values(),
+                             ids=MALFORMED_REPLIES)
+    def test_malformed_reply_is_provider_unavailable(self, reply, tmp_path):
+        (tmp_path / "reply").write_text(reply)
+        with pytest.raises(ProviderUnavailable):
+            replying(tmp_path / "reply", dim=2).embed("x")
+
+    def test_valid_reply_keeps_its_bits(self, tmp_path):
+        rows = [[0.1, 0.2, 0.3], [3.0, -4.0, 1e-300], [0.0, 0.0, 0.0]]
+        (tmp_path / "reply").write_text(json.dumps({"vectors": rows}))
+        got = replying(tmp_path / "reply", dim=3).embed_many(["a", "b", "c"])
+        want = []
+        for row in rows:
+            arr = np.asarray(row, dtype=np.float64)
+            norm = float(np.linalg.norm(arr))
+            want.append(tuple(float(x) for x in (arr / norm if norm else arr)))
+        assert got == want
 
 
 class TestIntentIndex:

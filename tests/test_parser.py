@@ -31,7 +31,6 @@ none fires, so there the parser itself is compared too.
 """
 
 import contextlib
-import dataclasses
 import pathlib
 import textwrap
 
@@ -134,7 +133,7 @@ def assert_same(text: str, ref_text: str | None = None, path: str = "a.h",
     if any(ch in text for ch in OTHER_BREAKS):
         root = want.symbols[0]
         location = root.location._replace(end_line=lexer_lines(text))
-        want.symbols[0] = dataclasses.replace(root, location=location)
+        want.symbols[0] = root._replace(location=location)
     assert flat(read_as_before) == flat(want), repr(text)
     if not firing:
         assert flat(got) == flat(read_as_before), repr(text)
@@ -808,7 +807,7 @@ class TestResilience:
             int x = 1;
             """,
         )
-        assert idx.includes["a.cpp"] == ["dep.h", "vector"]
+        assert idx.includes["a.cpp"] == ("dep.h", "vector")
         assert only(idx, "x").kind is SymbolKind.VARIABLE
 
 

@@ -3,10 +3,12 @@ resilience."""
 
 import io
 import json
+import sys
 
 import pytest
 
 from cppatlas.errors import NoSeedsResolved
+from cppatlas.intent import CommandEmbeddingProvider, build_intent_index
 from cppatlas.server import handle_line, handle_request, serve
 from cppatlas.tools import ToolContext, dispatch_tool
 
@@ -220,3 +222,26 @@ class TestServeLoop:
         assert handled == 0
         assert out == []
 
+    def test_malformed_embedding_reply_does_not_end_the_loop(
+        self, toy_index, tmp_path
+    ):
+        script = ("import json,sys;n=len(json.load(sys.stdin)['texts']);"
+                  "print(json.dumps({'vectors': [[1.0, 0.0]] * n}))")
+        good = CommandEmbeddingProvider(
+            (sys.executable, "-c", script), name="scripted", dim=2)
+        (tmp_path / "reply").write_text('{"vectors": [[[1, 2], [3, 4]]]}')
+        bad = CommandEmbeddingProvider(
+            (sys.executable, "-c",
+             "import sys;sys.stdin.read();sys.stdout.write(open(sys.argv[1]).read())",
+             str(tmp_path / "reply")), name="scripted", dim=2)
+        ctx = ToolContext(structural=toy_index,
+                          intent=build_intent_index(toy_index, good), provider=bad)
+        handled, out = self.run(ctx, [
+            json.dumps({"request_id": 1, "tool": "QueryCodeIntent",
+                        "arguments": {"text": "add"}}),
+            json.dumps({"request_id": 2, "tool": "FindClass",
+                        "arguments": {"name": "Calculator"}}),
+        ])
+        assert handled == 2
+        assert out[0]["error_kind"] == "ProviderUnavailable"
+        assert out[1]["ok"] is True
