@@ -11,6 +11,8 @@ alternates: the parent in pairs 1, 3, 5, ..., the change in pairs 2, 4,
 and prints, per workload and end-to-end metric of ``BENCHMARK.json``,
 the medians of both sides, the pairs in which the change was better, the
 parent's interquartile range and a verdict against the metric's bound.
+With ``--claim WORKLOAD:METRIC`` it also prints whether the gain rule
+holds for that metric (``claim``), and records it under ``claim``.
 The summary file (``--out``) is rewritten after every pair, so a run that
 is stopped keeps the pairs it finished. Nothing is written in either
 checkout but what ``perfbench/run.py`` itself writes there.
@@ -54,17 +56,27 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(lines[-1])
 
 
-def summarize(runs: dict, metric: dict) -> dict:
-    """Medians, quartiles and wins of one metric over the pairs run."""
-    name, lower = metric["name"], metric["better"] == "lower"
+def complete_pairs(runs: dict, metric: dict):
+    """The parent's and the change's values of one metric, as two arrays,
+    over the pairs in which both sides gave it; with the number of pairs
+    in which the change was better (a tie counts for neither side)."""
+    name = metric["name"]
     pairs = [(p, c) for p, c in zip(runs["parent"][name], runs["change"][name])
              if p is not None and c is not None]
-    if not pairs:
+    parent = np.array([p for p, _ in pairs], dtype=float)
+    change = np.array([c for _, c in pairs], dtype=float)
+    better = change < parent if metric["better"] == "lower" else change > parent
+    return parent, change, int(np.sum(better))
+
+
+def summarize(runs: dict, metric: dict) -> dict:
+    """Medians, quartiles and wins of one metric over the pairs run."""
+    lower = metric["better"] == "lower"
+    parent, change, wins = complete_pairs(runs, metric)
+    if not len(parent):
         return {"unit": metric["unit"], "pairs": 0}
-    parent, change = (np.array(side, dtype=float) for side in zip(*pairs))
     p25, p50, p75 = np.percentile(parent, [25, 50, 75])
     c25, c50, c75 = np.percentile(change, [25, 50, 75])
-    wins = int(np.sum(change < parent if lower else change > parent))
     worse = (c50 - p50 if lower else p50 - c50) / p50
     spread = (p75 - p25) / p50
     if (change.max() < parent.min()) if lower else (change.min() > parent.max()):
@@ -83,10 +95,43 @@ def summarize(runs: dict, metric: dict) -> dict:
         "parent_iqr": p75 - p25,
         "change_median": c50,
         "change_quartiles": [c25, c75],
-        "change_better_in_pairs": f"{wins}/{len(pairs)}",
+        "change_better_in_pairs": f"{wins}/{len(parent)}",
         "median_change_percent": (c50 - p50) / p50 * 100,
         "verdict": verdict,
     }
+
+
+MIN_PAIRS = 10
+
+
+def claim(runs: dict, metric: dict) -> dict:
+    """The gain rule for one metric: at least ``MIN_PAIRS`` pairs run; the
+    change better in at least nine tenths of all of them (a pair that
+    lacks a side's value counts as no win); and the change's median better
+    than the parent's by more than the parent's interquartile range."""
+    parent, change, wins = complete_pairs(runs, metric)
+    pairs = len(runs["parent"][metric["name"]])
+    result = {"metric": metric["name"], "pairs_run": pairs,
+              "change_better_in_pairs": f"{wins}/{pairs}"}
+    if not len(parent):
+        return {**result, "holds": False, "verdict": "not met: no complete pair"}
+    p25, p50, p75 = np.percentile(parent, [25, 50, 75])
+    c50 = float(np.median(change))
+    gain = p50 - c50 if metric["better"] == "lower" else c50 - p50
+    result.update(parent_median=p50, change_median=c50, parent_iqr=p75 - p25,
+                  median_gain=gain)
+    failed = []
+    if pairs < MIN_PAIRS:
+        failed.append(f"{pairs} pairs run, fewer than {MIN_PAIRS}")
+    if wins * 10 < pairs * 9:
+        failed.append(f"better in {wins} of {pairs} pairs, fewer than 9 in 10")
+    if not gain > p75 - p25:
+        failed.append(f"the medians' gain {gain:.4g} is not more than the "
+                      f"parent's IQR {p75 - p25:.4g}")
+    verdict = ("not met: " + "; ".join(failed) if failed else
+               f"holds: better in {wins} of {pairs} pairs, and the medians' "
+               f"gain {gain:.4g} exceeds the parent's IQR {p75 - p25:.4g}")
+    return {**result, "holds": not failed, "verdict": verdict}
 
 
 def main(argv=None) -> int:
@@ -99,12 +144,21 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--what", default="")
+    parser.add_argument("--claim", metavar="WORKLOAD:METRIC",
+                        help="judge the gain rule for this metric")
     args = parser.parse_args(argv)
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     declared = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     metrics = declared["end_to_end"]
     workloads = args.workloads.split(",")
+    claimed = None
+    if args.claim:
+        workload, _, name = args.claim.partition(":")
+        claimed = next((m for m in metrics if m["name"] == name), None)
+        if workload not in workloads or claimed is None:
+            parser.error(f"--claim {args.claim}: not a workload run and an "
+                         "end-to-end metric")
     seeds = ",".join(map(str, args.seeds))
     summary = {
         "what": args.what,
@@ -140,6 +194,8 @@ def main(argv=None) -> int:
             entry["summary"] = {m["name"]: summarize(entry["runs"], m)
                                 for m in metrics}
             summary["end_to_end"][workload] = entry
+            if claimed and workload == args.claim.partition(":")[0]:
+                summary["claim"] = claim(entry["runs"], claimed)
             args.out.write_text(json.dumps(summary, indent=1) + "\n")
             print(f"pair {i + 1} seed {seed} {workload}: " + ", ".join(
                 f"{side} {'correct' if entry['correct'][side][-1] else 'WRONG'}"
@@ -157,6 +213,8 @@ def main(argv=None) -> int:
                   f"({s['median_change_percent']:+.1f}%), change better in "
                   f"{s['change_better_in_pairs']}, parent IQR "
                   f"{s['parent_iqr']:.4g}; {s['verdict']}")
+    if claimed:
+        print(f"\nclaim {args.claim}: {summary['claim']['verdict']}")
     return 0
 
 

@@ -115,7 +115,7 @@ def _cmd_index(args) -> int:
             "edges": len(structural.edges),
             "parse_errors": structural.parse_error_count,
             "snapshot": structural.repo_snapshot,
-            "intent_docs": len(intent.docs) if intent else 0,
+            "intent_docs": len(intent.symbol_ids) if intent else 0,
         }
     )
     return EXIT_OK

@@ -27,8 +27,14 @@ class EvalInstance:
 
     @staticmethod
     def from_dict(data: dict) -> "EvalInstance":
+        """An instance from its JSON object. An absent file or function
+        name field is empty; a present one must be a list of strings, or
+        ``ValueError`` is raised."""
         def names(key):
-            return frozenset(str(v) for v in data.get(key, ()))
+            value = data.get(key, [])
+            if type(value) is not list or not set(map(type, value)) <= {str}:
+                raise ValueError(f"instance field {key!r} is not a list of strings")
+            return frozenset(value)
 
         return EvalInstance(
             instance_id=str(data["instance_id"]),

@@ -21,7 +21,8 @@ holds. Every table derived from them is made on its first read and kept
 than scanning edges, the lookups ``by_name``, ``by_qualified`` and
 ``by_suffix``, and the trigram filter that ``queries.grep_baseline``
 reads. Neither ``build_index`` nor ``load_index`` derives any of them;
-both run the closure check.
+both run the closure check, which reads each symbol's synthetic flag from
+its kind and qualified name columns (``synthetic_flags``).
 
 Resolution reads an interim index over the real symbols, for its
 ``by_qualified``, and an interim graph over containment and inheritance.
@@ -44,8 +45,8 @@ from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, count, repeat
-from operator import gt
+from itertools import accumulate, chain, compress, count, repeat
+from operator import gt, not_
 from pathlib import Path
 
 from .cxx.parser import ParsedUnit, parse_unit
@@ -61,6 +62,7 @@ from .model import (
     StructuralEdge,
     SymbolKind,
     SymbolRecord,
+    synthetic_flags,
 )
 from .repo import Repository
 
@@ -344,8 +346,10 @@ def build_index(repo: Repository) -> StructuralIndex:
 
     # --- overloads ---------------------------------------------------
     groups: dict[tuple[str, str], list[int]] = defaultdict(list)
-    for rec in symbols:
-        if rec.kind in FUNCTION_KINDS and not rec.is_synthetic:
+    synthetic = synthetic_flags([r.kind for r in symbols],
+                                [r.qualified_name for r in symbols])
+    for rec in compress(symbols, map(not_, synthetic)):
+        if rec.kind in FUNCTION_KINDS:
             scope_prefix = rec.qualified_name[: -len(rec.name)].rstrip(":")
             groups[(scope_prefix, rec.name)].append(rec.symbol_id)
     for ids in groups.values():
@@ -553,14 +557,24 @@ def _check_closure(index: StructuralIndex):
     if any(rec.symbol_id != i for i, rec in enumerate(symbols)):
         raise AssertionError("symbol ids are not dense")
     contains = [e for e in edges if e.kind is EdgeKind.CONTAINS]
+    qualified = [rec.qualified_name for rec in symbols]
     _check_columns(
         [rec.name for rec in symbols],
-        [rec.qualified_name for rec in symbols],
-        [rec.is_synthetic for rec in symbols],
+        qualified,
+        synthetic_flags([rec.kind for rec in symbols], qualified),
         ([e.src for e in contains], [e.dst for e in contains]),
         [[e.src for e in edges], [e.dst for e in edges]],
         [[c.caller for c in sites], [c.callee for c in sites]],
     )
+
+
+def real_columns(synthetic, qualified_names, kind_values
+                 ) -> tuple[list[int], list[str], list[str]]:
+    """The ids, qualified names and kind values of the rows whose
+    ``synthetic`` flag is false: the rows an intent document stands for."""
+    real = list(map(not_, synthetic))
+    return (list(compress(count(), real)), list(compress(qualified_names, real)),
+            list(compress(kind_values, real)))
 
 
 def _check_columns(names, qualified_names, synthetic, contains, edge_ends,
@@ -698,7 +712,9 @@ def _structural_to_dict(index: StructuralIndex) -> dict:
     }
 
 
-def _structural_from_dict(d: dict, snapshot: str) -> StructuralIndex:
+def _structural_from_dict(d: dict, snapshot: str
+                          ) -> tuple[StructuralIndex, tuple[list, list, list]]:
+    """The index ``_structural_to_dict`` wrote, and its ``real_columns``."""
     sources, includes, errors = d["sources"], d["includes"], d["parse_error_count"]
     if type(snapshot) is not str or type(errors) is not int:
         raise ValueError("repo_snapshot must be a str and parse_error_count an int")
@@ -721,7 +737,8 @@ def _structural_from_dict(d: dict, snapshot: str) -> StructuralIndex:
     kind, file, start_line, end_line, name, qualified, signature, *rest = (
         read_columns(d["symbols"], _SYMBOL_COLUMNS)
     )
-    kind = _decode(kind, kinds, "kind")
+    codes, kind = kind, _decode(kind, kinds, "kind")
+    synthetic = synthetic_flags(kind, qualified)
     symbols = _bulk(SymbolRecord, zip(
         count(), kind, name, qualified, signature,
         locations(file, start_line, end_line), *rest,
@@ -737,12 +754,12 @@ def _structural_from_dict(d: dict, snapshot: str) -> StructuralIndex:
     _check_columns(
         name,
         qualified,
-        (rec.is_synthetic for rec in symbols),
+        synthetic,
         ends[EdgeKind.CONTAINS],
         [ids for pair in ends.values() for ids in pair],
         [caller, callee],
     )
-    return StructuralIndex(
+    index = StructuralIndex(
         symbols=symbols,
         edges=edges,
         call_sites=call_sites,
@@ -751,6 +768,8 @@ def _structural_from_dict(d: dict, snapshot: str) -> StructuralIndex:
         repo_snapshot=snapshot,
         parse_error_count=errors,
     )
+    values = [k.value for k in kinds]
+    return index, real_columns(synthetic, qualified, map(values.__getitem__, codes))
 
 
 def _bulk(cls, rows) -> list:
@@ -800,7 +819,11 @@ def load_index(
     """Read a container back; warns with ``StaleIndexWarning`` when the
     stored snapshot differs from ``expected_snapshot``. Beyond the closure
     check it derives nothing: the structural tables and the hash embedder's
-    intent vectors are each made on the first query that reads them."""
+    intent vectors are each made on the first query that reads them. It
+    works out each symbol's synthetic flag once, from the file's kind codes
+    and qualified names; the closure check and the intent doc-id check both
+    read those flags, and the intent documents stay columns, with no
+    object per document."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -818,12 +841,14 @@ def load_index(
             )
         try:
             snapshot = payload["repo_snapshot"]
-            structural = _structural_from_dict(payload["structural"], snapshot)
+            structural, real = _structural_from_dict(payload["structural"],
+                                                     snapshot)
             intent = None
             if payload.get("intent") is not None:
                 from .intent import IntentIndex
 
-                intent = IntentIndex.from_dict(payload["intent"], structural.symbols)
+                intent = IntentIndex.from_dict(payload["intent"],
+                                               structural.symbols, real)
         except (KeyError, TypeError, ValueError, AttributeError,
                 AssertionError) as exc:
             raise CorruptIndex(f"index file {path} is malformed: {exc!r}") from exc

@@ -18,7 +18,7 @@ import re
 import subprocess
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain
+from itertools import chain, count, repeat
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from .errors import (
     ProviderUnavailable,
     SnapshotMismatch,
 )
-from .index import StructuralIndex, read_columns
-from .model import SymbolRecord
+from .index import StructuralIndex, read_columns, real_columns
+from .model import SymbolRecord, synthetic_flags
 from .queries import DEFAULT_HOPS, defect_subgraph, snippet_of
 from .repo import IssueDescription
 
@@ -235,10 +235,10 @@ class CommandEmbeddingProvider:
 
 
 class _Embedding:
-    """The hash embedder's matrix of the texts of the docs that one build or
-    load made, shared by the index and each of those docs. ``embed_texts``
-    makes it on the first read of ``matrix`` or of a row, and it is then
-    kept, read-only."""
+    """The hash embedder's matrix of the texts of one build or load, shared
+    by the index and each doc of its ``docs`` view. ``embed_texts`` makes
+    it on the first read of ``matrix`` or of a row, and it is then kept,
+    read-only."""
 
     def __init__(self, provider: HashEmbeddingProvider, texts: list[str]):
         self._provider, self._texts = provider, texts
@@ -255,11 +255,12 @@ class _Embedding:
 
 class IntentDoc:
     """One symbol's summary ``text`` and its embedding ``vector``, a tuple
-    of floats. A doc made with a tuple keeps it. A doc that
-    ``build_intent_index`` or ``IntentIndex.from_dict`` made holds what its
-    index holds, the matrix or the ``_Embedding`` that makes it, and its
-    ``row`` there; ``vector`` makes the tuple each time it is read. Docs
-    compare without their vectors; ``IntentIndex`` compares its matrix."""
+    of floats: one row of an ``IntentIndex``, as its ``docs`` view or
+    ``IntentIndex.of_docs`` reads it. A doc made with a tuple keeps it. A
+    doc of a ``docs`` view holds what its index holds, the matrix or the
+    ``_Embedding`` that makes it, and its ``row`` there; ``vector`` makes
+    the tuple each time it is read. Docs compare without their vectors;
+    ``IntentIndex`` compares its matrix."""
 
     __slots__ = ("symbol_id", "qualified_name", "kind", "text", "_vector", "_row")
 
@@ -300,37 +301,62 @@ class IntentDoc:
         return f"IntentDoc{self._key()!r}"
 
 
+_COLUMNS = ("symbol_ids", "qualified_names", "kinds", "texts")
+
+
 @dataclass(frozen=True)
 class IntentIndex:
-    """Intent documents plus ``matrix``, their vectors as one C-contiguous,
-    read-only float64 array of shape (docs, dim) that queries multiply.
+    """Intent documents as four parallel tuples, one row per document
+    (``symbol_ids``, ``qualified_names``, ``kinds`` and ``texts``), plus
+    ``matrix``, their vectors as one C-contiguous, read-only float64 array
+    of shape (docs, dim) that queries multiply.
 
-    ``matrix`` and the bucket ``postings`` are derived on first use and
-    kept. For the hash embedder, ``build_intent_index`` and ``from_dict``
-    keep the docs' texts only, and the first read of ``matrix`` (by a
-    query, a doc's ``vector`` or equality) embeds them all. Another
-    provider's matrix is given as the fifth argument; with none,
-    ``matrix`` stacks the docs' vectors. Two indexes are equal only if
-    their matrices are equal bit for bit; ``to_dict`` writes the matrix
-    only for providers other than the hash embedder."""
+    ``matrix``, the bucket ``postings`` and the ``docs`` view, one
+    ``IntentDoc`` per row, are derived on first use and kept. For the hash
+    embedder, ``build_intent_index`` and ``from_dict`` keep the texts
+    only, and the first read of ``matrix`` (by a query, a doc's ``vector``
+    or equality) embeds them all. Another provider's matrix is given as
+    the last argument. Two indexes are equal only if their columns are
+    equal and their matrices are equal bit for bit; ``to_dict`` writes the
+    matrix only for providers other than the hash embedder."""
 
     provider_name: str
     dim: int
     repo_snapshot: str
-    docs: tuple[IntentDoc, ...]
-    # the matrix, the _Embedding that makes it, or None to stack the vectors
-    _rows: np.ndarray | _Embedding | None = field(
-        default=None, repr=False, compare=False
-    )
+    symbol_ids: tuple[int, ...]
+    qualified_names: tuple[str, ...]
+    kinds: tuple[str, ...]
+    texts: tuple[str, ...]
+    # the matrix, or the _Embedding that makes it
+    _rows: np.ndarray | _Embedding = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in _COLUMNS:
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+
+    @classmethod
+    def of_docs(cls, provider_name: str, dim: int, repo_snapshot: str,
+                docs, rows: np.ndarray | None = None) -> "IntentIndex":
+        """The index of ``docs``, whose vectors are the rows of ``rows``, a
+        matrix of shape (docs, dim), or with None the docs' vectors."""
+        if rows is None:
+            rows = np.array([d.vector for d in docs], dtype=np.float64)
+            rows = rows.reshape(len(docs), dim)
+        columns = zip(*(d._key() for d in docs)) if docs else [()] * 4
+        return cls(provider_name, dim, repo_snapshot, *columns, rows)
+
+    @cached_property
+    def docs(self) -> tuple[IntentDoc, ...]:
+        """One ``IntentDoc`` per row, made on the first read: a view of the
+        columns whose vectors are rows of the matrix. No query reads it."""
+        return tuple(map(IntentDoc, self.symbol_ids, self.qualified_names,
+                         self.kinds, self.texts, repeat(self._rows), count()))
 
     @cached_property
     def matrix(self) -> np.ndarray:
         rows = self._rows
         if isinstance(rows, _Embedding):
             return rows.matrix
-        if rows is None:
-            rows = np.array([d.vector for d in self.docs], dtype=np.float64)
-            rows = rows.reshape(len(self.docs), self.dim)
         rows.flags.writeable = False
         return rows
 
@@ -359,12 +385,15 @@ class IntentIndex:
             array.flags.writeable = False
         return *arrays, top
 
+    def _key(self) -> tuple:
+        return (self.provider_name, self.dim, self.repo_snapshot,
+                *(getattr(self, name) for name in _COLUMNS))
+
     def __eq__(self, other):
         if not isinstance(other, IntentIndex):
             return NotImplemented
         return (
-            (self.provider_name, self.dim, self.repo_snapshot, self.docs)
-            == (other.provider_name, other.dim, other.repo_snapshot, other.docs)
+            self._key() == other._key()
             and self.matrix.shape == other.matrix.shape
             and self.matrix.tobytes() == other.matrix.tobytes()
         )
@@ -378,10 +407,7 @@ class IntentIndex:
             "provider_name": self.provider_name,
             "dim": self.dim,
             "repo_snapshot": self.repo_snapshot,
-            "docs": {
-                "symbol_id": [d.symbol_id for d in self.docs],
-                "text": [d.text for d in self.docs],
-            },
+            "docs": {"symbol_id": list(self.symbol_ids), "text": list(self.texts)},
         }
         if self.provider_name != HashEmbeddingProvider(self.dim).name:
             raw = self.matrix.astype("<f8").tobytes()
@@ -389,14 +415,16 @@ class IntentIndex:
         return data
 
     @staticmethod
-    def from_dict(data: dict, symbols: list[SymbolRecord]) -> "IntentIndex":
+    def from_dict(data: dict, symbols: list[SymbolRecord],
+                  real: tuple[list, list, list] | None = None) -> "IntentIndex":
         """Rebuild an index from ``to_dict`` output over the ``symbols`` it
-        was built from, which give each doc its qualified name and kind.
+        was built from, whose ``real_columns`` (given as ``real`` by a
+        caller that has them) give each doc its qualified name and kind.
         The hash embedder's vectors are embedded from the texts on the
         first read of the matrix. Raises ``ValueError`` on a bad ``dim``, a
-        name or snapshot that is not a string, a doc that is not a real
-        symbol, or stored vectors that are not ``dim`` finite numbers per
-        doc."""
+        name or snapshot that is not a string, doc ids other than exactly
+        the real symbols' ids in ascending order, or stored vectors that
+        are not ``dim`` finite numbers per doc."""
         provider_name, dim, snapshot = (
             data["provider_name"], data["dim"], data["repo_snapshot"]
         )
@@ -405,28 +433,25 @@ class IntentIndex:
         if type(provider_name) is not str or type(snapshot) is not str:
             raise ValueError("intent provider_name and repo_snapshot must be strings")
         ids, texts = read_columns(data["docs"], {"symbol_id": int, "text": str})
-        if ids and not 0 <= min(ids) <= max(ids) < len(symbols):
-            raise ValueError("intent doc symbol_id out of range")
-        records = [symbols[i] for i in ids]
-        if any(r.is_synthetic for r in records):
-            raise ValueError("intent doc names a synthetic symbol")
+        # a doc listed twice would be answered twice, and one left out never
+        real_ids, names, kinds = real or _real_columns(symbols)
+        if ids != real_ids:
+            raise ValueError("intent doc ids are not the real symbols' ids in order")
         provider = HashEmbeddingProvider(dim)
         if provider_name == provider.name:
             rows = _Embedding(provider, texts)
         else:
             rows = _decode_matrix(data["vectors"], len(texts), dim)
-        return _index(provider_name, dim, snapshot, records, texts, rows)
+        return IntentIndex(provider_name, dim, snapshot, ids, names, kinds, texts,
+                           rows)
 
 
-def _index(provider_name: str, dim: int, repo_snapshot: str,
-           records: list[SymbolRecord], texts: list[str],
-           rows: np.ndarray | _Embedding) -> IntentIndex:
-    """One doc per record and text, whose vector is its row of ``rows``."""
-    docs = tuple(
-        IntentDoc(r.symbol_id, r.qualified_name, r.kind.value, t, rows, i)
-        for i, (r, t) in enumerate(zip(records, texts))
-    )
-    return IntentIndex(provider_name, dim, repo_snapshot, docs, rows)
+def _real_columns(symbols) -> tuple[list[int], list[str], list[str]]:
+    """``real_columns`` of a list of records."""
+    kinds = [r.kind for r in symbols]
+    names = [r.qualified_name for r in symbols]
+    return real_columns(synthetic_flags(kinds, names), names,
+                        [k.value for k in kinds])
 
 
 def _decode_matrix(encoded: str, rows: int, dim: int) -> np.ndarray:
@@ -441,11 +466,12 @@ def _decode_matrix(encoded: str, rows: int, dim: int) -> np.ndarray:
 
 def build_intent_index(index: StructuralIndex, provider=None) -> IntentIndex:
     """One intent document per real (non-synthetic) symbol, in symbol id
-    order. The hash embedder embeds the docs on the first read of the
-    matrix; any other provider embeds them here."""
+    order, kept as columns. The hash embedder embeds the docs on the first
+    read of the matrix; any other provider embeds them here."""
     provider = provider or HashEmbeddingProvider()
-    records = [r for r in index.symbols if not r.is_synthetic]
+    ids, names, kinds = _real_columns(index.symbols)
     lines = {path: text.split("\n") for path, text in index.sources.items()}
+    records = [index.symbols[i] for i in ids]
     texts = [
         summarize_artifact(r, snippet_of(lines.get(r.location.file), r))
         for r in records
@@ -455,8 +481,8 @@ def build_intent_index(index: StructuralIndex, provider=None) -> IntentIndex:
     else:
         rows = np.array(provider.embed_many(texts), dtype=np.float64)
         rows = rows.reshape(len(texts), provider.dim)
-    return _index(provider.name, provider.dim, index.repo_snapshot, records, texts,
-                  rows)
+    return IntentIndex(provider.name, provider.dim, index.repo_snapshot, ids, names,
+                       kinds, texts, rows)
 
 
 # A score is read from a product over whole aligned 4-row blocks of the
@@ -572,7 +598,7 @@ def query_code_intent(
     at least the k-th best are sorted."""
     if k < 1:
         raise BadRequest("k must be >= 1")
-    if not intent.docs:
+    if not intent.symbol_ids:
         raise EmptyIndex("intent index has no documents")
     provider = provider or HashEmbeddingProvider()
     if provider.name != intent.provider_name:
@@ -601,16 +627,16 @@ def query_code_intent(
         # boundary are ordered like the rest
         keep = scores >= np.partition(scores, len(rows) - k)[len(rows) - k]
         rows, scores = rows[keep], scores[keep]
-    docs = intent.docs
+    ids, names = intent.symbol_ids, intent.qualified_names
     ranked = sorted(
         zip(scores.tolist(), rows.tolist()),
-        key=lambda c: (-c[0], docs[c[1]].qualified_name, docs[c[1]].symbol_id),
+        key=lambda c: (-c[0], names[c[1]], ids[c[1]]),
     )
     return [
         {
-            "symbol_id": docs[i].symbol_id,
-            "qualified_name": docs[i].qualified_name,
-            "kind": docs[i].kind,
+            "symbol_id": ids[i],
+            "qualified_name": names[i],
+            "kind": intent.kinds[i],
             "score": score,
         }
         for score, i in ranked[:k]

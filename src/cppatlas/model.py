@@ -10,6 +10,8 @@ resolver could not find.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import repeat
+from operator import is_, or_
 from typing import NamedTuple
 
 
@@ -100,6 +102,8 @@ class SymbolRecord(NamedTuple):
 
     @property
     def is_synthetic(self) -> bool:
+        """A file root or an ``unresolved:`` sentinel; ``synthetic_flags``
+        reads the same rule from columns."""
         return self.kind is SymbolKind.FILE or self.qualified_name.startswith(
             UNRESOLVED_PREFIX
         )
@@ -107,6 +111,13 @@ class SymbolRecord(NamedTuple):
     def to_dict(self) -> dict:
         return {**self._asdict(), "kind": self.kind.value,
                 "location": self.location.to_dict()}
+
+
+def synthetic_flags(kinds, qualified_names) -> list[bool]:
+    """``SymbolRecord.is_synthetic`` of each row, read from its ``kinds``
+    and ``qualified_names`` columns, with no record."""
+    return list(map(or_, map(is_, kinds, repeat(SymbolKind.FILE)),
+                    map(str.startswith, qualified_names, repeat(UNRESOLVED_PREFIX))))
 
 
 class StructuralEdge(NamedTuple):

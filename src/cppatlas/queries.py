@@ -27,6 +27,7 @@ from .index import StructuralIndex
 from .model import (
     CLASS_KINDS,
     FUNCTION_KINDS,
+    UNRESOLVED_PREFIX,
     EdgeKind,
     SymbolRecord,
 )
@@ -68,7 +69,10 @@ def _lookup_by_name(
     else:
         ids = index.by_name.get(name, [])
     pool = [index.symbols[i] for i in ids]
-    return [r for r in pool if r.kind in kinds and not r.is_synthetic]
+    # no kind of ``kinds`` is a file root's, so the only synthetic records
+    # here are unresolved sentinels
+    return [r for r in pool if r.kind in kinds
+            and not r.qualified_name.startswith(UNRESOLVED_PREFIX)]
 
 
 def _prefer_definitions(records: list[SymbolRecord]) -> list[SymbolRecord]:

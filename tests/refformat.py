@@ -113,6 +113,7 @@ def load_v1(path: str | Path) -> IndexContainer:
             for x in i["docs"]
         )
         matrix = np.array([doc.vector for doc in docs], dtype=np.float64)
-        intent = IntentIndex(i["provider_name"], i["dim"], i["repo_snapshot"],
-                             docs, matrix.reshape(len(docs), i["dim"]))
+        intent = IntentIndex.of_docs(i["provider_name"], i["dim"],
+                                     i["repo_snapshot"], docs,
+                                     matrix.reshape(len(docs), i["dim"]))
     return IndexContainer(structural=structural, intent=intent)

@@ -564,6 +564,18 @@ class TestEvalLocCommand:
         assert code == 2
         assert json.loads(stderr)["error_kind"] == "IdMismatch"
 
+    @pytest.mark.parametrize("value", [5, "src/a.cpp"], ids=["number", "string"])
+    def test_name_field_of_the_wrong_type_exits_two(self, value, tmp_path,
+                                                    capsys):
+        # "src/a.cpp" scored file_rate 1.0 against ["a"], as a set of letters
+        instances = tmp_path / "instances.json"
+        instances.write_text(json.dumps({"instances": [
+            {"instance_id": "i0", "predicted_files": value,
+             "truth_files": ["a"]},
+        ]}), encoding="utf-8")
+        assert_input_error(*run_cli(capsys, "eval-loc", "--instances",
+                                    str(instances)))
+
     @pytest.mark.parametrize("text", [
         "[1]", '{"instances": [5]}', '{"instances": 5}', TOO_DEEP, "{}",
     ], ids=["list", "instance-a-number", "instances-a-number", "too-deep",

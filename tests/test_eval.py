@@ -143,6 +143,16 @@ class TestScoring:
         with pytest.raises(ValueError):
             evaluate_localization([])
 
+    @pytest.mark.parametrize("field", ["predicted_files", "predicted_functions",
+                                       "truth_files", "truth_functions"])
+    @pytest.mark.parametrize("value", [5, "src/a.cpp", ["a", 7], None],
+                             ids=["number", "string", "list-with-number", "null"])
+    def test_name_field_that_is_no_list_of_strings_is_an_error(self, field,
+                                                                value):
+        # a string was read as the set of its characters
+        with pytest.raises(ValueError, match=field):
+            EvalInstance.from_dict({"instance_id": "x", field: value})
+
     def test_instance_dict_round_trip(self):
         inst = instance("x", pf={"a.cpp"}, pfn={"ns::f"}, tf={"a.cpp"},
                         tfn={"ns::f", "ns::g"})

@@ -1,4 +1,5 @@
 import base64
+import bisect
 import dataclasses
 import json
 import math
@@ -41,7 +42,8 @@ def _external(intent):
                   tuple(x * (-1) ** d.symbol_id / 3 for x in d.vector))
         for d in intent.docs
     )
-    return IntentIndex("scripted-256", intent.dim, intent.repo_snapshot, docs)
+    return IntentIndex.of_docs("scripted-256", intent.dim, intent.repo_snapshot,
+                               docs)
 
 
 def materialize(tmp_path, corpus):
@@ -429,6 +431,34 @@ class TestPersistence:
             corruptions,
             tmp_path,
         )
+
+    @pytest.mark.parametrize("edit", [
+        "duplicated-id", "missing-id", "ids-out-of-order", "file-root-id",
+        "unresolved-sentinel-id"])
+    def test_intent_doc_ids_must_be_the_real_symbol_ids(
+        self, toy_index, toy_intent, tmp_path, edit
+    ):
+        # a duplicated doc was answered twice, and a missing one never
+        file, sentinel = (
+            next(r.symbol_id for r in toy_index.symbols if r.is_synthetic
+                 and (r.kind is SymbolKind.FILE) == want_file)
+            for want_file in (True, False))
+        path = tmp_path / "atlas.json"
+        persist_index(IndexContainer(toy_index, toy_intent), path)
+        payload = json.loads(path.read_text())
+        ids, texts = (payload["intent"]["docs"][k] for k in ("symbol_id", "text"))
+        if edit == "missing-id":
+            ids.pop(3), texts.pop(3)
+        elif edit == "ids-out-of-order":
+            ids[3], ids[4] = ids[4], ids[3]
+        else:  # one doc more, in id order
+            extra = {"duplicated-id": ids[3], "file-root-id": file,
+                     "unresolved-sentinel-id": sentinel}[edit]
+            at = bisect.bisect(ids, extra)
+            ids.insert(at, extra), texts.insert(at, "calc")
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorruptIndex, match="real symbols"):
+            load_index(path)
 
     def test_malformed_stored_vectors_rejected(
         self, toy_index, toy_intent, tmp_path

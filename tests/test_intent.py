@@ -35,8 +35,9 @@ from cppatlas.intent import (
     summarize_artifact,
     tokenize,
 )
+from cppatlas.model import SymbolRecord
 from cppatlas.queries import snippet_for
-from cppatlas.repo import IssueDescription, Repository, SourceUnit
+from cppatlas.repo import IssueDescription, Repository, SourceUnit, load_repository
 from cppatlas.server import handle_line
 from cppatlas.tools import ToolContext, dispatch_tool
 
@@ -222,7 +223,7 @@ class TestIntentIndex:
             )
 
     def test_empty_index_rejected(self, toy_index):
-        empty = IntentIndex(
+        empty = IntentIndex.of_docs(
             provider_name="hash-tf-256",
             dim=256,
             repo_snapshot=toy_index.repo_snapshot,
@@ -263,7 +264,7 @@ class TestLocalize:
         assert got["candidates"]
 
     def test_snapshot_mismatch_detected(self, toy_index, toy_intent):
-        stale = IntentIndex(
+        stale = IntentIndex.of_docs(
             provider_name=toy_intent.provider_name,
             dim=toy_intent.dim,
             repo_snapshot="f" * 64,
@@ -499,7 +500,8 @@ def _duplicated(intent, copies: int):
         for c in range(copies)
         for d in intent.docs
     )
-    return IntentIndex(intent.provider_name, intent.dim, intent.repo_snapshot, docs)
+    return IntentIndex.of_docs(intent.provider_name, intent.dim,
+                               intent.repo_snapshot, docs)
 
 
 @pytest.mark.parametrize(
@@ -520,13 +522,13 @@ def test_matrix_is_built_once_and_kept_out_of_repr_and_file(toy_index, toy_inten
     assert "matrix" not in json.dumps(clone.to_dict())
     assert _bits(clone.matrix.ravel()) == _bits(toy_intent.matrix.ravel())
     assert clone.matrix.flags["C_CONTIGUOUS"]
-    rebuilt = IntentIndex(
+    rebuilt = IntentIndex.of_docs(
         toy_intent.provider_name, toy_intent.dim, toy_intent.repo_snapshot,
         toy_intent.docs,
     )
     assert _bits(rebuilt.matrix.ravel()) == _bits(toy_intent.matrix.ravel())
     assert rebuilt == toy_intent
-    empty = IntentIndex("hash-tf-256", 256, "", ())
+    empty = IntentIndex.of_docs("hash-tf-256", 256, "", ())
     assert empty.matrix.shape == (0, 256)
 
 
@@ -541,8 +543,8 @@ def test_the_matrix_is_the_one_vector_store(toy_intent):
     for value in (0.5, -0.0):
         matrix = toy_intent.matrix.copy()
         matrix[3, zero] = value
-        other = IntentIndex(toy_intent.provider_name, toy_intent.dim,
-                            toy_intent.repo_snapshot, docs, matrix)
+        other = IntentIndex.of_docs(toy_intent.provider_name, toy_intent.dim,
+                                    toy_intent.repo_snapshot, docs, matrix)
         assert other != toy_intent
         assert other.docs == toy_intent.docs
     given_vectors = _duplicated(toy_intent, 1)
@@ -581,6 +583,12 @@ def toy_payload(toy_index, toy_intent):
         return json.loads(path.read_text(encoding="utf-8"))
 
 
+def _every_doc(texts: list[str], docs: dict) -> list[str]:
+    # an index file holds one doc per real symbol: give each doc of the
+    # file's ``docs`` columns one of ``texts``, in turn
+    return [texts[row % len(texts)] for row in range(len(docs["text"]))]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     texts=st.lists(st.one_of(_STORED_FORM, _EDITED), min_size=1, max_size=12),
@@ -589,9 +597,7 @@ def toy_payload(toy_index, toy_intent):
 def test_loaded_matrix_is_the_tokenized_embedding(toy_payload, texts, dim):
     payload = json.loads(json.dumps(toy_payload))
     docs = payload["intent"]["docs"]
-    assert len(texts) <= len(docs["text"])
-    docs["symbol_id"] = docs["symbol_id"][: len(texts)]
-    docs["text"] = texts
+    texts = docs["text"] = _every_doc(texts, docs)
     payload["intent"].update(dim=dim, provider_name=f"hash-tf-{dim}")
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "edited.caidx"
@@ -616,7 +622,7 @@ def test_build_matches_reference_matrix_and_bytes(seed, tmp_path):
     real = [r for r in index.symbols if not r.is_synthetic]
     texts = [refintent.summarize_artifact(r, refintent.snippet_for(index, r))
              for r in real]
-    reference = IntentIndex(
+    reference = IntentIndex.of_docs(
         provider.name, provider.dim, index.repo_snapshot,
         tuple(IntentDoc(r.symbol_id, r.qualified_name, r.kind.value, t,
                         provider.embed(t)) for r, t in zip(real, texts)),
@@ -663,8 +669,9 @@ def _postings_read(intent):
 
 
 def _first(intent, n: int) -> IntentIndex:
-    return IntentIndex(intent.provider_name, intent.dim, intent.repo_snapshot,
-                       intent.docs[:n], intent.matrix[:n])
+    return IntentIndex.of_docs(intent.provider_name, intent.dim,
+                               intent.repo_snapshot, intent.docs[:n],
+                               intent.matrix[:n])
 
 
 def _unused_bucket_word(intent) -> str:
@@ -787,7 +794,7 @@ def test_postings_only_when_the_matrix_and_the_query_are_sparse(monkeypatch):
             size=nonzero)
         docs = tuple(IntentDoc(i, f"d{i % 5}", "function", "", tuple(row))
                      for i, row in enumerate(matrix.tolist()))
-        intent = IntentIndex(provider.name, 8, "", docs)
+        intent = IntentIndex.of_docs(provider.name, 8, "", docs)
         _assert_every_k_matches_reference(intent, [dense_query], provider=provider)
         assert _postings_read(intent) is None
         _assert_every_k_matches_reference(intent, [sparse_query], provider=provider)
@@ -835,9 +842,9 @@ def test_an_index_of_one_product_never_builds_postings(toy_index, monkeypatch):
 
 def test_matrix_is_read_only(toy_index, toy_intent, monkeypatch):
     clone = IntentIndex.from_dict(toy_intent.to_dict(), toy_index.symbols)
-    given = IntentIndex(toy_intent.provider_name, toy_intent.dim,
-                        toy_intent.repo_snapshot, toy_intent.docs,
-                        toy_intent.matrix.copy())
+    given = IntentIndex.of_docs(toy_intent.provider_name, toy_intent.dim,
+                                toy_intent.repo_snapshot, toy_intent.docs,
+                                toy_intent.matrix.copy())
     for intent in (toy_intent, clone, given, _duplicated(toy_intent, 2),
                    build_intent_index(toy_index, _RecordingProvider())):
         with pytest.raises(ValueError):
@@ -882,7 +889,7 @@ def test_a_row_whose_postings_sum_rounds_low_stays_a_candidate(monkeypatch):
     matrix[1, 3] = exact
     docs = tuple(IntentDoc(i, f"n{i}", "function", "", tuple(row))
                  for i, row in enumerate(matrix.tolist()))
-    intent = IntentIndex(provider.name, 64, "", docs)
+    intent = IntentIndex.of_docs(provider.name, 64, "", docs)
     _postings_at_any_size(monkeypatch, intent)
     text = " ".join(map(repr, query.tolist()))
     assert [h["symbol_id"] for h in query_code_intent(
@@ -997,7 +1004,7 @@ texts = [" ".join(rng.choice(vocab) for _ in range(rng.randint(4, 40)))
 matrix = HashEmbeddingProvider().embed_texts(texts)
 docs = tuple(IntentDoc(i, f"n{i % 97}::f", "function", t, row)
              for i, (t, row) in enumerate(zip(texts, matrix)))
-intent = IntentIndex("hash-tf-256", 256, "", docs, matrix)
+intent = IntentIndex.of_docs("hash-tf-256", 256, "", docs, matrix)
 queries = [(texts[i], 2002) for i in [*range(985, 1015), *range(1990, 2002)]]
 queries += [(" ".join(rng.sample(vocab, 3)), k) for k in (1, 10, 2002) * 10]
 answers = [query_code_intent(intent, t, k=k) for t, k in queries]
@@ -1082,16 +1089,15 @@ _ODD_TEXTS = [
 def test_odd_texts_in_an_index_file_equal_the_eager_embed(toy_payload, tmp_path):
     payload = json.loads(json.dumps(toy_payload))
     docs = payload["intent"]["docs"]
-    docs["symbol_id"] = docs["symbol_id"][: len(_ODD_TEXTS)]
-    docs["text"] = _ODD_TEXTS
+    texts = docs["text"] = _every_doc(_ODD_TEXTS, docs)
     path = tmp_path / "odd.caidx"
     path.write_text(json.dumps(payload), encoding="utf-8")
     for doc_first in (False, True):
         loaded = load_index(path).intent
-        assert [d.text for d in loaded.docs] == _ODD_TEXTS
+        assert [d.text for d in loaded.docs] == texts
         _assert_deferred_is_eager(loaded, doc_first)
     reference = refintent.HashEmbeddingProvider()
-    for doc, text in zip(loaded.docs, _ODD_TEXTS):
+    for doc, text in zip(loaded.docs, texts):
         assert _bits(doc.vector) == _bits(reference.embed(text))
 
 
@@ -1139,22 +1145,25 @@ def test_equality_and_repr_do_not_depend_on_when_the_matrix_is_made(
     built = build_intent_index(toy_index)
     loaded = _loaded(toy_index, build_intent_index(toy_index), tmp_path / "t.caidx")
     clone = IntentIndex.from_dict(built.to_dict(), toy_index.symbols)
-    eager = IntentIndex(built.provider_name, built.dim, built.repo_snapshot,
-                        built.docs, _eager(built))
-    stacked = IntentIndex(built.provider_name, built.dim, built.repo_snapshot,
-                          built.docs)
+    eager = IntentIndex.of_docs(built.provider_name, built.dim,
+                                built.repo_snapshot, built.docs, _eager(built))
+    stacked = IntentIndex.of_docs(built.provider_name, built.dim,
+                                  built.repo_snapshot, built.docs)
     indexes = (built, loaded, clone, eager, stacked, toy_intent)
     want = (f"IntentIndex(provider_name={built.provider_name!r}, "
             f"dim={built.dim!r}, repo_snapshot={built.repo_snapshot!r}, "
-            f"docs={built.docs!r})")
+            f"symbol_ids={built.symbol_ids!r}, "
+            f"qualified_names={built.qualified_names!r}, "
+            f"kinds={built.kinds!r}, texts={built.texts!r})")
     calls = len(embeds)
     assert all(repr(i) == want for i in indexes)
     assert len(embeds) == calls  # repr embeds nothing
     for a in indexes:
         assert all(a == b for b in indexes)
         assert hash(a) == hash(built)
-    other = IntentIndex(built.provider_name, built.dim, built.repo_snapshot,
-                        built.docs, np.zeros_like(_eager(built)))
+    other = IntentIndex.of_docs(built.provider_name, built.dim,
+                                built.repo_snapshot, built.docs,
+                                np.zeros_like(_eager(built)))
     assert all(other != i for i in indexes)
 
 
@@ -1173,8 +1182,7 @@ def test_edited_texts_in_an_index_file_answer_or_fail_typed(
         toy_payload, texts, query, k, dim):
     payload = json.loads(json.dumps(toy_payload))
     docs = payload["intent"]["docs"]
-    docs["symbol_id"] = docs["symbol_id"][: len(texts)]
-    docs["text"] = texts
+    texts = docs["text"] = _every_doc(texts, docs)
     payload["intent"].update(dim=dim, provider_name=f"hash-tf-{dim}")
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "edited.caidx"
@@ -1190,3 +1198,105 @@ def test_edited_texts_in_an_index_file_answer_or_fail_typed(
         return
     assert dim == 256 and k >= 1
     assert len(hits["hits"]) == min(k, len(texts))
+
+
+# --- the docs view: made on its first read, from the columns
+
+
+class TestDerivedDocs:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """How many ``IntentDoc`` objects were made, and how many times
+        ``SymbolRecord.is_synthetic`` was read."""
+        counts = {"docs": 0, "is_synthetic": 0}
+        doc_init = IntentDoc.__init__
+        is_synthetic = SymbolRecord.is_synthetic.fget
+
+        def counted_init(self, *args, **kwargs):
+            counts["docs"] += 1
+            doc_init(self, *args, **kwargs)
+
+        def counted_read(record):
+            counts["is_synthetic"] += 1
+            return is_synthetic(record)
+
+        monkeypatch.setattr(IntentDoc, "__init__", counted_init)
+        monkeypatch.setattr(SymbolRecord, "is_synthetic", property(counted_read))
+        return counts
+
+    def test_no_tool_path_makes_a_doc_or_reads_is_synthetic(
+            self, toyrepo_root, tmp_path, capsys, counts):
+        index = build_index(load_repository(toyrepo_root))
+        built = build_intent_index(index)
+        path = tmp_path / "toy.caidx"
+        persist_index(IndexContainer(index, built), path)
+        container = load_index(path)
+        ctx = ToolContext(container.structural, container.intent)
+        assert main(["index", "--root", str(toyrepo_root),
+                     "--out", str(tmp_path / "cli.caidx")]) == 0
+        assert main(["query", "--index", str(path), "find-class",
+                     "Calculator"]) == 0
+        line = json.dumps({"request_id": 1, "tool": "QueryCodeIntent",
+                           "arguments": {"text": "subtract numbers", "k": 3}})
+        assert "hits" in json.loads(handle_line(ctx, line))["result"]
+        capsys.readouterr()
+        assert counts == {"docs": 0, "is_synthetic": 0}
+        for intent in (built, container.intent):
+            assert "docs" not in vars(intent)
+
+    def test_docs_are_made_on_the_first_read_and_only_once(
+            self, toy_index, tmp_path, counts):
+        built = build_intent_index(toy_index)
+        loaded = _loaded(toy_index, build_intent_index(toy_index),
+                         tmp_path / "toy.caidx")
+        for intent in (built, loaded):
+            n, before = len(intent.symbol_ids), counts["docs"]
+            repr(intent), intent == built, hash(intent), intent.to_dict()
+            query_code_intent(intent, "calculator", k=5)
+            assert "docs" not in vars(intent)
+            docs = intent.docs
+            assert counts["docs"] == before + n
+            assert intent.docs is docs and len(docs) == n
+            assert counts["docs"] == before + n
+
+    @pytest.mark.parametrize("source", ["toy", "motivation", 0, 7, 42, 101])
+    def test_the_view_equals_the_eager_docs(self, source, toy_index,
+                                            motivation_index, tmp_path):
+        # the docs an index held before they were columns: one per real
+        # symbol, its text the reference summary, its vector the reference
+        # embedding
+        index = {"toy": toy_index, "motivation": motivation_index}.get(source)
+        if index is None:
+            index = _repo_index(corpusgen.generate(source).files)
+        provider = refintent.HashEmbeddingProvider()
+        eager = []
+        for r in index.symbols:
+            if not r.is_synthetic:
+                text = refintent.summarize_artifact(
+                    r, refintent.snippet_for(index, r))
+                eager.append((r.symbol_id, r.qualified_name, r.kind.value, text,
+                              _bits(provider.embed(text))))
+        built = build_intent_index(index)
+        loaded = _loaded(index, build_intent_index(index), tmp_path / "i.caidx")
+        for intent in (built, loaded):
+            assert [(d.symbol_id, d.qualified_name, d.kind, d.text,
+                     _bits(d.vector)) for d in intent.docs] == eager
+
+    def test_equality_hash_and_repr_agree_across_constructions(
+            self, toy_index, tmp_path):
+        built = build_intent_index(toy_index)
+        loaded = _loaded(toy_index, build_intent_index(toy_index),
+                         tmp_path / "toy.caidx")
+        of_built = IntentIndex.of_docs(built.provider_name, built.dim,
+                                       built.repo_snapshot, built.docs)
+        of_loaded = IntentIndex.of_docs(
+            loaded.provider_name, loaded.dim, loaded.repo_snapshot,
+            tuple(IntentDoc(d.symbol_id, d.qualified_name, d.kind, d.text,
+                            d.vector) for d in loaded.docs))
+        indexes = (built, loaded, of_built, of_loaded)
+        for a in indexes:
+            assert all(a == b for b in indexes)
+            assert hash(a) == hash(built)
+            assert repr(a) == repr(built)
+            assert a.docs == built.docs
+            assert a.to_dict() == built.to_dict()
