@@ -1,7 +1,8 @@
 """Code intent index: embeds a textual summary of every symbol and
-answers natural-language queries by cosine similarity. With the hash
+answers natural-language queries by cosine similarity. An index is four
+columns, one row per symbol, and one matrix of their vectors. With the hash
 embedder, a build or a load keeps the summaries only, and the first query
-that reads the vectors embeds them all.
+that reads the matrix embeds them all.
 
 The built-in provider is a deterministic hashed term-frequency embedder,
 so two builds over identical sources produce identical vectors with no
@@ -18,7 +19,8 @@ import re
 import subprocess
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain, count, repeat
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -234,74 +236,15 @@ class CommandEmbeddingProvider:
         return self.embed_many([text])[0]
 
 
-class _Embedding:
-    """The hash embedder's matrix of the texts of one build or load, shared
-    by the index and each doc of its ``docs`` view. ``embed_texts`` makes
-    it on the first read of ``matrix`` or of a row, and it is then kept,
-    read-only."""
-
-    def __init__(self, provider: HashEmbeddingProvider, texts: list[str]):
-        self._provider, self._texts = provider, texts
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        matrix = self._provider.embed_texts(self._texts)
-        matrix.flags.writeable = False
-        return matrix
-
-    def __getitem__(self, row: int) -> np.ndarray:
-        return self.matrix[row]
-
-
-class IntentDoc:
-    """One symbol's summary ``text`` and its embedding ``vector``, a tuple
-    of floats: one row of an ``IntentIndex``, as its ``docs`` view or
-    ``IntentIndex.of_docs`` reads it. A doc made with a tuple keeps it. A
-    doc of a ``docs`` view holds what its index holds, the matrix or the
-    ``_Embedding`` that makes it, and its ``row`` there; ``vector`` makes
-    the tuple each time it is read. Docs compare without their vectors;
-    ``IntentIndex`` compares its matrix."""
-
-    __slots__ = ("symbol_id", "qualified_name", "kind", "text", "_vector", "_row")
-
-    def __init__(self, symbol_id: int, qualified_name: str, kind: str,
-                 text: str, vector: tuple[float, ...] | np.ndarray | _Embedding,
-                 row: int | None = None):
-        self.symbol_id = symbol_id
-        self.qualified_name = qualified_name
-        self.kind = kind
-        self.text = text
-        self._vector = vector
-        self._row = row
-
-    @property
-    def vector(self) -> tuple[float, ...]:
-        row = self._vector
-        if isinstance(row, tuple):
-            return row
-        if self._row is not None:
-            row = row[self._row]
-        # cells with the same bits share one float object: a hashed row
-        # holds a few distinct values, most of its cells 0.0
-        bits, where = np.unique(row.view(np.int64), return_inverse=True)
-        return tuple(map(bits.view(np.float64).tolist().__getitem__, where.tolist()))
-
-    def _key(self) -> tuple:
-        return self.symbol_id, self.qualified_name, self.kind, self.text
-
-    def __eq__(self, other):
-        if not isinstance(other, IntentDoc):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"IntentDoc{self._key()!r}"
-
-
 _COLUMNS = ("symbol_ids", "qualified_names", "kinds", "texts")
+
+
+class _Doc(NamedTuple):
+    symbol_id: int
+    qualified_name: str
+    kind: str
+    text: str
+    vector: np.ndarray  # a row of the index's matrix
 
 
 @dataclass(frozen=True)
@@ -311,14 +254,13 @@ class IntentIndex:
     ``matrix``, their vectors as one C-contiguous, read-only float64 array
     of shape (docs, dim) that queries multiply.
 
-    ``matrix``, the bucket ``postings`` and the ``docs`` view, one
-    ``IntentDoc`` per row, are derived on first use and kept. For the hash
-    embedder, ``build_intent_index`` and ``from_dict`` keep the texts
-    only, and the first read of ``matrix`` (by a query, a doc's ``vector``
-    or equality) embeds them all. Another provider's matrix is given as
-    the last argument. Two indexes are equal only if their columns are
-    equal and their matrices are equal bit for bit; ``to_dict`` writes the
-    matrix only for providers other than the hash embedder."""
+    The last field is the matrix of a provider other than the hash
+    embedder, or None for the hash embedder: then the first read of
+    ``matrix`` (by a query or by equality) embeds the texts. ``matrix`` and
+    the bucket ``postings`` are derived on first use and kept. Two indexes
+    are equal only if their columns are equal and their matrices are equal
+    bit for bit; ``to_dict`` writes the matrix only for providers other
+    than the hash embedder."""
 
     provider_name: str
     dim: int
@@ -327,38 +269,29 @@ class IntentIndex:
     qualified_names: tuple[str, ...]
     kinds: tuple[str, ...]
     texts: tuple[str, ...]
-    # the matrix, or the _Embedding that makes it
-    _rows: np.ndarray | _Embedding = field(repr=False, compare=False)
+    # the given matrix, or None to embed the texts with the hash embedder
+    _rows: np.ndarray | None = field(repr=False, compare=False)
 
     def __post_init__(self):
         for name in _COLUMNS:
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
-    @classmethod
-    def of_docs(cls, provider_name: str, dim: int, repo_snapshot: str,
-                docs, rows: np.ndarray | None = None) -> "IntentIndex":
-        """The index of ``docs``, whose vectors are the rows of ``rows``, a
-        matrix of shape (docs, dim), or with None the docs' vectors."""
-        if rows is None:
-            rows = np.array([d.vector for d in docs], dtype=np.float64)
-            rows = rows.reshape(len(docs), dim)
-        columns = zip(*(d._key() for d in docs)) if docs else [()] * 4
-        return cls(provider_name, dim, repo_snapshot, *columns, rows)
-
     @cached_property
-    def docs(self) -> tuple[IntentDoc, ...]:
-        """One ``IntentDoc`` per row, made on the first read: a view of the
-        columns whose vectors are rows of the matrix. No query reads it."""
-        return tuple(map(IntentDoc, self.symbol_ids, self.qualified_names,
-                         self.kinds, self.texts, repeat(self._rows), count()))
+    def docs(self) -> tuple[_Doc, ...]:
+        """One ``(symbol_id, qualified_name, kind, text, vector)`` tuple per
+        doc, ``vector`` its row of ``matrix``. No tool reads it; it exists
+        for ``perfbench/oracle.py`` and ``perfbench/worker.py``, and goes
+        when they read the columns."""
+        return tuple(map(_Doc, self.symbol_ids, self.qualified_names,
+                         self.kinds, self.texts, self.matrix))
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        rows = self._rows
-        if isinstance(rows, _Embedding):
-            return rows.matrix
-        rows.flags.writeable = False
-        return rows
+        matrix = self._rows
+        if matrix is None:
+            matrix = HashEmbeddingProvider(self.dim).embed_texts(self.texts)
+        matrix.flags.writeable = False
+        return matrix
 
     @cached_property
     def postings(self) -> tuple:
@@ -420,11 +353,11 @@ class IntentIndex:
         """Rebuild an index from ``to_dict`` output over the ``symbols`` it
         was built from, whose ``real_columns`` (given as ``real`` by a
         caller that has them) give each doc its qualified name and kind.
-        The hash embedder's vectors are embedded from the texts on the
-        first read of the matrix. Raises ``ValueError`` on a bad ``dim``, a
-        name or snapshot that is not a string, doc ids other than exactly
-        the real symbols' ids in ascending order, or stored vectors that
-        are not ``dim`` finite numbers per doc."""
+        For the hash embedder the matrix is left None, so the first read
+        of ``matrix`` embeds the texts. Raises ``ValueError`` on a bad
+        ``dim``, a name or snapshot that is not a string, doc ids other
+        than exactly the real symbols' ids in ascending order, or stored
+        vectors that are not ``dim`` finite numbers per doc."""
         provider_name, dim, snapshot = (
             data["provider_name"], data["dim"], data["repo_snapshot"]
         )
@@ -437,10 +370,8 @@ class IntentIndex:
         real_ids, names, kinds = real or _real_columns(symbols)
         if ids != real_ids:
             raise ValueError("intent doc ids are not the real symbols' ids in order")
-        provider = HashEmbeddingProvider(dim)
-        if provider_name == provider.name:
-            rows = _Embedding(provider, texts)
-        else:
+        rows = None
+        if provider_name != HashEmbeddingProvider(dim).name:
             rows = _decode_matrix(data["vectors"], len(texts), dim)
         return IntentIndex(provider_name, dim, snapshot, ids, names, kinds, texts,
                            rows)
@@ -466,8 +397,9 @@ def _decode_matrix(encoded: str, rows: int, dim: int) -> np.ndarray:
 
 def build_intent_index(index: StructuralIndex, provider=None) -> IntentIndex:
     """One intent document per real (non-synthetic) symbol, in symbol id
-    order, kept as columns. The hash embedder embeds the docs on the first
-    read of the matrix; any other provider embeds them here."""
+    order, kept as columns. For the hash embedder the matrix is left None,
+    so the first read of ``matrix`` embeds the texts; any other provider
+    embeds them here."""
     provider = provider or HashEmbeddingProvider()
     ids, names, kinds = _real_columns(index.symbols)
     lines = {path: text.split("\n") for path, text in index.sources.items()}
@@ -476,9 +408,8 @@ def build_intent_index(index: StructuralIndex, provider=None) -> IntentIndex:
         summarize_artifact(r, snippet_of(lines.get(r.location.file), r))
         for r in records
     ]
-    if isinstance(provider, HashEmbeddingProvider):
-        rows = _Embedding(provider, texts)
-    else:
+    rows = None
+    if not isinstance(provider, HashEmbeddingProvider):
         rows = np.array(provider.embed_many(texts), dtype=np.float64)
         rows = rows.reshape(len(texts), provider.dim)
     return IntentIndex(provider.name, provider.dim, index.repo_snapshot, ids, names,

@@ -104,20 +104,28 @@ class SymbolRecord(NamedTuple):
     def is_synthetic(self) -> bool:
         """A file root or an ``unresolved:`` sentinel; ``synthetic_flags``
         reads the same rule from columns."""
-        return self.kind is SymbolKind.FILE or self.qualified_name.startswith(
-            UNRESOLVED_PREFIX
-        )
+        return self.kind is SymbolKind.FILE or is_sentinel_name(self.qualified_name)
 
     def to_dict(self) -> dict:
         return {**self._asdict(), "kind": self.kind.value,
                 "location": self.location.to_dict()}
 
 
+def is_sentinel_name(qualified_name: str) -> bool:
+    """Whether ``qualified_name`` is an ``unresolved:<name>`` sentinel's:
+    the prefix, then anything but a second ``:``. So a member of a C++
+    namespace ``unresolved`` (``unresolved::Foo``) is a real symbol, and a
+    qualified callee that was not found (``unresolved:ns::gone``) is a
+    sentinel."""
+    return (qualified_name.startswith(UNRESOLVED_PREFIX)
+            and not qualified_name.startswith(":", len(UNRESOLVED_PREFIX)))
+
+
 def synthetic_flags(kinds, qualified_names) -> list[bool]:
     """``SymbolRecord.is_synthetic`` of each row, read from its ``kinds``
     and ``qualified_names`` columns, with no record."""
     return list(map(or_, map(is_, kinds, repeat(SymbolKind.FILE)),
-                    map(str.startswith, qualified_names, repeat(UNRESOLVED_PREFIX))))
+                    map(is_sentinel_name, qualified_names)))
 
 
 class StructuralEdge(NamedTuple):

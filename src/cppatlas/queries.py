@@ -27,9 +27,9 @@ from .index import StructuralIndex
 from .model import (
     CLASS_KINDS,
     FUNCTION_KINDS,
-    UNRESOLVED_PREFIX,
     EdgeKind,
     SymbolRecord,
+    is_sentinel_name,
 )
 
 _SNIPPET_MAX_LINES = 12
@@ -72,7 +72,7 @@ def _lookup_by_name(
     # no kind of ``kinds`` is a file root's, so the only synthetic records
     # here are unresolved sentinels
     return [r for r in pool if r.kind in kinds
-            and not r.qualified_name.startswith(UNRESOLVED_PREFIX)]
+            and not is_sentinel_name(r.qualified_name)]
 
 
 def _prefer_definitions(records: list[SymbolRecord]) -> list[SymbolRecord]:

@@ -6,18 +6,21 @@ as a list of decimal floats.
 It is the reference `test_format.py` compares the version 2 reader and
 writer against. Nothing in `src/` imports it; do not edit it to match
 `cppatlas.index`. It makes a ``StructuralIndex`` from the persisted fields
-alone, and imports no helper of `cppatlas.index`.
+alone, and imports no helper of `cppatlas.index`. Its intent side reads
+the file into a record of its own, ``V1Intent``: the doc columns and a
+float64 matrix, the arguments of a ``cppatlas.intent.IntentIndex``.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from cppatlas.index import FORMAT_MAGIC, IndexContainer, StructuralIndex
-from cppatlas.intent import IntentDoc, IntentIndex
+from cppatlas.intent import IntentIndex
 from cppatlas.model import (
     CallSite,
     EdgeKind,
@@ -28,6 +31,21 @@ from cppatlas.model import (
 )
 
 VERSION = 1
+
+
+class V1Intent(NamedTuple):
+    """The intent fields of a version 1 file, in the order
+    ``IntentIndex`` takes them: one column per doc field, and the docs'
+    vectors as the rows of one float64 matrix."""
+
+    provider_name: str
+    dim: int
+    repo_snapshot: str
+    symbol_ids: tuple[int, ...]
+    qualified_names: tuple[str, ...]
+    kinds: tuple[str, ...]
+    texts: tuple[str, ...]
+    matrix: np.ndarray
 
 
 def _location(d: dict) -> Location:
@@ -71,9 +89,11 @@ def persist_v1(container: IndexContainer, path: str | Path) -> None:
             "dim": intent.dim,
             "repo_snapshot": intent.repo_snapshot,
             "docs": [
-                {"symbol_id": d.symbol_id, "qualified_name": d.qualified_name,
-                 "kind": d.kind, "text": d.text, "vector": list(d.vector)}
-                for d in intent.docs
+                {"symbol_id": symbol_id, "qualified_name": qualified_name,
+                 "kind": kind, "text": text, "vector": vector}
+                for symbol_id, qualified_name, kind, text, vector in zip(
+                    intent.symbol_ids, intent.qualified_names, intent.kinds,
+                    intent.texts, intent.matrix.tolist())
             ],
         }
     payload = {
@@ -107,13 +127,14 @@ def load_v1(path: str | Path) -> IndexContainer:
     intent = None
     if payload["intent"] is not None:
         i = payload["intent"]
-        docs = tuple(
-            IntentDoc(x["symbol_id"], x["qualified_name"], x["kind"], x["text"],
-                      tuple(float(v) for v in x["vector"]))
-            for x in i["docs"]
+        docs = i["docs"]
+        matrix = np.array([[float(v) for v in x["vector"]] for x in docs],
+                          dtype=np.float64)
+        record = V1Intent(
+            i["provider_name"], i["dim"], i["repo_snapshot"],
+            *(tuple(x[key] for x in docs)
+              for key in ("symbol_id", "qualified_name", "kind", "text")),
+            matrix.reshape(len(docs), i["dim"]),
         )
-        matrix = np.array([doc.vector for doc in docs], dtype=np.float64)
-        intent = IntentIndex.of_docs(i["provider_name"], i["dim"],
-                                     i["repo_snapshot"], docs,
-                                     matrix.reshape(len(docs), i["dim"]))
+        intent = IntentIndex(*record)
     return IndexContainer(structural=structural, intent=intent)

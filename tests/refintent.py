@@ -105,7 +105,7 @@ def query_code_intent(
     Ties break lexicographically on qualified name, then id."""
     if k < 1:
         raise BadRequest("k must be >= 1")
-    if not intent.docs:
+    if not intent.symbol_ids:
         raise EmptyIndex("intent index has no documents")
     provider = provider or HashEmbeddingProvider()
     if provider.name != intent.provider_name:
@@ -114,20 +114,20 @@ def query_code_intent(
             f"queried with {provider.name!r}"
         )
     query_vec = np.asarray(provider.embed(text), dtype=np.float64)
-    matrix = np.asarray([d.vector for d in intent.docs], dtype=np.float64)
+    matrix = np.array(intent.matrix, dtype=np.float64)
     scores = matrix @ query_vec
+    ids, names = intent.symbol_ids, intent.qualified_names
     ranked = sorted(
-        zip(intent.docs, scores),
-        key=lambda pair: (-pair[1], pair[0].qualified_name, pair[0].symbol_id),
+        range(len(ids)), key=lambda i: (-scores[i], names[i], ids[i])
     )
     return [
         {
-            "symbol_id": doc.symbol_id,
-            "qualified_name": doc.qualified_name,
-            "kind": doc.kind,
-            "score": float(score),
+            "symbol_id": ids[i],
+            "qualified_name": names[i],
+            "kind": intent.kinds[i],
+            "score": float(scores[i]),
         }
-        for doc, score in ranked[:k]
+        for i in ranked[:k]
     ]
 
 

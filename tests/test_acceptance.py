@@ -375,27 +375,26 @@ def test_a04_intent_retrieval_oracle(tmp_path, capsys):
             text = " ".join(
                 rng.choice(words) for _ in range(rng.randint(1, 5))
             )
-            k = rng.randint(1, len(intent.docs) + 3)
+            n = len(intent.symbol_ids)
+            k = rng.randint(1, n + 3)
             got = query_code_intent(intent, text, k=k, provider=provider)
 
             query_vec = np.asarray(provider.embed(text), dtype=np.float64)
-            matrix = np.asarray(
-                [d.vector for d in intent.docs], dtype=np.float64
-            )
+            matrix = np.array(intent.matrix, dtype=np.float64)
             scores = matrix @ query_vec
             order = sorted(
-                range(len(intent.docs)),
+                range(n),
                 key=lambda i: (
                     -scores[i],
-                    intent.docs[i].qualified_name,
-                    intent.docs[i].symbol_id,
+                    intent.qualified_names[i],
+                    intent.symbol_ids[i],
                 ),
             )[:k]
             want = [
                 {
-                    "symbol_id": intent.docs[i].symbol_id,
-                    "qualified_name": intent.docs[i].qualified_name,
-                    "kind": intent.docs[i].kind,
+                    "symbol_id": intent.symbol_ids[i],
+                    "qualified_name": intent.qualified_names[i],
+                    "kind": intent.kinds[i],
                     "score": float(scores[i]),
                 }
                 for i in order
@@ -403,8 +402,8 @@ def test_a04_intent_retrieval_oracle(tmp_path, capsys):
             assert got == want
 
         for intent in intents:
-            doc = intent.docs[len(intent.docs) // 2]
-            top = query_code_intent(intent, doc.text, k=1, provider=provider)
+            text = intent.texts[len(intent.texts) // 2]
+            top = query_code_intent(intent, text, k=1, provider=provider)
             assert abs(top[0]["score"] - 1.0) <= 1e-6
 
 

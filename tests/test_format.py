@@ -45,8 +45,8 @@ def _requests(index, intent):
                     "name": name, "signature": rec.signature,
                     "direction": direction}))
         requests.append(("DefectSubgraph", {"seeds": [rec.symbol_id], "hops": 2}))
-    for doc in intent.docs[::3]:
-        requests.append(("QueryCodeIntent", {"text": doc.text, "k": 5}))
+    for text in intent.texts[::3]:
+        requests.append(("QueryCodeIntent", {"text": text, "k": 5}))
     requests.append(("QueryCodeIntent", {"text": "", "k": 3}))
     for name in sorted(index.by_name)[::3]:
         requests.append(("GrepBaseline", {"pattern": name, "regex": False}))

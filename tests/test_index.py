@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from cppatlas.cli import main
 from cppatlas.errors import (
     CorruptIndex,
     EngineError,
@@ -23,9 +24,10 @@ from cppatlas.index import (
     load_index,
     persist_index,
 )
-from cppatlas.intent import IntentDoc, IntentIndex
+from cppatlas.intent import IntentIndex
 from cppatlas.model import (
-    UNRESOLVED_PREFIX, EdgeKind, Location, StructuralEdge, SymbolKind)
+    UNRESOLVED_PREFIX, EdgeKind, Location, StructuralEdge, SymbolKind,
+    SymbolRecord, is_sentinel_name, synthetic_flags)
 from cppatlas.queries import find_class
 from cppatlas.repo import Repository, SourceUnit, load_repository
 from cppatlas.tools import ToolContext, dispatch_tool
@@ -37,13 +39,10 @@ import refindex
 def _external(intent):
     """``intent`` as if an external provider had made it: its vectors are
     stored, not rebuilt. Rows are scaled so no hash row could equal them."""
-    docs = tuple(
-        IntentDoc(d.symbol_id, d.qualified_name, d.kind, d.text,
-                  tuple(x * (-1) ** d.symbol_id / 3 for x in d.vector))
-        for d in intent.docs
-    )
-    return IntentIndex.of_docs("scripted-256", intent.dim, intent.repo_snapshot,
-                               docs)
+    signs = np.array([(-1) ** i for i in intent.symbol_ids], dtype=np.float64)
+    return IntentIndex("scripted-256", intent.dim, intent.repo_snapshot,
+                       intent.symbol_ids, intent.qualified_names, intent.kinds,
+                       intent.texts, intent.matrix * signs[:, None] / 3)
 
 
 def materialize(tmp_path, corpus):
@@ -240,6 +239,49 @@ class TestToyRepoGraph:
         # inherited members are not searched: the lookup stops at the
         # caller's own class, its namespace, then the global scope
         assert ("calc::SciCalculator::power", "unresolved:multiply") in sites
+
+
+# a C++ namespace may be named ``unresolved``: its members are real symbols,
+# and only a name of the prefix and no second ``:`` is a sentinel's
+_NAMESPACE_UNRESOLVED = (
+    "namespace unresolved { class Foo {}; void g(); }\n"
+    "void h() { unresolved::g(); missing(); ns::gone(); top(); }\n"
+)
+
+
+@pytest.mark.parametrize("name, sentinel", [
+    ("unresolved::Foo", False), ("unresolved::g", False), ("unresolved", False),
+    ("unresolved:missing", True), ("unresolved:ns::gone", True),
+    ("unresolved:top", True), ("unresolved:", True),
+])
+def test_a_sentinel_name_is_the_prefix_and_no_second_colon(name, sentinel):
+    assert is_sentinel_name(name) is sentinel
+    record = SymbolRecord(0, SymbolKind.FREE_FUNCTION, "x", name)
+    assert record.is_synthetic is sentinel
+    assert synthetic_flags([record.kind], [name]) == [sentinel]
+
+
+def test_a_namespace_named_unresolved_indexes_and_answers(tmp_path):
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "a.cpp").write_text(_NAMESPACE_UNRESOLVED)
+    out = tmp_path / "atlas.caidx"
+    assert main(["index", "--root", str(tmp_path), "--out", str(out)]) == 0
+    index = build_index(load_repository(tmp_path))
+    loaded = load_index(out)
+    assert loaded.structural == index
+    by_name = {r.qualified_name: r for r in index.symbols}
+    synthetic = sorted(r.qualified_name for r in index.symbols
+                       if r.is_synthetic and r.kind is not SymbolKind.FILE)
+    assert synthetic == ["unresolved:missing", "unresolved:ns::gone",
+                         "unresolved:top"]
+    assert StructuralEdge(EdgeKind.CALLS, by_name["h"].symbol_id,
+                          by_name["unresolved::g"].symbol_id) in index.edges
+    assert "unresolved::Foo" in loaded.intent.qualified_names
+    ctx = ToolContext(loaded.structural, loaded.intent)
+    found = dispatch_tool(ctx, "FindClass", {"name": "unresolved::Foo"})
+    assert found["record"]["symbol_id"] == by_name["unresolved::Foo"].symbol_id
+    persist_index(loaded, tmp_path / "again.caidx")
+    assert (tmp_path / "again.caidx").read_bytes() == out.read_bytes()
 
 
 def test_location_span_must_not_end_before_it_starts():
@@ -515,9 +557,7 @@ class TestPersistence:
         loaded = load_index(path).intent
         assert loaded == toy_intent
         assert np.array_equal(loaded.matrix, toy_intent.matrix)
-        for row, doc in enumerate(loaded.docs):
-            assert {type(x) for x in doc.vector} == {float}
-            assert loaded.matrix[row].tolist() == list(doc.vector)
+        assert loaded.matrix.dtype == np.float64
 
     def test_stored_vectors_survive_round_trip(
         self, toy_index, toy_intent, tmp_path
@@ -531,7 +571,7 @@ class TestPersistence:
         assert loaded == intent
         assert np.array_equal(loaded.matrix, intent.matrix)
         assert loaded.matrix.flags["C_CONTIGUOUS"]
-        assert {type(x) for d in loaded.docs for x in d.vector} == {float}
+        assert loaded.matrix.dtype == np.float64
 
     def test_loaded_graph_matches_built_graph(self, toy_index, tmp_path):
         path = tmp_path / "atlas.json"

@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import math
 import os
@@ -26,7 +27,6 @@ from cppatlas.index import IndexContainer, build_index, load_index, persist_inde
 from cppatlas.intent import (
     CommandEmbeddingProvider,
     HashEmbeddingProvider,
-    IntentDoc,
     IntentIndex,
     build_intent_index,
     localize,
@@ -35,7 +35,7 @@ from cppatlas.intent import (
     summarize_artifact,
     tokenize,
 )
-from cppatlas.model import SymbolRecord
+from cppatlas.model import CLASS_KINDS, SymbolKind, SymbolRecord
 from cppatlas.queries import snippet_for
 from cppatlas.repo import IssueDescription, Repository, SourceUnit, load_repository
 from cppatlas.server import handle_line
@@ -181,10 +181,8 @@ class TestCommandProvider:
 class TestIntentIndex:
     def test_one_doc_per_real_symbol(self, toy_index, toy_intent):
         real = [r for r in toy_index.symbols if not r.is_synthetic]
-        assert len(toy_intent.docs) == len(real)
-        assert [d.symbol_id for d in toy_intent.docs] == [
-            r.symbol_id for r in real
-        ]
+        assert len(toy_intent.symbol_ids) == len(real)
+        assert list(toy_intent.symbol_ids) == [r.symbol_id for r in real]
 
     def test_dict_round_trip(self, toy_index, toy_intent):
         clone = IntentIndex.from_dict(toy_intent.to_dict(), toy_index.symbols)
@@ -223,12 +221,8 @@ class TestIntentIndex:
             )
 
     def test_empty_index_rejected(self, toy_index):
-        empty = IntentIndex.of_docs(
-            provider_name="hash-tf-256",
-            dim=256,
-            repo_snapshot=toy_index.repo_snapshot,
-            docs=(),
-        )
+        empty = IntentIndex("hash-tf-256", 256, toy_index.repo_snapshot,
+                            (), (), (), (), None)
         with pytest.raises(EmptyIndex):
             query_code_intent(empty, "anything")
 
@@ -264,12 +258,7 @@ class TestLocalize:
         assert got["candidates"]
 
     def test_snapshot_mismatch_detected(self, toy_index, toy_intent):
-        stale = IntentIndex.of_docs(
-            provider_name=toy_intent.provider_name,
-            dim=toy_intent.dim,
-            repo_snapshot="f" * 64,
-            docs=toy_intent.docs,
-        )
+        stale = _remade(toy_intent, repo_snapshot="f" * 64)
         with pytest.raises(SnapshotMismatch):
             localize(toy_index, stale, self.issue("anything"))
 
@@ -282,11 +271,12 @@ class TestRetrievalOracle:
         # break identically; the scan checks ranking, slicing and packaging
         provider = HashEmbeddingProvider()
         q = np.asarray(provider.embed(text), dtype=np.float64)
-        matrix = np.asarray([d.vector for d in intent.docs], dtype=np.float64)
+        matrix = np.array(intent.matrix, dtype=np.float64)
         scores = matrix @ q
         scored = [
-            (-float(s), d.qualified_name, d.symbol_id)
-            for d, s in zip(intent.docs, scores)
+            (-float(s), name, sid)
+            for name, sid, s in zip(intent.qualified_names, intent.symbol_ids,
+                                    scores)
         ]
         scored.sort()
         return [
@@ -311,9 +301,12 @@ class TestRetrievalOracle:
                 ] == [(w["symbol_id"], round(w["score"], 12)) for w in want]
 
     def test_self_query_scores_one(self, toy_intent):
-        doc = max(toy_intent.docs, key=lambda d: len(d.text))
-        hits = query_code_intent(toy_intent, doc.text, k=len(toy_intent.docs))
-        mine = next(h for h in hits if h["symbol_id"] == doc.symbol_id)
+        row = max(range(len(toy_intent.texts)),
+                  key=lambda i: len(toy_intent.texts[i]))
+        hits = query_code_intent(toy_intent, toy_intent.texts[row],
+                                 k=len(toy_intent.texts))
+        mine = next(h for h in hits
+                    if h["symbol_id"] == toy_intent.symbol_ids[row])
         assert abs(mine["score"] - 1.0) <= 1e-6
 
 
@@ -377,6 +370,12 @@ def _bits(vector) -> list[str]:
     return [float(x).hex() for x in vector]
 
 
+def _remade(intent, matrix=None, **fields) -> IntentIndex:
+    """``intent`` made again by its constructor, with ``fields`` changed
+    and ``matrix`` as its matrix; None embeds the texts."""
+    return dataclasses.replace(intent, _rows=matrix, **fields)
+
+
 def _repo_index(files: dict[str, str]):
     units = tuple(SourceUnit.make(path, text) for path, text in files.items())
     return build_index(Repository("mem", units))
@@ -386,21 +385,19 @@ def _assert_docs_match_reference(index):
     intent = build_intent_index(index)
     provider = refintent.HashEmbeddingProvider()
     real = [r for r in index.symbols if not r.is_synthetic]
-    assert [d.symbol_id for d in intent.docs] == [r.symbol_id for r in real]
+    assert list(intent.symbol_ids) == [r.symbol_id for r in real]
     assert intent.matrix.shape == (len(real), intent.dim)
     assert intent.matrix.dtype == np.float64
     assert intent.matrix.flags["C_CONTIGUOUS"]
-    for row, (doc, rec) in enumerate(zip(intent.docs, real)):
+    for row, rec in enumerate(real):
         snippet = refintent.snippet_for(index, rec)
         assert snippet_for(index, rec) == snippet
         text = refintent.summarize_artifact(rec, snippet)
-        assert doc.text == text == summarize_artifact(rec, snippet)
+        assert intent.texts[row] == text == summarize_artifact(rec, snippet)
         want = _bits(provider.embed(text))
-        assert _bits(doc.vector) == want
         assert _bits(intent.matrix[row]) == want
         assert _bits(HashEmbeddingProvider().embed(text)) == want
         assert tokenize(text) == refintent.tokenize(text)
-        assert all(type(x) is float for x in doc.vector)
     return intent
 
 
@@ -445,11 +442,11 @@ def test_identifiers_with_digits_match_reference():
     assert split_identifier("HTTP2Server") == ["http", "2", "server"]
     intent = _assert_docs_match_reference(_repo_index(_DIGIT_NAMES))
     # the summary keeps digit runs; the embedder never sees them
-    doc = next(d for d in intent.docs if d.qualified_name == "gfx2::vec3Add")
-    assert " 3 " in doc.text
-    assert tokenize(doc.text) == [w for w in doc.text.split() if not w.isdigit()]
+    doc = intent.texts[intent.qualified_names.index("gfx2::vec3Add")]
+    assert " 3 " in doc
+    assert tokenize(doc) == [w for w in doc.split() if not w.isdigit()]
     for text in ("vec3Add", "HTTP2Server serve", "gfx2 sha256sum", "3 2 8080"):
-        for k in range(1, len(intent.docs) + 4):
+        for k in range(1, len(intent.texts) + 4):
             assert query_code_intent(intent, text, k=k) == (
                 refintent.query_code_intent(intent, text, k=k)
             )
@@ -479,7 +476,7 @@ def test_top_k_matches_reference(
 ):
     intent = corpus_intent if use_corpus else toy_intent
     text = " ".join(words) + noise
-    k = 1 + k_offset % (len(intent.docs) + 3)
+    k = 1 + k_offset % (len(intent.symbol_ids) + 3)
     assert query_code_intent(intent, text, k=k) == (
         refintent.query_code_intent(intent, text, k=k)
     )
@@ -488,20 +485,17 @@ def test_top_k_matches_reference(
 def _duplicated(intent, copies: int):
     # every doc repeated, under fresh ids and under the same name, so whole
     # groups tie on score and on qualified name
-    n = len(intent.docs)
-    docs = tuple(
-        IntentDoc(
-            symbol_id=d.symbol_id + c * n if c % 2 else d.symbol_id,
-            qualified_name=d.qualified_name if c < 2 else d.qualified_name + "_",
-            kind=d.kind,
-            text=d.text,
-            vector=d.vector,
-        )
-        for c in range(copies)
-        for d in intent.docs
+    n = len(intent.symbol_ids)
+    return _remade(
+        intent,
+        np.concatenate([intent.matrix] * copies),
+        symbol_ids=[i + c * n if c % 2 else i
+                    for c in range(copies) for i in intent.symbol_ids],
+        qualified_names=[name if c < 2 else name + "_"
+                         for c in range(copies) for name in intent.qualified_names],
+        kinds=intent.kinds * copies,
+        texts=intent.texts * copies,
     )
-    return IntentIndex.of_docs(intent.provider_name, intent.dim,
-                               intent.repo_snapshot, docs)
 
 
 @pytest.mark.parametrize(
@@ -509,10 +503,10 @@ def _duplicated(intent, copies: int):
 )
 def test_heavy_ties_at_the_boundary_match_reference(toy_intent, text):
     for intent in (toy_intent, _duplicated(toy_intent, 4)):
-        for k in range(1, len(intent.docs) + 4):
+        for k in range(1, len(intent.symbol_ids) + 4):
             got = query_code_intent(intent, text, k=k)
             assert got == refintent.query_code_intent(intent, text, k=k)
-            assert len(got) == min(k, len(intent.docs))
+            assert len(got) == min(k, len(intent.symbol_ids))
 
 
 def test_matrix_is_built_once_and_kept_out_of_repr_and_file(toy_index, toy_intent):
@@ -522,34 +516,25 @@ def test_matrix_is_built_once_and_kept_out_of_repr_and_file(toy_index, toy_inten
     assert "matrix" not in json.dumps(clone.to_dict())
     assert _bits(clone.matrix.ravel()) == _bits(toy_intent.matrix.ravel())
     assert clone.matrix.flags["C_CONTIGUOUS"]
-    rebuilt = IntentIndex.of_docs(
-        toy_intent.provider_name, toy_intent.dim, toy_intent.repo_snapshot,
-        toy_intent.docs,
-    )
+    rebuilt = _remade(toy_intent)
     assert _bits(rebuilt.matrix.ravel()) == _bits(toy_intent.matrix.ravel())
     assert rebuilt == toy_intent
-    empty = IntentIndex.of_docs("hash-tf-256", 256, "", ())
+    empty = IntentIndex("hash-tf-256", 256, "", (), (), (), (), None)
     assert empty.matrix.shape == (0, 256)
 
 
 def test_the_matrix_is_the_one_vector_store(toy_intent):
-    docs = toy_intent.docs
-    assert not any(isinstance(d._vector, tuple) for d in docs)
-    for row, doc in enumerate(docs):
-        assert _bits(doc.vector) == _bits(toy_intent.matrix[row])
-        assert all(type(x) is float for x in doc.vector)
     # equality sees the vectors: a zero cell made 0.5, or only its sign
     zero = np.flatnonzero(toy_intent.matrix[3] == 0.0)[0]
     for value in (0.5, -0.0):
         matrix = toy_intent.matrix.copy()
         matrix[3, zero] = value
-        other = IntentIndex.of_docs(toy_intent.provider_name, toy_intent.dim,
-                                    toy_intent.repo_snapshot, docs, matrix)
+        other = _remade(toy_intent, matrix)
         assert other != toy_intent
-        assert other.docs == toy_intent.docs
+        assert repr(other) == repr(toy_intent)
     given_vectors = _duplicated(toy_intent, 1)
     assert given_vectors == toy_intent
-    assert given_vectors.docs[3].vector == docs[3].vector
+    assert _bits(given_vectors.matrix[3]) == _bits(toy_intent.matrix[3])
 
 
 # --- differential: the stored-word embed path against tokenizing each text
@@ -606,9 +591,8 @@ def test_loaded_matrix_is_the_tokenized_embedding(toy_payload, texts, dim):
     want = HashEmbeddingProvider(dim).embed_tokens([tokenize(t) for t in texts])
     assert loaded.matrix.tobytes() == want.tobytes()
     reference = refintent.HashEmbeddingProvider(dim)
-    for row, (doc, text) in enumerate(zip(loaded.docs, texts)):
+    for row, text in enumerate(texts):
         assert _bits(loaded.matrix[row]) == _bits(reference.embed(text))
-        assert doc.vector == tuple(want[row].tolist())
     assert HashEmbeddingProvider(dim).embed_many(texts) == [
         tuple(row) for row in want.tolist()
     ]
@@ -622,10 +606,12 @@ def test_build_matches_reference_matrix_and_bytes(seed, tmp_path):
     real = [r for r in index.symbols if not r.is_synthetic]
     texts = [refintent.summarize_artifact(r, refintent.snippet_for(index, r))
              for r in real]
-    reference = IntentIndex.of_docs(
+    vectors = np.array([provider.embed(t) for t in texts], dtype=np.float64)
+    reference = IntentIndex(
         provider.name, provider.dim, index.repo_snapshot,
-        tuple(IntentDoc(r.symbol_id, r.qualified_name, r.kind.value, t,
-                        provider.embed(t)) for r, t in zip(real, texts)),
+        [r.symbol_id for r in real], [r.qualified_name for r in real],
+        [r.kind.value for r in real], texts,
+        vectors.reshape(len(texts), provider.dim),
     )
     assert intent.matrix.tobytes() == reference.matrix.tobytes()
     assert intent == reference
@@ -644,7 +630,7 @@ def test_build_matches_reference_matrix_and_bytes(seed, tmp_path):
 
 
 def _assert_every_k_matches_reference(intent, texts, ks=None, provider=None):
-    n = len(intent.docs)
+    n = len(intent.symbol_ids)
     for text in texts:
         full = refintent.query_code_intent(intent, text, k=n + 3,
                                            provider=provider)
@@ -669,9 +655,9 @@ def _postings_read(intent):
 
 
 def _first(intent, n: int) -> IntentIndex:
-    return IntentIndex.of_docs(intent.provider_name, intent.dim,
-                               intent.repo_snapshot, intent.docs[:n],
-                               intent.matrix[:n])
+    return _remade(intent, intent.matrix[:n], symbol_ids=intent.symbol_ids[:n],
+                   qualified_names=intent.qualified_names[:n],
+                   kinds=intent.kinds[:n], texts=intent.texts[:n])
 
 
 def _unused_bucket_word(intent) -> str:
@@ -685,7 +671,7 @@ def _unused_bucket_word(intent) -> str:
 
 
 def _texts(intent) -> list[str]:
-    words = [d.text.split(" ") for d in intent.docs]
+    words = [text.split(" ") for text in intent.texts]
     return [
         "",
         _unused_bucket_word(intent),
@@ -732,7 +718,7 @@ def test_indexes_of_each_tail_length_match_reference(wide_intent, n, monkeypatch
 
 def test_heavy_ties_in_a_wide_index_match_reference(wide_intent):
     intent = _duplicated(_first(wide_intent, 375), 4)
-    assert len(intent.docs) == 1500
+    assert len(intent.symbol_ids) == 1500
     ks = [*range(1, 41), 374, 375, 376, 749, 750, 751, 1125, 1499, 1500, 1503]
     _assert_every_k_matches_reference(intent, _texts(intent), ks)
 
@@ -766,7 +752,8 @@ def test_signed_stored_vectors_match_reference(signed_intent, wide_intent):
     intent = signed_intent
     norms = np.linalg.norm(intent.matrix, axis=1)
     assert (intent.matrix < 0).any() and not np.allclose(norms[norms > 0], 1.0)
-    ks = [*range(1, 31), 200, 1000, len(intent.docs) - 1, len(intent.docs)]
+    ks = [*range(1, 31), 200, 1000, len(intent.symbol_ids) - 1,
+          len(intent.symbol_ids)]
     _assert_every_k_matches_reference(intent, _texts(wide_intent), ks,
                                       provider=_SignedProvider())
     assert _postings_read(intent)
@@ -792,9 +779,9 @@ def test_postings_only_when_the_matrix_and_the_query_are_sparse(monkeypatch):
         matrix = np.zeros((16, 8))
         matrix.ravel()[rng.choice(128, nonzero, replace=False)] = rng.normal(
             size=nonzero)
-        docs = tuple(IntentDoc(i, f"d{i % 5}", "function", "", tuple(row))
-                     for i, row in enumerate(matrix.tolist()))
-        intent = IntentIndex.of_docs(provider.name, 8, "", docs)
+        intent = IntentIndex(provider.name, 8, "", range(16),
+                             [f"d{i % 5}" for i in range(16)],
+                             ["function"] * 16, [""] * 16, matrix)
         _assert_every_k_matches_reference(intent, [dense_query], provider=provider)
         assert _postings_read(intent) is None
         _assert_every_k_matches_reference(intent, [sparse_query], provider=provider)
@@ -842,9 +829,7 @@ def test_an_index_of_one_product_never_builds_postings(toy_index, monkeypatch):
 
 def test_matrix_is_read_only(toy_index, toy_intent, monkeypatch):
     clone = IntentIndex.from_dict(toy_intent.to_dict(), toy_index.symbols)
-    given = IntentIndex.of_docs(toy_intent.provider_name, toy_intent.dim,
-                                toy_intent.repo_snapshot, toy_intent.docs,
-                                toy_intent.matrix.copy())
+    given = _remade(toy_intent, toy_intent.matrix.copy())
     for intent in (toy_intent, clone, given, _duplicated(toy_intent, 2),
                    build_intent_index(toy_index, _RecordingProvider())):
         with pytest.raises(ValueError):
@@ -853,7 +838,7 @@ def test_matrix_is_read_only(toy_index, toy_intent, monkeypatch):
             intent.matrix[1] *= 2.0
     for doc in clone.docs:
         with pytest.raises(ValueError):
-            doc._vector[doc._row][0] = 0.5
+            doc.vector[0] = 0.5
     # so are the postings that pick the candidate rows
     _postings_at_any_size(monkeypatch, toy_intent)
     for intent in (clone, given):
@@ -887,9 +872,9 @@ def test_a_row_whose_postings_sum_rounds_low_stays_a_candidate(monkeypatch):
     else:
         pytest.skip("no row rounds low in bucket order here")
     matrix[1, 3] = exact
-    docs = tuple(IntentDoc(i, f"n{i}", "function", "", tuple(row))
-                 for i, row in enumerate(matrix.tolist()))
-    intent = IntentIndex.of_docs(provider.name, 64, "", docs)
+    intent = IntentIndex(provider.name, 64, "", range(8),
+                         [f"n{i}" for i in range(8)], ["function"] * 8,
+                         [""] * 8, matrix)
     _postings_at_any_size(monkeypatch, intent)
     text = " ".join(map(repr, query.tolist()))
     assert [h["symbol_id"] for h in query_code_intent(
@@ -905,15 +890,15 @@ def test_a_row_whose_postings_sum_rounds_low_stays_a_candidate(monkeypatch):
 
 def _frozen_top(intent, query, k):
     # the frozen path's top k, as (score, row) pairs
-    n = len(intent.docs)
+    n = len(intent.symbol_ids)
     rows = refintent.candidate_rows(intent.postings, query,
                                     np.flatnonzero(query), n, k)
     rows = np.arange(n) if rows is None else rows
-    docs = intent.docs
+    names, ids = intent.qualified_names, intent.symbol_ids
     return sorted(
         zip(refintent.row_scores(intent.matrix, query, rows).tolist(),
             rows.tolist()),
-        key=lambda c: (-c[0], docs[c[1]].qualified_name, docs[c[1]].symbol_id),
+        key=lambda c: (-c[0], names[c[1]], ids[c[1]]),
     )[:k]
 
 
@@ -948,14 +933,15 @@ def _assert_candidates_match_frozen(intent, texts, provider=None):
                 intent.matrix, query, rows).tobytes()
             got = query_code_intent(intent, text, k=k, provider=provider)
             assert [(h["score"].hex(), h["symbol_id"]) for h in got] == [
-                (score.hex(), intent.docs[row].symbol_id) for score, row in top]
+                (score.hex(), intent.symbol_ids[row]) for score, row in top]
 
 
 def _rare_word(intent) -> str:
     # a word of the docs whose bucket the fewest docs hold
     counts = np.count_nonzero(intent.matrix, axis=0)
     provider = HashEmbeddingProvider(intent.dim)
-    words = sorted({w for d in intent.docs for w in d.text.split(" ") if w.isalpha()})
+    words = sorted({w for text in intent.texts for w in text.split(" ")
+                    if w.isalpha()})
     return min(words, key=lambda w: counts[
         np.flatnonzero(provider.embed_texts([w])[0])[0]])
 
@@ -994,7 +980,7 @@ def test_a_gather_split_over_several_products_matches_the_frozen_path(
 _THREADS_CHILD = """
 import json, random
 import numpy as np
-from cppatlas.intent import (HashEmbeddingProvider, IntentDoc, IntentIndex,
+from cppatlas.intent import (HashEmbeddingProvider, IntentIndex,
                              _candidate_rows, query_code_intent)
 rng = random.Random(2002)
 vocab = ["".join(rng.choice("abcdefghijklmnopqrstuvwxyz")
@@ -1002,9 +988,9 @@ vocab = ["".join(rng.choice("abcdefghijklmnopqrstuvwxyz")
 texts = [" ".join(rng.choice(vocab) for _ in range(rng.randint(4, 40)))
          for _ in range(2002)]
 matrix = HashEmbeddingProvider().embed_texts(texts)
-docs = tuple(IntentDoc(i, f"n{i % 97}::f", "function", t, row)
-             for i, (t, row) in enumerate(zip(texts, matrix)))
-intent = IntentIndex.of_docs("hash-tf-256", 256, "", docs, matrix)
+intent = IntentIndex("hash-tf-256", 256, "", range(2002),
+                     [f"n{i % 97}::f" for i in range(2002)],
+                     ["function"] * 2002, texts, matrix)
 queries = [(texts[i], 2002) for i in [*range(985, 1015), *range(1990, 2002)]]
 queries += [(" ".join(rng.sample(vocab, 3)), k) for k in (1, 10, 2002) * 10]
 answers = [query_code_intent(intent, t, k=k) for t, k in queries]
@@ -1044,21 +1030,14 @@ def test_answers_do_not_depend_on_the_blas_thread_count():
 
 
 def _eager(intent) -> np.ndarray:
-    return HashEmbeddingProvider(intent.dim).embed_texts(
-        [d.text for d in intent.docs])
+    return HashEmbeddingProvider(intent.dim).embed_texts(list(intent.texts))
 
 
-def _assert_deferred_is_eager(intent, doc_first: bool):
+def _assert_deferred_is_eager(intent):
     want = _eager(intent)
-    rows = range(len(intent.docs))
-    if doc_first:  # a doc's vector makes the matrix the index then reads
-        vectors = [_bits(intent.docs[row].vector) for row in rows]
     assert intent.matrix.tobytes() == want.tobytes()
     assert intent.matrix.shape == want.shape
     assert intent.matrix.flags["C_CONTIGUOUS"]
-    if not doc_first:
-        vectors = [_bits(intent.docs[row].vector) for row in rows]
-    assert vectors == [_bits(row) for row in want]
 
 
 def _loaded(index, intent, path):
@@ -1072,12 +1051,11 @@ def test_deferred_matrix_and_vectors_equal_the_eager_embed(
     index = {"toy": toy_index, "motivation": motivation_index}.get(source)
     if index is None:
         index = _repo_index(corpusgen.generate(source).files)
-    for doc_first in (False, True):
-        built = build_intent_index(index)
-        _assert_deferred_is_eager(built, doc_first)
-        loaded = _loaded(index, build_intent_index(index), tmp_path / "i.caidx")
-        _assert_deferred_is_eager(loaded, doc_first)
-        assert loaded == built
+    built = build_intent_index(index)
+    _assert_deferred_is_eager(built)
+    loaded = _loaded(index, build_intent_index(index), tmp_path / "i.caidx")
+    _assert_deferred_is_eager(loaded)
+    assert loaded == built
 
 
 _ODD_TEXTS = [
@@ -1092,13 +1070,12 @@ def test_odd_texts_in_an_index_file_equal_the_eager_embed(toy_payload, tmp_path)
     texts = docs["text"] = _every_doc(_ODD_TEXTS, docs)
     path = tmp_path / "odd.caidx"
     path.write_text(json.dumps(payload), encoding="utf-8")
-    for doc_first in (False, True):
-        loaded = load_index(path).intent
-        assert [d.text for d in loaded.docs] == texts
-        _assert_deferred_is_eager(loaded, doc_first)
+    loaded = load_index(path).intent
+    assert list(loaded.texts) == texts
+    _assert_deferred_is_eager(loaded)
     reference = refintent.HashEmbeddingProvider()
-    for doc, text in zip(loaded.docs, texts):
-        assert _bits(doc.vector) == _bits(reference.embed(text))
+    for row, text in enumerate(texts):
+        assert _bits(loaded.matrix[row]) == _bits(reference.embed(text))
 
 
 @pytest.fixture
@@ -1118,7 +1095,7 @@ def embeds(monkeypatch):
 def test_the_docs_are_embedded_once_by_the_first_query_that_reads_them(
         toy_index, tmp_path, capsys, embeds):
     built = build_intent_index(toy_index)
-    n = len(built.docs)
+    n = len(built.texts)
     assert embeds == []
     path = tmp_path / "toy.caidx"
     persist_index(IndexContainer(toy_index, built), path)
@@ -1134,7 +1111,7 @@ def test_the_docs_are_embedded_once_by_the_first_query_that_reads_them(
     assert embeds == [1, n]  # the query, then the docs
     assert handle_line(ctx, line) == first
     query_code_intent(loaded, "calculator", k=5)
-    _ = [d.vector for d in loaded.docs], loaded == built
+    _ = loaded.matrix, loaded == built
     assert embeds == [1, n, 1, 1, n]  # the built index, compared
     assert json.loads(first)["result"]["hits"] == query_code_intent(
         built, "subtract numbers", k=3)
@@ -1145,11 +1122,9 @@ def test_equality_and_repr_do_not_depend_on_when_the_matrix_is_made(
     built = build_intent_index(toy_index)
     loaded = _loaded(toy_index, build_intent_index(toy_index), tmp_path / "t.caidx")
     clone = IntentIndex.from_dict(built.to_dict(), toy_index.symbols)
-    eager = IntentIndex.of_docs(built.provider_name, built.dim,
-                                built.repo_snapshot, built.docs, _eager(built))
-    stacked = IntentIndex.of_docs(built.provider_name, built.dim,
-                                  built.repo_snapshot, built.docs)
-    indexes = (built, loaded, clone, eager, stacked, toy_intent)
+    eager = _remade(built, _eager(built))
+    unembedded = _remade(built)
+    indexes = (built, loaded, clone, eager, unembedded, toy_intent)
     want = (f"IntentIndex(provider_name={built.provider_name!r}, "
             f"dim={built.dim!r}, repo_snapshot={built.repo_snapshot!r}, "
             f"symbol_ids={built.symbol_ids!r}, "
@@ -1161,9 +1136,7 @@ def test_equality_and_repr_do_not_depend_on_when_the_matrix_is_made(
     for a in indexes:
         assert all(a == b for b in indexes)
         assert hash(a) == hash(built)
-    other = IntentIndex.of_docs(built.provider_name, built.dim,
-                                built.repo_snapshot, built.docs,
-                                np.zeros_like(_eager(built)))
+    other = _remade(built, np.zeros_like(_eager(built)))
     assert all(other != i for i in indexes)
 
 
@@ -1203,24 +1176,35 @@ def test_edited_texts_in_an_index_file_answer_or_fail_typed(
 # --- the docs view: made on its first read, from the columns
 
 
+def _every_tool(index) -> list[tuple[str, dict]]:
+    """One request of each tool, about the first class and the first free
+    function of ``index``."""
+    cls = next(r for r in index.symbols if r.kind in CLASS_KINDS)
+    fn = next(r for r in index.symbols
+              if r.kind is SymbolKind.FREE_FUNCTION and not r.is_synthetic)
+    return [
+        ("FindClass", {"name": cls.qualified_name}),
+        ("GetInheritanceChain", {"name": cls.qualified_name, "direction": "both"}),
+        ("FindFunction", {"name": fn.qualified_name}),
+        ("GetFunctionCalls", {"name": fn.qualified_name,
+                              "signature": fn.signature, "direction": "out"}),
+        ("DefectSubgraph", {"seeds": [fn.symbol_id], "hops": 2}),
+        ("QueryCodeIntent", {"text": "compute value", "k": 5}),
+        ("GrepBaseline", {"pattern": fn.name, "regex": False}),
+    ]
+
+
 class TestDerivedDocs:
     @pytest.fixture
     def counts(self, monkeypatch):
-        """How many ``IntentDoc`` objects were made, and how many times
-        ``SymbolRecord.is_synthetic`` was read."""
-        counts = {"docs": 0, "is_synthetic": 0}
-        doc_init = IntentDoc.__init__
+        """How many times ``SymbolRecord.is_synthetic`` was read."""
+        counts = {"is_synthetic": 0}
         is_synthetic = SymbolRecord.is_synthetic.fget
-
-        def counted_init(self, *args, **kwargs):
-            counts["docs"] += 1
-            doc_init(self, *args, **kwargs)
 
         def counted_read(record):
             counts["is_synthetic"] += 1
             return is_synthetic(record)
 
-        monkeypatch.setattr(IntentDoc, "__init__", counted_init)
         monkeypatch.setattr(SymbolRecord, "is_synthetic", property(counted_read))
         return counts
 
@@ -1240,24 +1224,43 @@ class TestDerivedDocs:
                            "arguments": {"text": "subtract numbers", "k": 3}})
         assert "hits" in json.loads(handle_line(ctx, line))["result"]
         capsys.readouterr()
-        assert counts == {"docs": 0, "is_synthetic": 0}
+        assert counts == {"is_synthetic": 0}
         for intent in (built, container.intent):
             assert "docs" not in vars(intent)
 
     def test_docs_are_made_on_the_first_read_and_only_once(
-            self, toy_index, tmp_path, counts):
+            self, toy_index, tmp_path):
         built = build_intent_index(toy_index)
         loaded = _loaded(toy_index, build_intent_index(toy_index),
                          tmp_path / "toy.caidx")
         for intent in (built, loaded):
-            n, before = len(intent.symbol_ids), counts["docs"]
             repr(intent), intent == built, hash(intent), intent.to_dict()
             query_code_intent(intent, "calculator", k=5)
             assert "docs" not in vars(intent)
             docs = intent.docs
-            assert counts["docs"] == before + n
-            assert intent.docs is docs and len(docs) == n
-            assert counts["docs"] == before + n
+            assert vars(intent)["docs"] is docs
+            assert intent.docs is docs and len(docs) == len(intent.symbol_ids)
+
+    def test_the_view_perfbench_reads_is_the_matrix(self, tmp_path):
+        # perfbench/oracle.py stacks the views' vectors into its own matrix,
+        # and perfbench/worker.py counts the views; no tool reads them
+        index = _repo_index(corpusgen.generate(101).files)
+        built = build_intent_index(index)
+        loaded = _loaded(index, build_intent_index(index), tmp_path / "i.caidx")
+        for intent in (built, loaded):
+            assert "docs" not in vars(intent)
+            ctx = ToolContext(index, intent)
+            for tool, arguments in _every_tool(index):
+                dispatch_tool(ctx, tool, arguments)
+            assert "docs" not in vars(intent)
+            stacked = np.asarray([d.vector for d in intent.docs], dtype=np.float64)
+            assert stacked.shape == intent.matrix.shape
+            assert stacked.tobytes() == intent.matrix.tobytes()
+            assert all(np.shares_memory(d.vector, intent.matrix)
+                       for d in intent.docs)
+            assert [d[:4] for d in intent.docs] == list(zip(
+                intent.symbol_ids, intent.qualified_names, intent.kinds,
+                intent.texts))
 
     @pytest.mark.parametrize("source", ["toy", "motivation", 0, 7, 42, 101])
     def test_the_view_equals_the_eager_docs(self, source, toy_index,
@@ -1287,16 +1290,11 @@ class TestDerivedDocs:
         built = build_intent_index(toy_index)
         loaded = _loaded(toy_index, build_intent_index(toy_index),
                          tmp_path / "toy.caidx")
-        of_built = IntentIndex.of_docs(built.provider_name, built.dim,
-                                       built.repo_snapshot, built.docs)
-        of_loaded = IntentIndex.of_docs(
-            loaded.provider_name, loaded.dim, loaded.repo_snapshot,
-            tuple(IntentDoc(d.symbol_id, d.qualified_name, d.kind, d.text,
-                            d.vector) for d in loaded.docs))
-        indexes = (built, loaded, of_built, of_loaded)
+        unembedded = _remade(built)
+        given = _remade(loaded, np.array(loaded.matrix))
+        indexes = (built, loaded, unembedded, given)
         for a in indexes:
             assert all(a == b for b in indexes)
             assert hash(a) == hash(built)
             assert repr(a) == repr(built)
-            assert a.docs == built.docs
             assert a.to_dict() == built.to_dict()
