@@ -243,22 +243,22 @@ class _Parser:
 
     def add_symbol(
         self, scope: _Scope, kind: SymbolKind, chain: list[str], start_line: int,
-        **fields,
+        signature: str = "", is_definition: bool = True,
+        template_params: str = "", is_virtual: bool = False,
+        has_override: bool = False,
     ) -> int:
-        """Record the symbol that ``chain``, qualified in ``scope``, names;
-        ``fields`` are further ``SymbolRecord`` fields."""
+        """Record the symbol that ``chain``, qualified in ``scope``, names,
+        with the further ``SymbolRecord`` fields given, at a one-line span.
+        The record is made without a call, its fields in their order, so
+        neither the record nor its span runs a check."""
         local_id = len(self.result.symbols)
         doc = self.comment_by_end.get(start_line - 1)
-        record = SymbolRecord(
-            symbol_id=local_id,
-            kind=kind,
-            name=chain[-1],
-            qualified_name=scope.qualify("::".join(chain)),
-            location=Location(self.path, start_line, start_line),
-            doc_comment=doc.text if doc else "",
-            **fields,
-        )
-        self.result.symbols.append(record)
+        self.result.symbols.append(tuple.__new__(SymbolRecord, (
+            local_id, kind, chain[-1], scope.qualify("::".join(chain)),
+            signature, tuple.__new__(Location, (self.path, start_line, start_line)),
+            is_definition, template_params, doc.text if doc else "",
+            is_virtual, has_override,
+        )))
         self.result.contains.append((scope.local_id, local_id))
         return local_id
 
@@ -668,46 +668,52 @@ class _Parser:
 
     def _scan_body(self, caller_local: int) -> int:
         """Scan an already-opened function body, recording call expressions.
-        Returns the line of the closing brace."""
+        Returns the line of the closing brace. A callee is ``id (:: id)*``;
+        the walk keeps its own cursor and sets the parser's when it ends."""
         calls = self.result.pending_calls
-        texts, kinds, lines = self.texts, self.kinds, self.lines
+        texts, kinds, lines, n = self.texts, self.kinds, self.lines, self.n
+        i = self.i
         depth = 1
         prev_text = "{"
-        while self.i < self.n:
-            tx = texts[self.i]
+        while i < n:
+            tx = texts[i]
             # keywords that look like calls before "(" are not callees
-            if kinds[self.i] == "id" and tx not in CPP_KEYWORDS:
-                line = lines[self.i]
-                chain = self.qualified_name()
-                if texts[self.i - 1] == "::":
-                    self.i -= 1  # no identifier follows it
+            if kinds[i] == "id" and tx not in CPP_KEYWORDS:
+                line = lines[i]
+                chain = [tx]
+                i += 1
+                while texts[i] == "::" and kinds[i + 1] == "id":
+                    chain.append(texts[i + 1])
+                    i += 2
                 after_member = prev_text in (".", "->")
-                if self.text() == "(":
+                if texts[i] == "(":
                     callee = chain[-1] if after_member else "::".join(chain)
                     calls.append(
                         PendingCall(caller_local, callee, prev_text == "new", line)
                     )
                 elif (
                     not after_member
-                    and self.kind() == "id"
-                    and self.text(1) in ("(", "{")
-                    and self.text(2) != ")"  # skip empty-arg decls like T x()
+                    and kinds[i] == "id"
+                    and texts[i + 1] in ("(", "{")
+                    and texts[i + 2] != ")"  # skip empty-arg decls like T x()
                 ):
                     # constructor-style declaration: Type var(args)
-                    self.i += 1
+                    i += 1
                     calls.append(
                         PendingCall(caller_local, "::".join(chain), True, line)
                     )
                 prev_text = chain[-1]
                 continue
-            self.i += 1
+            i += 1
             if tx == "{":
                 depth += 1
             elif tx == "}":
                 depth -= 1
                 if depth == 0:
-                    return lines[self.i - 1]
+                    self.i = i
+                    return lines[i - 1]
             prev_text = tx
+        self.i = i
         self.note_error()
         return lines[-1]
 

@@ -24,12 +24,17 @@ reads. Neither ``build_index`` nor ``load_index`` derives any of them;
 both run the closure check, which reads each symbol's synthetic flag from
 its kind and qualified name columns (``synthetic_flags``).
 
-Resolution reads an interim index over the real symbols, for its
-``by_qualified``, and an interim graph over containment and inheritance.
-A call's target depends only on the caller's enclosing scope, the callee
-text and whether the call is constructor-style, so each distinct such key
-is resolved once per build. The ``unresolved:`` sentinels get the largest
-ids.
+Resolution reads the parsed records as columns, made once per build: a
+kind and a definition flag per row, and a lookup by qualified name. It
+walks an interim graph over containment and inheritance. A call's target
+depends only on the caller's enclosing scope, the callee text and whether
+the call is constructor-style, so each distinct such key is resolved once
+per build; so are each scope's enclosing class and namespace and each
+qualified name's candidates, and nothing of one build is kept for the
+next. Edges are gathered as (src, dst) int pairs, one set per kind, and
+made records once, sorted, in ``EdgeKind`` order. The ``unresolved:``
+sentinels get the largest ids. A build whose result fails the closure
+check raises ``CorruptIndex``.
 
 The result is deterministic: identical repositories produce identical
 indices, ids, edge lists and serialized bytes.
@@ -41,12 +46,11 @@ import gc
 import json
 import logging
 import warnings
-from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, compress, count, repeat
-from operator import gt, not_
+from itertools import accumulate, chain, combinations, compress, count, repeat
+from operator import and_, gt, is_, ne, not_
 from pathlib import Path
 
 from .cxx.parser import ParsedUnit, parse_unit
@@ -71,11 +75,10 @@ log = logging.getLogger(__name__)
 FORMAT_MAGIC = "cppatlas-index"
 FORMAT_VERSION = 2
 
-_EDGE_ORDER = {k: i for i, k in enumerate(EdgeKind)}
-
 
 class Graph:
-    """Adjacency of one edge list, built once per index.
+    """Adjacency of one list of edges, each a (kind, src, dst) triple such as
+    a ``StructuralEdge``, built once per index.
 
     For each ``EdgeKind`` it maps a node to its out-neighbours
     (``targets``) and in-neighbours (``sources``), each sorted by id, and
@@ -87,17 +90,17 @@ class Graph:
     def __init__(self, edges=(), call_sites=()):
         self._out: dict[EdgeKind, dict[int, list[int]]] = {k: {} for k in EdgeKind}
         self._in: dict[EdgeKind, dict[int, list[int]]] = {k: {} for k in EdgeKind}
-        for e in edges:
-            self._out[e.kind].setdefault(e.src, []).append(e.dst)
-            self._in[e.kind].setdefault(e.dst, []).append(e.src)
+        for kind, src, dst in edges:
+            self._out[kind].setdefault(src, []).append(dst)
+            self._in[kind].setdefault(dst, []).append(src)
         for table in (*self._out.values(), *self._in.values()):
             for ids in table.values():
                 ids.sort()
         self._by_caller: dict[int, list[int]] = {}
         self._by_callee: dict[int, list[int]] = {}
-        for pos, site in enumerate(call_sites):
-            self._by_caller.setdefault(site.caller, []).append(pos)
-            self._by_callee.setdefault(site.callee, []).append(pos)
+        for pos, (caller, callee, _) in enumerate(call_sites):
+            self._by_caller.setdefault(caller, []).append(pos)
+            self._by_callee.setdefault(callee, []).append(pos)
 
     def targets(self, kind: EdgeKind, node: int) -> list[int]:
         return self._out[kind].get(node, [])
@@ -261,7 +264,21 @@ class StructuralIndex:
 
 
 def build_index(repo: Repository) -> StructuralIndex:
-    """Parse every header/source unit and assemble the resolved graph."""
+    """Parse every header/source unit and assemble the resolved graph,
+    with the cyclic collector paused as on load. Raises ``CorruptIndex``
+    when the result fails its closure check, which runs once the build's
+    own tables are freed."""
+    with _collector_paused():
+        index = _assembled(repo)
+    try:
+        _check_closure(index)
+    except AssertionError as exc:
+        raise CorruptIndex(f"the built index fails its closure check: {exc}") from exc
+    return index
+
+
+def _assembled(repo: Repository) -> StructuralIndex:
+    """The index that ``build_index`` checks: parse, resolve, assemble."""
     parsed: list[ParsedUnit] = []
     for unit in repo.units:  # units are sorted by path
         if unit.kind in ("header", "source"):
@@ -269,129 +286,100 @@ def build_index(repo: Repository) -> StructuralIndex:
 
     # every unit's records in one list, so that a record's id is its row
     offsets = list(accumulate((len(pu.symbols) for pu in parsed), initial=0))
-    columns = list(zip(*chain.from_iterable(pu.symbols for pu in parsed)))
+    columns = _transposed(chain.from_iterable(pu.symbols for pu in parsed),
+                          SymbolRecord)
     symbols = _bulk(SymbolRecord, zip(range(offsets[-1]), *columns[1:]))
+    kinds, names, qualified = columns[1:4]
+    pairs, sites = _resolved(parsed, offsets, columns)
 
-    edges: set[StructuralEdge] = set()
-    for pu, off in zip(parsed, offsets):
-        for parent, child in pu.contains:
-            edges.add(
-                StructuralEdge(EdgeKind.CONTAINS, parent + off, child + off)
-            )
-
-    # resolution looks names up among the real symbols only
-    real = StructuralIndex(symbols=symbols)
-
-    # --- inheritance -------------------------------------------------
-    for pu, off in zip(parsed, offsets):
-        for pending in pu.pending_bases:
-            derived = pending.derived + off
-            base = _resolve_base(real, derived, pending.base_text)
-            if base is not None and base != derived:
-                edges.add(StructuralEdge(EdgeKind.INHERITS_FROM, derived, base))
-            elif base is None:
-                log.debug(
-                    "unresolved base %r of %s",
-                    pending.base_text,
-                    symbols[derived].qualified_name,
-                )
-
-    # containment and inheritance are final here; calls and overrides read them
-    graph = Graph(edges)
-
-    # --- calls -------------------------------------------------------
-    raw_calls: list[tuple[int, str, bool, int, str]] = []
-    for pu, off in zip(parsed, offsets):
-        for call in pu.pending_calls:
-            raw_calls.append(
-                (call.caller + off, call.callee_text, call.ctor_style, call.line, pu.path)
-            )
-    resolved: list[tuple[int, int | str, Location]] = []
-    unresolved_names: set[str] = set()
-    # a call's target depends on nothing of its caller but the scope
-    targets: dict[tuple[tuple[str, ...], str, bool], int | None] = {}
-    for caller, callee_text, ctor_style, line, path in raw_calls:
-        scope = _scope_of(symbols[caller].qualified_name)
-        key = (scope, callee_text, ctor_style)
-        if key not in targets:
-            targets[key] = _resolve_call(real, graph, *key)
-        target = targets[key]
-        loc = Location(path, line, line)
-        if target is None:
-            unresolved_names.add(callee_text)
-            resolved.append((caller, callee_text, loc))
-        else:
-            resolved.append((caller, target, loc))
-
+    # --- sentinels and call sites ------------------------------------
     sentinel_ids: dict[str, int] = {}
-    for name in sorted(unresolved_names):
-        sid = len(symbols)
-        symbols.append(
-            SymbolRecord(
-                symbol_id=sid,
-                kind=SymbolKind.FREE_FUNCTION,
-                name=name,
-                qualified_name=f"{UNRESOLVED_PREFIX}{name}",
-                location=Location("", 0, 0),
-                is_definition=False,
-            )
-        )
-        sentinel_ids[name] = sid
-
-    call_sites: list[CallSite] = []
-    for caller, target, loc in resolved:
-        callee = target if isinstance(target, int) else sentinel_ids[target]
-        call_sites.append(CallSite(caller, callee, loc))
-        edges.add(StructuralEdge(EdgeKind.CALLS, caller, callee))
+    for name in sorted({target for *_, target in sites if type(target) is str}):
+        sentinel_ids[name] = len(symbols)
+        symbols.append(SymbolRecord(len(symbols), SymbolKind.FREE_FUNCTION, name,
+                                    UNRESOLVED_PREFIX + name, is_definition=False))
+    sites = [(path, line, caller, sentinel_ids.get(target, target))
+             for path, line, caller, target in sites]
+    sites.sort()
+    pairs[EdgeKind.CALLS] = {(caller, callee) for _, _, caller, callee in sites}
+    # a point span cannot end before it starts, so no Location check is due
+    call_sites = _bulk(CallSite, (
+        (caller, callee, tuple.__new__(Location, (path, line, line)))
+        for path, line, caller, callee in sites))
 
     # --- overloads ---------------------------------------------------
-    groups: dict[tuple[str, str], list[int]] = defaultdict(list)
-    synthetic = synthetic_flags([r.kind for r in symbols],
-                                [r.qualified_name for r in symbols])
-    for rec in compress(symbols, map(not_, synthetic)):
-        if rec.kind in FUNCTION_KINDS:
-            scope_prefix = rec.qualified_name[: -len(rec.name)].rstrip(":")
-            groups[(scope_prefix, rec.name)].append(rec.symbol_id)
-    for ids in groups.values():
-        if len(ids) < 2:
-            continue
-        ids.sort()
-        for a in range(len(ids)):
-            for b in range(a + 1, len(ids)):
-                edges.add(StructuralEdge(EdgeKind.OVERLOAD_OF, ids[a], ids[b]))
+    groups: dict[tuple[str, str], list[int]] = {}
+    functions = map(FUNCTION_KINDS.__contains__, kinds)
+    real = map(not_, synthetic_flags(kinds, qualified))
+    for i in compress(count(), map(and_, functions, real)):
+        name = names[i]
+        scope_prefix = qualified[i][: -len(name)].rstrip(":")
+        groups.setdefault((scope_prefix, name), []).append(i)
+    pairs[EdgeKind.OVERLOAD_OF] = set(
+        chain.from_iterable(combinations(ids, 2) for ids in groups.values()))
 
-    # --- overrides ---------------------------------------------------
-    for rec in symbols:
-        if rec.kind not in CLASS_KINDS or not rec.is_definition:
-            continue
-        members = [
-            symbols[c]
-            for c in graph.targets(EdgeKind.CONTAINS, rec.symbol_id)
-            if symbols[c].kind
-            in (SymbolKind.MEMBER_FUNCTION, SymbolKind.TEMPLATE_FUNCTION)
-        ]
-        for member in members:
-            for target in _find_override_targets(
-                real, graph, rec.symbol_id, member
-            ):
-                edges.add(
-                    StructuralEdge(EdgeKind.OVERRIDES, member.symbol_id, target)
-                )
-
-    call_sites.sort(
-        key=lambda c: (c.location.file, c.location.start_line, c.caller, c.callee)
-    )
-    index = StructuralIndex(
+    # each kind's pairs in order, the kinds in EdgeKind's order; a kind's
+    # pairs are let go once its edges are made
+    edges = chain.from_iterable(
+        ((kind, *pair) for pair in sorted(pairs.pop(kind))) for kind in EdgeKind)
+    return StructuralIndex(
         symbols=symbols,
-        edges=sorted(edges, key=lambda e: (_EDGE_ORDER[e.kind], e.src, e.dst)),
+        edges=_bulk(StructuralEdge, edges),
         call_sites=call_sites,
         sources={u.path: u.content for u in repo.units},
         includes={pu.path: pu.includes for pu in parsed},
         repo_snapshot=repo.snapshot_id,
         parse_error_count=sum(pu.error_count for pu in parsed),
     )
-    _check_closure(index)
-    return index
+
+
+def _resolved(parsed: list[ParsedUnit], offsets: list[int], columns
+              ) -> tuple[dict[EdgeKind, set[tuple[int, int]]], list[tuple]]:
+    """The (src, dst) pairs of each edge kind but calls, and the call
+    sites as (file, line, caller, callee) rows, whose callee is an id or,
+    for a call that names no symbol, the callee text. The tables that
+    resolution reads go when it returns, before the index is made."""
+    pairs: dict[EdgeKind, set[tuple[int, int]]] = {
+        k: set() for k in (EdgeKind.CONTAINS, EdgeKind.INHERITS_FROM)}
+    for pu, off in zip(parsed, offsets):
+        pairs[EdgeKind.CONTAINS].update(
+            (parent + off, child + off) for parent, child in pu.contains)
+
+    # --- inheritance -------------------------------------------------
+    resolver = _Resolver(columns)
+    for pu, off in zip(parsed, offsets):
+        for pending in pu.pending_bases:
+            derived = pending.derived + off
+            base = resolver.base(derived, pending.base_text)
+            if base is not None and base != derived:
+                pairs[EdgeKind.INHERITS_FROM].add((derived, base))
+            elif base is None:
+                log.debug("unresolved base %r of %s", pending.base_text,
+                          resolver.qualified[derived])
+
+    # containment and inheritance are final here; calls and overrides read them
+    resolver.graph = Graph(
+        (kind, src, dst) for kind, kind_pairs in pairs.items()
+        for src, dst in kind_pairs)
+
+    # --- calls -------------------------------------------------------
+    sites: list[tuple[str, int, int, int | str]] = []
+    # a call's target depends on nothing of its caller but the scope
+    targets: dict[tuple[tuple[str, ...], str, bool], int | None] = {}
+    for pu, off in zip(parsed, offsets):
+        for call in pu.pending_calls:
+            caller, callee_text = call.caller + off, call.callee_text
+            key = (_scope_of(resolver.qualified[caller]), callee_text,
+                   call.ctor_style)
+            if key not in targets:
+                targets[key] = resolver.call(*key)
+            target = targets[key]
+            sites.append((pu.path, call.line, caller,
+                          callee_text if target is None else target))
+
+    # --- overrides ---------------------------------------------------
+    pairs[EdgeKind.OVERRIDES] = set(resolver.overrides())
+    return pairs, sites
 
 
 def _scope_of(qualified_name: str) -> tuple[str, ...]:
@@ -404,168 +392,165 @@ def _scope_prefixes(scope: tuple[str, ...]) -> list[str]:
     return ["::".join(scope[:k]) for k in range(len(scope), -1, -1)]
 
 
-def _resolve_base(
-    index: StructuralIndex, derived: int, base_text: str
-) -> int | None:
-    """Resolve a base specifier to a class definition id, or None."""
-    derived_rec = index.symbols[derived]
-    for prefix in _scope_prefixes(_scope_of(derived_rec.qualified_name)):
-        qualified = f"{prefix}::{base_text}" if prefix else base_text
-        candidates = [
-            i
-            for i in index.by_qualified.get(qualified, [])
-            if index.symbols[i].kind in CLASS_KINDS
-            and index.symbols[i].is_definition
-        ]
-        if candidates:
-            return candidates[0]
-    return None
+_METHOD_KINDS = (SymbolKind.MEMBER_FUNCTION, SymbolKind.TEMPLATE_FUNCTION)
 
 
-def _pick_candidate(
-    index: StructuralIndex,
-    graph: Graph,
-    ids: list[int],
-    ctor_style: bool,
-) -> int | None:
-    """Apply the kind preference shared by all resolution steps."""
+class _Resolver:
+    """Name resolution over the parsed rows of one build, read from their
+    columns (``SymbolRecord`` fields in order, ids as rows). A qualified
+    name's candidates and the prefixes a scope's bare callees are looked up
+    in are each worked out once, and kept by this resolver alone. ``graph``,
+    over containment and inheritance, is set before calls are resolved."""
 
-    def best(pool: list[int]) -> int | None:
-        if not pool:
-            return None
-        return min(
-            pool, key=lambda i: (not index.symbols[i].is_definition, i)
-        )
+    graph: Graph
 
-    funcs = [i for i in ids if index.symbols[i].kind in FUNCTION_KINDS]
-    classes = [i for i in ids if index.symbols[i].kind in CLASS_KINDS]
+    def __init__(self, columns):
+        (_, self.kinds, self.names, qualified, self.signatures, _,
+         self.defined, _, _, self.virtual, self.override) = columns
+        self.by_qualified: dict[str, list[int]] = {}
+        for i, name in enumerate(qualified):
+            self.by_qualified.setdefault(name, []).append(i)
+        self.qualified = qualified
+        # qualified name -> (function, constructor or class) it would call
+        self._candidates: dict[str, tuple[int | None, int | None]] = {}
+        # scope -> prefixes a bare callee in it is looked up under
+        self._bare: dict[tuple[str, ...], list[str]] = {}
 
-    def ctor_of(class_id: int) -> int:
-        ctors = [
-            c
-            for c in graph.targets(EdgeKind.CONTAINS, class_id)
-            if index.symbols[c].kind is SymbolKind.CONSTRUCTOR
-        ]
-        return min(ctors) if ctors else class_id
+    def base(self, derived: int, base_text: str) -> int | None:
+        """A base specifier's class definition: the first under the
+        derived class's innermost scope prefix that has one."""
+        kinds, defined = self.kinds, self.defined
+        for prefix in _scope_prefixes(_scope_of(self.qualified[derived])):
+            qualified = f"{prefix}::{base_text}" if prefix else base_text
+            for i in self.by_qualified.get(qualified, ()):
+                if kinds[i] in CLASS_KINDS and defined[i]:
+                    return i
+        return None
 
-    if ctor_style:
-        chosen = best(classes)
-        if chosen is not None:
-            return ctor_of(chosen)
-        return best(funcs)
-    chosen = best(funcs)
-    if chosen is not None:
-        return chosen
-    chosen = best(classes)
-    if chosen is not None:
-        return ctor_of(chosen)
-    return None
-
-
-def _resolve_call(
-    index: StructuralIndex,
-    graph: Graph,
-    scope: tuple[str, ...],
-    callee_text: str,
-    ctor_style: bool,
-) -> int | None:
-    """Three-step lookup for bare callees: member of the enclosing
-    class, then the innermost enclosing namespace, then global scope.
-    Enclosure is the caller's ``scope`` (from its qualified name), so an
-    out-of-line member definition still sees its class. Qualified callees
-    walk the scope's prefixes outward instead."""
-    if "::" in callee_text:
-        for prefix in _scope_prefixes(scope):
+    def call(self, scope: tuple[str, ...], callee_text: str,
+             ctor_style: bool) -> int | None:
+        """Three-step lookup for bare callees: member of the enclosing
+        class, then the innermost enclosing namespace, then global scope.
+        Enclosure is the caller's ``scope`` (from its qualified name), so an
+        out-of-line member definition still sees its class. Qualified
+        callees walk the scope's prefixes outward instead. Under each
+        prefix, plain calls prefer a function and constructor-style calls a
+        class, which lands on its constructor."""
+        if "::" in callee_text:
+            prefixes = _scope_prefixes(scope)
+        else:
+            prefixes = self._bare.get(scope)
+            if prefixes is None:
+                prefixes = self._bare[scope] = self._enclosing(scope)
+        for prefix in prefixes:
             qualified = f"{prefix}::{callee_text}" if prefix else callee_text
-            found = _pick_candidate(
-                index, graph, index.by_qualified.get(qualified, []), ctor_style
-            )
+            function, ctor = self._candidates.get(qualified) or self._pick(qualified)
+            found = (ctor if ctor is not None else function) if ctor_style else (
+                function if function is not None else ctor)
             if found is not None:
                 return found
         return None
 
-    def innermost(kinds) -> str | None:
+    def _enclosing(self, scope: tuple[str, ...]) -> list[str]:
+        """The innermost prefix of ``scope`` naming a class, then the
+        innermost naming a namespace (when another), then ''."""
+        kinds, by_qualified = self.kinds, self.by_qualified
+        cls = ns = None
         for k in range(len(scope), 0, -1):
             prefix = "::".join(scope[:k])
-            if any(
-                index.symbols[i].kind in kinds
-                for i in index.by_qualified.get(prefix, [])
-            ):
-                return prefix
-        return None
+            ids = by_qualified.get(prefix, ())
+            if cls is None and any(kinds[i] in CLASS_KINDS for i in ids):
+                cls = prefix
+            if ns is None and any(kinds[i] is SymbolKind.NAMESPACE for i in ids):
+                ns = prefix
+        prefixes = [] if cls is None else [cls]
+        if ns is not None and ns not in prefixes:
+            prefixes.append(ns)
+        prefixes.append("")
+        return prefixes
 
-    scopes: list[str] = []
-    cls = innermost(CLASS_KINDS)
-    if cls is not None:
-        scopes.append(cls)
-    ns = innermost((SymbolKind.NAMESPACE,))
-    if ns is not None and ns not in scopes:
-        scopes.append(ns)
-    scopes.append("")
-    for prefix in scopes:
-        qualified = f"{prefix}::{callee_text}" if prefix else callee_text
-        found = _pick_candidate(
-            index, graph, index.by_qualified.get(qualified, []), ctor_style
-        )
-        if found is not None:
-            return found
-    return None
+    def _pick(self, qualified: str) -> tuple[int | None, int | None]:
+        """The function and the class named ``qualified`` that a call
+        would reach, each the first definition among them or else the
+        first; the class as its first constructor, if it has one."""
+        kinds, defined = self.kinds, self.defined
+        function = cls = None
+        for i in self.by_qualified.get(qualified, ()):
+            if kinds[i] in FUNCTION_KINDS:
+                if function is None or defined[i] and not defined[function]:
+                    function = i
+            elif kinds[i] in CLASS_KINDS:
+                if cls is None or defined[i] and not defined[cls]:
+                    cls = i
+        if cls is not None:
+            cls = next((c for c in self.graph.targets(EdgeKind.CONTAINS, cls)
+                        if kinds[c] is SymbolKind.CONSTRUCTOR), cls)
+        self._candidates[qualified] = (function, cls)
+        return function, cls
 
+    def overrides(self):
+        """The (member, target) pairs of ``overrides`` edges: each member
+        function of a class definition, to every matching member at the
+        nearest level of its class's ancestors that has one."""
+        kinds, targets = self.kinds, self.graph.targets
+        for cls in range(len(kinds)):
+            if kinds[cls] not in CLASS_KINDS or not self.defined[cls]:
+                continue
+            for member in targets(EdgeKind.CONTAINS, cls):
+                if kinds[member] in _METHOD_KINDS:
+                    for target in self._override_targets(cls, member):
+                        yield member, target
 
-def _find_override_targets(
-    index: StructuralIndex,
-    graph: Graph,
-    class_id: int,
-    member: SymbolRecord,
-) -> list[int]:
-    """Nearest-level search over the ancestor lattice for a matching
-    virtual member; all matches at the first matching depth are returned."""
-    frontier = list(graph.targets(EdgeKind.INHERITS_FROM, class_id))
-    visited = set(frontier)
-    while frontier:
-        matches: list[int] = []
-        for base in frontier:
-            for child_id in graph.targets(EdgeKind.CONTAINS, base):
-                candidate = index.symbols[child_id]
-                if candidate.kind not in (
-                    SymbolKind.MEMBER_FUNCTION,
-                    SymbolKind.TEMPLATE_FUNCTION,
-                ):
-                    continue
-                if candidate.name != member.name:
-                    continue
-                if candidate.signature != member.signature:
-                    continue
-                if candidate.is_virtual or member.has_override:
-                    matches.append(child_id)
-        if matches:
-            return sorted(matches)
-        nxt: list[int] = []
-        for base in frontier:
-            for up in graph.targets(EdgeKind.INHERITS_FROM, base):
-                if up not in visited:
-                    visited.add(up)
-                    nxt.append(up)
-        frontier = sorted(nxt)
-    return []
+    def _override_targets(self, class_id: int, member: int) -> list[int]:
+        """Nearest-level search over the ancestor lattice for a matching
+        virtual member; all matches at the first matching depth are
+        returned."""
+        kinds, names, signatures = self.kinds, self.names, self.signatures
+        targets = self.graph.targets
+        name, signature = names[member], signatures[member]
+        marked = self.override[member]
+        frontier = list(targets(EdgeKind.INHERITS_FROM, class_id))
+        visited = set(frontier)
+        while frontier:
+            matches = [
+                c for base in frontier for c in targets(EdgeKind.CONTAINS, base)
+                if kinds[c] in _METHOD_KINDS and names[c] == name
+                and signatures[c] == signature and (self.virtual[c] or marked)
+            ]
+            if matches:
+                return sorted(matches)
+            nxt: list[int] = []
+            for base in frontier:
+                for up in targets(EdgeKind.INHERITS_FROM, base):
+                    if up not in visited:
+                        visited.add(up)
+                        nxt.append(up)
+            frontier = sorted(nxt)
+        return []
 
 
 def _check_closure(index: StructuralIndex):
-    """Check a built index: dense ids, then ``_check_columns`` over its
-    records, edge list and call sites."""
-    symbols, edges, sites = index.symbols, index.edges, index.call_sites
-    if any(rec.symbol_id != i for i, rec in enumerate(symbols)):
+    """Check a built index: dense ids, then ``_check_columns`` over the
+    columns of its records, edge list and call sites."""
+    ids, kinds, names, qualified, *_ = _transposed(index.symbols, SymbolRecord)
+    if any(map(ne, ids, count())):
         raise AssertionError("symbol ids are not dense")
-    contains = [e for e in edges if e.kind is EdgeKind.CONTAINS]
-    qualified = [rec.qualified_name for rec in symbols]
+    edge_kinds, src, dst = _transposed(index.edges, StructuralEdge)
+    contains = list(map(is_, edge_kinds, repeat(EdgeKind.CONTAINS)))
+    callers, callees, _ = _transposed(index.call_sites, CallSite)
     _check_columns(
-        [rec.name for rec in symbols],
+        names,
         qualified,
-        synthetic_flags([rec.kind for rec in symbols], qualified),
-        ([e.src for e in contains], [e.dst for e in contains]),
-        [[e.src for e in edges], [e.dst for e in edges]],
-        [[c.caller for c in sites], [c.callee for c in sites]],
+        synthetic_flags(kinds, qualified),
+        (list(compress(src, contains)), list(compress(dst, contains))),
+        [src, dst],
+        [callers, callees],
     )
+
+
+def _transposed(rows, cls) -> list[tuple]:
+    """The columns of ``rows`` of the named tuple ``cls``."""
+    return list(zip(*rows)) or [()] * len(cls._fields)
 
 
 def real_columns(synthetic, qualified_names, kind_values
@@ -681,7 +666,7 @@ def _decode(codes: list[int], table: list, what: str) -> list:
 
 def _columns(cls, rows) -> dict:
     """``rows`` of the named tuple ``cls``, field by field."""
-    return dict(zip(cls._fields, zip(*rows) if rows else repeat(())))
+    return dict(zip(cls._fields, _transposed(rows, cls)))
 
 
 def _structural_to_dict(index: StructuralIndex) -> dict:
@@ -801,9 +786,10 @@ def persist_index(
 
 @contextmanager
 def _collector_paused():
-    """Loading allocates millions of objects and frees no cycles, so the
-    cyclic collector would only re-scan the payload as it grows (about a
-    fifth of a large load); it is switched back on afterwards."""
+    """Loading and building allocate millions of objects and free no
+    cycles, so the cyclic collector would only re-scan them as they grow
+    (about a fifth of a large load, and a third of a distinct-scale build
+    after parsing); it is switched back on afterwards."""
     was_enabled = gc.isenabled()
     gc.disable()
     try:

@@ -10,8 +10,8 @@ resolver could not find.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import repeat
-from operator import is_, or_
+from itertools import compress, count, repeat
+from operator import is_
 from typing import NamedTuple
 
 
@@ -123,9 +123,14 @@ def is_sentinel_name(qualified_name: str) -> bool:
 
 def synthetic_flags(kinds, qualified_names) -> list[bool]:
     """``SymbolRecord.is_synthetic`` of each row, read from its ``kinds``
-    and ``qualified_names`` columns, with no record."""
-    return list(map(or_, map(is_, kinds, repeat(SymbolKind.FILE)),
-                    map(is_sentinel_name, qualified_names)))
+    and ``qualified_names`` columns (a sequence), with no record. Only the
+    names that start with the prefix are read again by
+    ``is_sentinel_name``."""
+    flags = list(map(is_, kinds, repeat(SymbolKind.FILE)))
+    prefixed = map(str.startswith, qualified_names, repeat(UNRESOLVED_PREFIX))
+    for row in compress(count(), prefixed):
+        flags[row] |= is_sentinel_name(qualified_names[row])
+    return flags
 
 
 class StructuralEdge(NamedTuple):

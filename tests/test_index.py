@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cppatlas.cli import main
+from cppatlas.cxx.parser import parse_unit
 from cppatlas.errors import (
     CorruptIndex,
     EngineError,
@@ -189,6 +190,64 @@ def test_build_matches_the_frozen_build_on_seeds_side_by_side(tmp_path):
     )
 
 
+def test_build_matches_the_frozen_build_on_an_overload_clique(tmp_path):
+    # 120 overloads of one name make 120 * 119 / 2 overload_of edges, and
+    # the same name in two more scopes makes groups of its own
+    clique = "".join(f"void run(T{k} v);\n" for k in range(120))
+    text = (
+        f"namespace big {{\n{clique}}}\n"
+        "namespace other { void run(); void run(int n); }\n"
+        "struct Box { void run(); void run(int n) const; };\n"
+        "void use() { big::run(1); other::run(2); run(3); }\n"
+    )
+    repo = Repository("clique", (SourceUnit.make("clique.h", text),))
+    index = _assert_same_build(repo, tmp_path)
+    scopes = [index.symbols[e.src].qualified_name.rpartition("::")[0]
+              for e in index.edges if e.kind is EdgeKind.OVERLOAD_OF]
+    assert {s: scopes.count(s) for s in set(scopes)} == {
+        "big": 7140, "other": 1, "Box": 1}
+
+
+def test_each_build_resolves_afresh(tmp_path):
+    # the same scope and callee text name a function in one repository and
+    # a class in the other, so a target kept from an earlier build would
+    # call the wrong symbol
+    calls = "namespace app {{ {} void f() {{ helper(); helper h(1); }} }}\n"
+    repos = [
+        Repository(name, tuple(sorted(
+            [SourceUnit.make("app.cpp", calls.format(decl)),
+             *(SourceUnit.make(p, t)
+               for p, t in corpusgen.generate(seed).files.items())],
+            key=lambda u: u.path,
+        )))
+        for name, decl, seed in [
+            ("a", "void helper(); void helper(int);", 3),
+            ("b", "struct helper { helper(int v); };", 4),
+        ]
+    ]
+    for repo in (*repos, repos[0]):
+        _assert_same_build(repo, tmp_path)
+
+
+def test_a_build_that_fails_its_closure_check_is_a_corrupt_index(
+    toyrepo_root, tmp_path, monkeypatch, capsys
+):
+    def orphaning(unit):
+        parsed = parse_unit(unit)
+        parsed.contains.pop()  # the unit's last record keeps no parent
+        return parsed
+
+    monkeypatch.setattr("cppatlas.index.parse_unit", orphaning)
+    with pytest.raises(CorruptIndex, match="lacks a containment parent"):
+        build_index(load_repository(toyrepo_root))
+    out = tmp_path / "atlas.caidx"
+    code = main(["index", "--root", str(toyrepo_root), "--out", str(out)])
+    stdout, stderr = capsys.readouterr()
+    assert (code, stdout) == (2, "")
+    assert json.loads(stderr)["error_kind"] == "CorruptIndex"
+    assert not out.exists()
+
+
 class TestToyRepoGraph:
     def test_known_symbols_present(self, toy_index):
         q = toy_index.by_qualified
@@ -259,6 +318,18 @@ def test_a_sentinel_name_is_the_prefix_and_no_second_colon(name, sentinel):
     record = SymbolRecord(0, SymbolKind.FREE_FUNCTION, "x", name)
     assert record.is_synthetic is sentinel
     assert synthetic_flags([record.kind], [name]) == [sentinel]
+
+
+def test_synthetic_flags_are_the_record_rule():
+    records = [
+        SymbolRecord(0, SymbolKind.FREE_FUNCTION, "x", name)
+        for name in ("unresolved:", "unresolved::Foo", "unresolved:ns::gone",
+                     "unresolved:a:b")
+    ] + [SymbolRecord(4, SymbolKind.FILE, "src/a.h", "src/a.h")]
+    flags = synthetic_flags([r.kind for r in records],
+                            [r.qualified_name for r in records])
+    assert flags == [r.is_synthetic for r in records]
+    assert flags == [True, False, True, True, True]
 
 
 def test_a_namespace_named_unresolved_indexes_and_answers(tmp_path):
