@@ -33,7 +33,10 @@ Four reading rules hold for every unit:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..model import Location, SymbolKind, SymbolRecord
 from ..repo import SourceUnit
@@ -61,9 +64,9 @@ _DECLARATOR_MARKS = frozenset(("*", "&", "&&", "const", "volatile"))
 _DECLARATOR_ENDS = frozenset(("(", "[", "{", ")", "]", "}", ",", ";", "="))
 
 
-@dataclass(frozen=True)
-class PendingCall:
-    """Call expression awaiting cross-unit resolution."""
+class PendingCall(NamedTuple):
+    """Call expression awaiting cross-unit resolution; the parser makes
+    it with ``tuple.__new__``, its fields in order."""
 
     caller: int  # unit-local symbol id
     callee_text: str  # possibly qualified, e.g. "util::run"
@@ -71,8 +74,7 @@ class PendingCall:
     line: int
 
 
-@dataclass(frozen=True)
-class PendingBase:
+class PendingBase(NamedTuple):
     """Base-class specifier awaiting cross-unit resolution."""
 
     derived: int  # unit-local symbol id
@@ -103,10 +105,27 @@ class _Scope:
         return f"{self.prefix}::{name}" if self.prefix else name
 
 
+# the normalized signature of each parameter list, by its (texts, kinds)
+# columns, while a ``signature_memo`` is open; None outside one
+_SIGNATURES: ContextVar[dict | None] = ContextVar("signatures", default=None)
+
+
+@contextmanager
+def signature_memo():
+    """Normalize each distinct parameter list once in the ``parse_unit``
+    calls made inside the block, in this thread; the memo goes when the
+    block ends. A replicated tree repeats most of its parameter lists."""
+    token = _SIGNATURES.set({})
+    try:
+        yield
+    finally:
+        _SIGNATURES.reset(token)
+
+
 def parse_unit(unit: SourceUnit) -> ParsedUnit:
     """Parse one header or source unit into symbols, containment edges and
-    pending references. Pure: no global state, identical output for
-    identical input."""
+    pending references. Pure: identical output for identical input, inside
+    a ``signature_memo`` or not."""
     if unit.kind not in ("header", "source"):
         raise ValueError(f"cannot parse unit of kind {unit.kind!r}")
     text = unit.content
@@ -147,6 +166,7 @@ class _Parser:
         self.i = 0
         self.depth = 0  # bounded scopes open around the cursor
         self.comment_by_end = {c.end_line: c for c in comments}
+        self.signatures = _SIGNATURES.get()
 
     # ------------------------------------------------------------------
     # token helpers
@@ -446,7 +466,7 @@ class _Parser:
         if not is_definition:
             return
         for base in bases:
-            self.result.pending_bases.append(PendingBase(local, base))
+            self.result.pending_bases.append(tuple.__new__(PendingBase, (local, base)))
         inner = _Scope(
             local_id=local,
             prefix=scope.qualify("::".join(names)),
@@ -615,7 +635,14 @@ class _Parser:
         end = self.group()
         if end == self.i:  # not closed
             self.note_error()
-        signature = normalize_signature(self.texts[start:end], self.kinds[start:end])
+        texts, kinds = self.texts[start:end], self.kinds[start:end]
+        if self.signatures is None:
+            signature = normalize_signature(texts, kinds)
+        else:
+            key = (tuple(texts), tuple(kinds))
+            signature = self.signatures.get(key)
+            if signature is None:
+                signature = self.signatures[key] = normalize_signature(texts, kinds)
 
         has_override = False
         is_definition = False
@@ -688,9 +715,8 @@ class _Parser:
                 after_member = prev_text in (".", "->")
                 if texts[i] == "(":
                     callee = chain[-1] if after_member else "::".join(chain)
-                    calls.append(
-                        PendingCall(caller_local, callee, prev_text == "new", line)
-                    )
+                    calls.append(tuple.__new__(
+                        PendingCall, (caller_local, callee, prev_text == "new", line)))
                 elif (
                     not after_member
                     and kinds[i] == "id"
@@ -699,9 +725,8 @@ class _Parser:
                 ):
                     # constructor-style declaration: Type var(args)
                     i += 1
-                    calls.append(
-                        PendingCall(caller_local, "::".join(chain), True, line)
-                    )
+                    calls.append(tuple.__new__(
+                        PendingCall, (caller_local, "::".join(chain), True, line)))
                 prev_text = chain[-1]
                 continue
             i += 1

@@ -20,21 +20,24 @@ holds. Every table derived from them is made on its first read and kept
 (a ``functools.cached_property``): the ``graph`` that queries walk rather
 than scanning edges, the lookups ``by_name``, ``by_qualified`` and
 ``by_suffix``, and the trigram filter that ``queries.grep_baseline``
-reads. Neither ``build_index`` nor ``load_index`` derives any of them;
+reads. The graph and the lookups are made with the cyclic collector
+paused. Neither ``build_index`` nor ``load_index`` derives any of them;
 both run the closure check, which reads each symbol's synthetic flag from
 its kind and qualified name columns (``synthetic_flags``).
 
-Resolution reads the parsed records as columns, made once per build: a
-kind and a definition flag per row, and a lookup by qualified name. It
-walks an interim graph over containment and inheritance. A call's target
-depends only on the caller's enclosing scope, the callee text and whether
-the call is constructor-style, so each distinct such key is resolved once
-per build; so are each scope's enclosing class and namespace and each
-qualified name's candidates, and nothing of one build is kept for the
-next. Edges are gathered as (src, dst) int pairs, one set per kind, and
-made records once, sorted, in ``EdgeKind`` order. The ``unresolved:``
-sentinels get the largest ids. A build whose result fails the closure
-check raises ``CorruptIndex``.
+The build parses inside a ``signature_memo``, so each distinct parameter
+list of the tree is normalized once. Resolution reads the parsed records
+as columns, made once per build: a kind and a definition flag per row,
+and a lookup by qualified name. It walks an interim graph over
+containment and inheritance. A call's target depends only on the
+caller's enclosing scope, the callee text and whether the call is
+constructor-style, so each distinct such key is resolved once per build;
+so are each scope's enclosing class and namespace and each qualified
+name's candidates, and nothing of one build is kept for the next. Edges
+are gathered as (src, dst) int pairs, one set per kind, and made records
+once, sorted, in ``EdgeKind`` order. The ``unresolved:`` sentinels get
+the largest ids. A build whose result fails the closure check raises
+``CorruptIndex``.
 
 The result is deterministic: identical repositories produce identical
 indices, ids, edge lists and serialized bytes.
@@ -53,7 +56,7 @@ from itertools import accumulate, chain, combinations, compress, count, repeat
 from operator import and_, gt, is_, ne, not_
 from pathlib import Path
 
-from .cxx.parser import ParsedUnit, parse_unit
+from .cxx.parser import ParsedUnit, parse_unit, signature_memo
 from .errors import CorruptIndex, VersionMismatch
 from .errors import StaleIndexWarning
 from .model import (
@@ -153,6 +156,22 @@ def _bucket(code):
     return ((code * 0x9E3779B1) & 0xFFFFFFFF) >> (32 - _BUCKET_BITS)
 
 
+@contextmanager
+def _collector_paused():
+    """Loading, building and deriving an index's lookup tables allocate
+    many objects and free no cycles, so the cyclic collector would only
+    re-scan them as they grow (about a fifth of a large load, and a third
+    of a distinct-scale build after parsing); it is switched back on
+    afterwards. Also a decorator."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def _ids_by(symbols, attr: str) -> dict[str, list[int]]:
     """The ids of ``symbols``, in order, by the value of one attribute."""
     table: dict[str, list[int]] = {}
@@ -191,18 +210,22 @@ class StructuralIndex:
             (path, tuple(names)) for path, names in self.includes.items()))
 
     @cached_property
+    @_collector_paused()
     def graph(self) -> Graph:
         return Graph(self.edges, self.call_sites)
 
     @cached_property
+    @_collector_paused()
     def by_name(self) -> dict[str, list[int]]:
         return _ids_by(self.symbols, "name")
 
     @cached_property
+    @_collector_paused()
     def by_qualified(self) -> dict[str, list[int]]:
         return _ids_by(self.symbols, "qualified_name")
 
     @cached_property
+    @_collector_paused()
     def by_suffix(self) -> dict[str, list[int]]:
         """Ids by every trailing scope path of two or more segments: "b::c"
         holds the ids of "a::b::c" and "x::b::c"."""
@@ -280,9 +303,10 @@ def build_index(repo: Repository) -> StructuralIndex:
 def _assembled(repo: Repository) -> StructuralIndex:
     """The index that ``build_index`` checks: parse, resolve, assemble."""
     parsed: list[ParsedUnit] = []
-    for unit in repo.units:  # units are sorted by path
-        if unit.kind in ("header", "source"):
-            parsed.append(parse_unit(unit))
+    with signature_memo():
+        for unit in repo.units:  # units are sorted by path
+            if unit.kind in ("header", "source"):
+                parsed.append(parse_unit(unit))
 
     # every unit's records in one list, so that a record's id is its row
     offsets = list(accumulate((len(pu.symbols) for pu in parsed), initial=0))
@@ -782,21 +806,6 @@ def persist_index(
     }
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     Path(path).write_text(text + "\n", encoding="utf-8")
-
-
-@contextmanager
-def _collector_paused():
-    """Loading and building allocate millions of objects and free no
-    cycles, so the cyclic collector would only re-scan them as they grow
-    (about a fifth of a large load, and a third of a distinct-scale build
-    after parsing); it is switched back on afterwards."""
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 def load_index(

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .index import StructuralIndex, read_columns, real_columns
 from .model import SymbolRecord, synthetic_flags
-from .queries import DEFAULT_HOPS, defect_subgraph, snippet_of
+from .queries import DEFAULT_HOPS, defect_subgraph, snippet_window
 from .repo import IssueDescription
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -95,19 +95,60 @@ def tokenize(text: str) -> list[str]:
 
 def summarize_artifact(record: SymbolRecord, snippet: str) -> str:
     """Flat text summary of one symbol: kind, name parts, scope parts,
-    signature, doc comment and body identifiers, as runs of lowercase
-    letters or digits joined by single spaces. Token repetition is
-    intentional; it becomes term frequency."""
+    signature, template parameters, doc comment and body identifiers, as
+    runs of lowercase letters or digits joined by single spaces. Token
+    repetition is intentional; it becomes term frequency."""
+    return _summary(record, _scope_parts(record.qualified_name), tokenize,
+                    tokenize(snippet))
+
+
+def _scope_parts(qualified_name: str) -> list[str]:
+    return list(chain.from_iterable(map(_segments, qualified_name.split("::"))))
+
+
+def _summary(record: SymbolRecord, scope_parts, field_tokens, snippet_tokens
+             ) -> str:
+    """``summarize_artifact`` given the record's scope parts, a function
+    from a field to its tokens, and the snippet's tokens."""
     # "member_function" gives two parts, so the text still reads
     # "member function"
     parts = record.kind.value.split("_")
     parts.extend(_segments(record.name))
-    for segment in record.qualified_name.split("::"):
-        parts.extend(_segments(segment))
-    for text in (record.signature, record.template_params, record.doc_comment,
-                 snippet):
-        parts.extend(tokenize(text))
+    parts.extend(scope_parts)
+    for text in (record.signature, record.template_params, record.doc_comment):
+        parts.extend(field_tokens(text))
+    parts.extend(snippet_tokens)
     return " ".join(parts)
+
+
+class _Memo(dict):
+    """A missing key's value is ``derive(key)``, made once and kept."""
+
+    def __init__(self, derive):
+        super().__init__()
+        self.derive = derive
+
+    def __missing__(self, key):
+        value = self[key] = self.derive(key)
+        return value
+
+
+def _summaries(records, lines: dict[str, list[str]]) -> list[str]:
+    """``summarize_artifact(r, snippet_of(lines.get(r.location.file), r))``
+    of each record, with each qualified name's scope parts, each field's
+    tokens and each source line's tokens derived once. A snippet's tokens
+    are its rows' tokens in order, since no identifier spans a "\n" and
+    "..." holds none. The three memos are kept apart: a qualified name's
+    parts are not its ``tokenize``."""
+    scopes, fields, line_tokens = _Memo(_scope_parts), _Memo(tokenize), _Memo(tokenize)
+    texts = []
+    for r in records:
+        rows = lines.get(r.location.file)
+        snippet = () if rows is None else chain.from_iterable(
+            map(line_tokens.__getitem__, snippet_window(rows, r)))
+        texts.append(_summary(r, scopes[r.qualified_name], fields.__getitem__,
+                              snippet))
+    return texts
 
 
 DEFAULT_DIM = 256  # hash embedding width
@@ -397,17 +438,14 @@ def _decode_matrix(encoded: str, rows: int, dim: int) -> np.ndarray:
 
 def build_intent_index(index: StructuralIndex, provider=None) -> IntentIndex:
     """One intent document per real (non-synthetic) symbol, in symbol id
-    order, kept as columns. For the hash embedder the matrix is left None,
-    so the first read of ``matrix`` embeds the texts; any other provider
-    embeds them here."""
+    order, kept as columns, each text its ``summarize_artifact`` made in
+    one batch (``_summaries``). For the hash embedder the matrix is left
+    None, so the first read of ``matrix`` embeds the texts; any other
+    provider embeds them here."""
     provider = provider or HashEmbeddingProvider()
     ids, names, kinds = _real_columns(index.symbols)
     lines = {path: text.split("\n") for path, text in index.sources.items()}
-    records = [index.symbols[i] for i in ids]
-    texts = [
-        summarize_artifact(r, snippet_of(lines.get(r.location.file), r))
-        for r in records
-    ]
+    texts = _summaries([index.symbols[i] for i in ids], lines)
     rows = None
     if not isinstance(provider, HashEmbeddingProvider):
         rows = np.array(provider.embed_many(texts), dtype=np.float64)

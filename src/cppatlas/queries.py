@@ -53,12 +53,19 @@ def snippet_of(lines: list[str] | None, record: SymbolRecord) -> str:
     or "" when there is no such file."""
     if lines is None:
         return ""
-    start = record.location.start_line
-    end = min(record.location.end_line, start + _SNIPPET_MAX_LINES - 1)
-    chunk = lines[start - 1 : end]
-    if end < record.location.end_line:
-        chunk.append("...")
-    return "\n".join(chunk)
+    return "\n".join(snippet_window(lines, record))
+
+
+def snippet_window(lines: list[str], record: SymbolRecord) -> list[str]:
+    """The rows of a record's snippet, from its file's lines: the first
+    ``_SNIPPET_MAX_LINES`` lines of its span, then "..." if the span runs
+    on."""
+    _, start, end = record.location
+    last = min(end, start + _SNIPPET_MAX_LINES - 1)
+    window = lines[start - 1 : last]
+    if last < end:
+        window.append("...")
+    return window
 
 
 def _lookup_by_name(

@@ -36,7 +36,7 @@ from cppatlas.intent import (
     tokenize,
 )
 from cppatlas.model import CLASS_KINDS, SymbolKind, SymbolRecord
-from cppatlas.queries import snippet_for
+from cppatlas.queries import snippet_for, snippet_of
 from cppatlas.repo import IssueDescription, Repository, SourceUnit, load_repository
 from cppatlas.server import handle_line
 from cppatlas.tools import ToolContext, dispatch_tool
@@ -410,6 +410,53 @@ def test_docs_match_reference_on_fixtures(toy_index, motivation_index):
 def test_docs_match_reference_on_corpusgen(first):
     for seed in range(first, first + 10):
         _assert_docs_match_reference(_repo_index(corpusgen.generate(seed).files))
+
+
+# --- the summaries a build makes in one batch against summarize_artifact,
+# the one-record definition
+
+_CRAFTED = {
+    # an anonymous namespace in a file whose name starts with a digit: its
+    # qualified name's parts keep the "3" that tokenize drops, and g's body
+    # holds a line equal to that name and a line equal to g's signature
+    "3d.h": ("namespace {\nint v2x;\n}\n"
+             "void g(int a, int b) {\n(anon@3d.h)\n(int, int)\n}\n"),
+    # a body longer than a snippet's 12 lines
+    "long.cpp": ("int h() {\n" + "".join(f"    int x{k} = {k};\n" for k in range(14))
+                 + "    return 0;\n}\n"),
+}
+
+
+def _check_batched_summaries(index) -> dict[str, str]:
+    """The summaries ``build_intent_index`` makes are each record's
+    ``summarize_artifact`` with its ``snippet_of``; returned by name."""
+    intent = build_intent_index(index)
+    lines = {path: text.split("\n") for path, text in index.sources.items()}
+    records = [index.symbols[i] for i in intent.symbol_ids]
+    assert list(intent.texts) == [
+        summarize_artifact(r, snippet_of(lines.get(r.location.file), r))
+        for r in records]
+    return dict(zip(intent.qualified_names, intent.texts))
+
+
+@pytest.mark.parametrize("source", ["toy", "motivation", 0, 7, 42, 101])
+def test_batched_summaries_are_summarize_artifact(source, request):
+    if isinstance(source, str):
+        index = request.getfixturevalue(f"{source}_index")
+    else:
+        index = _repo_index(corpusgen.generate(source).files)
+    _check_batched_summaries(index)
+
+
+def test_batched_summaries_are_summarize_artifact_on_crafted_records():
+    index = _repo_index(_CRAFTED)
+    texts = _check_batched_summaries(index)
+    assert "anon 3 d h" in texts["(anon@3d.h)"]
+    assert texts["g"].endswith("int int void g int a int b anon d h int int")
+    assert texts["h"].endswith("int x 10")  # then the "..." row
+    # a record whose file has no source has an empty snippet
+    unsourced = dataclasses.replace(index, sources={"3d.h": _CRAFTED["3d.h"]})
+    assert _check_batched_summaries(unsourced)["h"] == "free function h h"
 
 
 _DIGIT_NAMES = {

@@ -328,6 +328,38 @@ def test_index_bytes_do_not_depend_on_the_parser(source, tmp_path, monkeypatch):
     assert written[0] == written[1]
 
 
+def test_a_build_normalizes_each_parameter_list_once(monkeypatch):
+    """Within one build each distinct parameter list, by its token texts
+    and kinds, is normalized once, and nothing of the memo outlives the
+    build: a second build normalizes each again. A parse outside a build
+    normalizes every list it meets, and gives what a parse inside a memo
+    gives."""
+    files = {}
+    for seed in (0, 7):  # two trees side by side repeat their lists
+        files.update({f"s{seed}/{path}": text
+                      for path, text in corpusgen.generate(seed).files.items()})
+    units = [SourceUnit.make(path, text) for path, text in sorted(files.items())]
+    normalize = parser.normalize_signature
+    calls = []
+
+    def counted(texts, kinds):
+        calls.append((tuple(texts), tuple(kinds)))
+        return normalize(texts, kinds)
+
+    monkeypatch.setattr(parser, "normalize_signature", counted)
+    direct = [parser.parse_unit(unit) for unit in units]
+    lists = set(calls)
+    assert len(calls) > len(lists)
+    for _ in range(2):
+        calls.clear()
+        build_index(Repository("mem", tuple(units)))
+        assert len(calls) == len(set(calls)) == len(lists)
+        assert parser._SIGNATURES.get() is None
+    with parser.signature_memo():
+        memoized = [parser.parse_unit(unit) for unit in units]
+    assert [flat(pu) for pu in memoized] == [flat(pu) for pu in direct]
+
+
 # --- declared difference 1: ">>" closes two template levels -------------
 
 
