@@ -11,6 +11,9 @@ alternates: the parent in pairs 1, 3, 5, ..., the change in pairs 2, 4,
 and prints, per workload and end-to-end metric of ``BENCHMARK.json``,
 the medians of both sides, the pairs in which the change was better, the
 parent's interquartile range and a verdict against the metric's bound.
+It also prints each side's failed share of the operations it attempted,
+the runs that read ``correct: false``, and whether the change failed a
+larger share than the parent, which rejects a change.
 With ``--claim WORKLOAD:METRIC`` it also prints whether the gain rule
 holds for that metric (``claim``), and records it under ``claim``.
 The summary file (``--out``) is rewritten after every pair, so a run that
@@ -43,7 +46,8 @@ def seed_list(text: str) -> list[int]:
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run: its last stdout line, or a failed run."""
+    """One untraced benchmark run: its last stdout line, or a failed run,
+    which counts as one failed operation."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -52,7 +56,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not lines:
         sys.stderr.write(f"{checkout} {workload} {seed}: exit {proc.returncode}\n"
                          f"{proc.stderr[-2000:]}")
-        return {"correct": False, "attempted": 0, "failed": None, "metrics": {}}
+        return {"correct": False, "attempted": 1, "failed": 1, "metrics": {}}
     return json.loads(lines[-1])
 
 
@@ -99,6 +103,24 @@ def summarize(runs: dict, metric: dict) -> dict:
         "median_change_percent": (c50 - p50) / p50 * 100,
         "verdict": verdict,
     }
+
+
+def failed_shares(entry: dict) -> dict:
+    """Each side's failed and attempted operations, summed over its runs,
+    and their share; the [seed, side] of every run that read ``correct:
+    false``; and whether the change failed a larger share than the
+    parent (``change_fails_more``)."""
+    result = {}
+    for side in SIDES:
+        failed, attempted = sum(entry["failed"][side]), sum(entry["attempted"][side])
+        result[side] = {"failed": failed, "attempted": attempted,
+                        "share": failed / attempted if attempted else 0.0}
+    result["not_correct"] = [
+        [seed, side] for side in SIDES
+        for seed, ok in zip(entry["seeds"], entry["correct"][side]) if not ok]
+    result["change_fails_more"] = (result["change"]["share"]
+                                   > result["parent"]["share"])
+    return result
 
 
 MIN_PAIRS = 10
@@ -193,6 +215,7 @@ def main(argv=None) -> int:
             entry["first_side"].append(order[0])
             entry["summary"] = {m["name"]: summarize(entry["runs"], m)
                                 for m in metrics}
+            entry["failures"] = failed_shares(entry)
             summary["end_to_end"][workload] = entry
             if claimed and workload == args.claim.partition(":")[0]:
                 summary["claim"] = claim(entry["runs"], claimed)
@@ -202,8 +225,15 @@ def main(argv=None) -> int:
                 for side in SIDES), flush=True)
 
     for workload, entry in summary["end_to_end"].items():
-        bad = sum(not ok for side in SIDES for ok in entry["correct"][side])
-        print(f"\n{workload}: {entry['pairs_run']} pairs, {bad} runs not correct")
+        failures = entry["failures"]
+        print(f"\n{workload}: {entry['pairs_run']} pairs; failed " + ", ".join(
+            f"{side} {failures[side]['failed']} of {failures[side]['attempted']} "
+            f"({failures[side]['share']:.4%})" for side in SIDES)
+            + "; the change failed a larger share: "
+            + ("YES" if failures["change_fails_more"] else "no"))
+        if failures["not_correct"]:
+            print("  not correct: " + ", ".join(
+                f"seed {seed} {side}" for seed, side in failures["not_correct"]))
         for name, s in entry["summary"].items():
             if not s.get("pairs", 1):
                 print(f"  {name}: no complete pair")

@@ -33,8 +33,6 @@ Four reading rules hold for every unit:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -105,27 +103,12 @@ class _Scope:
         return f"{self.prefix}::{name}" if self.prefix else name
 
 
-# the normalized signature of each parameter list, by its (texts, kinds)
-# columns, while a ``signature_memo`` is open; None outside one
-_SIGNATURES: ContextVar[dict | None] = ContextVar("signatures", default=None)
-
-
-@contextmanager
-def signature_memo():
-    """Normalize each distinct parameter list once in the ``parse_unit``
-    calls made inside the block, in this thread; the memo goes when the
-    block ends. A replicated tree repeats most of its parameter lists."""
-    token = _SIGNATURES.set({})
-    try:
-        yield
-    finally:
-        _SIGNATURES.reset(token)
-
-
-def parse_unit(unit: SourceUnit) -> ParsedUnit:
+def parse_unit(unit: SourceUnit, signatures: dict | None = None) -> ParsedUnit:
     """Parse one header or source unit into symbols, containment edges and
-    pending references. Pure: identical output for identical input, inside
-    a ``signature_memo`` or not."""
+    pending references. ``signatures`` memoizes the normalized signature of
+    each parameter list by its (texts, kinds) columns; one build passes one
+    dict to every unit, since a replicated tree repeats most of its lists.
+    Pure: identical output for identical input, whatever the dict holds."""
     if unit.kind not in ("header", "source"):
         raise ValueError(f"cannot parse unit of kind {unit.kind!r}")
     text = unit.content
@@ -145,7 +128,7 @@ def parse_unit(unit: SourceUnit) -> ParsedUnit:
         includes=[target for _, target in lexed.includes],
         error_count=lexed.error_count,
     )
-    parser = _Parser(result, columns, lexed.comments)
+    parser = _Parser(result, columns, lexed.comments, signatures)
     parser.parse_scope(_Scope(local_id=0, prefix=""), bounded=False)
     return result
 
@@ -156,7 +139,8 @@ class _Parser:
     ``text(k)`` and ``kind(k)`` (k <= 2) need no bounds check."""
 
     def __init__(
-        self, result: ParsedUnit, columns: tuple, comments: list[CommentBlock]
+        self, result: ParsedUnit, columns: tuple, comments: list[CommentBlock],
+        signatures: dict | None,
     ):
         self.result = result
         self.path = result.path
@@ -166,7 +150,7 @@ class _Parser:
         self.i = 0
         self.depth = 0  # bounded scopes open around the cursor
         self.comment_by_end = {c.end_line: c for c in comments}
-        self.signatures = _SIGNATURES.get()
+        self.signatures = {} if signatures is None else signatures
 
     # ------------------------------------------------------------------
     # token helpers
@@ -636,13 +620,10 @@ class _Parser:
         if end == self.i:  # not closed
             self.note_error()
         texts, kinds = self.texts[start:end], self.kinds[start:end]
-        if self.signatures is None:
-            signature = normalize_signature(texts, kinds)
-        else:
-            key = (tuple(texts), tuple(kinds))
-            signature = self.signatures.get(key)
-            if signature is None:
-                signature = self.signatures[key] = normalize_signature(texts, kinds)
+        key = (tuple(texts), tuple(kinds))
+        signature = self.signatures.get(key)
+        if signature is None:
+            signature = self.signatures[key] = normalize_signature(texts, kinds)
 
         has_override = False
         is_definition = False

@@ -19,17 +19,18 @@ An index is read-only once made, and its fields are what an index file
 holds. Every table derived from them is made on its first read and kept
 (a ``functools.cached_property``): the ``graph`` that queries walk rather
 than scanning edges, the lookups ``by_name``, ``by_qualified`` and
-``by_suffix``, and the trigram filter that ``queries.grep_baseline``
-reads. The graph and the lookups are made with the cyclic collector
-paused. Neither ``build_index`` nor ``load_index`` derives any of them;
-both run the closure check, which reads each symbol's synthetic flag from
+``by_suffix``, the trigram filter that ``queries.grep_baseline`` reads,
+and the ``real`` rows that intent documents stand for. The graph and the
+lookups are made with the cyclic collector paused. Neither
+``build_index`` nor ``load_index`` derives any of them, but a load sets
+``real`` from the columns it has decoded; both run the closure check, which reads each symbol's synthetic flag from
 its kind and qualified name columns (``synthetic_flags``).
 
-The build parses inside a ``signature_memo``, so each distinct parameter
-list of the tree is normalized once. Resolution reads the parsed records
-as columns, made once per build: a kind and a definition flag per row,
-and a lookup by qualified name. It walks an interim graph over
-containment and inheritance. A call's target depends only on the
+The build passes one signature dict to every ``parse_unit``, so each
+distinct parameter list of the tree is normalized once. Resolution reads
+the parsed records as columns, made once per build: a kind and a
+definition flag per row, and a lookup by qualified name. It walks an
+interim graph over containment and inheritance. A call's target depends only on the
 caller's enclosing scope, the callee text and whether the call is
 constructor-style, so each distinct such key is resolved once per build;
 so are each scope's enclosing class and namespace and each qualified
@@ -56,7 +57,7 @@ from itertools import accumulate, chain, combinations, compress, count, repeat
 from operator import and_, gt, is_, ne, not_
 from pathlib import Path
 
-from .cxx.parser import ParsedUnit, parse_unit, signature_memo
+from .cxx.parser import ParsedUnit, parse_unit
 from .errors import CorruptIndex, VersionMismatch
 from .errors import StaleIndexWarning
 from .model import (
@@ -189,10 +190,10 @@ class StructuralIndex:
     tuples at construction, and ``sources`` and ``includes`` (its lists
     made tuples) are copied into dicts that refuse changes in place. The
     tables derived from the fields (``graph``, ``by_name``,
-    ``by_qualified``, ``by_suffix`` and ``trigrams``) are each made on
-    their first read and kept. They are no fields, so they take no part in
-    equality or ``repr``, and ``dataclasses.replace`` gives an index that
-    derives its own."""
+    ``by_qualified``, ``by_suffix``, ``trigrams`` and ``real``) are each
+    made on their first read and kept. They are no fields, so they take no
+    part in equality or ``repr``, and ``dataclasses.replace`` gives an
+    index that derives its own."""
 
     symbols: tuple[SymbolRecord, ...] = ()
     edges: tuple[StructuralEdge, ...] = ()
@@ -239,6 +240,16 @@ class StructuralIndex:
                     table.setdefault(suffix, []).append(rec.symbol_id)
                 cut = name.find("::", cut + 1)
         return table
+
+    @cached_property
+    def real(self) -> tuple[tuple[int, ...], tuple[str, ...], tuple[str, ...]]:
+        """The ids, qualified names and kind values of the rows that are
+        not synthetic: the rows an intent document stands for. A load sets
+        it from the columns it has decoded."""
+        kinds = [r.kind for r in self.symbols]
+        qualified = [r.qualified_name for r in self.symbols]
+        return _real_rows(synthetic_flags(kinds, qualified), qualified,
+                          [k.value for k in kinds])
 
     @cached_property
     def trigrams(self) -> tuple[list, list[int], int]:
@@ -302,11 +313,9 @@ def build_index(repo: Repository) -> StructuralIndex:
 
 def _assembled(repo: Repository) -> StructuralIndex:
     """The index that ``build_index`` checks: parse, resolve, assemble."""
-    parsed: list[ParsedUnit] = []
-    with signature_memo():
-        for unit in repo.units:  # units are sorted by path
-            if unit.kind in ("header", "source"):
-                parsed.append(parse_unit(unit))
+    signatures: dict = {}  # one normalization per distinct parameter list
+    parsed = [parse_unit(unit, signatures) for unit in repo.units  # sorted by path
+              if unit.kind in ("header", "source")]
 
     # every unit's records in one list, so that a record's id is its row
     offsets = list(accumulate((len(pu.symbols) for pu in parsed), initial=0))
@@ -577,13 +586,11 @@ def _transposed(rows, cls) -> list[tuple]:
     return list(zip(*rows)) or [()] * len(cls._fields)
 
 
-def real_columns(synthetic, qualified_names, kind_values
-                 ) -> tuple[list[int], list[str], list[str]]:
-    """The ids, qualified names and kind values of the rows whose
-    ``synthetic`` flag is false: the rows an intent document stands for."""
+def _real_rows(synthetic, qualified_names, kind_values) -> tuple[tuple, ...]:
+    """``StructuralIndex.real`` from columns: the rows not ``synthetic``."""
     real = list(map(not_, synthetic))
-    return (list(compress(count(), real)), list(compress(qualified_names, real)),
-            list(compress(kind_values, real)))
+    return (tuple(compress(count(), real)), tuple(compress(qualified_names, real)),
+            tuple(compress(kind_values, real)))
 
 
 def _check_columns(names, qualified_names, synthetic, contains, edge_ends,
@@ -721,9 +728,8 @@ def _structural_to_dict(index: StructuralIndex) -> dict:
     }
 
 
-def _structural_from_dict(d: dict, snapshot: str
-                          ) -> tuple[StructuralIndex, tuple[list, list, list]]:
-    """The index ``_structural_to_dict`` wrote, and its ``real_columns``."""
+def _structural_from_dict(d: dict, snapshot: str) -> StructuralIndex:
+    """The index ``_structural_to_dict`` wrote, its ``real`` rows set."""
     sources, includes, errors = d["sources"], d["includes"], d["parse_error_count"]
     if type(snapshot) is not str or type(errors) is not int:
         raise ValueError("repo_snapshot must be a str and parse_error_count an int")
@@ -778,7 +784,9 @@ def _structural_from_dict(d: dict, snapshot: str
         parse_error_count=errors,
     )
     values = [k.value for k in kinds]
-    return index, real_columns(synthetic, qualified, map(values.__getitem__, codes))
+    index.__dict__["real"] = _real_rows(synthetic, qualified,
+                                        map(values.__getitem__, codes))
+    return index
 
 
 def _bulk(cls, rows) -> list:
@@ -836,14 +844,12 @@ def load_index(
             )
         try:
             snapshot = payload["repo_snapshot"]
-            structural, real = _structural_from_dict(payload["structural"],
-                                                     snapshot)
+            structural = _structural_from_dict(payload["structural"], snapshot)
             intent = None
             if payload.get("intent") is not None:
                 from .intent import IntentIndex
 
-                intent = IntentIndex.from_dict(payload["intent"],
-                                               structural.symbols, real)
+                intent = IntentIndex.from_dict(payload["intent"], structural)
         except (KeyError, TypeError, ValueError, AttributeError,
                 AssertionError) as exc:
             raise CorruptIndex(f"index file {path} is malformed: {exc!r}") from exc

@@ -31,8 +31,8 @@ from .errors import (
     ProviderUnavailable,
     SnapshotMismatch,
 )
-from .index import StructuralIndex, read_columns, real_columns
-from .model import SymbolRecord, synthetic_flags
+from .index import StructuralIndex, read_columns
+from .model import SymbolRecord
 from .queries import DEFAULT_HOPS, defect_subgraph, snippet_window
 from .repo import IssueDescription
 
@@ -389,16 +389,15 @@ class IntentIndex:
         return data
 
     @staticmethod
-    def from_dict(data: dict, symbols: list[SymbolRecord],
-                  real: tuple[list, list, list] | None = None) -> "IntentIndex":
-        """Rebuild an index from ``to_dict`` output over the ``symbols`` it
-        was built from, whose ``real_columns`` (given as ``real`` by a
-        caller that has them) give each doc its qualified name and kind.
-        For the hash embedder the matrix is left None, so the first read
-        of ``matrix`` embeds the texts. Raises ``ValueError`` on a bad
-        ``dim``, a name or snapshot that is not a string, doc ids other
-        than exactly the real symbols' ids in ascending order, or stored
-        vectors that are not ``dim`` finite numbers per doc."""
+    def from_dict(data: dict, structural: StructuralIndex) -> "IntentIndex":
+        """Rebuild an index from ``to_dict`` output over the ``structural``
+        index it was built from, whose ``real`` rows give each doc its id,
+        qualified name and kind. For the hash embedder the matrix is left
+        None, so the first read of ``matrix`` embeds the texts. Raises
+        ``ValueError`` on a bad ``dim``, a name or snapshot that is not a
+        string, doc ids other than exactly the real symbols' ids in
+        ascending order, or stored vectors that are not ``dim`` finite
+        numbers per doc."""
         provider_name, dim, snapshot = (
             data["provider_name"], data["dim"], data["repo_snapshot"]
         )
@@ -408,22 +407,12 @@ class IntentIndex:
             raise ValueError("intent provider_name and repo_snapshot must be strings")
         ids, texts = read_columns(data["docs"], {"symbol_id": int, "text": str})
         # a doc listed twice would be answered twice, and one left out never
-        real_ids, names, kinds = real or _real_columns(symbols)
-        if ids != real_ids:
+        if tuple(ids) != structural.real[0]:
             raise ValueError("intent doc ids are not the real symbols' ids in order")
         rows = None
         if provider_name != HashEmbeddingProvider(dim).name:
             rows = _decode_matrix(data["vectors"], len(texts), dim)
-        return IntentIndex(provider_name, dim, snapshot, ids, names, kinds, texts,
-                           rows)
-
-
-def _real_columns(symbols) -> tuple[list[int], list[str], list[str]]:
-    """``real_columns`` of a list of records."""
-    kinds = [r.kind for r in symbols]
-    names = [r.qualified_name for r in symbols]
-    return real_columns(synthetic_flags(kinds, names), names,
-                        [k.value for k in kinds])
+        return IntentIndex(provider_name, dim, snapshot, *structural.real, texts, rows)
 
 
 def _decode_matrix(encoded: str, rows: int, dim: int) -> np.ndarray:
@@ -443,7 +432,7 @@ def build_intent_index(index: StructuralIndex, provider=None) -> IntentIndex:
     None, so the first read of ``matrix`` embeds the texts; any other
     provider embeds them here."""
     provider = provider or HashEmbeddingProvider()
-    ids, names, kinds = _real_columns(index.symbols)
+    ids, names, kinds = index.real
     lines = {path: text.split("\n") for path, text in index.sources.items()}
     texts = _summaries([index.symbols[i] for i in ids], lines)
     rows = None

@@ -75,21 +75,23 @@ class ReproductionResult:
 
 class BaselineCache:
     """Memoizes baseline test statuses per repository snapshot, so a
-    pre-existing failure is computed once and never blamed on a patch."""
+    pre-existing failure is computed once and never blamed on a patch.
+    A status is kept by the test itself, not its id: two tests may share
+    an id."""
 
     def __init__(self):
-        self._statuses: dict[tuple[str, str], str] = {}
+        self._statuses: dict[tuple[str, TestCase], str] = {}
 
     def status(
         self, repo: Repository, test: TestCase, runner: RunnerConfig
     ) -> str:
-        key = (repo.snapshot_id, test.test_id)
+        key = (repo.snapshot_id, test)
         if key not in self._statuses:
             self._statuses[key] = run_test(repo, test, runner).status
         return self._statuses[key]
 
-    def seed(self, repo: Repository, test_id: str, status: str):
-        self._statuses[(repo.snapshot_id, test_id)] = status
+    def seed(self, repo: Repository, test: TestCase, status: str):
+        self._statuses[(repo.snapshot_id, test)] = status
 
 
 def _issue_payload(issue: IssueDescription) -> dict:
@@ -533,7 +535,7 @@ def run_pipeline(
     kept, prune_report = prune(repo, generation.candidates)
 
     cache = BaselineCache()
-    cache.seed(repo, repro.test.test_id, repro.baseline_outcome.status)
+    cache.seed(repo, repro.test, repro.baseline_outcome.status)
     verdicts = validate(
         repo, kept, [repro.test], regression_tests, config.runner, cache
     )

@@ -33,6 +33,9 @@ from .model import (
 )
 
 _SNIPPET_MAX_LINES = 12
+# a snippet row keeps this many characters of its line, so that the records
+# of one long line do not each carry the whole line
+_SNIPPET_MAX_COLUMNS = 240
 DEFAULT_HOPS = 2  # steps out from the seeds of a defect subgraph
 
 # edge kinds that carry locality for defect neighborhoods, in EdgeKind
@@ -58,11 +61,11 @@ def snippet_of(lines: list[str] | None, record: SymbolRecord) -> str:
 
 def snippet_window(lines: list[str], record: SymbolRecord) -> list[str]:
     """The rows of a record's snippet, from its file's lines: the first
-    ``_SNIPPET_MAX_LINES`` lines of its span, then "..." if the span runs
-    on."""
+    ``_SNIPPET_MAX_LINES`` lines of its span, each clipped to its first
+    ``_SNIPPET_MAX_COLUMNS`` characters, then "..." if the span runs on."""
     _, start, end = record.location
     last = min(end, start + _SNIPPET_MAX_LINES - 1)
-    window = lines[start - 1 : last]
+    window = [line[:_SNIPPET_MAX_COLUMNS] for line in lines[start - 1 : last]]
     if last < end:
         window.append("...")
     return window

@@ -41,7 +41,6 @@ class RunnerConfig:
     scratch_root: str | None = None
     timeout_seconds: float = 30.0
     output_limit_bytes: int = _OUTPUT_LIMIT
-    keep_scratch: bool = False
 
 
 @dataclass(frozen=True)
@@ -177,8 +176,7 @@ def run_test(
             command=command,
         )
     finally:
-        if not config.keep_scratch:
-            shutil.rmtree(scratch_path, ignore_errors=True)
+        shutil.rmtree(scratch_path, ignore_errors=True)
 
 
 def _collect(proc: subprocess.Popen, timeout: float) -> tuple[bool, bytes, bytes]:

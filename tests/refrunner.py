@@ -101,8 +101,7 @@ def run_test(
             command=command,
         )
     finally:
-        if not config.keep_scratch:
-            shutil.rmtree(scratch_path, ignore_errors=True)
+        shutil.rmtree(scratch_path, ignore_errors=True)
 
 
 def _kill_group(proc: subprocess.Popen):

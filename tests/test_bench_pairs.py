@@ -1,5 +1,6 @@
 """scripts/bench_pairs.py: seed lists, the verdict on each end-to-end
-metric, and the gain rule for a claimed one, on synthetic runs."""
+metric, the gain rule for a claimed one and the failed shares, on
+synthetic runs."""
 
 import importlib.util
 import pathlib
@@ -87,3 +88,41 @@ def test_claim_on_a_metric_where_higher_is_better():
     assert bench_pairs.claim(up, HIGHER)["holds"]
     down = runs(PARENT, [p - 15 for p in PARENT], "rate")
     assert not bench_pairs.claim(down, HIGHER)["holds"]
+
+
+def entry(correct, failed, attempted, seeds=(1101, 1102)):
+    """A workload's record of runs: each argument maps a side to its runs."""
+    return {"seeds": list(seeds), "correct": correct, "failed": failed,
+            "attempted": attempted}
+
+
+def test_failed_shares_sum_each_sides_runs():
+    got = bench_pairs.failed_shares(entry(
+        {"parent": [False, True], "change": [False, True]},
+        {"parent": [305, 0], "change": [305, 0]},
+        {"parent": [40_000, 2_000], "change": [41_000, 2_000]}))
+    assert got["parent"] == {"failed": 305, "attempted": 42_000,
+                             "share": 305 / 42_000}
+    assert got["change"]["attempted"] == 43_000
+    assert got["not_correct"] == [[1101, "parent"], [1101, "change"]]
+    assert not got["change_fails_more"]
+
+
+def test_a_change_that_fails_a_larger_share_is_flagged():
+    got = bench_pairs.failed_shares(entry(
+        {"parent": [True, True], "change": [True, False]},
+        {"parent": [0, 0], "change": [0, 1]},
+        {"parent": [100, 100], "change": [100, 100]}))
+    assert got["change_fails_more"]
+    assert got["not_correct"] == [[1102, "change"]]
+
+
+def test_a_run_that_gave_no_result_counts_as_one_failure(tmp_path):
+    # a checkout without perfbench/run.py: the run exits nonzero
+    result = bench_pairs.run_once(tmp_path, "pipeline-toy", 1, 0.1)
+    assert (result["correct"], result["failed"], result["attempted"]) == (
+        False, 1, 1)
+    got = bench_pairs.failed_shares(entry(
+        {"parent": [True], "change": [False]}, {"parent": [0], "change": [1]},
+        {"parent": [50], "change": [1]}, seeds=[7]))
+    assert got["change"]["share"] == 1.0 and got["change_fails_more"]

@@ -639,7 +639,6 @@ class TestConfigFile:
         {"pipeline": {"vote_weights": [1, True, 0]}},
         {"pipeline": {"intent_k": True}},
         {"pipeline": {"selection_strategy": 1}},
-        {"runner": {"keep_scratch": 1}},
         {"runner": {"scratch_root": 3}},
     ], ids=json.dumps)
     def test_malformed_config_exits_two(self, raw, toyrepo_root, tmp_path,

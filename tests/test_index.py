@@ -232,8 +232,8 @@ def test_each_build_resolves_afresh(tmp_path):
 def test_a_build_that_fails_its_closure_check_is_a_corrupt_index(
     toyrepo_root, tmp_path, monkeypatch, capsys
 ):
-    def orphaning(unit):
-        parsed = parse_unit(unit)
+    def orphaning(unit, signatures):
+        parsed = parse_unit(unit, signatures)
         parsed.contains.pop()  # the unit's last record keeps no parent
         return parsed
 

@@ -185,7 +185,7 @@ class TestIntentIndex:
         assert list(toy_intent.symbol_ids) == [r.symbol_id for r in real]
 
     def test_dict_round_trip(self, toy_index, toy_intent):
-        clone = IntentIndex.from_dict(toy_intent.to_dict(), toy_index.symbols)
+        clone = IntentIndex.from_dict(toy_intent.to_dict(), toy_index)
         assert clone.to_dict() == toy_intent.to_dict()
 
     def test_query_ranks_relevant_symbol_first(self, toy_intent):
@@ -557,7 +557,7 @@ def test_heavy_ties_at_the_boundary_match_reference(toy_intent, text):
 
 
 def test_matrix_is_built_once_and_kept_out_of_repr_and_file(toy_index, toy_intent):
-    clone = IntentIndex.from_dict(toy_intent.to_dict(), toy_index.symbols)
+    clone = IntentIndex.from_dict(toy_intent.to_dict(), toy_index)
     assert clone == toy_intent
     assert "matrix" not in repr(clone)
     assert "matrix" not in json.dumps(clone.to_dict())
@@ -792,7 +792,7 @@ def signed_intent(wide_index, wide_intent):
     payload = dict(wide_intent.to_dict(), provider_name=_SignedProvider.name)
     raw = (hashed * cells).astype("<f8").tobytes()
     payload["vectors"] = base64.b64encode(raw).decode("ascii")
-    return IntentIndex.from_dict(payload, wide_index.symbols)
+    return IntentIndex.from_dict(payload, wide_index)
 
 
 def test_signed_stored_vectors_match_reference(signed_intent, wide_intent):
@@ -875,7 +875,7 @@ def test_an_index_of_one_product_never_builds_postings(toy_index, monkeypatch):
 
 
 def test_matrix_is_read_only(toy_index, toy_intent, monkeypatch):
-    clone = IntentIndex.from_dict(toy_intent.to_dict(), toy_index.symbols)
+    clone = IntentIndex.from_dict(toy_intent.to_dict(), toy_index)
     given = _remade(toy_intent, toy_intent.matrix.copy())
     for intent in (toy_intent, clone, given, _duplicated(toy_intent, 2),
                    build_intent_index(toy_index, _RecordingProvider())):
@@ -1168,7 +1168,7 @@ def test_equality_and_repr_do_not_depend_on_when_the_matrix_is_made(
         toy_index, toy_intent, tmp_path, embeds):
     built = build_intent_index(toy_index)
     loaded = _loaded(toy_index, build_intent_index(toy_index), tmp_path / "t.caidx")
-    clone = IntentIndex.from_dict(built.to_dict(), toy_index.symbols)
+    clone = IntentIndex.from_dict(built.to_dict(), toy_index)
     eager = _remade(built, _eager(built))
     unembedded = _remade(built)
     indexes = (built, loaded, clone, eager, unembedded, toy_intent)

@@ -320,7 +320,8 @@ def test_index_bytes_do_not_depend_on_the_parser(source, tmp_path, monkeypatch):
         repo = Repository("mem", units)
     written = []
     for parse_unit in (parser.parse_unit, refparser.parse_unit):
-        monkeypatch.setattr("cppatlas.index.parse_unit", parse_unit)
+        monkeypatch.setattr("cppatlas.index.parse_unit",
+                            lambda unit, signatures, parse=parse_unit: parse(unit))
         index = build_index(repo)
         path = tmp_path / f"{len(written)}.caidx"
         persist_index(IndexContainer(index, build_intent_index(index)), path)
@@ -331,9 +332,9 @@ def test_index_bytes_do_not_depend_on_the_parser(source, tmp_path, monkeypatch):
 def test_a_build_normalizes_each_parameter_list_once(monkeypatch):
     """Within one build each distinct parameter list, by its token texts
     and kinds, is normalized once, and nothing of the memo outlives the
-    build: a second build normalizes each again. A parse outside a build
-    normalizes every list it meets, and gives what a parse inside a memo
-    gives."""
+    build: a second build normalizes each again. A parse given no dict
+    memoizes within its unit only, and gives what parses sharing one dict
+    give."""
     files = {}
     for seed in (0, 7):  # two trees side by side repeat their lists
         files.update({f"s{seed}/{path}": text
@@ -354,9 +355,10 @@ def test_a_build_normalizes_each_parameter_list_once(monkeypatch):
         calls.clear()
         build_index(Repository("mem", tuple(units)))
         assert len(calls) == len(set(calls)) == len(lists)
-        assert parser._SIGNATURES.get() is None
-    with parser.signature_memo():
-        memoized = [parser.parse_unit(unit) for unit in units]
+    calls.clear()
+    signatures = {}
+    memoized = [parser.parse_unit(unit, signatures) for unit in units]
+    assert len(calls) == len(signatures) == len(lists)
     assert [flat(pu) for pu in memoized] == [flat(pu) for pu in direct]
 
 

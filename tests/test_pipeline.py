@@ -380,7 +380,7 @@ class TestBaselineCache:
         marker = tmp_path / "never.txt"
         cache = BaselineCache()
         test = self.marker_test("t-seeded", marker)
-        cache.seed(repo, "t-seeded", "fail")
+        cache.seed(repo, test, "fail")
         assert cache.status(repo, test, RunnerConfig()) == "fail"
         assert not marker.exists()
 
@@ -630,8 +630,8 @@ class TestValidate:
 
     def test_baseline_cache_is_honored(self, repo, good_fix):
         cache = BaselineCache()
-        cache.seed(repo, "t-flavor", "fail")  # pretend it was broken before
         breaking = content_test("t-flavor", "return a - b; // never present")
+        cache.seed(repo, breaking, "fail")  # pretend it was broken before
         verdicts = validate(repo, [good_fix], [subtract_test()], [breaking],
                             cache=cache)
         assert verdicts[good_fix.id][:2] == (True, None)
@@ -683,12 +683,13 @@ class TestValidateMatchesFrozen:
                                         monkeypatch, regression, seeds):
         candidates = [good_fix, flavor_break, fix_and_break, ghost_patch,
                       stale_patch]
-        tests = {t.test_id: t for t in (flavor_test(), broken_test())}
+        tests = {t.test_id: t for t in (subtract_test(), flavor_test(),
+                                        broken_test())}
         regression = [tests[t] for t in regression]
         caches = BaselineCache(), refrunner.BaselineCache()
-        for cache in caches:
-            for test_id, status in seeds.items():
-                cache.seed(repo, test_id, status)
+        for test_id, status in seeds.items():
+            caches[0].seed(repo, tests[test_id], status)
+            caches[1].seed(repo, test_id, status)
         live_runs = counted_runs(monkeypatch, cppatlas.pipeline)
         ref_runs = counted_runs(monkeypatch, refrunner)
         live = validate(repo, candidates, [subtract_test()], regression,
@@ -713,8 +714,8 @@ class TestValidateMatchesFrozen:
         # the candidates pipeline-toy keeps after pruning, with its
         # reproduction's baseline status seeded as run_pipeline does
         caches = BaselineCache(), refrunner.BaselineCache()
-        for cache in caches:
-            cache.seed(repo, "t-subtract-fixed", "fail")
+        caches[0].seed(repo, subtract_test(), "fail")
+        caches[1].seed(repo, "t-subtract-fixed", "fail")
         live_runs = counted_runs(monkeypatch, cppatlas.pipeline)
         ref_runs = counted_runs(monkeypatch, refrunner)
         args = [good_fix, flavor_break], [subtract_test()], [flavor_test()]
@@ -890,6 +891,18 @@ class TestRunPipeline:
                                          "message": "bad test payload"}
         assert result.status == "SUCCESS"
         assert result.reproduction.test.test_id == "t-subtract-fixed"
+
+    def test_a_regression_test_sharing_the_reproduction_id_is_its_own(
+        self, repo, toy_index, toy_intent, fix_and_break
+    ):
+        # the reproduction test fails on the baseline; a regression test of
+        # the same id passes there, so the candidate that breaks it is blamed
+        repro, gen = self.backends(fix_and_break)
+        canary = content_test("t-subtract-fixed", 'return "basic";')
+        result = run_pipeline(repo, ISSUE, repro, gen, regression_tests=[canary],
+                              structural=toy_index, intent=toy_intent)
+        assert result.status == "FAILURE"
+        assert [r.reason for r in result.reports] == ["regression:t-subtract-fixed"]
 
     def test_all_candidates_invalid_is_failure_not_error(self, repo, toy_index,
                                                          toy_intent, flavor_break):
