@@ -534,10 +534,8 @@ def run_pipeline(
     )
     kept, prune_report = prune(repo, generation.candidates)
 
-    cache = BaselineCache()
-    cache.seed(repo, repro.test, repro.baseline_outcome.status)
     verdicts = validate(
-        repo, kept, [repro.test], regression_tests, config.runner, cache
+        repo, kept, [repro.test], regression_tests, config.runner
     )
 
     reports: list[CandidateReport] = []

@@ -65,7 +65,9 @@ def snippet_window(lines: list[str], record: SymbolRecord) -> list[str]:
     ``_SNIPPET_MAX_COLUMNS`` characters, then "..." if the span runs on."""
     _, start, end = record.location
     last = min(end, start + _SNIPPET_MAX_LINES - 1)
-    window = [line[:_SNIPPET_MAX_COLUMNS] for line in lines[start - 1 : last]]
+    window = lines[start - 1 : last]
+    if window and max(map(len, window)) > _SNIPPET_MAX_COLUMNS:
+        window = [line[:_SNIPPET_MAX_COLUMNS] for line in window]
     if last < end:
         window.append("...")
     return window

@@ -319,9 +319,9 @@ def test_index_bytes_do_not_depend_on_the_parser(source, tmp_path, monkeypatch):
         units = tuple(SourceUnit.make(path, text) for path, text in files.items())
         repo = Repository("mem", units)
     written = []
-    for parse_unit in (parser.parse_unit, refparser.parse_unit):
-        monkeypatch.setattr("cppatlas.index.parse_unit",
-                            lambda unit, signatures, parse=parse_unit: parse(unit))
+    for parse_unit in (parser.parse_unit,
+                       lambda unit, signatures: refparser.parse_unit(unit)):
+        monkeypatch.setattr("cppatlas.index.parse_unit", parse_unit)
         index = build_index(repo)
         path = tmp_path / f"{len(written)}.caidx"
         persist_index(IndexContainer(index, build_intent_index(index)), path)

@@ -711,16 +711,12 @@ class TestValidateMatchesFrozen:
 
     def test_the_toy_shape_runs_one_test_fewer(self, repo, good_fix,
                                                flavor_break, monkeypatch):
-        # the candidates pipeline-toy keeps after pruning, with its
-        # reproduction's baseline status seeded as run_pipeline does
-        caches = BaselineCache(), refrunner.BaselineCache()
-        caches[0].seed(repo, subtract_test(), "fail")
-        caches[1].seed(repo, "t-subtract-fixed", "fail")
+        # the candidates pipeline-toy keeps after pruning
         live_runs = counted_runs(monkeypatch, cppatlas.pipeline)
         ref_runs = counted_runs(monkeypatch, refrunner)
         args = [good_fix, flavor_break], [subtract_test()], [flavor_test()]
-        live = validate(repo, *args, cache=caches[0])
-        ref = refrunner.validate(repo, *args, cache=caches[1])
+        live = validate(repo, *args)
+        ref = refrunner.validate(repo, *args)
         assert verdict_fields(live) == verdict_fields(ref)
         assert (len(live_runs), len(ref_runs)) == (3, 4)
 
