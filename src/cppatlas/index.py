@@ -23,15 +23,16 @@ than scanning edges, the lookups ``by_name``, ``by_qualified`` and
 and the ``real`` rows that intent documents stand for. The graph and the
 lookups are made with the cyclic collector paused. Neither
 ``build_index`` nor ``load_index`` derives any of them, but a load sets
-``real`` from the columns it has decoded; both run the closure check, which reads each symbol's synthetic flag from
-its kind and qualified name columns (``synthetic_flags``).
+``real`` from the columns it has decoded; both run the closure check,
+which reads each symbol's synthetic flag from its kind and qualified
+name columns (``synthetic_flags``).
 
 The build passes one signature dict to every ``parse_unit``, so each
 distinct parameter list of the tree is normalized once. Resolution reads
 the parsed records as columns, made once per build: a kind and a
 definition flag per row, and a lookup by qualified name. It walks an
-interim graph over containment and inheritance. A call's target depends only on the
-caller's enclosing scope, the callee text and whether the call is
+interim graph over containment and inheritance. A call's target depends
+only on the caller's enclosing scope, the callee text and whether the call is
 constructor-style, so each distinct such key is resolved once per build;
 so are each scope's enclosing class and namespace and each qualified
 name's candidates, and nothing of one build is kept for the next. Edges

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .index import StructuralIndex, read_columns
 from .model import SymbolRecord
-from .queries import DEFAULT_HOPS, defect_subgraph, snippet_window
+from .queries import DEFAULT_HOPS, defect_subgraph, snippet_rows, snippet_window
 from .repo import IssueDescription
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -433,7 +433,7 @@ def build_intent_index(index: StructuralIndex, provider=None) -> IntentIndex:
     provider embeds them here."""
     provider = provider or HashEmbeddingProvider()
     ids, names, kinds = index.real
-    lines = {path: text.split("\n") for path, text in index.sources.items()}
+    lines = {path: snippet_rows(text) for path, text in index.sources.items()}
     texts = _summaries([index.symbols[i] for i in ids], lines)
     rows = None
     if not isinstance(provider, HashEmbeddingProvider):

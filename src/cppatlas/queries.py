@@ -48,26 +48,34 @@ _SUBGRAPH_KINDS = (
 
 def snippet_for(index: StructuralIndex, record: SymbolRecord) -> str:
     content = index.sources.get(record.location.file)
-    return snippet_of(None if content is None else content.split("\n"), record)
+    return snippet_of(None if content is None else snippet_rows(content), record)
 
 
 def snippet_of(lines: list[str] | None, record: SymbolRecord) -> str:
-    """``snippet_for`` from the record's file already split into lines,
-    or "" when there is no such file."""
+    """``snippet_for`` from the record's file's ``snippet_rows``, or ""
+    when there is no such file."""
     if lines is None:
         return ""
     return "\n".join(snippet_window(lines, record))
 
 
+def snippet_rows(content: str) -> list[str]:
+    """A file's lines as snippets show them: in a file holding a line of
+    more than ``_SNIPPET_MAX_COLUMNS`` characters, each line clipped to its
+    first ``_SNIPPET_MAX_COLUMNS``; in any other file, each line whole."""
+    rows = content.split("\n")
+    if max(map(len, rows)) > _SNIPPET_MAX_COLUMNS:
+        rows = [row[:_SNIPPET_MAX_COLUMNS] for row in rows]
+    return rows
+
+
 def snippet_window(lines: list[str], record: SymbolRecord) -> list[str]:
-    """The rows of a record's snippet, from its file's lines: the first
-    ``_SNIPPET_MAX_LINES`` lines of its span, each clipped to its first
-    ``_SNIPPET_MAX_COLUMNS`` characters, then "..." if the span runs on."""
+    """The rows of a record's snippet, from its file's ``snippet_rows``:
+    the first ``_SNIPPET_MAX_LINES`` of its span, then "..." if the span
+    runs on."""
     _, start, end = record.location
     last = min(end, start + _SNIPPET_MAX_LINES - 1)
     window = lines[start - 1 : last]
-    if window and max(map(len, window)) > _SNIPPET_MAX_COLUMNS:
-        window = [line[:_SNIPPET_MAX_COLUMNS] for line in window]
     if last < end:
         window.append("...")
     return window

@@ -36,7 +36,7 @@ from cppatlas.queries import (
     resolve_seed,
     snippet_for,
 )
-from cppatlas.repo import load_repository
+from cppatlas.repo import Repository, SourceUnit, load_repository
 from cppatlas.server import handle_line
 from cppatlas.tools import ToolContext, dispatch_tool
 
@@ -370,6 +370,15 @@ def test_snippet_truncates_long_bodies(toy_index):
     assert len(snippet.split("\n")) <= 13
     short = find_function(toy_index, "clamp", signature="(int, int)")[0]
     assert not snippet_for(toy_index, short).endswith("...")
+
+
+def test_snippets_clip_each_line_of_a_file_holding_a_long_line():
+    long = "    int " + ", ".join(f"v{i}" for i in range(100)) + ";"
+    source = "struct S {\n" + long + "\n    int w;\n};\n"
+    index = build_index(Repository("mem", (SourceUnit.make("s.h", source),)))
+    snippet = snippet_for(index, find_class(index, "S"))
+    assert snippet.split("\n") == ["struct S {", long[:240], "    int w;", "};"]
+    assert len(long) > 240
 
 
 # ----------------------------------------------------------------------
