@@ -373,15 +373,16 @@ class IntentIndex:
         )
 
     def to_dict(self) -> dict:
-        """Docs as ``symbol_id`` and ``text`` columns. The hash provider's
-        vectors are left out, since they are embedded from the text; any
-        other provider's matrix is one base64 string of little-endian
-        float64, row by row."""
+        """Docs as one ``text`` column, one text per real symbol in id order:
+        their ids, qualified names and kinds are the structural index's
+        ``real`` rows. The hash provider's vectors are left out, since they
+        are embedded from the text; any other provider's matrix is one
+        base64 string of little-endian float64, row by row."""
         data = {
             "provider_name": self.provider_name,
             "dim": self.dim,
             "repo_snapshot": self.repo_snapshot,
-            "docs": {"symbol_id": list(self.symbol_ids), "text": list(self.texts)},
+            "docs": {"text": list(self.texts)},
         }
         if self.provider_name != HashEmbeddingProvider(self.dim).name:
             raw = self.matrix.astype("<f8").tobytes()
@@ -391,13 +392,12 @@ class IntentIndex:
     @staticmethod
     def from_dict(data: dict, structural: StructuralIndex) -> "IntentIndex":
         """Rebuild an index from ``to_dict`` output over the ``structural``
-        index it was built from, whose ``real`` rows give each doc its id,
-        qualified name and kind. For the hash embedder the matrix is left
-        None, so the first read of ``matrix`` embeds the texts. Raises
+        index it was built from, whose ``real`` rows give the docs their
+        ids, qualified names and kinds. For the hash embedder the matrix is
+        left None, so the first read of ``matrix`` embeds the texts. Raises
         ``ValueError`` on a bad ``dim``, a name or snapshot that is not a
-        string, doc ids other than exactly the real symbols' ids in
-        ascending order, or stored vectors that are not ``dim`` finite
-        numbers per doc."""
+        string, a count of texts other than the real symbols', or stored
+        vectors that are not ``dim`` finite numbers per doc."""
         provider_name, dim, snapshot = (
             data["provider_name"], data["dim"], data["repo_snapshot"]
         )
@@ -405,10 +405,10 @@ class IntentIndex:
             raise ValueError(f"intent dim must be a positive int, not {dim!r}")
         if type(provider_name) is not str or type(snapshot) is not str:
             raise ValueError("intent provider_name and repo_snapshot must be strings")
-        ids, texts = read_columns(data["docs"], {"symbol_id": int, "text": str})
-        # a doc listed twice would be answered twice, and one left out never
-        if tuple(ids) != structural.real[0]:
-            raise ValueError("intent doc ids are not the real symbols' ids in order")
+        (texts,) = read_columns(data["docs"], {"text": str})
+        if len(texts) != len(structural.real[0]):
+            raise ValueError(f"{len(texts)} intent texts for "
+                             f"{len(structural.real[0])} real symbols")
         rows = None
         if provider_name != HashEmbeddingProvider(dim).name:
             rows = _decode_matrix(data["vectors"], len(texts), dim)
@@ -467,6 +467,8 @@ _PRODUCT_CELLS = 1 << 18
 # over all of it costs less than a query through them (27 against 54 us on
 # a 24-doc index at dim 256, about 300 us when the query derives them).
 _SPARSE = 8
+# read once: each np.finfo call costs about a microsecond
+_EPS, _TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
 
 
 def _candidate_rows(postings: tuple, query: np.ndarray, buckets: np.ndarray,
@@ -500,8 +502,7 @@ def _candidate_rows(postings: tuple, query: np.ndarray, buckets: np.ndarray,
     # has a postings sum of at least kth less twice it. The slack doubles
     # that again, to cover the rounding of the bound itself.
     dim = len(query)
-    slack = (4 * dim * np.finfo(np.float64).eps * top * float(np.abs(weights).sum())
-             + dim * np.finfo(np.float64).tiny)
+    slack = 4 * dim * _EPS * top * float(np.abs(weights).sum()) + dim * _TINY
     if not np.isfinite(kth - slack):
         return None
     if kth - slack > 0:  # no untouched row, whose sum is 0, is a candidate

@@ -17,8 +17,9 @@ from .errors import BadRequest, EngineError
 from .tools import ToolContext, dispatch_tool
 
 
-def _encode(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+# one encoder for every response: ``json.dumps`` with options makes a new
+# one per call
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _error_response(request_id, exc: EngineError) -> dict:

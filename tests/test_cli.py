@@ -33,6 +33,8 @@ from cppatlas.runner import RunnerConfig, TestCase
 from cppatlas.server import handle_request
 from cppatlas.tools import TOOL_REGISTRY, ToolContext, dispatch_tool
 
+import packed
+
 PY = sys.executable
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SUBCOMMANDS = ("index", "query", "serve", "pipeline", "eval-loc")
@@ -169,9 +171,13 @@ class TestQueryCommand:
 
     def test_corrupt_index_exits_two(self, index_file, tmp_path, capsys):
         payload = json.loads(index_file.read_text())
-        calls = payload["structural"]["edges"]["calls"]
-        calls["from"].append(1)
-        calls["to"].append(99999)
+
+        def dangling_call(structural):
+            calls = structural["edges"]["calls"]
+            calls["from"].append(1)
+            calls["to"].append(99999)
+
+        packed.edited(payload["structural"], dangling_call)
         corrupt = tmp_path / "corrupt.caidx"
         corrupt.write_text(json.dumps(payload), encoding="utf-8")
         for argv in (["query", "--index", str(corrupt), "subgraph", "1",

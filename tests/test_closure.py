@@ -200,7 +200,15 @@ def test_checks_agree_on_a_broken_index(toy_index, corrupt):
 @pytest.mark.parametrize("corrupt", BROKEN.values(), ids=BROKEN)
 def test_load_rejects_a_broken_index(toy_index, corrupt, tmp_path):
     path = tmp_path / "atlas.caidx"
-    persist_index(corrupt(toy_index), path)
+    broken = corrupt(toy_index)
+    ends = [*(end for e in broken.edges for end in e[1:]),
+            *(end for c in broken.call_sites for end in c[:2])]
+    if min(ends) < 0:  # no packed column holds a negative id
+        with pytest.raises(CorruptIndex, match="outside 0"):
+            persist_index(broken, path)
+        assert not path.exists()
+        return
+    persist_index(broken, path)
     with pytest.raises(CorruptIndex):
         load_index(path)
 

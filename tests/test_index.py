@@ -1,5 +1,4 @@
 import base64
-import bisect
 import dataclasses
 import json
 import math
@@ -34,6 +33,7 @@ from cppatlas.repo import Repository, SourceUnit, load_repository
 from cppatlas.tools import ToolContext, dispatch_tool
 
 import corpusgen
+import packed
 import refindex
 
 
@@ -479,6 +479,63 @@ class TestPersistence:
     def test_malformed_structural_payload_rejected(
         self, toy_index, tmp_path, corrupt
     ):
+        # each edit is of the columns as lists, packed back where a width
+        # holds them (tests/packed.py)
+        path = tmp_path / "atlas.json"
+        persist_index(toy_index, path)
+        payload = json.loads(path.read_text())
+        packed.edited(payload["structural"], corrupt)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorruptIndex):
+            load_index(path)
+
+    @staticmethod
+    def _rewritten(column, edit):
+        """``column`` with its bytes made ``edit(bytes)``."""
+        raw = edit(base64.b64decode(column["data"]))
+        column["data"] = base64.b64encode(raw).decode("ascii")
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda s: s["symbols"].update(kind=packed.unpack(s["symbols"]["kind"])),
+            lambda s: s["symbols"]["kind"].update(data=7),
+            lambda s: s["edges"]["calls"]["from"].update(data=None),
+            lambda s: s["call_sites"].update(caller="AAEC"),
+            lambda s: s["symbols"]["file"].pop("width"),
+            lambda s: s["call_sites"]["callee"].pop("data"),
+            lambda s: s["symbols"]["start_line"].update(
+                data="*" + s["symbols"]["start_line"]["data"][1:]),
+            lambda s: s["symbols"]["end_line"].update(
+                data=s["symbols"]["end_line"]["data"][:-1]),
+            lambda s: s["symbols"]["kind"].update(
+                data="\u00e9" + s["symbols"]["kind"]["data"][1:]),
+            lambda s: TestPersistence._rewritten(
+                s["symbols"]["kind"], lambda raw: raw[:-1]),
+            lambda s: TestPersistence._rewritten(
+                s["edges"]["contains"]["to"], lambda raw: raw + raw[:1]),
+            lambda s: s["call_sites"].update(rows=s["call_sites"]["rows"] + 1),
+            lambda s: s["edges"]["contains"].update(
+                rows=s["edges"]["contains"]["rows"] - 1),
+            lambda s: s["symbols"]["kind"].update(width=2),
+            lambda s: s["symbols"]["kind"].update(width=3),
+            lambda s: s["symbols"]["kind"].update(width=8),
+            lambda s: s["symbols"]["kind"].update(width=True),
+            lambda s: s["symbols"]["kind"].update(width="1"),
+            lambda s: s["call_sites"].update(rows=-1),
+            lambda s: s["call_sites"].update(rows=True),
+            lambda s: s["edges"]["calls"].update(rows=str(s["edges"]["calls"]["rows"])),
+            lambda s: s["edges"]["calls"].pop("rows"),
+        ],
+        ids=["column-a-list", "column-not-a-string", "column-null",
+             "column-not-an-object", "missing-width", "missing-data",
+             "invalid-base64", "base64-padding-cut", "base64-not-ascii",
+             "one-byte-short", "one-byte-long", "rows-past-the-bytes",
+             "rows-short-of-the-bytes", "wider-width", "width-three",
+             "width-eight", "bool-width", "string-width", "negative-rows",
+             "bool-rows", "string-rows", "missing-rows"],
+    )
+    def test_malformed_packed_column_rejected(self, toy_index, tmp_path, corrupt):
         path = tmp_path / "atlas.json"
         persist_index(toy_index, path)
         payload = json.loads(path.read_text())
@@ -516,7 +573,6 @@ class TestPersistence:
     def test_malformed_intent_payload_rejected(
         self, toy_index, toy_intent, tmp_path
     ):
-        synthetic = next(r.symbol_id for r in toy_index.symbols if r.is_synthetic)
         corruptions = {
             "zero dim": lambda i: i.update(dim=0, provider_name="hash-tf-0"),
             "negative dim": lambda i: i.update(dim=-256),
@@ -525,15 +581,6 @@ class TestPersistence:
             "float dim": lambda i: i.update(dim=256.0),
             "missing docs": lambda i: i.pop("docs"),
             "short text column": lambda i: i["docs"]["text"].pop(),
-            "short id column": lambda i: i["docs"]["symbol_id"].pop(),
-            "id past the symbols": lambda i: i["docs"]["symbol_id"].__setitem__(
-                0, len(toy_index.symbols)
-            ),
-            "negative id": lambda i: i["docs"]["symbol_id"].__setitem__(0, -1),
-            "bool id": lambda i: i["docs"]["symbol_id"].__setitem__(0, True),
-            "synthetic id": lambda i: i["docs"]["symbol_id"].__setitem__(
-                0, synthetic
-            ),
             "null text": lambda i: i["docs"]["text"].__setitem__(0, None),
             "number text": lambda i: i["docs"]["text"].__setitem__(1, 7),
             "text column a string": lambda i: i["docs"].update(text="calc"),
@@ -545,30 +592,19 @@ class TestPersistence:
             tmp_path,
         )
 
-    @pytest.mark.parametrize("edit", [
-        "duplicated-id", "missing-id", "ids-out-of-order", "file-root-id",
-        "unresolved-sentinel-id"])
-    def test_intent_doc_ids_must_be_the_real_symbol_ids(
-        self, toy_index, toy_intent, tmp_path, edit
+    @pytest.mark.parametrize("extra", [1, -1], ids=["one-too-many", "one-too-few"])
+    def test_intent_texts_must_be_one_per_real_symbol(
+        self, toy_index, toy_intent, tmp_path, extra
     ):
-        # a duplicated doc was answered twice, and a missing one never
-        file, sentinel = (
-            next(r.symbol_id for r in toy_index.symbols if r.is_synthetic
-                 and (r.kind is SymbolKind.FILE) == want_file)
-            for want_file in (True, False))
+        # a doc listed twice would be answered twice, and one left out never
         path = tmp_path / "atlas.json"
         persist_index(IndexContainer(toy_index, toy_intent), path)
         payload = json.loads(path.read_text())
-        ids, texts = (payload["intent"]["docs"][k] for k in ("symbol_id", "text"))
-        if edit == "missing-id":
-            ids.pop(3), texts.pop(3)
-        elif edit == "ids-out-of-order":
-            ids[3], ids[4] = ids[4], ids[3]
-        else:  # one doc more, in id order
-            extra = {"duplicated-id": ids[3], "file-root-id": file,
-                     "unresolved-sentinel-id": sentinel}[edit]
-            at = bisect.bisect(ids, extra)
-            ids.insert(at, extra), texts.insert(at, "calc")
+        texts = payload["intent"]["docs"]["text"]
+        if extra > 0:
+            texts.insert(3, "calc")
+        else:
+            texts.pop(3)
         path.write_text(json.dumps(payload))
         with pytest.raises(CorruptIndex, match="real symbols"):
             load_index(path)
@@ -605,9 +641,7 @@ class TestPersistence:
             ),
             "NaN entry": lambda i: poison(i, math.nan),
             "infinite entry": lambda i: poison(i, -math.inf),
-            "doc without a row": lambda i: i["docs"]["symbol_id"].append(
-                i["docs"]["symbol_id"][0]
-            ) or i["docs"]["text"].append("calc"),
+            "doc without a row": lambda i: i["docs"]["text"].append("calc"),
             "zero dim": lambda i: i.update(dim=0, vectors=""),
             "negative dim": lambda i: i.update(dim=-dim),
             "float dim": lambda i: i.update(dim=float(dim)),
@@ -868,9 +902,11 @@ def test_every_mutated_file_that_loads_answers_every_tool(
     tool answers or raises an ``EngineError``, never anything else."""
     path = tmp_path / "toy.caidx"
     persist_index(IndexContainer(toy_index, toy_intent), path)
-    text = path.read_text(encoding="utf-8")
-    paths = [p for p in _paths(json.loads(text)) if p and p[0] in (
-        "structural", "intent")]
+    # cells are mutated in the int columns as lists, packed back after
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    packed.unpacked(payload["structural"])
+    text = json.dumps(payload)
+    paths = [p for p in _paths(payload) if p and p[0] in ("structural", "intent")]
     ctx = ToolContext(toy_index, toy_intent)
     for tool, arguments in _TOOL_CALLS:  # each request finds its answer
         dispatch_tool(ctx, tool, arguments)
@@ -883,6 +919,7 @@ def test_every_mutated_file_that_loads_answers_every_tool(
         for key in parents:
             node = node[key]
         node[last] = _mutated(node[last], rng)
+        packed.repacked(payload["structural"])
         path.write_text(json.dumps(payload), encoding="utf-8")
         try:
             container = load_index(path)

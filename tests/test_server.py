@@ -126,6 +126,35 @@ class TestHandleLine:
         assert json.loads(raw)["ok"] is True
 
 
+# one request per tool over the toy index, and one that fails
+_TOY_REQUESTS = [
+    ("FindClass", {"name": "Calculator"}),
+    ("FindFunction", {"name": "calc::Calculator::add"}),
+    ("GetInheritanceChain", {"name": "Calculator", "direction": "both"}),
+    ("GetFunctionCalls", {"name": "calc::Calculator::add", "direction": "in"}),
+    ("DefectSubgraph", {"seeds": ["Calculator::add", 3], "hops": 2}),
+    ("QueryCodeIntent", {"text": "add two numbers \u00e9", "k": 5}),
+    ("GrepBaseline", {"pattern": "Calculator", "regex": False}),
+    ("FindClass", {"name": "Nonesuch"}),
+]
+
+
+@pytest.mark.parametrize("tool, arguments", _TOY_REQUESTS)
+def test_responses_are_the_bytes_of_json_dumps(ctx, tool, arguments):
+    request = {"request_id": 9, "tool": tool, "arguments": arguments}
+    want = json.dumps(handle_request(ctx, request), sort_keys=True,
+                      separators=(",", ":"))
+    assert handle_line(ctx, json.dumps(request)) == want
+
+
+def test_error_envelopes_are_the_bytes_of_json_dumps(ctx):
+    for line in ("{not json", "[1, 2]"):
+        response = handle_line(ctx, line)
+        assert response == json.dumps(json.loads(response), sort_keys=True,
+                                      separators=(",", ":"))
+        assert json.loads(response)["error_kind"] == "BadRequest"
+
+
 class TestServeLoop:
     def run(self, ctx, lines):
         stdin = io.StringIO("".join(line + "\n" for line in lines))
