@@ -695,7 +695,7 @@ _SITE_COLUMNS = {"caller": int, "callee": int, **_LOCATION_COLUMNS}
 # {"width": w, "data": "..."}. JSON spends about 55 ns on each int cell it
 # decodes; an array is read from bytes in one call. The array typecode of
 # each width, found by its itemsize:
-_TYPECODES = {array(code).itemsize: code for code in "QLIHB"}
+_TYPECODES = {array(code).itemsize: code for code in "LIHB"}
 _WIDTHS = (1, 2, 4)
 
 
@@ -703,15 +703,13 @@ def _pack(values, name: str) -> dict:
     """An int column in the narrowest width that holds its largest value.
     Raises ``CorruptIndex`` for a value below 0 or of 2**32 or more, which
     no width holds, rather than truncate it."""
-    try:
-        packed = array(_TYPECODES[4], values)
+    top = max(values, default=0)
+    width = 1 if top < 1 << 8 else 2 if top < 1 << 16 else 4
+    try:  # a value below 0 or of 2**32 or more fits no width
+        packed = array(_TYPECODES[width], values)
     except OverflowError as exc:
         raise CorruptIndex(
             f"column {name!r} holds a value outside 0 .. 2**32 - 1") from exc
-    top = max(packed, default=0)
-    width = next(w for w in _WIDTHS if top < 1 << 8 * w)
-    if width != 4:
-        packed = array(_TYPECODES[width], packed)
     if sys.byteorder == "big":
         packed.byteswap()
     return {"width": width, "data": base64.b64encode(packed.tobytes()).decode("ascii")}

@@ -467,7 +467,7 @@ _PRODUCT_CELLS = 1 << 18
 # over all of it costs less than a query through them (27 against 54 us on
 # a 24-doc index at dim 256, about 300 us when the query derives them).
 _SPARSE = 8
-# read once: each np.finfo call costs about a microsecond
+# read once, not on every postings query
 _EPS, _TINY = np.finfo(np.float64).eps, np.finfo(np.float64).tiny
 
 
