@@ -63,7 +63,6 @@ import json
 import logging
 import sys
 import warnings
-from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -694,9 +693,20 @@ _SITE_COLUMNS = {"caller": int, "callee": int, **_LOCATION_COLUMNS}
 # width, 1, 2 or 4 bytes, in one base64 string, written with its width as
 # {"width": w, "data": "..."}. JSON spends about 55 ns on each int cell it
 # decodes; an array is read from bytes in one call. The array typecode of
-# each width, found by its itemsize:
-_TYPECODES = {array(code).itemsize: code for code in "LIHB"}
-_WIDTHS = (1, 2, 4)
+# each width:
+_TYPECODES = {1: "B", 2: "H", 4: "I"}
+
+
+def _uints(width: int, values=()):
+    """An ``array`` of unsigned ints of ``width`` bytes. The module is
+    imported here, not at the top, so that a process that neither reads nor
+    writes an index file does not load it (72 KB of RSS)."""
+    from array import array
+
+    uints = array(_TYPECODES[width], values)
+    if uints.itemsize != width:
+        raise RuntimeError(f"array {uints.typecode!r} is not {width} bytes here")
+    return uints
 
 
 def _pack(values, name: str) -> dict:
@@ -706,7 +716,7 @@ def _pack(values, name: str) -> dict:
     top = max(values, default=0)
     width = 1 if top < 1 << 8 else 2 if top < 1 << 16 else 4
     try:  # a value below 0 or of 2**32 or more fits no width
-        packed = array(_TYPECODES[width], values)
+        packed = _uints(width, values)
     except OverflowError as exc:
         raise CorruptIndex(
             f"column {name!r} holds a value outside 0 .. 2**32 - 1") from exc
@@ -715,16 +725,16 @@ def _pack(values, name: str) -> dict:
     return {"width": width, "data": base64.b64encode(packed.tobytes()).decode("ascii")}
 
 
-def _unpack(column: dict, rows: int) -> array:
-    """The ``rows`` values of a column ``_pack`` wrote."""
+def _unpack(column: dict, rows: int):
+    """The ``rows`` values of a column ``_pack`` wrote, as an ``array``."""
     width, data = column["width"], column["data"]
-    if type(width) is not int or width not in _WIDTHS:
+    if type(width) is not int or width not in _TYPECODES:
         raise ValueError(f"a packed column's width is {width!r}, not 1, 2 or 4")
     # anything but a str is a TypeError, and bad base64 a ValueError
     raw = base64.b64decode(data, validate=True)
     if len(raw) != width * rows:
         raise ValueError(f"a packed column holds {len(raw)} bytes, not {width} x {rows}")
-    values = array(_TYPECODES[width])
+    values = _uints(width)
     values.frombytes(raw)
     if sys.byteorder == "big":
         values.byteswap()
@@ -765,7 +775,7 @@ def read_columns(table: dict, types: dict[str, type]) -> list:
             for name, cell in types.items()]
 
 
-def _decode(codes: array, table: list, what: str) -> list:
+def _decode(codes, table: list, what: str) -> list:
     try:  # the codes are unsigned
         return list(map(table.__getitem__, codes))
     except IndexError:
