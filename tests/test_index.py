@@ -1,4 +1,5 @@
 import base64
+import bisect
 import dataclasses
 import json
 import math
@@ -605,6 +606,32 @@ class TestPersistence:
             texts.insert(3, "calc")
         else:
             texts.pop(3)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(CorruptIndex, match="real symbols"):
+            load_index(path)
+
+    @pytest.mark.parametrize("edit", [
+        "duplicated-id", "file-root-id", "unresolved-sentinel-id"])
+    def test_intent_doc_ids_must_be_the_real_symbol_ids(
+        self, toy_index, toy_intent, tmp_path, edit
+    ):
+        # a doc's id is its place among the real rows, so a doc for a row
+        # twice, or for a synthetic row, is one text more than they hold
+        real_ids = toy_index.real[0]
+        file, sentinel = (
+            next(r.symbol_id for r in toy_index.symbols if r.is_synthetic
+                 and (r.kind is SymbolKind.FILE) == want_file)
+            for want_file in (True, False))
+        path = tmp_path / "atlas.json"
+        persist_index(IndexContainer(toy_index, toy_intent), path)
+        payload = json.loads(path.read_text())
+        texts = payload["intent"]["docs"]["text"]
+        if edit == "duplicated-id":
+            texts.insert(4, texts[3])
+        else:
+            at = bisect.bisect(real_ids, {"file-root-id": file,
+                                          "unresolved-sentinel-id": sentinel}[edit])
+            texts.insert(at, "calc")
         path.write_text(json.dumps(payload))
         with pytest.raises(CorruptIndex, match="real symbols"):
             load_index(path)
