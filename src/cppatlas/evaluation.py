@@ -10,6 +10,7 @@ names at least one truth function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 
 from .diffs import PatchCandidate, touched_old_lines
 from .errors import IdMismatch
@@ -74,16 +75,15 @@ def truth_sets(
     touches, and the qualified names of baseline functions whose spans
     intersect the patch's old-side lines."""
     touched = touched_old_lines(candidate)
+    symbols = structural.symbols
+    lines_of = [touched.get(path) for path in symbols.files]  # by file code
     functions = set()
-    for rec in structural.symbols:
-        if rec.kind not in FUNCTION_KINDS or rec.is_synthetic:
+    for i in compress(count(), map(lines_of.__getitem__, symbols.file)):
+        if symbols.kind_of(i) not in FUNCTION_KINDS or symbols.is_synthetic(i):
             continue
-        lines = touched.get(rec.location.file)
-        if not lines:
-            continue
-        lo, hi = rec.location.start_line, rec.location.end_line
-        if any(lo <= ln <= hi for ln in lines):
-            functions.add(rec.qualified_name)
+        lo, hi = symbols.start_line[i], symbols.end_line[i]
+        if any(lo <= ln <= hi for ln in lines_of[symbols.file[i]]):
+            functions.add(symbols.qualified_name[i])
     return frozenset(candidate.touched_files), frozenset(functions)
 
 

@@ -16,16 +16,24 @@ resolves deferred references:
   member is virtual or the derived one is marked ``override``.
 
 An index is read-only once made, and its fields are what an index file
-holds. Every table derived from them is made on its first read and kept
-(a ``functools.cached_property``): the ``graph`` that queries walk rather
-than scanning edges, the lookups ``by_name``, ``by_qualified`` and
-``by_suffix``, the trigram filter that ``queries.grep_baseline`` reads,
-and the ``real`` rows that intent documents stand for. The graph and the
-lookups are made with the cyclic collector paused. Neither
-``build_index`` nor ``load_index`` derives any of them, but a load sets
-``real`` from the columns it has decoded; both run the closure check,
-which reads each symbol's synthetic flag from its kind and qualified
-name columns (``synthetic_flags``).
+holds. It keeps its symbols, edges and call sites as columns, the ones a
+build assembles or a load decodes, in the record views of ``model``
+(``SymbolView``, ``EdgeView``, ``CallSiteView``): a symbol's id is its
+row, its kind and file are codes into small tables, an int column a load
+reads is a memoryview of the file's bytes, and edges are a ``src`` and a
+``dst`` column per kind. A ``SymbolRecord``, ``StructuralEdge`` or
+``CallSite`` is made only when a view is indexed or iterated, and none is
+kept, so a load makes no object per row. Everything in this package that
+reads every row reads the columns; the tools make a record only for a row
+they answer with. Every table derived from the fields is made on its first
+read and kept (a ``functools.cached_property``): the ``graph`` that
+queries walk rather than scanning edges, built from the int columns; the
+lookups ``by_name``, ``by_qualified`` and ``by_suffix``, from the name
+columns; the trigram filter that ``queries.grep_baseline`` reads; and the
+``real`` rows that intent documents stand for. The graph and the lookups
+are made with the cyclic collector paused. Neither ``build_index`` nor
+``load_index`` derives any of them but ``real``, which the closure check
+that both run reads.
 
 The build passes one signature dict to every ``parse_unit``, so each
 distinct parameter list of the tree is normalized once. Resolution reads
@@ -36,7 +44,7 @@ only on the caller's enclosing scope, the callee text and whether the call is
 constructor-style, so each distinct such key is resolved once per build;
 so are each scope's enclosing class and namespace and each qualified
 name's candidates, and nothing of one build is kept for the next. Edges
-are gathered as (src, dst) int pairs, one set per kind, and made records
+are gathered as (src, dst) int pairs, one set per kind, and made columns
 once, sorted, in ``EdgeKind`` order. The ``unresolved:`` sentinels get
 the largest ids. A build whose result fails the closure check raises
 ``CorruptIndex``.
@@ -52,7 +60,9 @@ bytes, that holds its largest value, in one base64 string stored with that
 width. A table of int columns alone also states its row count. Str and
 bool columns are JSON lists. Persisting a value that no width holds raises
 ``CorruptIndex``, never a truncation; a load checks each column's width,
-length and codes, and a file of another version is a ``VersionMismatch``.
+length and codes, every span and the closure before it returns, so no
+record made later can fail, and a file of another version is a
+``VersionMismatch``.
 """
 
 from __future__ import annotations
@@ -66,8 +76,8 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, combinations, compress, count, repeat
-from operator import and_, gt, is_, ne, not_
+from itertools import accumulate, chain, combinations, compress, count
+from operator import and_, gt, ne, not_
 from pathlib import Path
 
 from .cxx.parser import ParsedUnit, parse_unit
@@ -77,12 +87,13 @@ from .model import (
     CLASS_KINDS,
     FUNCTION_KINDS,
     UNRESOLVED_PREFIX,
-    CallSite,
+    CallSiteView,
     EdgeKind,
-    Location,
-    StructuralEdge,
+    EdgeView,
     SymbolKind,
     SymbolRecord,
+    SymbolView,
+    _transposed,
     synthetic_flags,
 )
 from .repo import Repository
@@ -94,28 +105,30 @@ FORMAT_VERSION = 3
 
 
 class Graph:
-    """Adjacency of one list of edges, each a (kind, src, dst) triple such as
-    a ``StructuralEdge``, built once per index.
+    """Adjacency of an index's edges, built once per index from the
+    (src, dst) pairs of each ``EdgeKind`` in ``pairs`` and the (caller,
+    callee) pair of each call site in ``sites``, in order.
 
     For each ``EdgeKind`` it maps a node to its out-neighbours
     (``targets``) and in-neighbours (``sources``), each sorted by id, and
     it maps each caller and each callee to the positions of its call sites
-    in the ``call_sites`` list it was built from. Returned lists are shared:
-    callers must not mutate them.
+    in ``sites``. Returned lists are shared: callers must not mutate them.
     """
 
-    def __init__(self, edges=(), call_sites=()):
+    def __init__(self, pairs: dict, sites=()):
         self._out: dict[EdgeKind, dict[int, list[int]]] = {k: {} for k in EdgeKind}
         self._in: dict[EdgeKind, dict[int, list[int]]] = {k: {} for k in EdgeKind}
-        for kind, src, dst in edges:
-            self._out[kind].setdefault(src, []).append(dst)
-            self._in[kind].setdefault(dst, []).append(src)
+        for kind, kind_pairs in pairs.items():
+            out, into = self._out[kind], self._in[kind]
+            for src, dst in kind_pairs:
+                out.setdefault(src, []).append(dst)
+                into.setdefault(dst, []).append(src)
         for table in (*self._out.values(), *self._in.values()):
             for ids in table.values():
                 ids.sort()
         self._by_caller: dict[int, list[int]] = {}
         self._by_callee: dict[int, list[int]] = {}
-        for pos, (caller, callee, _) in enumerate(call_sites):
+        for pos, (caller, callee) in enumerate(sites):
             self._by_caller.setdefault(caller, []).append(pos)
             self._by_callee.setdefault(callee, []).append(pos)
 
@@ -186,11 +199,11 @@ def _collector_paused():
             gc.enable()
 
 
-def _ids_by(symbols, attr: str) -> dict[str, list[int]]:
-    """The ids of ``symbols``, in order, by the value of one attribute."""
+def _ids_by(ids, values) -> dict[str, list[int]]:
+    """The ``ids``, in order, by their rows' ``values``."""
     table: dict[str, list[int]] = {}
-    for rec in symbols:
-        table.setdefault(getattr(rec, attr), []).append(rec.symbol_id)
+    for i, value in zip(ids, values):
+        table.setdefault(value, []).append(i)
     return table
 
 
@@ -199,26 +212,31 @@ class StructuralIndex:
     """Symbol graph and the source text it was built from: the fields are
     exactly what an index file holds, and no field can be reassigned.
 
-    ``symbols``, ``edges`` and ``call_sites`` are made tuples of named
-    tuples at construction, and ``sources`` and ``includes`` (its lists
-    made tuples) are copied into dicts that refuse changes in place. The
-    tables derived from the fields (``graph``, ``by_name``,
-    ``by_qualified``, ``by_suffix``, ``trigrams`` and ``real``) are each
-    made on their first read and kept. They are no fields, so they take no
-    part in equality or ``repr``, and ``dataclasses.replace`` gives an
-    index that derives its own."""
+    ``symbols``, ``edges`` and ``call_sites`` are record views over
+    columns (``SymbolView``, ``EdgeView``, ``CallSiteView``): each makes
+    its named tuple when one is indexed, and its named tuples, at C speed,
+    when it is iterated, and keeps none. Given any other sequence of
+    records, the constructor makes it the view of them. ``sources`` and
+    ``includes`` (its lists made tuples) are copied into dicts that refuse
+    changes in place. The tables derived from the fields (``graph``,
+    ``by_name``, ``by_qualified``, ``by_suffix``, ``trigrams`` and
+    ``real``) are each made from the columns on their first read and kept.
+    They are no fields, so they take no part in equality or ``repr``, and
+    ``dataclasses.replace`` gives an index that derives its own."""
 
-    symbols: tuple[SymbolRecord, ...] = ()
-    edges: tuple[StructuralEdge, ...] = ()
-    call_sites: tuple[CallSite, ...] = ()
+    symbols: SymbolView = ()
+    edges: EdgeView = ()
+    call_sites: CallSiteView = ()
     sources: dict[str, str] = field(default_factory=dict)
     includes: dict[str, tuple[str, ...]] = field(default_factory=dict)
     repo_snapshot: str = ""
     parse_error_count: int = 0
 
     def __post_init__(self):
-        for name in ("symbols", "edges", "call_sites"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name, view in (("symbols", SymbolView), ("edges", EdgeView),
+                           ("call_sites", CallSiteView)):
+            if type(getattr(self, name)) is not view:
+                object.__setattr__(self, name, view.of(getattr(self, name)))
         object.__setattr__(self, "sources", _Table(self.sources))
         object.__setattr__(self, "includes", _Table(
             (path, tuple(names)) for path, names in self.includes.items()))
@@ -226,17 +244,19 @@ class StructuralIndex:
     @cached_property
     @_collector_paused()
     def graph(self) -> Graph:
-        return Graph(self.edges, self.call_sites)
+        edges, sites = self.edges, self.call_sites
+        return Graph({kind: zip(*edges.ends_of(kind)) for kind in EdgeKind},
+                     zip(sites.caller, sites.callee))
 
     @cached_property
     @_collector_paused()
     def by_name(self) -> dict[str, list[int]]:
-        return _ids_by(self.symbols, "name")
+        return _ids_by(self.symbols.ids, self.symbols.name)
 
     @cached_property
     @_collector_paused()
     def by_qualified(self) -> dict[str, list[int]]:
-        return _ids_by(self.symbols, "qualified_name")
+        return _ids_by(self.symbols.ids, self.symbols.qualified_name)
 
     @cached_property
     @_collector_paused()
@@ -244,25 +264,27 @@ class StructuralIndex:
         """Ids by every trailing scope path of two or more segments: "b::c"
         holds the ids of "a::b::c" and "x::b::c"."""
         table: dict[str, list[int]] = {}
-        for rec in self.symbols:
-            name = rec.qualified_name
+        for i, name in zip(self.symbols.ids, self.symbols.qualified_name):
             cut = name.find("::")
             while cut != -1:
                 suffix = name[cut + 2 :]
                 if "::" in suffix:
-                    table.setdefault(suffix, []).append(rec.symbol_id)
+                    table.setdefault(suffix, []).append(i)
                 cut = name.find("::", cut + 1)
         return table
 
     @cached_property
     def real(self) -> tuple[tuple[int, ...], tuple[str, ...], tuple[str, ...]]:
         """The ids, qualified names and kind values of the rows that are
-        not synthetic: the rows an intent document stands for. A load sets
-        it from the columns it has decoded."""
-        kinds = [r.kind for r in self.symbols]
-        qualified = [r.qualified_name for r in self.symbols]
-        return _real_rows(synthetic_flags(kinds, qualified), qualified,
-                          [k.value for k in kinds])
+        not synthetic: the rows an intent document stands for. The closure
+        check reads it, so a build or a load has made it."""
+        symbols = self.symbols
+        real = list(map(not_, synthetic_flags(
+            map(symbols.kinds.__getitem__, symbols.kind), symbols.qualified_name)))
+        values = [k.value for k in symbols.kinds]
+        return (tuple(compress(count(), real)),
+                tuple(compress(symbols.qualified_name, real)),
+                tuple(compress(map(values.__getitem__, symbols.kind), real)))
 
     @cached_property
     def trigrams(self) -> tuple[list, list[int], int]:
@@ -334,24 +356,18 @@ def _assembled(repo: Repository) -> StructuralIndex:
     offsets = list(accumulate((len(pu.symbols) for pu in parsed), initial=0))
     columns = _transposed(chain.from_iterable(pu.symbols for pu in parsed),
                           SymbolRecord)
-    symbols = _bulk(SymbolRecord, zip(range(offsets[-1]), *columns[1:]))
     kinds, names, qualified = columns[1:4]
     pairs, sites = _resolved(parsed, offsets, columns)
 
     # --- sentinels and call sites ------------------------------------
-    sentinel_ids: dict[str, int] = {}
-    for name in sorted({target for *_, target in sites if type(target) is str}):
-        sentinel_ids[name] = len(symbols)
-        symbols.append(SymbolRecord(len(symbols), SymbolKind.FREE_FUNCTION, name,
-                                    UNRESOLVED_PREFIX + name, is_definition=False))
-    sites = [(path, line, caller, sentinel_ids.get(target, target))
-             for path, line, caller, target in sites]
-    sites.sort()
+    sentinels = sorted({target for *_, target in sites if type(target) is str})
+    sentinel_ids = dict(zip(sentinels, count(offsets[-1])))
+    sites = sorted((path, line, caller, sentinel_ids.get(target, target))
+                   for path, line, caller, target in sites)
     pairs[EdgeKind.CALLS] = {(caller, callee) for _, _, caller, callee in sites}
-    # a point span cannot end before it starts, so no Location check is due
-    call_sites = _bulk(CallSite, (
-        (caller, callee, tuple.__new__(Location, (path, line, line)))
-        for path, line, caller, callee in sites))
+    path, line, caller, callee = list(zip(*sites)) or [()] * 4
+    # a point span cannot end before it starts
+    call_sites = CallSiteView.of_fields(caller, callee, path, line, line)
 
     # --- overloads ---------------------------------------------------
     groups: dict[tuple[str, str], list[int]] = {}
@@ -364,13 +380,17 @@ def _assembled(repo: Repository) -> StructuralIndex:
     pairs[EdgeKind.OVERLOAD_OF] = set(
         chain.from_iterable(combinations(ids, 2) for ids in groups.values()))
 
+    # the parsed rows, then the sentinels; a symbol's id is its row
+    tail = _transposed((SymbolRecord(0, SymbolKind.FREE_FUNCTION, name,
+                                     UNRESOLVED_PREFIX + name, is_definition=False)
+                        for name in sentinels), SymbolRecord)
+    columns = [head + more for head, more in zip(columns, tail)]
     # each kind's pairs in order, the kinds in EdgeKind's order; a kind's
-    # pairs are let go once its edges are made
-    edges = chain.from_iterable(
-        ((kind, *pair) for pair in sorted(pairs.pop(kind))) for kind in EdgeKind)
+    # pairs are let go once its columns are made
     return StructuralIndex(
-        symbols=symbols,
-        edges=_bulk(StructuralEdge, edges),
+        symbols=SymbolView.of_fields(range(len(columns[1])), *columns[1:]),
+        edges=EdgeView(tuple(zip(*sorted(pairs.pop(kind)))) or ((), ())
+                       for kind in EdgeKind),
         call_sites=call_sites,
         sources={u.path: u.content for u in repo.units},
         includes={pu.path: pu.includes for pu in parsed},
@@ -404,9 +424,7 @@ def _resolved(parsed: list[ParsedUnit], offsets: list[int], columns
                           resolver.qualified[derived])
 
     # containment and inheritance are final here; calls and overrides read them
-    resolver.graph = Graph(
-        (kind, src, dst) for kind, kind_pairs in pairs.items()
-        for src, dst in kind_pairs)
+    resolver.graph = Graph(pairs)
 
     # --- calls -------------------------------------------------------
     sites: list[tuple[str, int, int, int | str]] = []
@@ -576,43 +594,27 @@ class _Resolver:
 
 
 def _check_closure(index: StructuralIndex):
-    """Check a built index: dense ids, then ``_check_columns`` over the
-    columns of its records, edge list and call sites."""
-    ids, kinds, names, qualified, *_ = _transposed(index.symbols, SymbolRecord)
-    if any(map(ne, ids, count())):
+    """Check a built or loaded index: dense ids, then ``_check_columns``
+    over its columns."""
+    symbols, edges, sites = index.symbols, index.edges, index.call_sites
+    if symbols.ids != range(len(symbols)) and any(map(ne, symbols.ids, count())):
         raise AssertionError("symbol ids are not dense")
-    edge_kinds, src, dst = _transposed(index.edges, StructuralEdge)
-    contains = list(map(is_, edge_kinds, repeat(EdgeKind.CONTAINS)))
-    callers, callees, _ = _transposed(index.call_sites, CallSite)
     _check_columns(
-        names,
-        qualified,
-        synthetic_flags(kinds, qualified),
-        (list(compress(src, contains)), list(compress(dst, contains))),
-        [src, dst],
-        [callers, callees],
+        symbols.name,
+        symbols.qualified_name,
+        index.real[0],
+        edges.ends_of(EdgeKind.CONTAINS),
+        [ids for pair in edges.ends for ids in pair],
+        [sites.caller, sites.callee],
     )
 
 
-def _transposed(rows, cls) -> list[tuple]:
-    """The columns of ``rows`` of the named tuple ``cls``."""
-    return list(zip(*rows)) or [()] * len(cls._fields)
-
-
-def _real_rows(synthetic, qualified_names, kind_values) -> tuple[tuple, ...]:
-    """``StructuralIndex.real`` from columns: the rows not ``synthetic``."""
-    real = list(map(not_, synthetic))
-    return (tuple(compress(count(), real)), tuple(compress(qualified_names, real)),
-            tuple(compress(kind_values, real)))
-
-
-def _check_columns(names, qualified_names, synthetic, contains, edge_ends,
-                   site_ends):
+def _check_columns(names, qualified_names, real, contains, edge_ends, site_ends):
     """The closure of a symbol graph given as columns, whose ids are rows:
     every qualified name ends in its name; every edge end (``edge_ends``)
     and call-site end (``site_ends``) is a row; and the ``contains`` pairs
     (parents, children; their columns are among ``edge_ends``) make a
-    forest whose roots are exactly the ``synthetic`` rows. Raises
+    forest whose roots are exactly the rows not in ``real``. Raises
     ``AssertionError`` otherwise."""
     # imported here, not at the top, to keep numpy's import order (and so
     # peak RSS) as it was; masks are tested with count_nonzero, which,
@@ -634,7 +636,8 @@ def _check_columns(names, qualified_names, synthetic, contains, edge_ends,
     if np.count_nonzero(counts > 1):
         raise AssertionError(f"symbol {int(np.argmax(counts > 1))} has two parents")
     rooted = counts == 0
-    synthetic = np.fromiter(synthetic, dtype=bool, count=n)
+    synthetic = np.ones(n, dtype=bool)
+    synthetic[np.fromiter(real, dtype=np.intp, count=len(real))] = False
     if np.count_nonzero(synthetic & ~rooted):
         raise AssertionError("synthetic symbol must be a root")
     if np.count_nonzero(rooted & ~synthetic):
@@ -725,8 +728,9 @@ def _pack(values, name: str) -> dict:
     return {"width": width, "data": base64.b64encode(packed.tobytes()).decode("ascii")}
 
 
-def _unpack(column: dict, rows: int):
-    """The ``rows`` values of a column ``_pack`` wrote, as an ``array``."""
+def _unpack(column: dict, rows: int) -> memoryview:
+    """The ``rows`` values of a column ``_pack`` wrote, as a read-only
+    memoryview of its bytes in native order."""
     width, data = column["width"], column["data"]
     if type(width) is not int or width not in _TYPECODES:
         raise ValueError(f"a packed column's width is {width!r}, not 1, 2 or 4")
@@ -734,10 +738,14 @@ def _unpack(column: dict, rows: int):
     raw = base64.b64decode(data, validate=True)
     if len(raw) != width * rows:
         raise ValueError(f"a packed column holds {len(raw)} bytes, not {width} x {rows}")
-    values = _uints(width)
-    values.frombytes(raw)
     if sys.byteorder == "big":
+        values = _uints(width)
+        values.frombytes(raw)
         values.byteswap()
+        raw = values.tobytes()
+    values = memoryview(raw).cast(_TYPECODES[width])
+    if values.itemsize != width:
+        raise RuntimeError(f"format {values.format!r} is not {width} bytes here")
     return values
 
 
@@ -755,7 +763,7 @@ def write_columns(table: dict, types: dict[str, type]) -> dict:
 def read_columns(table: dict, types: dict[str, type]) -> list:
     """The named columns of one table, checked to be of one length: a str or
     bool column as a list whose cells all have that type (a ``bool`` is no
-    ``int`` here), and an int column, packed, as an ``array``. The length
+    ``int`` here), and an int column, packed, as a memoryview. The length
     is the lists', or the table's ``rows`` when it has no list."""
     lists = [name for name, cell in types.items() if cell is not int]
     for name in lists:
@@ -775,40 +783,38 @@ def read_columns(table: dict, types: dict[str, type]) -> list:
             for name, cell in types.items()]
 
 
-def _decode(codes, table: list, what: str) -> list:
-    try:  # the codes are unsigned
-        return list(map(table.__getitem__, codes))
-    except IndexError:
-        raise ValueError(f"{what} index out of range") from None
+def _check_codes(codes, table, what: str):
+    """Each of the unsigned ``codes`` is a row of ``table``."""
+    if len(codes) and max(codes) >= len(table):
+        raise ValueError(f"{what} index out of range")
 
 
-def _columns(cls, rows) -> dict:
-    """``rows`` of the named tuple ``cls``, field by field."""
-    return dict(zip(cls._fields, _transposed(rows, cls)))
+def _recoded(codes, table, rows: dict) -> list:
+    """``codes``, rows of ``table``, as the ``rows`` of their values."""
+    return list(map([rows.get(value) for value in table].__getitem__, codes))
 
 
 def _structural_to_dict(index: StructuralIndex) -> dict:
-    symbols = _columns(SymbolRecord, index.symbols)
-    sites = _columns(CallSite, index.call_sites)
-    for table in (symbols, sites):
-        table.update(_columns(Location, table.pop("location")))
-    files = sorted({*symbols["file"], *sites["file"]})
+    """The file's tables of an index. Its ``files`` are the paths that a
+    symbol or a call site names, sorted, and its ``kinds`` are
+    ``SymbolKind``'s, so an index's own tables never show."""
+    symbols, sites, edges = index.symbols, index.call_sites, index.edges
+    files = sorted({*map(symbols.files.__getitem__, set(symbols.file)),
+                    *map(sites.files.__getitem__, set(sites.file))})
     file_row = {f: i for i, f in enumerate(files)}
-    kind_row = {k: i for i, k in enumerate(SymbolKind)}
-    symbols["kind"] = list(map(kind_row.__getitem__, symbols["kind"]))
-    for table in (symbols, sites):
-        table["file"] = list(map(file_row.__getitem__, table["file"]))
-    ends = {k: ([], []) for k in EdgeKind}
-    for kind, src, dst in index.edges:
-        ends[kind][0].append(src)
-        ends[kind][1].append(dst)
+    symbol_columns = {name: getattr(symbols, name) for name in _SYMBOL_COLUMNS}
+    symbol_columns["kind"] = _recoded(symbols.kind, symbols.kinds,
+                                      {k: i for i, k in enumerate(SymbolKind)})
+    symbol_columns["file"] = _recoded(symbols.file, symbols.files, file_row)
+    site_columns = {name: getattr(sites, name) for name in _SITE_COLUMNS}
+    site_columns["file"] = _recoded(sites.file, sites.files, file_row)
     return {
         "kinds": [k.value for k in SymbolKind],
         "files": files,
-        "symbols": write_columns(symbols, _SYMBOL_COLUMNS),
-        "edges": {k.value: write_columns({"from": src, "to": dst}, _EDGE_COLUMNS)
-                  for k, (src, dst) in ends.items()},
-        "call_sites": write_columns(sites, _SITE_COLUMNS),
+        "symbols": write_columns(symbol_columns, _SYMBOL_COLUMNS),
+        "edges": {k.value: write_columns(dict(zip(_EDGE_COLUMNS, edges.ends_of(k))),
+                                         _EDGE_COLUMNS) for k in EdgeKind},
+        "call_sites": write_columns(site_columns, _SITE_COLUMNS),
         "sources": index.sources,
         "includes": index.includes,
         "parse_error_count": index.parse_error_count,
@@ -816,7 +822,8 @@ def _structural_to_dict(index: StructuralIndex) -> dict:
 
 
 def _structural_from_dict(d: dict, snapshot: str) -> StructuralIndex:
-    """The index ``_structural_to_dict`` wrote, its ``real`` rows set."""
+    """The index ``_structural_to_dict`` wrote, its columns kept as read.
+    Every check runs here, so that no record made later can fail."""
     sources, includes, errors = d["sources"], d["includes"], d["parse_error_count"]
     if type(snapshot) is not str or type(errors) is not int:
         raise ValueError("repo_snapshot must be a str and parse_error_count an int")
@@ -830,56 +837,27 @@ def _structural_from_dict(d: dict, snapshot: str) -> StructuralIndex:
     (kinds,) = read_columns(d, {"kinds": str})
     kinds = [SymbolKind(k) for k in kinds]
     (files,) = read_columns(d, {"files": str})
-
-    def locations(file, start_line, end_line) -> list[Location]:
-        if any(map(gt, start_line, end_line)):
-            raise ValueError("a span ends before it starts")
-        return _bulk(Location, zip(_decode(file, files, "file"), start_line, end_line))
-
-    kind, file, start_line, end_line, name, qualified, signature, *rest = (
-        read_columns(d["symbols"], _SYMBOL_COLUMNS)
-    )
-    codes, kind = kind, _decode(kind, kinds, "kind")
-    synthetic = synthetic_flags(kind, qualified)
-    symbols = _bulk(SymbolRecord, zip(
-        count(), kind, name, qualified, signature,
-        locations(file, start_line, end_line), *rest,
-    ))
+    symbols = read_columns(d["symbols"], _SYMBOL_COLUMNS)  # kind, file, lines, ...
+    _check_codes(symbols[0], kinds, "kind")
     if set(d["edges"]) != {k.value for k in EdgeKind}:
         raise ValueError(f"edge kinds {sorted(d['edges'])} are not EdgeKind's")
-    edges, ends = [], {}
-    for k in EdgeKind:
-        src, dst = ends[k] = read_columns(d["edges"][k.value], _EDGE_COLUMNS)
-        edges += _bulk(StructuralEdge, zip(repeat(k), src, dst))
-    caller, callee, *where = read_columns(d["call_sites"], _SITE_COLUMNS)
-    call_sites = _bulk(CallSite, zip(caller, callee, locations(*where)))
-    _check_columns(
-        name,
-        qualified,
-        synthetic,
-        ends[EdgeKind.CONTAINS],
-        [ids for pair in ends.values() for ids in pair],
-        [caller, callee],
-    )
+    ends = [read_columns(d["edges"][k.value], _EDGE_COLUMNS) for k in EdgeKind]
+    sites = read_columns(d["call_sites"], _SITE_COLUMNS)  # caller, callee, file, ...
+    for file, start_line, end_line in (symbols[1:4], sites[2:5]):
+        _check_codes(file, files, "file")
+        if any(map(gt, start_line, end_line)):
+            raise ValueError("a span ends before it starts")
     index = StructuralIndex(
-        symbols=symbols,
-        edges=edges,
-        call_sites=call_sites,
+        symbols=SymbolView(kinds, files, range(len(symbols[0])), *symbols),
+        edges=EdgeView(ends),
+        call_sites=CallSiteView(files, *sites),
         sources=sources,
         includes=includes,
         repo_snapshot=snapshot,
         parse_error_count=errors,
     )
-    values = [k.value for k in kinds]
-    index.__dict__["real"] = _real_rows(synthetic, qualified,
-                                        map(values.__getitem__, codes))
+    _check_closure(index)
     return index
-
-
-def _bulk(cls, rows) -> list:
-    """``cls`` named tuples from ``rows`` of its fields, made without
-    calling ``cls``, so without any check a subclass adds."""
-    return list(map(tuple.__new__, repeat(cls), rows))
 
 
 def persist_index(
@@ -907,13 +885,12 @@ def load_index(
     path: str | Path, expected_snapshot: str | None = None
 ) -> IndexContainer:
     """Read a container back; warns with ``StaleIndexWarning`` when the
-    stored snapshot differs from ``expected_snapshot``. Beyond the closure
-    check it derives nothing: the structural tables and the hash embedder's
-    intent vectors are each made on the first query that reads them. It
-    works out each symbol's synthetic flag once, from the file's kind codes
-    and qualified names; the closure check reads those flags, and the
-    intent documents are the rows they leave (``real``), kept as columns
-    with no object per document."""
+    stored snapshot differs from ``expected_snapshot``. The structural
+    index keeps the columns it decodes and makes no record; beyond the
+    closure check and the ``real`` rows it reads it derives nothing: the
+    structural tables and the hash embedder's intent vectors are each made
+    on the first query that reads them. The intent documents are the
+    ``real`` rows, kept as columns with no object per document."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:

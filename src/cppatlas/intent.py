@@ -98,24 +98,27 @@ def summarize_artifact(record: SymbolRecord, snippet: str) -> str:
     signature, template parameters, doc comment and body identifiers, as
     runs of lowercase letters or digits joined by single spaces. Token
     repetition is intentional; it becomes term frequency."""
-    return _summary(record, _scope_parts(record.qualified_name), tokenize,
-                    tokenize(snippet))
+    return _summary(record.kind.value, record.name, _scope_parts(record.qualified_name),
+                    (record.signature, record.template_params, record.doc_comment),
+                    tokenize, tokenize(snippet))
 
 
 def _scope_parts(qualified_name: str) -> list[str]:
     return list(chain.from_iterable(map(_segments, qualified_name.split("::"))))
 
 
-def _summary(record: SymbolRecord, scope_parts, field_tokens, snippet_tokens
-             ) -> str:
-    """``summarize_artifact`` given the record's scope parts, a function
-    from a field to its tokens, and the snippet's tokens."""
+def _summary(kind: str, name: str, scope_parts, fields, field_tokens,
+             snippet_tokens) -> str:
+    """``summarize_artifact`` given the record's kind value, name and scope
+    parts, its signature, template parameters and doc comment
+    (``fields``), a function from a field to its tokens, and the snippet's
+    tokens."""
     # "member_function" gives two parts, so the text still reads
     # "member function"
-    parts = record.kind.value.split("_")
-    parts.extend(_segments(record.name))
+    parts = kind.split("_")
+    parts.extend(_segments(name))
     parts.extend(scope_parts)
-    for text in (record.signature, record.template_params, record.doc_comment):
+    for text in fields:
         parts.extend(field_tokens(text))
     parts.extend(snippet_tokens)
     return " ".join(parts)
@@ -133,21 +136,28 @@ class _Memo(dict):
         return value
 
 
-def _summaries(records, lines: dict[str, list[str]]) -> list[str]:
+def _summaries(symbols, ids, lines: dict[str, list[str]]) -> list[str]:
     """``summarize_artifact(r, snippet_of(lines.get(r.location.file), r))``
-    of each record, with each qualified name's scope parts, each field's
-    tokens and each source line's tokens derived once. A snippet's tokens
-    are its rows' tokens in order, since no identifier spans a "\n" and
-    "..." holds none. The three memos are kept apart: a qualified name's
-    parts are not its ``tokenize``."""
+    of the record ``r`` of each of ``ids``, read from the ``symbols``
+    columns, with each qualified name's scope parts, each field's tokens
+    and each source line's tokens derived once. A snippet's tokens are its
+    rows' tokens in order, since no identifier spans a "\n" and "..." holds
+    none. The three memos are kept apart: a qualified name's parts are not
+    its ``tokenize``."""
     scopes, fields, line_tokens = _Memo(_scope_parts), _Memo(tokenize), _Memo(tokenize)
+    kinds = [kind.value for kind in symbols.kinds]
+    file_lines = [lines.get(path) for path in symbols.files]
     texts = []
-    for r in records:
-        rows = lines.get(r.location.file)
+    columns = (symbols.kind, symbols.name, symbols.qualified_name, symbols.file,
+               symbols.start_line, symbols.end_line, symbols.signature,
+               symbols.template_params, symbols.doc_comment)
+    for kind, name, qualified, file, start, end, *field_texts in zip(
+            *(map(column.__getitem__, ids) for column in columns)):
+        rows = file_lines[file]
         snippet = () if rows is None else chain.from_iterable(
-            map(line_tokens.__getitem__, snippet_window(rows, r)))
-        texts.append(_summary(r, scopes[r.qualified_name], fields.__getitem__,
-                              snippet))
+            map(line_tokens.__getitem__, snippet_window(rows, start, end)))
+        texts.append(_summary(kinds[kind], name, scopes[qualified], field_texts,
+                              fields.__getitem__, snippet))
     return texts
 
 
@@ -434,7 +444,7 @@ def build_intent_index(index: StructuralIndex, provider=None) -> IntentIndex:
     provider = provider or HashEmbeddingProvider()
     ids, names, kinds = index.real
     lines = {path: snippet_rows(text) for path, text in index.sources.items()}
-    texts = _summaries([index.symbols[i] for i in ids], lines)
+    texts = _summaries(index.symbols, ids, lines)
     rows = None
     if not isinstance(provider, HashEmbeddingProvider):
         rows = np.array(provider.embed_many(texts), dtype=np.float64)

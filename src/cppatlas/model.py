@@ -9,9 +9,10 @@ resolver could not find.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from enum import Enum
-from itertools import compress, count, repeat
-from operator import is_
+from itertools import chain, compress, count, repeat
+from operator import eq, is_
 from typing import NamedTuple
 
 
@@ -151,3 +152,194 @@ class CallSite(NamedTuple):
     caller: int
     callee: int
     location: Location
+
+
+def _transposed(rows, cls) -> list[tuple]:
+    """The columns of ``rows`` of the named tuple ``cls``."""
+    return list(zip(*rows)) or [()] * len(cls._fields)
+
+
+def _frozen(column):
+    """``column`` if it cannot change in place (a tuple, a range or a
+    memoryview of bytes), else a tuple of it."""
+    if type(column) in (tuple, range) or (
+            type(column) is memoryview and type(column.obj) is bytes):
+        return column
+    return tuple(column)
+
+
+def _coded(values, table: tuple) -> tuple:
+    """Each of ``values`` as its row in ``table``."""
+    return tuple(map({v: i for i, v in enumerate(table)}.__getitem__, values))
+
+
+class RecordView(Sequence):
+    """A read-only sequence of the named tuples ``record``, kept as columns
+    (``__slots__``, the constructor's arguments in order): a record is made
+    when one is read, by index or by iteration, which makes them with
+    ``map`` and ``zip`` alone, and none is kept. A column is a tuple, a
+    range or a memoryview of bytes, so nothing a view holds changes in
+    place. Views are equal when their records are, whatever holds their
+    columns. ``of`` makes the view of given records."""
+
+    __slots__ = ()
+    record: type
+    # makes every record from its type and fields, without the checks of the
+    # type's constructor: a load checks its columns up front
+    _make = tuple.__new__
+
+    def __init__(self, *columns):
+        for name, column in zip(self.__slots__, columns):
+            object.__setattr__(self, name, _frozen(column))
+
+    def __iter__(self):
+        return map(self._make, repeat(self.record), self._rows())
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        return self._make(self.record, self._row(i))
+
+    def __eq__(self, other):
+        if not isinstance(other, RecordView):
+            return NotImplemented
+        return (type(self) is type(other) and len(self) == len(other)
+                and all(map(eq, self, other)))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
+
+    def __reduce__(self):
+        return type(self).of, (tuple(self),)
+
+    def _refuse(self, *args):
+        raise AttributeError(f"a {type(self).__name__} is read-only")
+
+    __setattr__ = __delattr__ = _refuse
+
+    # a location is a ``file`` code (a row of ``files``) and two lines
+    def _locations(self):
+        return map(self._make, repeat(Location), zip(
+            map(self.files.__getitem__, self.file), self.start_line, self.end_line))
+
+    def _location(self, i) -> Location:
+        return self._make(Location, (self.files[self.file[i]], self.start_line[i],
+                                     self.end_line[i]))
+
+
+class SymbolView(RecordView):
+    """``SymbolRecord``s: a ``kind`` and a ``file`` code per row, rows of
+    the ``kinds`` and ``files`` tables, and a column per other field, a
+    location's lines as ``start_line`` and ``end_line``. ``ids`` is
+    ``range(len)`` in a built or loaded index."""
+
+    __slots__ = ("kinds", "files", "ids", "kind", "file", "start_line",
+                 "end_line", "name", "qualified_name", "signature",
+                 "is_definition", "template_params", "doc_comment",
+                 "is_virtual", "has_override")
+    record = SymbolRecord
+
+    @classmethod
+    def of_fields(cls, ids, kind, name, qualified_name, signature, location,
+                  *flags) -> "SymbolView":
+        """The view of ``SymbolRecord`` columns, in field order."""
+        file, start, end = _transposed(location, Location)
+        kinds, files = tuple(SymbolKind), tuple(sorted(set(file)))
+        return cls(kinds, files, ids, _coded(kind, kinds), _coded(file, files),
+                   start, end, name, qualified_name, signature, *flags)
+
+    @classmethod
+    def of(cls, records) -> "SymbolView":
+        return cls.of_fields(*_transposed(records, SymbolRecord))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def _rows(self):
+        return zip(self.ids, map(self.kinds.__getitem__, self.kind), self.name,
+                   self.qualified_name, self.signature, self._locations(),
+                   self.is_definition, self.template_params, self.doc_comment,
+                   self.is_virtual, self.has_override)
+
+    def _row(self, i) -> tuple:
+        return (self.ids[i], self.kinds[self.kind[i]], self.name[i],
+                self.qualified_name[i], self.signature[i], self._location(i),
+                self.is_definition[i], self.template_params[i], self.doc_comment[i],
+                self.is_virtual[i], self.has_override[i])
+
+    def kind_of(self, i: int) -> SymbolKind:
+        return self.kinds[self.kind[i]]
+
+    def is_synthetic(self, i: int) -> bool:
+        """``SymbolRecord.is_synthetic`` of row ``i``."""
+        return self.kind_of(i) is SymbolKind.FILE or is_sentinel_name(
+            self.qualified_name[i])
+
+
+# a kind's place in an EdgeView's ends
+_EDGE_ROW = {kind: i for i, kind in enumerate(EdgeKind)}
+
+
+class EdgeView(RecordView):
+    """``StructuralEdge``s, kind by kind in ``EdgeKind`` order: ``ends``
+    holds a ``src`` and a ``dst`` column per kind."""
+
+    __slots__ = ("ends",)
+    record = StructuralEdge
+
+    def __init__(self, ends):
+        object.__setattr__(self, "ends", tuple(
+            (_frozen(src), _frozen(dst)) for src, dst in ends))
+
+    @classmethod
+    def of(cls, records) -> "EdgeView":
+        records = tuple(records)
+        return cls(tuple(zip(*(pair for k, *pair in records if k == kind))) or ((), ())
+                   for kind in EdgeKind)
+
+    def ends_of(self, kind: EdgeKind) -> tuple:
+        return self.ends[_EDGE_ROW[kind]]
+
+    def __len__(self) -> int:
+        return sum(len(src) for src, _ in self.ends)
+
+    def _rows(self):
+        return chain.from_iterable(
+            zip(repeat(kind), src, dst) for kind, (src, dst) in zip(EdgeKind, self.ends))
+
+    def _row(self, i) -> tuple:
+        if i < 0:
+            i += len(self)
+        for kind, (src, dst) in zip(EdgeKind, self.ends):
+            if 0 <= i < len(src):
+                return kind, src[i], dst[i]
+            i -= len(src)
+        raise IndexError("edge index out of range")
+
+
+class CallSiteView(RecordView):
+    """``CallSite``s: ``caller``, ``callee``, and a location's ``file``
+    code, a row of ``files``, ``start_line`` and ``end_line``."""
+
+    __slots__ = ("files", "caller", "callee", "file", "start_line", "end_line")
+    record = CallSite
+
+    @classmethod
+    def of_fields(cls, caller, callee, file, start_line, end_line) -> "CallSiteView":
+        """The view of ``CallSite`` columns, a location's in its place."""
+        files = tuple(sorted(set(file)))
+        return cls(files, caller, callee, _coded(file, files), start_line, end_line)
+
+    @classmethod
+    def of(cls, records) -> "CallSiteView":
+        caller, callee, location = _transposed(records, CallSite)
+        return cls.of_fields(caller, callee, *_transposed(location, Location))
+
+    def __len__(self) -> int:
+        return len(self.caller)
+
+    def _rows(self):
+        return zip(self.caller, self.callee, self._locations())
+
+    def _row(self, i) -> tuple:
+        return self.caller[i], self.callee[i], self._location(i)

@@ -351,13 +351,13 @@ def locality(
     the defect subgraph. 0.0 when there is no subgraph."""
     if not subgraph_nodes:
         return 0.0
+    symbols = structural.symbols
     spans: dict[str, list[tuple[int, int]]] = {}
     for node in subgraph_nodes:
-        rec = structural.symbols[node]
-        if rec.is_synthetic:
+        if symbols.is_synthetic(node):
             continue
-        spans.setdefault(rec.location.file, []).append(
-            (rec.location.start_line, rec.location.end_line)
+        spans.setdefault(symbols.files[symbols.file[node]], []).append(
+            (symbols.start_line[node], symbols.end_line[node])
         )
     touched = touched_old_lines(candidate)
     total = 0

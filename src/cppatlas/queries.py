@@ -56,7 +56,8 @@ def snippet_of(lines: list[str] | None, record: SymbolRecord) -> str:
     when there is no such file."""
     if lines is None:
         return ""
-    return "\n".join(snippet_window(lines, record))
+    _, start, end = record.location
+    return "\n".join(snippet_window(lines, start, end))
 
 
 def snippet_rows(content: str) -> list[str]:
@@ -69,11 +70,10 @@ def snippet_rows(content: str) -> list[str]:
     return rows
 
 
-def snippet_window(lines: list[str], record: SymbolRecord) -> list[str]:
-    """The rows of a record's snippet, from its file's ``snippet_rows``:
-    the first ``_SNIPPET_MAX_LINES`` of its span, then "..." if the span
-    runs on."""
-    _, start, end = record.location
+def snippet_window(lines: list[str], start: int, end: int) -> list[str]:
+    """The rows of the snippet of a span from ``start`` to ``end``, from
+    its file's ``snippet_rows``: the first ``_SNIPPET_MAX_LINES`` of the
+    span, then "..." if the span runs on."""
     last = min(end, start + _SNIPPET_MAX_LINES - 1)
     window = lines[start - 1 : last]
     if last < end:
@@ -88,11 +88,11 @@ def _lookup_by_name(
         ids = index.by_qualified.get(name, [])
     else:
         ids = index.by_name.get(name, [])
-    pool = [index.symbols[i] for i in ids]
-    # no kind of ``kinds`` is a file root's, so the only synthetic records
+    # no kind of ``kinds`` is a file root's, so the only synthetic rows
     # here are unresolved sentinels
-    return [r for r in pool if r.kind in kinds
-            and not is_sentinel_name(r.qualified_name)]
+    symbols = index.symbols
+    return [symbols[i] for i in ids if symbols.kind_of(i) in kinds
+            and not is_sentinel_name(symbols.qualified_name[i])]
 
 
 def _prefer_definitions(records: list[SymbolRecord]) -> list[SymbolRecord]:
@@ -215,28 +215,28 @@ def get_function_calls(
     if direction not in ("out", "in"):
         raise BadRequest(f"bad direction {direction!r}")
     record = _single_function(index, name, signature)
+    symbols, cs = index.symbols, index.call_sites
     same = {
         i
         for i in index.by_qualified.get(record.qualified_name, [])
-        if index.symbols[i].signature == record.signature
-        and index.symbols[i].kind in FUNCTION_KINDS
+        if symbols.signature[i] == record.signature
+        and symbols.kind_of(i) in FUNCTION_KINDS
     }
     positions_of = (
         index.graph.sites_from if direction == "out" else index.graph.sites_into
     )
     sites = []
     for pos in sorted(p for anchor in same for p in positions_of(anchor)):
-        cs = index.call_sites[pos]
-        other_id = cs.callee if direction == "out" else cs.caller
-        other = index.symbols[other_id]
+        caller, callee = cs.caller[pos], cs.callee[pos]
+        other = callee if direction == "out" else caller
         sites.append(
             {
-                "caller": cs.caller,
-                "callee": cs.callee,
-                "other": other.qualified_name,
-                "resolved": not other.is_synthetic,
-                "file": cs.location.file,
-                "line": cs.location.start_line,
+                "caller": caller,
+                "callee": callee,
+                "other": symbols.qualified_name[other],
+                "resolved": not symbols.is_synthetic(other),
+                "file": cs.files[cs.file[pos]],
+                "line": cs.start_line[pos],
             }
         )
     return {

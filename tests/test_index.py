@@ -1,6 +1,9 @@
+import array
 import base64
 import bisect
 import dataclasses
+import enum
+import gc
 import json
 import math
 import random
@@ -448,6 +451,7 @@ class TestPersistence:
             lambda s: s["symbols"]["kind"].__setitem__(0, len(s["kinds"])),
             lambda s: s["symbols"]["kind"].__setitem__(0, -1),
             lambda s: s["symbols"]["file"].__setitem__(1, len(s["files"])),
+            lambda s: s["call_sites"]["file"].__setitem__(0, len(s["files"])),
             lambda s: s["call_sites"]["file"].__setitem__(0, -1),
             lambda s: s["kinds"].__setitem__(0, "macro"),
             lambda s: s["edges"]["calls"]["from"].__setitem__(0, True),
@@ -469,7 +473,7 @@ class TestPersistence:
              "short-symbol-column", "short-edge-column",
              "short-call-site-column", "kind-index-past-table",
              "negative-kind-index", "file-index-past-table",
-             "negative-call-site-file", "unknown-kind-name",
+             "call-site-file-index-past-table", "negative-call-site-file", "unknown-kind-name",
              "bool-edge-endpoint", "float-line", "column-not-a-list",
              "source-not-text", "sources-not-an-object", "includes-not-a-list",
              "include-not-text",
@@ -722,6 +726,22 @@ class TestPersistence:
 DERIVED = ("graph", "by_name", "by_qualified", "by_suffix", "trigrams")
 
 
+def _mutable_reachable(root) -> list:
+    """Every list, dict, set, bytearray, ``array`` or writable memoryview
+    reachable from ``root``, not going into types or enum members."""
+    found, todo, seen = [], [root], set()
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, (type, enum.Enum)):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (list, dict, set, bytearray, array.array)) or (
+                isinstance(obj, memoryview) and not obj.readonly):
+            found.append(obj)
+        todo.extend(gc.get_referents(obj))
+    return found
+
+
 def _derived(index) -> set[str]:
     return set(DERIVED) & set(vars(index))
 
@@ -774,7 +794,10 @@ class TestDerivedTables:
             del toy_index.symbols
 
     def test_no_sequence_changes_in_place(self, toy_index, tmp_path):
-        # a change in place would leave the derived tables stale
+        # a change in place would leave the derived tables stale: whatever
+        # the index was made from, its record sequences take no item
+        # assignment, have no append, refuse attribute assignment, and
+        # hold no mutable column
         edge = StructuralEdge(EdgeKind.INHERITS_FROM, 12, 20)
         persist_index(toy_index, tmp_path / "toy.caidx")
         given = dataclasses.replace(toy_index, symbols=list(toy_index.symbols),
@@ -784,11 +807,17 @@ class TestDerivedTables:
                       given):
             assert index == toy_index
             for name in ("symbols", "edges", "call_sites"):
-                assert type(getattr(index, name)) is tuple
-            with pytest.raises(AttributeError):
-                index.edges.append(edge)
-            with pytest.raises(TypeError):
-                index.symbols[0] = index.symbols[1]
+                records = getattr(index, name)
+                with pytest.raises(TypeError):
+                    records[0] = records[1]
+                assert not hasattr(records, "append")
+                with pytest.raises(AttributeError):
+                    records.append(edge)
+                for column in type(records).__slots__:
+                    with pytest.raises(AttributeError):
+                        setattr(records, column, ())
+                assert _mutable_reachable(records) == [], name
+
 
     def test_replace_derives_a_graph_over_the_new_edges(self, toy_index):
         site = toy_index.call_sites[0]
@@ -925,8 +954,9 @@ def test_every_mutated_file_that_loads_answers_every_tool(
     toy_index, toy_intent, tmp_path
 ):
     """An index file is a trust boundary, and a loaded index derives its
-    tables at query time: whatever a damaged file that loads holds, each
-    tool answers or raises an ``EngineError``, never anything else."""
+    tables and makes its records at query time: whatever a damaged file
+    that loads holds, every record can be made, and each tool answers or
+    raises an ``EngineError``, never anything else."""
     path = tmp_path / "toy.caidx"
     persist_index(IndexContainer(toy_index, toy_intent), path)
     # cells are mutated in the int columns as lists, packed back after
@@ -953,7 +983,10 @@ def test_every_mutated_file_that_loads_answers_every_tool(
         except CorruptIndex:
             continue
         loaded += 1
-        ctx = ToolContext(container.structural, container.intent)
+        structural = container.structural
+        for records in (structural.symbols, structural.edges, structural.call_sites):
+            assert len(list(records)) == len(records)
+        ctx = ToolContext(structural, container.intent)
         for tool, arguments in _TOOL_CALLS:
             try:
                 assert isinstance(dispatch_tool(ctx, tool, arguments), dict)
