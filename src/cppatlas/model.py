@@ -4,7 +4,9 @@ A repository is indexed into ``SymbolRecord`` nodes connected by typed
 ``StructuralEdge`` edges. Two synthetic node flavors exist alongside parsed
 declarations: per-file roots (kind ``file``) that anchor the containment
 forest, and ``unresolved:<name>`` sentinels standing in for call targets the
-resolver could not find.
+resolver could not find. An index keeps its records as columns, in the
+record views at the end of this module, which make a record when one is
+read.
 """
 
 from __future__ import annotations
@@ -195,10 +197,8 @@ class RecordView(Sequence):
     def __iter__(self):
         return map(self._make, repeat(self.record), self._rows())
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self))[i]))
-        return self._make(self.record, self._row(i))
+    def _sliced(self, i: slice) -> tuple:
+        return tuple(map(self.__getitem__, range(len(self))[i]))
 
     def __eq__(self, other):
         if not isinstance(other, RecordView):
@@ -221,10 +221,6 @@ class RecordView(Sequence):
     def _locations(self):
         return map(self._make, repeat(Location), zip(
             map(self.files.__getitem__, self.file), self.start_line, self.end_line))
-
-    def _location(self, i) -> Location:
-        return self._make(Location, (self.files[self.file[i]], self.start_line[i],
-                                     self.end_line[i]))
 
 
 class SymbolView(RecordView):
@@ -261,11 +257,16 @@ class SymbolView(RecordView):
                    self.is_definition, self.template_params, self.doc_comment,
                    self.is_virtual, self.has_override)
 
-    def _row(self, i) -> tuple:
-        return (self.ids[i], self.kinds[self.kind[i]], self.name[i],
-                self.qualified_name[i], self.signature[i], self._location(i),
-                self.is_definition[i], self.template_params[i], self.doc_comment[i],
-                self.is_virtual[i], self.has_override[i])
+    def __getitem__(self, i):
+        if type(i) is slice:
+            return self._sliced(i)
+        make = self._make
+        location = (self.files[self.file[i]], self.start_line[i], self.end_line[i])
+        return make(SymbolRecord, (
+            self.ids[i], self.kinds[self.kind[i]], self.name[i], self.qualified_name[i],
+            self.signature[i], make(Location, location), self.is_definition[i],
+            self.template_params[i], self.doc_comment[i], self.is_virtual[i],
+            self.has_override[i]))
 
     def kind_of(self, i: int) -> SymbolKind:
         return self.kinds[self.kind[i]]
@@ -307,12 +308,14 @@ class EdgeView(RecordView):
         return chain.from_iterable(
             zip(repeat(kind), src, dst) for kind, (src, dst) in zip(EdgeKind, self.ends))
 
-    def _row(self, i) -> tuple:
+    def __getitem__(self, i):
+        if type(i) is slice:
+            return self._sliced(i)
         if i < 0:
             i += len(self)
         for kind, (src, dst) in zip(EdgeKind, self.ends):
             if 0 <= i < len(src):
-                return kind, src[i], dst[i]
+                return self._make(StructuralEdge, (kind, src[i], dst[i]))
             i -= len(src)
         raise IndexError("edge index out of range")
 
@@ -341,5 +344,9 @@ class CallSiteView(RecordView):
     def _rows(self):
         return zip(self.caller, self.callee, self._locations())
 
-    def _row(self, i) -> tuple:
-        return self.caller[i], self.callee[i], self._location(i)
+    def __getitem__(self, i):
+        if type(i) is slice:
+            return self._sliced(i)
+        make = self._make
+        location = (self.files[self.file[i]], self.start_line[i], self.end_line[i])
+        return make(CallSite, (self.caller[i], self.callee[i], make(Location, location)))

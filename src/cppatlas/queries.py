@@ -81,9 +81,10 @@ def snippet_window(lines: list[str], start: int, end: int) -> list[str]:
     return window
 
 
-def _lookup_by_name(
-    index: StructuralIndex, name: str, kinds: frozenset
-) -> list[SymbolRecord]:
+def _lookup_by_name(index: StructuralIndex, name: str, kinds: frozenset) -> list[int]:
+    """The ids of the symbols of ``kinds`` that a bare or qualified name
+    names, read from the columns, so that a record is made only for the
+    answer."""
     if "::" in name:
         ids = index.by_qualified.get(name, [])
     else:
@@ -91,26 +92,31 @@ def _lookup_by_name(
     # no kind of ``kinds`` is a file root's, so the only synthetic rows
     # here are unresolved sentinels
     symbols = index.symbols
-    return [symbols[i] for i in ids if symbols.kind_of(i) in kinds
+    return [i for i in ids if symbols.kinds[symbols.kind[i]] in kinds
             and not is_sentinel_name(symbols.qualified_name[i])]
 
 
-def _prefer_definitions(records: list[SymbolRecord]) -> list[SymbolRecord]:
-    defs = [r for r in records if r.is_definition]
-    return defs if defs else records
+def _prefer_definitions(index: StructuralIndex, ids: list[int]) -> list[int]:
+    defined = index.symbols.is_definition
+    defs = [i for i in ids if defined[i]]
+    return defs if defs else ids
 
 
 def find_class(index: StructuralIndex, name: str) -> SymbolRecord:
     """Resolve a class, struct or class template by bare or qualified
     name. Prefers the definition over forward declarations."""
+    return index.symbols[_class_id(index, name)]
+
+
+def _class_id(index: StructuralIndex, name: str) -> int:
     matches = _lookup_by_name(index, name, CLASS_KINDS)
     if not matches:
         raise NotFound(f"no class named {name!r}")
-    matches = _prefer_definitions(matches)
-    qualified = sorted({r.qualified_name for r in matches})
+    matches = _prefer_definitions(index, matches)
+    qualified = sorted({index.symbols.qualified_name[i] for i in matches})
     if len(qualified) > 1:
         raise AmbiguousName(name, qualified)
-    matches.sort(key=lambda r: (not r.is_definition, r.symbol_id))
+    # the matches are in id order, and all are definitions or none is
     return matches[0]
 
 
@@ -121,22 +127,29 @@ def find_function(
     signature. Overload sets come back together, sorted. A signature that
     matches no record verbatim is normalized the way the parser normalizes
     declarations and tried again, so "(int a,int)" finds "(int, int)"."""
+    return [index.symbols[i] for i in _function_ids(index, name, signature)]
+
+
+def _function_ids(index: StructuralIndex, name: str, signature: str | None
+                  ) -> list[int]:
+    symbols = index.symbols
+    signatures = symbols.signature
     matches = _lookup_by_name(index, name, FUNCTION_KINDS)
     if signature is not None:
         wanted = signature
-        if all(r.signature != wanted for r in matches):
+        if all(signatures[i] != wanted for i in matches):
             wanted = _declared_signature(signature)
-        matches = [r for r in matches if r.signature == wanted]
+        matches = [i for i in matches if signatures[i] == wanted]
     if not matches:
         raise NotFound(f"no function named {name!r}"
                        + (f" with signature {signature!r}" if signature else ""))
     matches.sort(
-        key=lambda r: (
-            r.qualified_name,
-            r.signature,
-            not r.is_definition,
-            r.location.file,
-            r.location.start_line,
+        key=lambda i: (
+            symbols.qualified_name[i],
+            signatures[i],
+            not symbols.is_definition[i],
+            symbols.files[symbols.file[i]],
+            symbols.start_line[i],
         )
     )
     return matches
@@ -150,15 +163,17 @@ def _declared_signature(signature: str) -> str:
     return normalize_signature(texts, kinds)
 
 
-def _single_function(
-    index: StructuralIndex, name: str, signature: str | None
-) -> SymbolRecord:
+def _single_function(index: StructuralIndex, name: str, signature: str | None
+                     ) -> int:
+    """The id of the one function ``name`` and ``signature`` name."""
     try:
-        matches = find_function(index, name, signature)
+        matches = _function_ids(index, name, signature)
     except NotFound as exc:
         raise UnknownFunction(str(exc)) from exc
-    matches = _prefer_definitions(matches)
-    distinct = sorted({(r.qualified_name, r.signature) for r in matches})
+    matches = _prefer_definitions(index, matches)
+    symbols = index.symbols
+    distinct = sorted({(symbols.qualified_name[i], symbols.signature[i])
+                       for i in matches})
     if len(distinct) > 1:
         raise AmbiguousName(name, [f"{q} {s}" for q, s in distinct])
     return matches[0]
@@ -173,13 +188,13 @@ def get_inheritance_chain(
     if direction not in ("bases", "derived", "both"):
         raise BadRequest(f"bad direction {direction!r}")
     try:
-        record = find_class(index, class_name)
+        class_id = _class_id(index, class_name)
     except NotFound as exc:
         raise UnknownClass(str(exc)) from exc
 
     def levels(step) -> list[list[int]]:
-        seen = {record.symbol_id}
-        frontier = {record.symbol_id}
+        seen = {class_id}
+        frontier = {class_id}
         out: list[list[int]] = []
         while frontier:
             nxt: set[int] = set()
@@ -194,8 +209,8 @@ def get_inheritance_chain(
         return out
 
     result: dict = {
-        "class": record.qualified_name,
-        "symbol_id": record.symbol_id,
+        "class": index.symbols.qualified_name[class_id],
+        "symbol_id": class_id,
     }
     if direction in ("bases", "both"):
         result["bases"] = levels(index.graph.targets)
@@ -214,12 +229,13 @@ def get_function_calls(
     resolve uniquely; pass a signature to pick one overload."""
     if direction not in ("out", "in"):
         raise BadRequest(f"bad direction {direction!r}")
-    record = _single_function(index, name, signature)
+    function = _single_function(index, name, signature)
     symbols, cs = index.symbols, index.call_sites
+    qualified = symbols.qualified_name[function]
     same = {
         i
-        for i in index.by_qualified.get(record.qualified_name, [])
-        if symbols.signature[i] == record.signature
+        for i in index.by_qualified.get(qualified, [])
+        if symbols.signature[i] == symbols.signature[function]
         and symbols.kind_of(i) in FUNCTION_KINDS
     }
     positions_of = (
@@ -240,8 +256,8 @@ def get_function_calls(
             }
         )
     return {
-        "function": record.qualified_name,
-        "symbol_id": record.symbol_id,
+        "function": qualified,
+        "symbol_id": function,
         "direction": direction,
         "sites": sites,
     }
