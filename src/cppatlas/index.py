@@ -626,11 +626,10 @@ def _check_columns(names, qualified_names, real, contains, edge_ends, site_ends)
         name = next(b for a, b in zip(qualified_names, names) if not a.endswith(b))
         raise AssertionError(f"qualified name mismatch for {name!r}")
     for what, columns in (("edge", edge_ends), ("call site", site_ends)):
-        for ids in columns:
-            ids = np.asarray(ids, dtype=np.intp)
-            outside = (ids < 0) | (ids >= n)
-            if np.count_nonzero(outside):
-                raise AssertionError(f"dangling {what} end {ids[np.argmax(outside)]}")
+        ids = np.concatenate([np.asarray(ids, dtype=np.intp) for ids in columns])
+        outside = (ids < 0) | (ids >= n)
+        if np.count_nonzero(outside):
+            raise AssertionError(f"dangling {what} end {ids[np.argmax(outside)]}")
     parents, children = (np.asarray(ids, dtype=np.intp) for ids in contains)
     counts = np.bincount(children, minlength=n)
     if np.count_nonzero(counts > 1):

@@ -277,8 +277,10 @@ class SymbolView(RecordView):
             self.qualified_name[i])
 
 
-# a kind's place in an EdgeView's ends
-_EDGE_ROW = {kind: i for i, kind in enumerate(EdgeKind)}
+# the edge kinds in order (iterating the enum itself is slower), and each
+# kind's place among an EdgeView's ends
+_EDGE_KINDS = tuple(EdgeKind)
+_EDGE_ROW = {kind: i for i, kind in enumerate(_EDGE_KINDS)}
 
 
 class EdgeView(RecordView):
@@ -296,7 +298,7 @@ class EdgeView(RecordView):
     def of(cls, records) -> "EdgeView":
         records = tuple(records)
         return cls(tuple(zip(*(pair for k, *pair in records if k == kind))) or ((), ())
-                   for kind in EdgeKind)
+                   for kind in _EDGE_KINDS)
 
     def ends_of(self, kind: EdgeKind) -> tuple:
         return self.ends[_EDGE_ROW[kind]]
@@ -306,14 +308,14 @@ class EdgeView(RecordView):
 
     def _rows(self):
         return chain.from_iterable(
-            zip(repeat(kind), src, dst) for kind, (src, dst) in zip(EdgeKind, self.ends))
+            zip(repeat(kind), src, dst) for kind, (src, dst) in zip(_EDGE_KINDS, self.ends))
 
     def __getitem__(self, i):
         if type(i) is slice:
             return self._sliced(i)
         if i < 0:
             i += len(self)
-        for kind, (src, dst) in zip(EdgeKind, self.ends):
+        for kind, (src, dst) in zip(_EDGE_KINDS, self.ends):
             if 0 <= i < len(src):
                 return self._make(StructuralEdge, (kind, src[i], dst[i]))
             i -= len(src)
