@@ -92,7 +92,7 @@ def _lookup_by_name(index: StructuralIndex, name: str, kinds: frozenset) -> list
     # no kind of ``kinds`` is a file root's, so the only synthetic rows
     # here are unresolved sentinels
     symbols = index.symbols
-    return [i for i in ids if symbols.kinds[symbols.kind[i]] in kinds
+    return [i for i in ids if symbols.kind_of(i) in kinds
             and not is_sentinel_name(symbols.qualified_name[i])]
 
 
