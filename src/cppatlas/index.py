@@ -52,17 +52,26 @@ the largest ids. A build whose result fails the closure check raises
 The result is deterministic: identical repositories produce identical
 indices, ids, edge lists and serialized bytes.
 
-An index file (format 3) holds the fields as columns. A symbol's id is its
-row, and its kind and file are rows of the file's ``kinds`` and ``files``
-tables; edges are a ``from`` and a ``to`` column per kind. Every int column
-is packed: little-endian unsigned ints of the narrowest width, 1, 2 or 4
+An index file (format 4) is a JSON header line, then two sections: the
+texts of the sources, in path order, and then the intent texts, each run
+UTF-8 encoded with lone surrogates passed through. The header gives each
+section's strs by their lengths in code points, a ``lengths`` column, and
+the sources also by their sorted, distinct ``paths``. A load decodes each
+section whole. It splits the sources into their dict on its first read,
+and the intent texts on their first full read (``model.Joined``), so it
+makes no object per file or per document. The header holds the other
+fields as columns. A symbol's id is its row, and its kind and file are rows of the header's
+``kinds`` and ``files`` tables; edges are a ``from`` and a ``to`` column
+per kind, and an empty kind is its row count alone. Every int column is
+packed: little-endian unsigned ints of the narrowest width, 1, 2 or 4
 bytes, that holds its largest value, in one base64 string stored with that
-width. A table of int columns alone also states its row count. Str and
-bool columns are JSON lists. Persisting a value that no width holds raises
-``CorruptIndex``, never a truncation; a load checks each column's width,
-length and codes, every span and the closure before it returns, so no
-record made later can fail, and a file of another version is a
-``VersionMismatch``.
+width. A table of int columns alone also states its row count. A bool
+column is bits, in one base64 string, and a str column is a JSON list.
+Persisting a value that no width holds raises ``CorruptIndex``, never a
+truncation; a load checks each column's width, length and codes, every
+span, the sections' lengths, that the file is UTF-8 and the closure before
+it returns, so no record or str made later can fail, and a file of another
+version is a ``VersionMismatch``.
 """
 
 from __future__ import annotations
@@ -77,8 +86,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain, combinations, compress, count
-from operator import and_, gt, ne, not_
+from operator import and_, ge, ne, not_
 from pathlib import Path
+from typing import NamedTuple
 
 from .cxx.parser import ParsedUnit, parse_unit
 from .errors import CorruptIndex, VersionMismatch
@@ -90,10 +100,12 @@ from .model import (
     CallSiteView,
     EdgeKind,
     EdgeView,
+    Joined,
     SymbolKind,
     SymbolRecord,
     SymbolView,
     _transposed,
+    sentinel_rows,
     synthetic_flags,
 )
 from .repo import Repository
@@ -101,7 +113,7 @@ from .repo import Repository
 log = logging.getLogger(__name__)
 
 FORMAT_MAGIC = "cppatlas-index"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class Graph:
@@ -163,6 +175,36 @@ class _Table(dict):
         return _Table, (dict(self),)
 
 
+class _Unsplit(NamedTuple):
+    """A loaded index's sources as its file holds them: the sorted paths
+    and a ``Joined`` of their texts."""
+
+    paths: list
+    texts: Joined
+
+
+class _SplitOnRead:
+    """``StructuralIndex.sources``: the ``_Table`` of the value given,
+    copied when it is set, but for an ``_Unsplit``, which is made the
+    ``_Table`` on its first read and kept, so a load makes no str per
+    file. A field whose default is a descriptor is set and read through it
+    (``dataclasses``); its default is no sources."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, index, owner=None):
+        if index is None:
+            return ()
+        table = index.__dict__[self.name]
+        if type(table) is _Unsplit:
+            table = index.__dict__[self.name] = _Table(zip(*table))
+        return table
+
+    def __set__(self, index, value):
+        index.__dict__[self.name] = value if type(value) is _Unsplit else _Table(value)
+
+
 # A fixed string of at least 3 UTF-8 bytes is looked for only in the files
 # that hold every trigram (3-byte run) of it. Each trigram hashes to one of
 # _BUCKETS rows, each row an int with one bit per file. On a 0.5 MB corpus
@@ -218,7 +260,8 @@ class StructuralIndex:
     when it is iterated, and keeps none. Given any other sequence of
     records, the constructor makes it the view of them. ``sources`` and
     ``includes`` (its lists made tuples) are copied into dicts that refuse
-    changes in place. The tables derived from the fields (``graph``,
+    changes in place; a load's sources are made that dict on their first
+    read (``_SplitOnRead``). The tables derived from the fields (``graph``,
     ``by_name``, ``by_qualified``, ``by_suffix``, ``trigrams`` and
     ``real``) are each made from the columns on their first read and kept.
     They are no fields, so they take no part in equality or ``repr``, and
@@ -227,7 +270,7 @@ class StructuralIndex:
     symbols: SymbolView = ()
     edges: EdgeView = ()
     call_sites: CallSiteView = ()
-    sources: dict[str, str] = field(default_factory=dict)
+    sources: dict[str, str] = _SplitOnRead()
     includes: dict[str, tuple[str, ...]] = field(default_factory=dict)
     repo_snapshot: str = ""
     parse_error_count: int = 0
@@ -237,7 +280,6 @@ class StructuralIndex:
                            ("call_sites", CallSiteView)):
             if type(getattr(self, name)) is not view:
                 object.__setattr__(self, name, view.of(getattr(self, name)))
-        object.__setattr__(self, "sources", _Table(self.sources))
         object.__setattr__(self, "includes", _Table(
             (path, tuple(names)) for path, names in self.includes.items()))
 
@@ -277,14 +319,20 @@ class StructuralIndex:
     def real(self) -> tuple[tuple[int, ...], tuple[str, ...], tuple[str, ...]]:
         """The ids, qualified names and kind values of the rows that are
         not synthetic: the rows an intent document stands for. The closure
-        check reads it, so a build or a load has made it."""
+        check reads it, so a build or a load has made it. It is read from
+        the kind codes, in numpy (see ``_check_columns``), and the rows
+        ``sentinel_rows`` finds."""
+        import numpy as np
+
         symbols = self.symbols
-        real = list(map(not_, synthetic_flags(
-            map(symbols.kinds.__getitem__, symbols.kind), symbols.qualified_name)))
-        values = [k.value for k in symbols.kinds]
-        return (tuple(compress(count(), real)),
-                tuple(compress(symbols.qualified_name, real)),
-                tuple(compress(map(values.__getitem__, symbols.kind), real)))
+        codes = np.asarray(symbols.kind, dtype=np.intp)
+        synthetic = np.array([k is SymbolKind.FILE for k in symbols.kinds], dtype=bool)[codes]
+        synthetic[sentinel_rows(symbols.qualified_name)] = True
+        real = ~synthetic
+        ids = np.flatnonzero(real)
+        values = np.array([k.value for k in symbols.kinds], dtype=object)
+        return (tuple(ids.tolist()), tuple(compress(symbols.qualified_name, real.tolist())),
+                tuple(values[codes[ids]].tolist()))
 
     @cached_property
     def trigrams(self) -> tuple[list, list[int], int]:
@@ -673,7 +721,7 @@ class IndexContainer:
         return self.structural.repo_snapshot
 
 
-# Columns of the v3 layout, each with the type of its cells. A symbol's id
+# Columns of the v4 layout, each with the type of its cells. A symbol's id
 # is its row; its kind and file are rows of the "kinds" and "files" tables.
 _LOCATION_COLUMNS = {"file": int, "start_line": int, "end_line": int}
 # the rest of a SymbolRecord's fields, in their order
@@ -690,6 +738,10 @@ _RECORD_COLUMNS = {
 _SYMBOL_COLUMNS = {"kind": int, **_LOCATION_COLUMNS, **_RECORD_COLUMNS}
 _EDGE_COLUMNS = {"from": int, "to": int}
 _SITE_COLUMNS = {"caller": int, "callee": int, **_LOCATION_COLUMNS}
+# each source's path and its length in the sources section, and each intent
+# text's length in the texts section
+_SOURCE_COLUMNS = {"paths": str, "lengths": int}
+_TEXT_COLUMNS = {"lengths": int}
 
 # An int column is packed: its values as little-endian unsigned ints of one
 # width, 1, 2 or 4 bytes, in one base64 string, written with its width as
@@ -748,27 +800,64 @@ def _unpack(column: dict, rows: int) -> memoryview:
     return values
 
 
+def _bits(values) -> str:
+    """A bool column as one base64 string of bits: row i is bit i % 8 of
+    byte i // 8, and the last byte's bits past the rows are 0. JSON spends
+    about as long on each ``true`` or ``false`` it decodes as on the check
+    of its type, which a bit needs neither of."""
+    import numpy as np
+
+    flags = np.fromiter(values, dtype=bool, count=len(values))
+    return base64.b64encode(np.packbits(flags, bitorder="little").tobytes()).decode("ascii")
+
+
+def _unbits(data: str, rows: int) -> memoryview:
+    """The ``rows`` bools of a column ``_bits`` wrote, as a read-only
+    memoryview of one byte per row that reads as ``bool``s."""
+    import numpy as np
+
+    raw = base64.b64decode(data, validate=True)
+    if len(raw) != (rows + 7) // 8 or (rows % 8 and raw[-1] >> rows % 8):
+        raise ValueError(f"a bits column holds {len(raw)} bytes, not the bits of {rows}")
+    flags = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=rows,
+                          bitorder="little")
+    return memoryview(flags.tobytes()).cast("?")
+
+
 def write_columns(table: dict, types: dict[str, type]) -> dict:
     """The named columns of one table, sequences of one length, as
-    ``read_columns`` reads them: an int column packed (``_pack``), any other
-    a list, and, when every column is packed, the length as ``rows``."""
-    out = {name: _pack(table[name], name) if cell is int else list(table[name])
+    ``read_columns`` reads them: an int column packed (``_pack``), a bool
+    column as bits (``_bits``), a str column a list; and, when every column
+    is packed, the length as ``rows``."""
+    out = {name: list(table[name]) if cell is str else
+           _pack(table[name], name) if cell is int else _bits(table[name])
            for name, cell in types.items()}
     if all(cell is int for cell in types.values()):
         out["rows"] = len(table[next(iter(types))])
     return out
 
 
+def _are_strs(cells) -> bool:
+    """Whether each of ``cells`` is a str: ``join`` checks each cell's
+    type in C, in a third of the time of a loop over the types."""
+    try:
+        "".join(cells)
+    except TypeError:
+        return False
+    return True
+
+
 def read_columns(table: dict, types: dict[str, type]) -> list:
-    """The named columns of one table, checked to be of one length: a str or
-    bool column as a list whose cells all have that type (a ``bool`` is no
-    ``int`` here), and an int column, packed, as a memoryview. The length
-    is the lists', or the table's ``rows`` when it has no list."""
-    lists = [name for name, cell in types.items() if cell is not int]
+    """The named columns of one table, checked to be of one length: a str
+    column as a list of str, an int column, packed, as a memoryview, and a
+    bool column, as bits, as a memoryview that reads as ``bool``s. The
+    length is the lists', or the table's ``rows`` when it has no list; a
+    table of no rows may hold nothing else (as an empty edge kind's
+    does)."""
+    lists = [name for name, cell in types.items() if cell is str]
     for name in lists:
-        column, cell = table[name], types[name]
-        if type(column) is not list or not set(map(type, column)) <= {cell}:
-            raise ValueError(f"column {name!r} is not a list of {cell.__name__}")
+        if type(table[name]) is not list or not _are_strs(table[name]):
+            raise ValueError(f"column {name!r} is not a list of str")
     if lists:
         lengths = {len(table[name]) for name in lists}
         if len(lengths) > 1:
@@ -778,14 +867,25 @@ def read_columns(table: dict, types: dict[str, type]) -> list:
         rows = table["rows"]
         if type(rows) is not int or rows < 0:
             raise ValueError(f"a table's rows are {rows!r}, not a count")
-    return [table[name] if cell is not int else _unpack(table[name], rows)
-            for name, cell in types.items()]
+        if not rows and table.keys() == {"rows"}:
+            return [()] * len(types)
+    return [table[name] if cell is str else _unpack(table[name], rows) if cell is int
+            else _unbits(table[name], rows) for name, cell in types.items()]
 
 
-def _check_codes(codes, table, what: str):
-    """Each of the unsigned ``codes`` is a row of ``table``."""
-    if len(codes) and max(codes) >= len(table):
-        raise ValueError(f"{what} index out of range")
+def _check_codes(codes: list, spans: list):
+    """Each ``column`` of the (column, what, table) triples ``codes`` holds
+    rows of its ``table``, and no span of ``spans`` ((starts, ends)
+    columns) ends before it starts: the memoryviews ``read_columns`` gives,
+    tested in numpy with ``count_nonzero`` (see ``_check_columns``)."""
+    import numpy as np
+
+    for column, what, table in codes:
+        if np.count_nonzero(np.asarray(column) >= len(table)):
+            raise ValueError(f"{what} index out of range")
+    for starts, ends in spans:
+        if np.count_nonzero(np.asarray(starts) > np.asarray(ends)):
+            raise ValueError("a span ends before it starts")
 
 
 def _recoded(codes, table, rows: dict) -> list:
@@ -794,9 +894,10 @@ def _recoded(codes, table, rows: dict) -> list:
 
 
 def _structural_to_dict(index: StructuralIndex) -> dict:
-    """The file's tables of an index. Its ``files`` are the paths that a
-    symbol or a call site names, sorted, and its ``kinds`` are
-    ``SymbolKind``'s, so an index's own tables never show."""
+    """The header's tables of an index, whose sources' texts are the first
+    section. Its ``files`` are the paths that a symbol or a call site
+    names, sorted, and its ``kinds`` are ``SymbolKind``'s, so an index's
+    own tables never show."""
     symbols, sites, edges = index.symbols, index.call_sites, index.edges
     files = sorted({*map(symbols.files.__getitem__, set(symbols.file)),
                     *map(sites.files.__getitem__, set(sites.file))})
@@ -807,68 +908,81 @@ def _structural_to_dict(index: StructuralIndex) -> dict:
     symbol_columns["file"] = _recoded(symbols.file, symbols.files, file_row)
     site_columns = {name: getattr(sites, name) for name in _SITE_COLUMNS}
     site_columns["file"] = _recoded(sites.file, sites.files, file_row)
+    paths = sorted(index.sources)
     return {
         "kinds": [k.value for k in SymbolKind],
         "files": files,
         "symbols": write_columns(symbol_columns, _SYMBOL_COLUMNS),
-        "edges": {k.value: write_columns(dict(zip(_EDGE_COLUMNS, edges.ends_of(k))),
-                                         _EDGE_COLUMNS) for k in EdgeKind},
+        # an empty edge kind is its row count alone
+        "edges": {k.value: write_columns(dict(zip(_EDGE_COLUMNS, ends)), _EDGE_COLUMNS)
+                  if ends[0] else {"rows": 0} for k, ends in zip(EdgeKind, edges.ends)},
         "call_sites": write_columns(site_columns, _SITE_COLUMNS),
-        "sources": index.sources,
+        "sources": write_columns({"paths": paths, "lengths": [
+            len(index.sources[path]) for path in paths]}, _SOURCE_COLUMNS),
         "includes": index.includes,
         "parse_error_count": index.parse_error_count,
     }
 
 
-def _structural_from_dict(d: dict, snapshot: str) -> StructuralIndex:
-    """The index ``_structural_to_dict`` wrote, its columns kept as read.
+def _structural_from_dict(d: dict, snapshot: str, text: str
+                          ) -> tuple[StructuralIndex, int]:
+    """The index ``_structural_to_dict`` wrote, its columns kept as read,
+    whose sources are the strs ``text`` starts with; and where they end.
     Every check runs here, so that no record made later can fail."""
-    sources, includes, errors = d["sources"], d["includes"], d["parse_error_count"]
+    includes, errors = d["includes"], d["parse_error_count"]
     if type(snapshot) is not str or type(errors) is not int:
         raise ValueError("repo_snapshot must be a str and parse_error_count an int")
     # JSON object keys are always strings
-    if type(sources) is not dict or not set(map(type, sources.values())) <= {str}:
-        raise ValueError("sources must map each path to its text")
-    if type(includes) is not dict or not all(
-        type(v) is list and set(map(type, v)) <= {str} for v in includes.values()
-    ):
+    if type(includes) is not dict or not set(map(type, includes.values())) <= {list} \
+            or not _are_strs(chain.from_iterable(includes.values())):
         raise ValueError("includes must map each path to a list of str")
+    paths, lengths = read_columns(d["sources"], _SOURCE_COLUMNS)
+    if any(map(ge, paths, paths[1:])):
+        raise ValueError("source paths are not sorted and distinct")
+    end = sum(lengths)
+    # each section is a str of its own, so that its split frees it
+    texts = Joined(text[:end], lengths)
     (kinds,) = read_columns(d, {"kinds": str})
     kinds = [SymbolKind(k) for k in kinds]
     (files,) = read_columns(d, {"files": str})
     symbols = read_columns(d["symbols"], _SYMBOL_COLUMNS)  # kind, file, lines, ...
-    _check_codes(symbols[0], kinds, "kind")
     if set(d["edges"]) != {k.value for k in EdgeKind}:
         raise ValueError(f"edge kinds {sorted(d['edges'])} are not EdgeKind's")
     ends = [read_columns(d["edges"][k.value], _EDGE_COLUMNS) for k in EdgeKind]
     sites = read_columns(d["call_sites"], _SITE_COLUMNS)  # caller, callee, file, ...
-    for file, start_line, end_line in (symbols[1:4], sites[2:5]):
-        _check_codes(file, files, "file")
-        if any(map(gt, start_line, end_line)):
-            raise ValueError("a span ends before it starts")
+    _check_codes([(symbols[0], "kind", kinds), (symbols[1], "file", files),
+                  (sites[2], "file", files)], [symbols[2:4], sites[3:5]])
     index = StructuralIndex(
         symbols=SymbolView(kinds, files, range(len(symbols[0])), *symbols),
         edges=EdgeView(ends),
         call_sites=CallSiteView(files, *sites),
-        sources=sources,
+        sources=_Unsplit(paths, texts),
         includes=includes,
         repo_snapshot=snapshot,
         parse_error_count=errors,
     )
     _check_closure(index)
-    return index
+    return index, end
 
 
 def persist_index(
     container: IndexContainer | StructuralIndex, path: str | Path
 ) -> None:
-    """Write the versioned container. Identical indices produce identical
+    """Write the versioned container: a JSON header line, then the texts of
+    the sources and then the intent texts, each run UTF-8 encoded with lone
+    surrogates passed through. Identical indices produce identical
     bytes."""
     if isinstance(container, StructuralIndex):
         container = IndexContainer(structural=container)
+    sources = container.structural.sources
+    sections = ["".join(map(sources.__getitem__, sorted(sources)))]
     intent_dict = None
     if container.intent is not None:
         intent_dict = container.intent.to_dict()
+        texts = intent_dict["docs"]["text"]
+        intent_dict["docs"] = write_columns({"lengths": list(map(len, texts))},
+                                            _TEXT_COLUMNS)
+        sections.append("".join(texts))
     payload = {
         "format": FORMAT_MAGIC,
         "version": FORMAT_VERSION,
@@ -876,8 +990,11 @@ def persist_index(
         "structural": _structural_to_dict(container.structural),
         "intent": intent_dict,
     }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    Path(path).write_text(text + "\n", encoding="utf-8")
+    header = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    with open(path, "wb") as out:
+        out.write(header.encode("ascii") + b"\n")
+        for section in sections:
+            out.write(section.encode("utf-8", "surrogatepass"))
 
 
 def load_index(
@@ -889,16 +1006,21 @@ def load_index(
     closure check and the ``real`` rows it reads it derives nothing: the
     structural tables and the hash embedder's intent vectors are each made
     on the first query that reads them. The intent documents are the
-    ``real`` rows, kept as columns with no object per document."""
+    ``real`` rows, kept as columns with no object per document. The
+    sections are decoded whole, and split into one str per file or per
+    text on their first read."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise CorruptIndex(f"cannot read index file {path}: {exc}") from exc
+    end = data.find(b"\n")
+    end = len(data) if end < 0 else end
     with _collector_paused():
         try:
-            payload = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
-            raise CorruptIndex(f"index file {path} is not valid JSON") from exc
+            payload = json.loads(str(memoryview(data)[:end], "utf-8"))
+        except (ValueError, RecursionError) as exc:  # or nested too deep
+            raise CorruptIndex(
+                f"index file {path} has no valid UTF-8 JSON header") from exc
         if not isinstance(payload, dict) or payload.get("format") != FORMAT_MAGIC:
             raise CorruptIndex(f"index file {path} has a foreign or missing header")
         if payload.get("version") != FORMAT_VERSION:
@@ -906,13 +1028,23 @@ def load_index(
                 f"index version {payload.get('version')} != {FORMAT_VERSION}"
             )
         try:
+            text = str(memoryview(data)[end + 1 :], "utf-8", "surrogatepass")
+            del data
             snapshot = payload["repo_snapshot"]
-            structural = _structural_from_dict(payload["structural"], snapshot)
+            structural, end = _structural_from_dict(
+                payload["structural"], snapshot, text)
             intent = None
             if payload.get("intent") is not None:
                 from .intent import IntentIndex
 
-                intent = IntentIndex.from_dict(payload["intent"], structural)
+                (lengths,) = read_columns(payload["intent"]["docs"], _TEXT_COLUMNS)
+                texts = Joined(text[end:], lengths)
+                end += sum(lengths)
+                intent = IntentIndex.from_dict(
+                    {**payload["intent"], "docs": {"text": texts}}, structural)
+            if end != len(text):
+                raise ValueError(f"the sections hold {len(text)} characters, not "
+                                 f"the {end} their lengths sum to")
         except (KeyError, TypeError, ValueError, AttributeError,
                 AssertionError) as exc:
             raise CorruptIndex(f"index file {path} is malformed: {exc!r}") from exc

@@ -32,7 +32,7 @@ from .errors import (
     SnapshotMismatch,
 )
 from .index import StructuralIndex, read_columns
-from .model import SymbolRecord
+from .model import Joined, SymbolRecord
 from .queries import DEFAULT_HOPS, defect_subgraph, snippet_rows, snippet_window
 from .repo import IssueDescription
 
@@ -300,8 +300,11 @@ class _Doc(NamedTuple):
 
 @dataclass(frozen=True)
 class IntentIndex:
-    """Intent documents as four parallel tuples, one row per document
-    (``symbol_ids``, ``qualified_names``, ``kinds`` and ``texts``), plus
+    """Intent documents as four parallel columns, one row per document:
+    ``symbol_ids``, ``qualified_names`` and ``kinds``, tuples, and
+    ``texts``, a ``model.Joined`` (given any other sequence, the
+    constructor makes the ``Joined`` of it), whose strs a load splits on
+    their first full read (by the embedding, equality or ``to_dict``); plus
     ``matrix``, their vectors as one C-contiguous, read-only float64 array
     of shape (docs, dim) that queries multiply.
 
@@ -319,13 +322,15 @@ class IntentIndex:
     symbol_ids: tuple[int, ...]
     qualified_names: tuple[str, ...]
     kinds: tuple[str, ...]
-    texts: tuple[str, ...]
+    texts: Joined
     # the given matrix, or None to embed the texts with the hash embedder
     _rows: np.ndarray | None = field(repr=False, compare=False)
 
     def __post_init__(self):
-        for name in _COLUMNS:
+        for name in _COLUMNS[:3]:
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        if type(self.texts) is not Joined:
+            object.__setattr__(self, "texts", Joined.of(self.texts))
 
     @cached_property
     def docs(self) -> tuple[_Doc, ...]:
@@ -403,11 +408,13 @@ class IntentIndex:
     def from_dict(data: dict, structural: StructuralIndex) -> "IntentIndex":
         """Rebuild an index from ``to_dict`` output over the ``structural``
         index it was built from, whose ``real`` rows give the docs their
-        ids, qualified names and kinds. For the hash embedder the matrix is
-        left None, so the first read of ``matrix`` embeds the texts. Raises
-        ``ValueError`` on a bad ``dim``, a name or snapshot that is not a
-        string, a count of texts other than the real symbols', or stored
-        vectors that are not ``dim`` finite numbers per doc."""
+        ids, qualified names and kinds. The ``text`` of ``docs`` is a list
+        of str, or the ``Joined`` a load read from the file's section. For
+        the hash embedder the matrix is left None, so the first read of
+        ``matrix`` embeds the texts. Raises ``ValueError`` on a bad
+        ``dim``, a name or snapshot that is not a string, a count of texts
+        other than the real symbols', or stored vectors that are not
+        ``dim`` finite numbers per doc."""
         provider_name, dim, snapshot = (
             data["provider_name"], data["dim"], data["repo_snapshot"]
         )
@@ -415,7 +422,9 @@ class IntentIndex:
             raise ValueError(f"intent dim must be a positive int, not {dim!r}")
         if type(provider_name) is not str or type(snapshot) is not str:
             raise ValueError("intent provider_name and repo_snapshot must be strings")
-        (texts,) = read_columns(data["docs"], {"text": str})
+        texts = data["docs"]["text"]
+        if type(texts) is not Joined:
+            (texts,) = read_columns(data["docs"], {"text": str})
         if len(texts) != len(structural.real[0]):
             raise ValueError(f"{len(texts)} intent texts for "
                              f"{len(structural.real[0])} real symbols")

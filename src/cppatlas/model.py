@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from enum import Enum
-from itertools import chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from operator import eq, is_
 from typing import NamedTuple
 
@@ -124,15 +124,33 @@ def is_sentinel_name(qualified_name: str) -> bool:
             and not qualified_name.startswith(":", len(UNRESOLVED_PREFIX)))
 
 
+def sentinel_rows(qualified_names) -> list[int]:
+    """The rows of ``qualified_names`` (a sequence of str) that
+    ``is_sentinel_name`` holds of, in order. The names are joined on
+    newlines and searched for the prefix once, since a ``startswith`` per
+    name costs about three times as much (1.5 against 0.5 ms over 10,149
+    names). A row is counted by the newlines before it, so when a name
+    holds a newline the names are each read instead."""
+    joined = "\n" + "\n".join(qualified_names)
+    key, prefixed, row, at = "\n" + UNRESOLVED_PREFIX, [], -1, 0
+    pos = joined.find(key)
+    while pos >= 0:
+        row += joined.count("\n", at, pos + 1)
+        prefixed.append(row)
+        at = pos + 1
+        pos = joined.find(key, at)
+    if row + 1 + joined.count("\n", at) != len(qualified_names):
+        prefixed = compress(count(), map(str.startswith, qualified_names,
+                                         repeat(UNRESOLVED_PREFIX)))
+    return [row for row in prefixed if is_sentinel_name(qualified_names[row])]
+
+
 def synthetic_flags(kinds, qualified_names) -> list[bool]:
     """``SymbolRecord.is_synthetic`` of each row, read from its ``kinds``
-    and ``qualified_names`` columns (a sequence), with no record. Only the
-    names that start with the prefix are read again by
-    ``is_sentinel_name``."""
+    and ``qualified_names`` columns (a sequence), with no record."""
     flags = list(map(is_, kinds, repeat(SymbolKind.FILE)))
-    prefixed = map(str.startswith, qualified_names, repeat(UNRESOLVED_PREFIX))
-    for row in compress(count(), prefixed):
-        flags[row] |= is_sentinel_name(qualified_names[row])
+    for row in sentinel_rows(qualified_names):
+        flags[row] = True
     return flags
 
 
@@ -168,6 +186,59 @@ def _frozen(column):
             type(column) is memoryview and type(column.obj) is bytes):
         return column
     return tuple(column)
+
+
+class Joined(Sequence):
+    """A read-only sequence of strs kept as one str that starts with them
+    and the length of each (a sequence of ints), as an index file holds
+    them: the tuple of strs is split from them on the first read of one
+    and kept, so until then there is no object per str. ``Joined.of``
+    holds given strs. It equals a ``Joined`` or a tuple of the same
+    strs."""
+
+    __slots__ = ("_text", "_lengths", "_items")
+
+    def __init__(self, text: str, lengths):
+        self._text, self._lengths, self._items = text, lengths, None
+
+    @classmethod
+    def of(cls, items) -> "Joined":
+        joined = cls(None, None)
+        joined._items = tuple(items)
+        return joined
+
+    def _split(self) -> tuple:
+        if self._items is None:
+            # a slice written out reuses one slice object, where each
+            # ``slice()`` called makes one the collector tracks: 0.65
+            # against 1.78 ms for 8,881 texts
+            text, ends = self._text, list(accumulate(self._lengths, initial=0))
+            self._items = tuple([text[a:b] for a, b in zip(ends, ends[1:])])
+            self._text = self._lengths = None  # the strs hold what they read
+        return self._items
+
+    def __len__(self) -> int:
+        return len(self._lengths if self._items is None else self._items)
+
+    def __getitem__(self, i):
+        return self._split()[i]
+
+    def __iter__(self):
+        return iter(self._split())
+
+    def __eq__(self, other):
+        if isinstance(other, Joined):
+            other = other._split()
+        return self._split() == other if type(other) is tuple else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._split())
+
+    def __repr__(self) -> str:
+        return f"Joined({self._split()!r})"
+
+    def __reduce__(self):  # a loaded one's lengths are a memoryview
+        return Joined.of, (self._split(),)
 
 
 def _coded(values, table: tuple) -> tuple:

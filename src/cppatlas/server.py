@@ -18,8 +18,10 @@ from .tools import ToolContext, dispatch_tool
 
 
 # one encoder for every response: ``json.dumps`` with options makes a new
-# one per call
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# one per call. Each response is a fresh tree, so no container can hold
+# itself and the encoder keeps no ids to check for that.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                           check_circular=False).encode
 
 
 def _error_response(request_id, exc: EngineError) -> dict:

@@ -170,7 +170,7 @@ class TestQueryCommand:
         assert json.loads(stdout)["nodes"]
 
     def test_corrupt_index_exits_two(self, index_file, tmp_path, capsys):
-        payload = json.loads(index_file.read_text())
+        payload = packed.read_file(index_file)
 
         def dangling_call(structural):
             calls = structural["edges"]["calls"]
@@ -179,13 +179,27 @@ class TestQueryCommand:
 
         packed.edited(payload["structural"], dangling_call)
         corrupt = tmp_path / "corrupt.caidx"
-        corrupt.write_text(json.dumps(payload), encoding="utf-8")
+        packed.write_file(corrupt, payload)
         for argv in (["query", "--index", str(corrupt), "subgraph", "1",
                       "--hops", "1"],
                      ["serve", "--index", str(corrupt)]):
             code, stdout, stderr = run_cli(capsys, *argv)
             assert code == 2
             assert stdout == ""
+            assert json.loads(stderr)["error_kind"] == "CorruptIndex"
+
+    @pytest.mark.parametrize("where", ["header", "sources", "texts"])
+    def test_index_file_that_is_not_utf8_exits_two(self, index_file, tmp_path,
+                                                   capsys, where):
+        data = bytearray(index_file.read_bytes())
+        at = {"header": 2, "sources": data.index(b"\n") + 1, "texts": -1}[where]
+        data[at] = 0xFF
+        corrupt = tmp_path / "corrupt.caidx"
+        corrupt.write_bytes(bytes(data))
+        for argv in (["query", "--index", str(corrupt), "find-class", "Calculator"],
+                     ["serve", "--index", str(corrupt)]):
+            code, stdout, stderr = run_cli(capsys, *argv)
+            assert (code, stdout) == (2, "")
             assert json.loads(stderr)["error_kind"] == "CorruptIndex"
 
     def test_nonpositive_k_exits_two(self, index_file, tmp_path, capsys):

@@ -1,10 +1,14 @@
 """The index file against the frozen version 1 codec in refformat.py:
 exact round trips, stable bytes, and the same answer to every tool request;
-and the packed int columns of version 3 against their codec's rules."""
+the packed int columns, kept from version 3, against their codec's rules;
+and version 4's sections and bits columns."""
 
+import base64
+import copy
 import dataclasses
 import json
 import pathlib
+import pickle
 
 import numpy as np
 import pytest
@@ -21,7 +25,7 @@ from cppatlas.index import (
     write_columns,
 )
 from cppatlas.intent import build_intent_index
-from cppatlas.model import CLASS_KINDS, FUNCTION_KINDS, Location
+from cppatlas.model import CLASS_KINDS, FUNCTION_KINDS, Joined, Location
 from cppatlas.repo import Repository, SourceUnit, load_repository
 from cppatlas.tools import ToolContext, dispatch_tool
 
@@ -74,7 +78,7 @@ def _answer(ctx, tool, arguments):
 
 @pytest.mark.parametrize("source", ["toyrepo", "motivation", 0, 7, 42, 101])
 def test_v2_round_trip_answers_like_v1(source, tmp_path):
-    """The current format, version 3 (the name is from version 2), against
+    """The current format, version 4 (the name is from version 2), against
     version 1."""
     index = _index(source)
     intent = build_intent_index(index)
@@ -97,6 +101,10 @@ def test_v2_round_trip_answers_like_v1(source, tmp_path):
     assert old.structural == loaded.structural
     assert old.intent == loaded.intent
     assert len(current) < (tmp_path / "v1.caidx").stat().st_size
+    # nor larger than version 2, which held every edge kind as two lists
+    v2 = packed.as_version_2(packed.read_file(tmp_path / "current.caidx"),
+                             intent.symbol_ids)
+    assert len(current) <= len(json.dumps(v2, sort_keys=True, separators=(",", ":"))) + 1
 
     new_ctx = ToolContext(loaded.structural, loaded.intent)
     old_ctx = ToolContext(old.structural, old.intent)
@@ -119,8 +127,7 @@ def test_v1_file_is_a_version_mismatch(toy_index, toy_intent, tmp_path):
 def test_v2_file_is_a_version_mismatch(toy_index, toy_intent, tmp_path):
     path = tmp_path / "v3.caidx"
     persist_index(IndexContainer(toy_index, toy_intent), path)
-    payload = packed.as_version_2(json.loads(path.read_text()),
-                                  toy_intent.symbol_ids)
+    payload = packed.as_version_2(packed.read_file(path), toy_intent.symbol_ids)
     assert type(payload["structural"]["symbols"]["kind"]) is list
     path.write_text(json.dumps(payload))
     with pytest.raises(VersionMismatch):
@@ -168,3 +175,253 @@ def test_a_value_no_width_holds_fails_at_persist(value, toy_index, tmp_path):
     with pytest.raises(CorruptIndex, match="'end_line'|'start_line'"):
         persist_index(index, path)
     assert not path.exists()
+
+
+# ----------------------------------------------------------------------
+# version 4: a JSON header line, then the sources and the intent texts as
+# raw UTF-8 sections that the header gives by their lengths
+
+
+def _header_and_sections(path):
+    head, _, rest = path.read_bytes().partition(b"\n")
+    return json.loads(head), rest
+
+
+def _rewritten(path, header, sections: bytes):
+    text = json.dumps(header, sort_keys=True, separators=(",", ":"))
+    path.write_bytes(text.encode("ascii") + b"\n" + sections)
+
+
+@pytest.fixture
+def toy_file(toy_index, toy_intent, tmp_path):
+    path = tmp_path / "toy.caidx"
+    persist_index(IndexContainer(toy_index, toy_intent), path)
+    return path
+
+
+def test_v3_file_is_a_version_mismatch(toy_file):
+    payload = packed.read_file(toy_file)  # in the version 3 layout
+    for name in ("is_definition", "is_virtual", "has_override"):
+        assert type(payload["structural"]["symbols"][name]) is list
+    payload["version"] = 3
+    toy_file.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":"))
+                        + "\n", encoding="utf-8")
+    with pytest.raises(VersionMismatch):
+        load_index(toy_file)
+
+
+def test_the_file_is_a_header_line_and_two_sections(toy_index, toy_intent, toy_file):
+    header, sections = _header_and_sections(toy_file)
+    sources = toy_index.sources
+    assert header["version"] == 4
+    assert header["structural"]["sources"]["paths"] == sorted(sources)
+    want = "".join(map(sources.__getitem__, sorted(sources))) + "".join(toy_intent.texts)
+    assert sections == want.encode("utf-8")
+    lengths = packed.unpack(header["structural"]["sources"]["lengths"])
+    assert lengths == [len(sources[p]) for p in sorted(sources)]
+    docs = header["intent"]["docs"]
+    assert packed.unpack(docs["lengths"]) == [len(t) for t in toy_intent.texts]
+    assert docs["rows"] == len(toy_intent.texts)
+    symbols = header["structural"]["symbols"]
+    assert packed.unbits(symbols["is_definition"], len(symbols["name"])) == [
+        r.is_definition for r in toy_index.symbols]
+
+
+def _edit_lengths(where: str, row: int, delta: int):
+    def edit(header):
+        table = (header["structural"]["sources"] if where == "sources"
+                 else header["intent"]["docs"])
+        lengths = packed.unpack(table["lengths"])
+        lengths[row] += delta
+        table["lengths"] = packed.pack(lengths)
+    return edit
+
+
+def _paths(edit):
+    def edit_paths(header):
+        table = header["structural"]["sources"]
+        lengths = packed.unpack(table["lengths"])
+        table["paths"], lengths = edit(table["paths"], lengths)
+        table["lengths"] = packed.pack(lengths)
+    return edit_paths
+
+
+def _bits_edit(edit):
+    def edit_bits(header):
+        column = header["structural"]["symbols"]["is_virtual"]
+        raw = edit(bytearray(base64.b64decode(column)))
+        header["structural"]["symbols"]["is_virtual"] = base64.b64encode(raw).decode()
+    return edit_bits
+
+
+def _one_more_text(header):
+    docs = header["intent"]["docs"]
+    docs["lengths"] = packed.pack(packed.unpack(docs["lengths"]) + [0])
+    docs["rows"] += 1
+
+
+# (edit of the header, edit of the sections' bytes)
+_BAD_SECTIONS = {
+    "source-length-one-more": (_edit_lengths("sources", 0, 1), None),
+    "source-length-one-less": (_edit_lengths("sources", 0, -1), None),
+    "last-source-length-one-more": (_edit_lengths("sources", -1, 1), None),
+    "text-length-one-more": (_edit_lengths("texts", 0, 1), None),
+    "text-length-one-less": (_edit_lengths("texts", -1, -1), None),
+    "lengths-sum-past-the-file": (_edit_lengths("texts", 2, 10**6), None),
+    "bytes-after-the-texts": (None, lambda raw: raw + b"x"),
+    "newline-after-the-texts": (None, lambda raw: raw + b"\n"),
+    "texts-cut-short": (None, lambda raw: raw[:-1]),
+    "unsorted-paths": (_paths(lambda p, n: (p[::-1], n[::-1])), None),
+    "duplicate-path": (_paths(lambda p, n: ([p[0], *p[:-1]], n)), None),
+    "path-missing": (_paths(lambda p, n: (p[:-1], n)), None),
+    "lengths-missing": (lambda h: h["structural"]["sources"].pop("lengths"), None),
+    "paths-not-a-list": (lambda h: h["structural"]["sources"].update(paths="a"), None),
+    "one-text-more-than-real-rows": (_one_more_text, None),
+    "bits-one-byte-long": (_bits_edit(lambda raw: raw + b"\0"), None),
+    "bits-one-byte-short": (_bits_edit(lambda raw: raw[:-1]), None),
+    "bits-a-list": (lambda h: h["structural"]["symbols"].update(
+        is_virtual=[False] * len(h["structural"]["symbols"]["name"])), None),
+    "bits-not-base64": (lambda h: h["structural"]["symbols"].update(is_virtual="*"), None),
+    "bad-byte-in-the-sources": (None, lambda raw: b"\xff" + raw[1:]),
+    "bad-byte-in-the-texts": (None, lambda raw: raw[:-1] + b"\xff"),
+    "lone-continuation-byte": (None, lambda raw: raw[:5] + b"\x80" + raw[6:]),
+    "cut-multibyte-sequence": (None, lambda raw: raw[:5] + b"\xe2\x82" + raw[7:]),
+}
+
+
+@pytest.mark.parametrize("edit_header, edit_sections", _BAD_SECTIONS.values(),
+                         ids=_BAD_SECTIONS)
+def test_a_bad_section_or_bits_column_is_corrupt(toy_file, edit_header, edit_sections):
+    header, sections = _header_and_sections(toy_file)
+    if edit_header is not None:
+        edit_header(header)
+    if edit_sections is not None:
+        sections = edit_sections(sections)
+    _rewritten(toy_file, header, sections)
+    with pytest.raises(CorruptIndex):
+        load_index(toy_file)
+
+
+def test_a_bits_column_has_no_bit_set_past_its_rows(tmp_path):
+    three = Repository("three", (SourceUnit.make("a.h", "struct A {};\nvoid f();\n"),))
+    index = build_index(three)
+    assert len(index.symbols) % 8 == 3
+    path = tmp_path / "three.caidx"
+    persist_index(index, path)
+    assert load_index(path).structural == index
+    header, sections = _header_and_sections(path)
+    column = header["structural"]["symbols"]["is_definition"]
+    assert len(base64.b64decode(column)) == 1
+    for spare in range(3, 8):
+        raw = bytes([base64.b64decode(column)[0] | 1 << spare])
+        header["structural"]["symbols"]["is_definition"] = base64.b64encode(raw).decode()
+        _rewritten(path, header, sections)
+        with pytest.raises(CorruptIndex, match="bits"):
+            load_index(path)
+
+
+@pytest.mark.parametrize("at", ["header", "start-of-sources", "end-of-texts"])
+def test_a_file_that_is_not_utf8_is_corrupt(toy_file, at):
+    data = bytearray(toy_file.read_bytes())
+    data[{"header": 1, "start-of-sources": data.index(b"\n") + 1,
+          "end-of-texts": len(data) - 1}[at]] = 0xFF
+    toy_file.write_bytes(bytes(data))
+    with pytest.raises(CorruptIndex):
+        load_index(toy_file)
+
+
+def test_sections_without_intent_end_with_the_sources(toy_index, tmp_path):
+    path = tmp_path / "atlas.caidx"
+    persist_index(toy_index, path)
+    header, sections = _header_and_sections(path)
+    assert header["intent"] is None
+    assert sections == "".join(map(toy_index.sources.__getitem__,
+                                   sorted(toy_index.sources))).encode("utf-8")
+    _rewritten(path, header, sections + b"int x;\n")
+    with pytest.raises(CorruptIndex, match="their lengths sum to"):
+        load_index(path)
+
+
+def test_lone_surrogates_round_trip_in_both_sections(toy_index, toy_intent, tmp_path):
+    first = sorted(toy_index.sources)[0]
+    sources = {**toy_index.sources, first: "\ud800x\n" + toy_index.sources[first],
+               "z\udfff.h": "\udfff\n😀 \U0001f600\n"}
+    index = dataclasses.replace(toy_index, sources=sources)
+    texts = list(toy_intent.texts)
+    texts[0], texts[-1] = "odd \ud800 text", "\udfff"
+    intent = dataclasses.replace(toy_intent, texts=texts)
+    path, again = tmp_path / "odd.caidx", tmp_path / "again.caidx"
+    persist_index(IndexContainer(index, intent), path)
+    loaded = load_index(path)
+    assert loaded.structural.sources == sources
+    assert list(loaded.intent.texts) == texts
+    assert loaded.structural == index and loaded.intent == intent
+    persist_index(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_a_load_splits_the_texts_on_their_first_read(toy_intent, toy_file):
+    texts = load_index(toy_file).intent.texts
+    assert len(texts) == len(toy_intent.texts)
+    assert texts._items is None  # no str per text yet
+    assert texts[3] == toy_intent.texts[3]
+    assert texts._items == tuple(toy_intent.texts)  # split once, and kept
+    assert texts[3] is texts[3]
+
+
+def test_a_load_splits_the_sources_on_their_first_read(toy_index, toy_file):
+    loaded = load_index(toy_file).structural
+    assert type(vars(loaded)["sources"]).__name__ == "_Unsplit"  # no str per file
+    # a copy, a pickle or the closure check reads none of them either
+    for other in (copy.deepcopy(loaded), pickle.loads(pickle.dumps(loaded))):
+        assert type(vars(other)["sources"]).__name__ == "_Unsplit"
+        assert other == toy_index
+    sources = loaded.sources
+    assert sources == toy_index.sources and type(sources) is type(toy_index.sources)
+    assert vars(loaded)["sources"] is sources is loaded.sources  # split once, and kept
+
+
+_DICT_READS = [
+    lambda t, first: t[first], lambda t, first: t.get(first),
+    lambda t, first: t.get("absent.h", 7), lambda t, first: first in t,
+    lambda t, first: "absent.h" in t, lambda t, first: list(t),
+    lambda t, first: list(reversed(t)), lambda t, first: list(t.keys()),
+    lambda t, first: list(t.values()), lambda t, first: list(t.items()),
+    lambda t, first: t.copy(), lambda t, first: repr(t),
+    lambda t, first: t == {**t}, lambda t, first: dict(t) == t,
+    lambda t, first: t != {}, lambda t, first: t | {}, lambda t, first: {} | t,
+    lambda t, first: dict(t), lambda t, first: {**t}, lambda t, first: len(t),
+    lambda t, first: bool(t), lambda t, first: json.dumps(t, sort_keys=True),
+    lambda t, first: json.dumps(t), lambda t, first: sorted(t),
+    lambda t, first: pickle.loads(pickle.dumps(t)),
+    lambda t, first: copy.deepcopy(t),
+]
+
+
+def test_loaded_sources_read_as_the_built_dict(toy_index, toy_file):
+    # each read is the first of a table just loaded
+    first = sorted(toy_index.sources)[0]
+    for i, read in enumerate(_DICT_READS):
+        want = read(dict(toy_index.sources), first)
+        assert read(load_index(toy_file).structural.sources, first) == want, i
+    # two loaded tables compare by their items, whichever is split
+    assert load_index(toy_file).structural.sources == load_index(toy_file).structural.sources
+    with pytest.raises(TypeError):
+        load_index(toy_file).structural.sources["a.h"] = "int a;"
+
+
+def test_joined_strs_read_as_their_tuple():
+    items = ("ab", "", "\ud800c", "d e")
+    for joined in (Joined("ab\ud800cd e", (2, 0, 2, 3)), Joined.of(items)):
+        assert len(joined) == 4 and tuple(joined) == items
+        assert joined[2] == "\ud800c" and joined[1:3] == items[1:3] and joined[-1] == "d e"
+        assert joined == items and joined == Joined.of(list(items))
+        assert joined != list(items) and joined != items[:3]
+        assert hash(joined) == hash(items) and repr(joined) == f"Joined({items!r})"
+        assert pickle.loads(pickle.dumps(joined)) == joined == copy.deepcopy(joined)
+        with pytest.raises(TypeError):
+            joined[0] = "x"
+    assert tuple(Joined("", ())) == () == tuple(Joined.of([]))
+    assert Joined("ab\ud800cxy", (2, 0, 2)) == ("ab", "", "\ud800c")  # a text may run on
+    loaded = Joined("abcd", memoryview(bytes([1, 3])))
+    assert pickle.loads(pickle.dumps(loaded)) == ("a", "bcd")

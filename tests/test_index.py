@@ -31,7 +31,7 @@ from cppatlas.index import (
 from cppatlas.intent import IntentIndex
 from cppatlas.model import (
     UNRESOLVED_PREFIX, EdgeKind, Location, StructuralEdge, SymbolKind,
-    SymbolRecord, is_sentinel_name, synthetic_flags)
+    SymbolRecord, is_sentinel_name, sentinel_rows, synthetic_flags)
 from cppatlas.queries import find_class
 from cppatlas.repo import Repository, SourceUnit, load_repository
 from cppatlas.tools import ToolContext, dispatch_tool
@@ -336,6 +336,18 @@ def test_synthetic_flags_are_the_record_rule():
     assert flags == [True, False, True, True, True]
 
 
+@pytest.mark.parametrize("names, rows", [
+    ([], []), ([""], []), (["unresolved:a"], [0]),
+    (["a", "unresolved:b", "unresolved::c", "x unresolved:d", "unresolved:"], [1, 4]),
+    # a name may hold a newline, whatever follows it
+    (["a\nunresolved:b", "unresolved:c", "\n"], [1]),
+    (["unresolved:a\n", "\nunresolved:b\n", "unresolved:c"], [0, 2]),
+])
+def test_sentinel_rows_are_the_rows_of_sentinel_names(names, rows):
+    assert sentinel_rows(names) == rows
+    assert rows == [i for i, name in enumerate(names) if is_sentinel_name(name)]
+
+
 def test_a_namespace_named_unresolved_indexes_and_answers(tmp_path):
     (tmp_path / "src").mkdir()
     (tmp_path / "src" / "a.cpp").write_text(_NAMESPACE_UNRESOLVED)
@@ -409,9 +421,9 @@ class TestPersistence:
     def test_version_mismatch_rejected(self, toy_index, tmp_path):
         path = tmp_path / "atlas.json"
         persist_index(toy_index, path)
-        payload = json.loads(path.read_text())
+        payload = packed.read_file(path)
         payload["version"] = payload["version"] + 1
-        path.write_text(json.dumps(payload))
+        packed.write_file(path, payload)
         with pytest.raises(VersionMismatch):
             load_index(path)
 
@@ -457,6 +469,8 @@ class TestPersistence:
             lambda s: s["edges"]["calls"]["from"].__setitem__(0, True),
             lambda s: s["symbols"]["start_line"].__setitem__(0, 1.0),
             lambda s: s["symbols"].update(name="calc"),
+            lambda s: s["symbols"]["signature"].__setitem__(0, 3),
+            lambda s: s["files"].__setitem__(0, None),
             lambda s: s["sources"].update({next(iter(s["sources"])): 7}),
             lambda s: s.update(sources=list(s["sources"].items())),
             lambda s: s["includes"].update({next(iter(s["includes"])): "a.h"}),
@@ -475,6 +489,7 @@ class TestPersistence:
              "negative-kind-index", "file-index-past-table",
              "call-site-file-index-past-table", "negative-call-site-file", "unknown-kind-name",
              "bool-edge-endpoint", "float-line", "column-not-a-list",
+             "signature-not-text", "file-name-not-text",
              "source-not-text", "sources-not-an-object", "includes-not-a-list",
              "include-not-text",
              "bool-parse-error-count", "string-parse-error-count",
@@ -488,9 +503,9 @@ class TestPersistence:
         # holds them (tests/packed.py)
         path = tmp_path / "atlas.json"
         persist_index(toy_index, path)
-        payload = json.loads(path.read_text())
+        payload = packed.read_file(path)
         packed.edited(payload["structural"], corrupt)
-        path.write_text(json.dumps(payload))
+        packed.write_file(path, payload)
         with pytest.raises(CorruptIndex):
             load_index(path)
 
@@ -543,9 +558,9 @@ class TestPersistence:
     def test_malformed_packed_column_rejected(self, toy_index, tmp_path, corrupt):
         path = tmp_path / "atlas.json"
         persist_index(toy_index, path)
-        payload = json.loads(path.read_text())
+        payload = packed.read_file(path)
         corrupt(payload["structural"])
-        path.write_text(json.dumps(payload))
+        packed.write_file(path, payload)
         with pytest.raises(CorruptIndex):
             load_index(path)
 
@@ -555,9 +570,9 @@ class TestPersistence:
     ):
         path = tmp_path / "atlas.json"
         persist_index(toy_index, path)
-        payload = json.loads(path.read_text())
+        payload = packed.read_file(path)
         payload["repo_snapshot"] = snapshot
-        path.write_text(json.dumps(payload))
+        packed.write_file(path, payload)
         for expected in (None, toy_index.repo_snapshot):
             with pytest.raises(CorruptIndex):
                 load_index(path, expected_snapshot=expected)
@@ -567,10 +582,10 @@ class TestPersistence:
         persist_index(container, tmp_path / "good.json")
         load_index(tmp_path / "good.json")
         for name, corrupt in corruptions.items():
-            payload = json.loads((tmp_path / "good.json").read_text())
+            payload = packed.read_file(tmp_path / "good.json")
             corrupt(payload["intent"])
             path = tmp_path / "atlas.json"
-            path.write_text(json.dumps(payload))
+            packed.write_file(path, payload)
             with pytest.raises(CorruptIndex):
                 load_index(path)
                 pytest.fail(f"{name}: loaded")
@@ -604,13 +619,13 @@ class TestPersistence:
         # a doc listed twice would be answered twice, and one left out never
         path = tmp_path / "atlas.json"
         persist_index(IndexContainer(toy_index, toy_intent), path)
-        payload = json.loads(path.read_text())
+        payload = packed.read_file(path)
         texts = payload["intent"]["docs"]["text"]
         if extra > 0:
             texts.insert(3, "calc")
         else:
             texts.pop(3)
-        path.write_text(json.dumps(payload))
+        packed.write_file(path, payload)
         with pytest.raises(CorruptIndex, match="real symbols"):
             load_index(path)
 
@@ -628,7 +643,7 @@ class TestPersistence:
             for want_file in (True, False))
         path = tmp_path / "atlas.json"
         persist_index(IndexContainer(toy_index, toy_intent), path)
-        payload = json.loads(path.read_text())
+        payload = packed.read_file(path)
         texts = payload["intent"]["docs"]["text"]
         if edit == "duplicated-id":
             texts.insert(4, texts[3])
@@ -636,7 +651,7 @@ class TestPersistence:
             at = bisect.bisect(real_ids, {"file-root-id": file,
                                           "unresolved-sentinel-id": sentinel}[edit])
             texts.insert(at, "calc")
-        path.write_text(json.dumps(payload))
+        packed.write_file(path, payload)
         with pytest.raises(CorruptIndex, match="real symbols"):
             load_index(path)
 
@@ -701,7 +716,7 @@ class TestPersistence:
         intent = _external(toy_intent)
         path = tmp_path / "atlas.json"
         persist_index(IndexContainer(structural=toy_index, intent=intent), path)
-        stored = json.loads(path.read_text())["intent"]["vectors"]
+        stored = packed.read_file(path)["intent"]["vectors"]
         assert base64.b64decode(stored) == intent.matrix.astype("<f8").tobytes()
         loaded = load_index(path).intent
         assert loaded == intent
@@ -960,7 +975,7 @@ def test_every_mutated_file_that_loads_answers_every_tool(
     path = tmp_path / "toy.caidx"
     persist_index(IndexContainer(toy_index, toy_intent), path)
     # cells are mutated in the int columns as lists, packed back after
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload = packed.read_file(path)
     packed.unpacked(payload["structural"])
     text = json.dumps(payload)
     paths = [p for p in _paths(payload) if p and p[0] in ("structural", "intent")]
@@ -977,7 +992,7 @@ def test_every_mutated_file_that_loads_answers_every_tool(
             node = node[key]
         node[last] = _mutated(node[last], rng)
         packed.repacked(payload["structural"])
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        packed.write_file(path, payload)
         try:
             container = load_index(path)
         except CorruptIndex:

@@ -42,6 +42,7 @@ from cppatlas.server import handle_line
 from cppatlas.tools import ToolContext, dispatch_tool
 
 import corpusgen
+import packed
 import refintent
 
 
@@ -541,7 +542,7 @@ def _duplicated(intent, copies: int):
         qualified_names=[name if c < 2 else name + "_"
                          for c in range(copies) for name in intent.qualified_names],
         kinds=intent.kinds * copies,
-        texts=intent.texts * copies,
+        texts=tuple(intent.texts) * copies,
     )
 
 
@@ -612,7 +613,7 @@ def toy_payload(toy_index, toy_intent):
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "toy.caidx"
         persist_index(IndexContainer(toy_index, toy_intent), path)
-        return json.loads(path.read_text(encoding="utf-8"))
+        return packed.read_file(path)
 
 
 def _every_doc(texts: list[str], docs: dict) -> list[str]:
@@ -633,7 +634,7 @@ def test_loaded_matrix_is_the_tokenized_embedding(toy_payload, texts, dim):
     payload["intent"].update(dim=dim, provider_name=f"hash-tf-{dim}")
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "edited.caidx"
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        packed.write_file(path, payload)
         loaded = load_index(path).intent
     want = HashEmbeddingProvider(dim).embed_tokens([tokenize(t) for t in texts])
     assert loaded.matrix.tobytes() == want.tobytes()
@@ -1116,7 +1117,7 @@ def test_odd_texts_in_an_index_file_equal_the_eager_embed(toy_payload, tmp_path)
     docs = payload["intent"]["docs"]
     texts = docs["text"] = _every_doc(_ODD_TEXTS, docs)
     path = tmp_path / "odd.caidx"
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    packed.write_file(path, payload)
     loaded = load_index(path).intent
     assert list(loaded.texts) == texts
     _assert_deferred_is_eager(loaded)
@@ -1206,7 +1207,7 @@ def test_edited_texts_in_an_index_file_answer_or_fail_typed(
     payload["intent"].update(dim=dim, provider_name=f"hash-tf-{dim}")
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "edited.caidx"
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        packed.write_file(path, payload)
         try:
             container = load_index(path)
         except CorruptIndex:

@@ -41,6 +41,7 @@ from cppatlas.server import handle_line
 from cppatlas.tools import ToolContext, dispatch_tool
 
 import corpusgen
+import packed
 
 
 class TestFindClass:
@@ -769,11 +770,11 @@ def test_grep_over_files_past_a_build_chunk():
 def test_grep_over_a_loaded_lone_surrogate(toyrepo_root, tmp_path):
     path = tmp_path / "toy.caidx"
     persist_index(build_index(load_repository(toyrepo_root)), path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload = packed.read_file(path)
     sources = payload["structural"]["sources"]
     first = sorted(sources)[0]
     sources[first] += "\nconst char* odd = \"\ud800x\";\n\udfff\n"
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    packed.write_file(path, payload)
     index = load_index(path).structural
     assert "\ud800x" in index.sources[first]
     _assert_greps_same(index, ["\ud800", "\ud800x", "\"\ud800", "\udfff",
