@@ -52,26 +52,30 @@ the largest ids. A build whose result fails the closure check raises
 The result is deterministic: identical repositories produce identical
 indices, ids, edge lists and serialized bytes.
 
-An index file (format 4) is a JSON header line, then two sections: the
+An index file (format 5) is a JSON header line, then two sections: the
 texts of the sources, in path order, and then the intent texts, each run
 UTF-8 encoded with lone surrogates passed through. The header gives each
 section's strs by their lengths in code points, a ``lengths`` column, and
-the sources also by their sorted, distinct ``paths``. A load decodes each
-section whole. It splits the sources into their dict on its first read,
-and the intent texts on their first full read (``model.Joined``), so it
-makes no object per file or per document. The header holds the other
-fields as columns. A symbol's id is its row, and its kind and file are rows of the header's
-``kinds`` and ``files`` tables; edges are a ``from`` and a ``to`` column
-per kind, and an empty kind is its row count alone. Every int column is
-packed: little-endian unsigned ints of the narrowest width, 1, 2 or 4
-bytes, that holds its largest value, in one base64 string stored with that
-width. A table of int columns alone also states its row count. A bool
-column is bits, in one base64 string, and a str column is a JSON list.
-Persisting a value that no width holds raises ``CorruptIndex``, never a
-truncation; a load checks each column's width, length and codes, every
-span, the sections' lengths, that the file is UTF-8 and the closure before
-it returns, so no record or str made later can fail, and a file of another
-version is a ``VersionMismatch``.
+the sources also by their sorted, distinct ``paths``: the file's one path
+table. A symbol's or a call site's file code is 0 for no file (an
+``unresolved:`` sentinel's) or 1 more than its path's row, and the
+includes are each parsed file's code, ascending, with its include
+targets. A load keeps each section as a str of its own, so that a wide
+character in one does not widen the other: the sources and the intent
+texts are each a ``model.Joined``, read by slicing and never split, so a
+load makes no str per file or per document. The header holds the other
+fields as columns. A symbol's id is its row, and its kind is a row of the
+header's ``kinds``; edges are a ``from`` and a ``to`` column per kind,
+and an empty kind is its row count alone. Every int column is packed:
+little-endian unsigned ints of the narrowest width, 1, 2 or 4 bytes, that
+holds its largest value, in one base64 string stored with that width. A
+table of int columns alone also states its row count. A bool column is
+bits, in one base64 string, and a str column is a JSON list. Persisting a
+value that no width holds, or a file that has no source, raises
+``CorruptIndex``, never a truncation; a load checks each column's width,
+length and codes, every span, the sections' lengths, that the file is
+UTF-8 and the closure before it returns, so no record or str made later
+can fail, and a file of another version is a ``VersionMismatch``.
 """
 
 from __future__ import annotations
@@ -82,13 +86,13 @@ import json
 import logging
 import sys
 import warnings
+from collections.abc import ItemsView, ValuesView
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, combinations, compress, count
-from operator import and_, ge, ne, not_
+from itertools import accumulate, chain, combinations, compress, count, islice
+from operator import and_, ge, ne, not_, sub
 from pathlib import Path
-from typing import NamedTuple
 
 from .cxx.parser import ParsedUnit, parse_unit
 from .errors import CorruptIndex, VersionMismatch
@@ -113,7 +117,7 @@ from .repo import Repository
 log = logging.getLogger(__name__)
 
 FORMAT_MAGIC = "cppatlas-index"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 class Graph:
@@ -162,47 +166,59 @@ class Graph:
 
 
 class _Table(dict):
-    """An index's sources or includes, by path: a dict that refuses every
-    change in place. It is written and compared as a plain dict."""
+    """An index's sources or includes: their sorted ``paths`` and a
+    ``column`` of their values in path order (the sources' a ``Joined``),
+    kept as the dict of each path's row that reads, is written and
+    compares as the dict of each path's value, and refuses every change
+    in place."""
+
+    __slots__ = ("paths", "column")
+
+    def __init__(self, paths, column):
+        self.paths, self.column = tuple(paths), column
+        super().__init__(zip(self.paths, count()))
+
+    @classmethod
+    def of(cls, table, column) -> "_Table":
+        """The table of a dict, its values made ``column``."""
+        paths = sorted(table)
+        return cls(paths, column(map(table.__getitem__, paths)))
+
+    def __getitem__(self, path):
+        return self.column[dict.__getitem__(self, path)]
+
+    def get(self, path, default=None):
+        row = dict.get(self, path)
+        return default if row is None else self.column[row]
+
+    # a dict made from this one (a copy, a union) reads its values: CPython
+    # copies a dict's own entries only when its type keeps dict's __iter__
+    def __iter__(self):
+        return iter(self.paths)
+
+    def items(self):
+        return ItemsView(self)
+
+    def values(self):
+        return ValuesView(self)
+
+    def __eq__(self, other):
+        return dict(self) == other if isinstance(other, dict) else NotImplemented
+
+    def __ne__(self, other):
+        return dict(self) != other if isinstance(other, dict) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+    def __reduce__(self):
+        return _Table, (self.paths, self.column)
 
     def _refuse(self, *args, **kwargs):
         raise TypeError("an index's tables are read-only")
 
     __setitem__ = __delitem__ = __ior__ = _refuse
     clear = pop = popitem = setdefault = update = _refuse
-
-    def __reduce__(self):
-        return _Table, (dict(self),)
-
-
-class _Unsplit(NamedTuple):
-    """A loaded index's sources as its file holds them: the sorted paths
-    and a ``Joined`` of their texts."""
-
-    paths: list
-    texts: Joined
-
-
-class _SplitOnRead:
-    """``StructuralIndex.sources``: the ``_Table`` of the value given,
-    copied when it is set, but for an ``_Unsplit``, which is made the
-    ``_Table`` on its first read and kept, so a load makes no str per
-    file. A field whose default is a descriptor is set and read through it
-    (``dataclasses``); its default is no sources."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, index, owner=None):
-        if index is None:
-            return ()
-        table = index.__dict__[self.name]
-        if type(table) is _Unsplit:
-            table = index.__dict__[self.name] = _Table(zip(*table))
-        return table
-
-    def __set__(self, index, value):
-        index.__dict__[self.name] = value if type(value) is _Unsplit else _Table(value)
 
 
 # A fixed string of at least 3 UTF-8 bytes is looked for only in the files
@@ -260,8 +276,8 @@ class StructuralIndex:
     when it is iterated, and keeps none. Given any other sequence of
     records, the constructor makes it the view of them. ``sources`` and
     ``includes`` (its lists made tuples) are copied into dicts that refuse
-    changes in place; a load's sources are made that dict on their first
-    read (``_SplitOnRead``). The tables derived from the fields (``graph``,
+    changes in place (``_Table``), the sources' texts as one ``Joined`` in
+    path order. The tables derived from the fields (``graph``,
     ``by_name``, ``by_qualified``, ``by_suffix``, ``trigrams`` and
     ``real``) are each made from the columns on their first read and kept.
     They are no fields, so they take no part in equality or ``repr``, and
@@ -270,7 +286,7 @@ class StructuralIndex:
     symbols: SymbolView = ()
     edges: EdgeView = ()
     call_sites: CallSiteView = ()
-    sources: dict[str, str] = _SplitOnRead()
+    sources: dict[str, str] = field(default_factory=dict)
     includes: dict[str, tuple[str, ...]] = field(default_factory=dict)
     repo_snapshot: str = ""
     parse_error_count: int = 0
@@ -280,8 +296,11 @@ class StructuralIndex:
                            ("call_sites", CallSiteView)):
             if type(getattr(self, name)) is not view:
                 object.__setattr__(self, name, view.of(getattr(self, name)))
-        object.__setattr__(self, "includes", _Table(
-            (path, tuple(names)) for path, names in self.includes.items()))
+        if type(self.sources) is not _Table:
+            object.__setattr__(self, "sources", _Table.of(self.sources, Joined.of))
+        if type(self.includes) is not _Table:
+            object.__setattr__(self, "includes", _Table.of(
+                self.includes, lambda names: tuple(map(tuple, names))))
 
     @cached_property
     @_collector_paused()
@@ -336,18 +355,22 @@ class StructuralIndex:
 
     @cached_property
     def trigrams(self) -> tuple[list, list[int], int]:
-        """The grep filter: the sources' (path, text) pairs in path order,
-        the rows, and the rows' width in bits. Bit ``width - 1 - f`` of row
-        b is set when file f holds a trigram of bucket b. Texts are UTF-8
+        """The grep filter: the (path, start, end) of each source, where its
+        text starts and ends in the sources' section, in path order, so
+        that a candidate is one slice of it; the rows; and the rows' width
+        in bits. Bit ``width - 1 - f`` of row b
+        is set when file f holds a trigram of bucket b. Texts are UTF-8
         encoded with lone surrogates passed through, as patterns are, so a
         pattern's bytes lie in the bytes of every text holding it."""
         import numpy as np  # here, not at the top: see _check_columns
 
-        files = sorted(self.sources.items())
+        ends = self.sources.column.ends
+        files = list(zip(self.sources.paths, ends, islice(ends, 1, None)))
+        texts = iter(self.sources.column)
         bitmap = np.zeros((_BUCKETS, (len(files) + 7) // 8), dtype=np.uint8)
         for first in range(0, len(files), _CHUNK):
             data = [text.encode("utf-8", "surrogatepass")
-                    for _, text in files[first : first + _CHUNK]]
+                    for text in islice(texts, _CHUNK)]
             file = np.repeat(np.arange(len(data)), [len(d) for d in data])
             b = np.frombuffer(b"".join(data), dtype=np.uint8).astype(np.uint32)
             buckets = _bucket((b[:-2] << 16) | (b[1:-1] << 8) | b[2:])
@@ -366,13 +389,15 @@ class StructuralIndex:
         trigram of each bucket that a trigram of ``data``, 3 bytes or
         more, hashes to."""
         files, rows, width = self.trigrams
+        text = self.sources.column.text
         held = -1
         for i in range(len(data) - 2):
             held &= rows[_bucket(int.from_bytes(data[i : i + 3], "big"))]
         bits = format(held, f"0{width}b")
         f = bits.find("1")
         while f >= 0:
-            yield files[f]
+            path, start, end = files[f]
+            yield path, text[start:end]
             f = bits.find("1", f + 1)
 
     def parent(self, symbol_id: int) -> int | None:
@@ -721,8 +746,9 @@ class IndexContainer:
         return self.structural.repo_snapshot
 
 
-# Columns of the v4 layout, each with the type of its cells. A symbol's id
-# is its row; its kind and file are rows of the "kinds" and "files" tables.
+# Columns of the v5 layout, each with the type of its cells. A symbol's id
+# is its row; its kind is a row of the "kinds" table, and its file a row of
+# "", no file (an unresolved sentinel's), and then the sources' paths.
 _LOCATION_COLUMNS = {"file": int, "start_line": int, "end_line": int}
 # the rest of a SymbolRecord's fields, in their order
 _RECORD_COLUMNS = {
@@ -893,76 +919,99 @@ def _recoded(codes, table, rows: dict) -> list:
     return list(map([rows.get(value) for value in table].__getitem__, codes))
 
 
+def _ends(lengths) -> memoryview:
+    """The ``Joined`` offsets of strs of ``lengths`` laid end to end,
+    read-only: one numpy pass, where a Python ``accumulate`` takes about
+    seven times as long."""
+    import numpy as np
+
+    ends = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=ends[1:])
+    return memoryview(ends).toreadonly()
+
+
+def _section(texts: Joined) -> tuple[str, list[int]]:
+    """The run of text that ``texts`` covers, and the length of each."""
+    ends = texts.ends
+    return texts.text[ends[0] : ends[-1]], list(map(sub, islice(ends, 1, None), ends))
+
+
 def _structural_to_dict(index: StructuralIndex) -> dict:
     """The header's tables of an index, whose sources' texts are the first
-    section. Its ``files`` are the paths that a symbol or a call site
-    names, sorted, and its ``kinds`` are ``SymbolKind``'s, so an index's
-    own tables never show."""
-    symbols, sites, edges = index.symbols, index.call_sites, index.edges
-    files = sorted({*map(symbols.files.__getitem__, set(symbols.file)),
-                    *map(sites.files.__getitem__, set(sites.file))})
-    file_row = {f: i for i, f in enumerate(files)}
+    section. A symbol's or a call site's file, and each file the includes
+    name, is a row of "" and the sources' paths, and ``kinds`` are
+    ``SymbolKind``'s, so an index's own tables never show. Raises
+    ``CorruptIndex`` for a file that has no source."""
+    symbols, sites, edges, sources = (index.symbols, index.call_sites, index.edges,
+                                      index.sources)
+    rows = dict(zip(("", *sources.paths), count()))
+    named = {*map(symbols.files.__getitem__, set(symbols.file)),
+             *map(sites.files.__getitem__, set(sites.file)), *index.includes}
+    if not named <= rows.keys():
+        raise CorruptIndex(f"file {min(named - rows.keys())!r} has no source")
     symbol_columns = {name: getattr(symbols, name) for name in _SYMBOL_COLUMNS}
     symbol_columns["kind"] = _recoded(symbols.kind, symbols.kinds,
                                       {k: i for i, k in enumerate(SymbolKind)})
-    symbol_columns["file"] = _recoded(symbols.file, symbols.files, file_row)
+    symbol_columns["file"] = _recoded(symbols.file, symbols.files, rows)
     site_columns = {name: getattr(sites, name) for name in _SITE_COLUMNS}
-    site_columns["file"] = _recoded(sites.file, sites.files, file_row)
-    paths = sorted(index.sources)
+    site_columns["file"] = _recoded(sites.file, sites.files, rows)
+    includes = sorted(index.includes.items())
     return {
         "kinds": [k.value for k in SymbolKind],
-        "files": files,
         "symbols": write_columns(symbol_columns, _SYMBOL_COLUMNS),
         # an empty edge kind is its row count alone
         "edges": {k.value: write_columns(dict(zip(_EDGE_COLUMNS, ends)), _EDGE_COLUMNS)
                   if ends[0] else {"rows": 0} for k, ends in zip(EdgeKind, edges.ends)},
         "call_sites": write_columns(site_columns, _SITE_COLUMNS),
-        "sources": write_columns({"paths": paths, "lengths": [
-            len(index.sources[path]) for path in paths]}, _SOURCE_COLUMNS),
-        "includes": index.includes,
+        "sources": write_columns({"paths": sources.paths,
+                                  "lengths": _section(sources.column)[1]}, _SOURCE_COLUMNS),
+        "includes": {"file": _pack([rows[path] for path, _ in includes], "includes"),
+                     "names": [names for _, names in includes]},
         "parse_error_count": index.parse_error_count,
     }
 
 
-def _structural_from_dict(d: dict, snapshot: str, text: str
-                          ) -> tuple[StructuralIndex, int]:
+def _structural_from_dict(d: dict, snapshot: str, text: str) -> StructuralIndex:
     """The index ``_structural_to_dict`` wrote, its columns kept as read,
-    whose sources are the strs ``text`` starts with; and where they end.
-    Every check runs here, so that no record made later can fail."""
+    whose sources are the strs ``text`` starts with, sliced from it as a
+    str of their own. Every check runs here, so that no record made later
+    can fail."""
     includes, errors = d["includes"], d["parse_error_count"]
     if type(snapshot) is not str or type(errors) is not int:
         raise ValueError("repo_snapshot must be a str and parse_error_count an int")
-    # JSON object keys are always strings
-    if type(includes) is not dict or not set(map(type, includes.values())) <= {list} \
-            or not _are_strs(chain.from_iterable(includes.values())):
-        raise ValueError("includes must map each path to a list of str")
+    names = includes["names"]
+    if type(names) is not list or not set(map(type, names)) <= {list} \
+            or not _are_strs(chain.from_iterable(names)):
+        raise ValueError("includes must give each file a list of str")
+    included = _unpack(includes["file"], len(names))
     paths, lengths = read_columns(d["sources"], _SOURCE_COLUMNS)
     if any(map(ge, paths, paths[1:])):
         raise ValueError("source paths are not sorted and distinct")
-    end = sum(lengths)
-    # each section is a str of its own, so that its split frees it
-    texts = Joined(text[:end], lengths)
     (kinds,) = read_columns(d, {"kinds": str})
     kinds = [SymbolKind(k) for k in kinds]
-    (files,) = read_columns(d, {"files": str})
     symbols = read_columns(d["symbols"], _SYMBOL_COLUMNS)  # kind, file, lines, ...
     if set(d["edges"]) != {k.value for k in EdgeKind}:
         raise ValueError(f"edge kinds {sorted(d['edges'])} are not EdgeKind's")
     ends = [read_columns(d["edges"][k.value], _EDGE_COLUMNS) for k in EdgeKind]
     sites = read_columns(d["call_sites"], _SITE_COLUMNS)  # caller, callee, file, ...
+    files, offsets = ("", *paths), _ends(lengths)
     _check_codes([(symbols[0], "kind", kinds), (symbols[1], "file", files),
-                  (sites[2], "file", files)], [symbols[2:4], sites[3:5]])
+                  (sites[2], "file", files), (included, "includes file", files)],
+                 [symbols[2:4], sites[3:5]])
+    # each above the one before, the first above no file
+    if any(map(ge, chain((0,), included), included)):
+        raise ValueError("includes files are not distinct sources in path order")
     index = StructuralIndex(
         symbols=SymbolView(kinds, files, range(len(symbols[0])), *symbols),
         edges=EdgeView(ends),
         call_sites=CallSiteView(files, *sites),
-        sources=_Unsplit(paths, texts),
-        includes=includes,
+        sources=_Table(paths, Joined(text[: offsets[-1]], offsets)),
+        includes=_Table(map(files.__getitem__, included), tuple(map(tuple, names))),
         repo_snapshot=snapshot,
         parse_error_count=errors,
     )
     _check_closure(index)
-    return index, end
+    return index
 
 
 def persist_index(
@@ -974,15 +1023,13 @@ def persist_index(
     bytes."""
     if isinstance(container, StructuralIndex):
         container = IndexContainer(structural=container)
-    sources = container.structural.sources
-    sections = ["".join(map(sources.__getitem__, sorted(sources)))]
+    sections = [_section(container.structural.sources.column)[0]]
     intent_dict = None
     if container.intent is not None:
-        intent_dict = container.intent.to_dict()
-        texts = intent_dict["docs"]["text"]
-        intent_dict["docs"] = write_columns({"lengths": list(map(len, texts))},
-                                            _TEXT_COLUMNS)
-        sections.append("".join(texts))
+        section, lengths = _section(container.intent.texts)
+        intent_dict = {**container.intent.header(),
+                       "docs": write_columns({"lengths": lengths}, _TEXT_COLUMNS)}
+        sections.append(section)
     payload = {
         "format": FORMAT_MAGIC,
         "version": FORMAT_VERSION,
@@ -1006,9 +1053,9 @@ def load_index(
     closure check and the ``real`` rows it reads it derives nothing: the
     structural tables and the hash embedder's intent vectors are each made
     on the first query that reads them. The intent documents are the
-    ``real`` rows, kept as columns with no object per document. The
-    sections are decoded whole, and split into one str per file or per
-    text on their first read."""
+    ``real`` rows, kept as columns with no object per document. The file
+    is decoded once, and each section is kept as a str of its own, which
+    the sources or the intent texts read by slicing."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -1031,15 +1078,15 @@ def load_index(
             text = str(memoryview(data)[end + 1 :], "utf-8", "surrogatepass")
             del data
             snapshot = payload["repo_snapshot"]
-            structural, end = _structural_from_dict(
-                payload["structural"], snapshot, text)
+            structural = _structural_from_dict(payload["structural"], snapshot, text)
+            end = structural.sources.column.ends[-1]
             intent = None
             if payload.get("intent") is not None:
                 from .intent import IntentIndex
 
                 (lengths,) = read_columns(payload["intent"]["docs"], _TEXT_COLUMNS)
-                texts = Joined(text[end:], lengths)
-                end += sum(lengths)
+                texts = Joined(text[end:], _ends(lengths))
+                end += texts.ends[-1]
                 intent = IntentIndex.from_dict(
                     {**payload["intent"], "docs": {"text": texts}}, structural)
             if end != len(text):

@@ -188,6 +188,7 @@ class HashEmbeddingProvider:
         not tokenized: its runs of letters are its tokens, and its runs of
         digits, which ``tokenize`` drops, have no cell. Any other text,
         such as one edited by hand in an index file, is tokenized."""
+        texts = list(texts)  # each text read once, whatever holds them
         # splitting the joined texts once splits each text on " "
         cells, rows = self._lookup(
             " ".join(texts).split(" "), [t.count(" ") + 1 for t in texts]
@@ -303,10 +304,9 @@ class IntentIndex:
     """Intent documents as four parallel columns, one row per document:
     ``symbol_ids``, ``qualified_names`` and ``kinds``, tuples, and
     ``texts``, a ``model.Joined`` (given any other sequence, the
-    constructor makes the ``Joined`` of it), whose strs a load splits on
-    their first full read (by the embedding, equality or ``to_dict``); plus
-    ``matrix``, their vectors as one C-contiguous, read-only float64 array
-    of shape (docs, dim) that queries multiply.
+    constructor makes the ``Joined`` of it), which a load reads from the
+    section it decoded; plus ``matrix``, their vectors as one C-contiguous,
+    read-only float64 array of shape (docs, dim) that queries multiply.
 
     The last field is the matrix of a provider other than the hash
     embedder, or None for the hash embedder: then the first read of
@@ -393,11 +393,15 @@ class IntentIndex:
         ``real`` rows. The hash provider's vectors are left out, since they
         are embedded from the text; any other provider's matrix is one
         base64 string of little-endian float64, row by row."""
+        return {**self.header(), "docs": {"text": list(self.texts)}}
+
+    def header(self) -> dict:
+        """``to_dict`` but the texts, which an index file holds as a section
+        of their own."""
         data = {
             "provider_name": self.provider_name,
             "dim": self.dim,
             "repo_snapshot": self.repo_snapshot,
-            "docs": {"text": list(self.texts)},
         }
         if self.provider_name != HashEmbeddingProvider(self.dim).name:
             raw = self.matrix.astype("<f8").tobytes()
@@ -452,7 +456,8 @@ def build_intent_index(index: StructuralIndex, provider=None) -> IntentIndex:
     provider embeds them here."""
     provider = provider or HashEmbeddingProvider()
     ids, names, kinds = index.real
-    lines = {path: snippet_rows(text) for path, text in index.sources.items()}
+    sources = index.sources
+    lines = dict(zip(sources.paths, map(snippet_rows, sources.column)))
     texts = _summaries(index.symbols, ids, lines)
     rows = None
     if not isinstance(provider, HashEmbeddingProvider):

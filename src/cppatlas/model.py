@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from enum import Enum
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import eq, is_
 from typing import NamedTuple
 
@@ -189,56 +189,53 @@ def _frozen(column):
 
 
 class Joined(Sequence):
-    """A read-only sequence of strs kept as one str that starts with them
-    and the length of each (a sequence of ints), as an index file holds
-    them: the tuple of strs is split from them on the first read of one
-    and kept, so until then there is no object per str. ``Joined.of``
-    holds given strs. It equals a ``Joined`` or a tuple of the same
-    strs."""
+    """A read-only sequence of strs kept as one str, ``text``, and the
+    offsets ``ends``, one more than there are strs: str i is
+    ``text[ends[i]:ends[i + 1]]``. Every read slices ``text``, and nothing
+    is made or kept before one, so a load holds each section of an index
+    file as one str. ``Joined.of`` joins given strs. It equals a
+    ``Joined`` or a tuple of the same strs."""
 
-    __slots__ = ("_text", "_lengths", "_items")
+    __slots__ = ("text", "ends")
 
-    def __init__(self, text: str, lengths):
-        self._text, self._lengths, self._items = text, lengths, None
+    def __init__(self, text: str, ends):
+        self.text, self.ends = text, ends
 
     @classmethod
     def of(cls, items) -> "Joined":
-        joined = cls(None, None)
-        joined._items = tuple(items)
-        return joined
-
-    def _split(self) -> tuple:
-        if self._items is None:
-            # a slice written out reuses one slice object, where each
-            # ``slice()`` called makes one the collector tracks: 0.65
-            # against 1.78 ms for 8,881 texts
-            text, ends = self._text, list(accumulate(self._lengths, initial=0))
-            self._items = tuple([text[a:b] for a, b in zip(ends, ends[1:])])
-            self._text = self._lengths = None  # the strs hold what they read
-        return self._items
+        items = list(items)
+        return cls("".join(items), tuple(accumulate(map(len, items), initial=0)))
 
     def __len__(self) -> int:
-        return len(self._lengths if self._items is None else self._items)
+        return len(self.ends) - 1
 
     def __getitem__(self, i):
-        return self._split()[i]
+        if type(i) is not int or i < 0:
+            i = range(len(self))[i]  # an IndexError or TypeError as a tuple's
+            if type(i) is range:
+                return tuple(map(self.__getitem__, i))
+        ends = self.ends  # ends[i + 1] is an IndexError past the last str
+        return self.text[ends[i] : ends[i + 1]]
 
     def __iter__(self):
-        return iter(self._split())
+        # a slice written out reuses one slice object, where each
+        # ``slice()`` called makes one the collector tracks
+        text, ends = self.text, self.ends
+        return (text[a:b] for a, b in zip(ends, islice(ends, 1, None)))
 
     def __eq__(self, other):
         if isinstance(other, Joined):
-            other = other._split()
-        return self._split() == other if type(other) is tuple else NotImplemented
+            other = tuple(other)
+        return tuple(self) == other if type(other) is tuple else NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._split())
+        return hash(tuple(self))
 
     def __repr__(self) -> str:
-        return f"Joined({self._split()!r})"
+        return f"Joined({tuple(self)!r})"
 
-    def __reduce__(self):  # a loaded one's lengths are a memoryview
-        return Joined.of, (self._split(),)
+    def __reduce__(self):  # a loaded one's ends are a memoryview
+        return Joined.of, (tuple(self),)
 
 
 def _coded(values, table: tuple) -> tuple:

@@ -1,11 +1,16 @@
-"""The packed columns and the sections of a version 4 index file, read and
+"""The packed columns and the sections of a version 5 index file, read and
 written by hand, with nothing of `cppatlas.index`.
 
-A version 4 file is a JSON header line, then the texts of the sources and
+A version 5 file is a JSON header line, then the texts of the sources and
 then the intent texts, each run UTF-8 encoded with lone surrogates passed
 through. The header gives each run's strs by their lengths in code points:
 ``structural.sources`` is ``{"paths": [...], "lengths": packed}``, the
 paths sorted, and ``intent.docs`` is ``{"lengths": packed, "rows": n}``.
+The sources' paths are the file's one path table: a symbol's or a call
+site's ``file`` code is 0 for no file (an ``unresolved:`` sentinel's) or 1
+more than its path's row, and ``structural.includes`` is ``{"file":
+packed, "names": [[...], ...]}``, each parsed file's code, ascending, and
+its include targets.
 
 Its int columns are packed as in version 3: each is one ``{"width": w,
 "data": base64}`` object of little-endian unsigned ints of 1, 2 or 4
@@ -14,12 +19,16 @@ kind's table holds ``rows`` alone. Its bool columns are bits: one base64 string,
 row i at bit i % 8 of byte i // 8.
 
 ``read_file`` gives a file as the dict of version 3's layout, which tests
-edit: each source's text under ``structural.sources`` by path, the intent
-texts as ``intent.docs.text``, and each bool column a list. ``write_file``
-writes such a dict back as version 4. A value that version 4 cannot hold
-there (a source that is no str, a bool column holding another value, a
-``docs`` without a list of texts) is written as it is, where a loader must
-refuse it.
+edit: the ``files`` table that codes are rows of (``""``, then the paths),
+each source's text under ``structural.sources`` by path, the includes by
+path, the intent texts as ``intent.docs.text``, and each bool column a
+list. ``write_file`` writes such a dict back as version 5: ``files[1:]``
+as the paths, the ``sources`` texts in their order as the first section,
+and each includes path as its row of ``files``, or 0 when it has none. So
+a path can be edited apart from its text, and a text dropped apart from
+its path. A value that version 5 cannot hold there (a source that is no
+str, a bool column holding another value, a ``docs`` without a list of
+texts) is written as it is, where a loader must refuse it.
 
 A test that edits a file cell by cell, as the version 2 tests edited its
 JSON lists, goes through ``edited``: it turns every packed column of the
@@ -122,13 +131,17 @@ def _strs(text: str, lengths: list[int]) -> list[str]:
 
 
 def read_file(path) -> dict:
-    """A version 4 file as a dict of version 3's layout (see above)."""
+    """A version 5 file as a dict of version 3's layout (see above)."""
     head, _, rest = path.read_bytes().partition(b"\n")
     payload = json.loads(head)
     text = rest.decode("utf-8", "surrogatepass")
     structural, intent = payload["structural"], payload["intent"]
     paths, lengths = structural["sources"]["paths"], unpack(structural["sources"]["lengths"])
+    files = structural["files"] = ["", *paths]
     structural["sources"] = dict(zip(paths, _strs(text, lengths)))
+    includes = structural["includes"]
+    structural["includes"] = dict(zip(map(files.__getitem__, unpack(includes["file"])),
+                                      includes["names"]))
     if intent is not None:
         docs = intent["docs"]
         texts = _strs(text[sum(lengths):], unpack(docs["lengths"]) if docs["rows"] else [])
@@ -144,18 +157,25 @@ def _is_strs(values) -> bool:
 
 
 def write_file(path, payload: dict) -> None:
-    """``payload``, a dict of version 3's layout, written as version 4."""
+    """``payload``, a dict of version 3's layout, written as version 5."""
     payload = json.loads(json.dumps(payload))  # edit a copy
     structural, intent = payload.get("structural"), payload.get("intent")
     if type(structural) is not dict:
         structural = {}
     sections = []
     sources = structural.get("sources")
+    files = structural.pop("files", None)
+    if type(files) is not list:
+        files = ["", *sources] if type(sources) is dict else [""]
     if type(sources) is dict and _is_strs(list(sources.values())):
-        paths = sorted(sources)
-        sections.append("".join(map(sources.__getitem__, paths)))
+        sections.append("".join(sources.values()))
         structural["sources"] = {
-            "paths": paths, "lengths": pack([len(sources[p]) for p in paths])}
+            "paths": files[1:], "lengths": pack(list(map(len, sources.values())))}
+    includes = structural.get("includes")
+    if type(includes) is dict:
+        structural["includes"] = {
+            "file": pack([files.index(p) if p in files else 0 for p in includes]),
+            "names": list(includes.values())}
     if type(structural.get("symbols")) is dict:
         for name in _BOOLS:
             if type(structural["symbols"].get(name)) is list:

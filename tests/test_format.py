@@ -1,7 +1,9 @@
 """The index file against the frozen version 1 codec in refformat.py:
 exact round trips, stable bytes, and the same answer to every tool request;
 the packed int columns, kept from version 3, against their codec's rules;
-and version 4's sections and bits columns."""
+the sections and bits columns of version 4, and version 5's one path
+table; and ``model.Joined``, which holds a section, against the tuple of
+its strs."""
 
 import base64
 import copy
@@ -9,6 +11,7 @@ import dataclasses
 import json
 import pathlib
 import pickle
+import tempfile
 
 import numpy as np
 import pytest
@@ -78,7 +81,7 @@ def _answer(ctx, tool, arguments):
 
 @pytest.mark.parametrize("source", ["toyrepo", "motivation", 0, 7, 42, 101])
 def test_v2_round_trip_answers_like_v1(source, tmp_path):
-    """The current format, version 4 (the name is from version 2), against
+    """The current format, version 5 (the name is from version 2), against
     version 1."""
     index = _index(source)
     intent = build_intent_index(index)
@@ -178,8 +181,8 @@ def test_a_value_no_width_holds_fails_at_persist(value, toy_index, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# version 4: a JSON header line, then the sources and the intent texts as
-# raw UTF-8 sections that the header gives by their lengths
+# versions 4 and 5: a JSON header line, then the sources and the intent
+# texts as raw UTF-8 sections that the header gives by their lengths
 
 
 def _header_and_sections(path):
@@ -210,11 +213,28 @@ def test_v3_file_is_a_version_mismatch(toy_file):
         load_index(toy_file)
 
 
+def test_v4_file_is_a_version_mismatch(toy_file):
+    # version 4 held a ``files`` table of its own, and the includes by path
+    payload = packed.read_file(toy_file)
+    structural, symbols = payload["structural"], payload["structural"]["symbols"]
+    sources = structural["sources"]
+    structural["sources"] = {"paths": list(sources),
+                             "lengths": packed.pack(list(map(len, sources.values())))}
+    for name in ("is_definition", "is_virtual", "has_override"):
+        symbols[name] = packed.bits(symbols[name])
+    payload["version"] = 4
+    _rewritten(toy_file, payload, "".join(sources.values()).encode("utf-8")
+               + "".join(payload["intent"]["docs"].pop("text")).encode("utf-8"))
+    with pytest.raises(VersionMismatch):
+        load_index(toy_file)
+
+
 def test_the_file_is_a_header_line_and_two_sections(toy_index, toy_intent, toy_file):
     header, sections = _header_and_sections(toy_file)
     sources = toy_index.sources
-    assert header["version"] == 4
-    assert header["structural"]["sources"]["paths"] == sorted(sources)
+    assert header["version"] == 5
+    paths = header["structural"]["sources"]["paths"]
+    assert paths == sorted(sources)
     want = "".join(map(sources.__getitem__, sorted(sources))) + "".join(toy_intent.texts)
     assert sections == want.encode("utf-8")
     lengths = packed.unpack(header["structural"]["sources"]["lengths"])
@@ -225,6 +245,21 @@ def test_the_file_is_a_header_line_and_two_sections(toy_index, toy_intent, toy_f
     symbols = header["structural"]["symbols"]
     assert packed.unbits(symbols["is_definition"], len(symbols["name"])) == [
         r.is_definition for r in toy_index.symbols]
+    # the sources' paths are the one path table: file codes are 0 for no
+    # file and 1 more than a path's row
+    assert "files" not in header["structural"]
+    files = ["", *paths]
+    assert [files[c] for c in packed.unpack(symbols["file"])] == [
+        r.location.file for r in toy_index.symbols]
+    assert [files[c] for c in packed.unpack(header["structural"]["call_sites"]["file"])] == [
+        c.location.file for c in toy_index.call_sites]
+    includes = header["structural"]["includes"]
+    assert dict(zip([files[c] for c in packed.unpack(includes["file"])],
+                    map(tuple, includes["names"]))) == toy_index.includes
+    # tests/packed.py gives the file back as it read it
+    copy_path = toy_file.with_name("copy.caidx")
+    packed.write_file(copy_path, packed.read_file(toy_file))
+    assert copy_path.read_bytes() == toy_file.read_bytes()
 
 
 def _edit_lengths(where: str, row: int, delta: int):
@@ -302,6 +337,44 @@ def test_a_bad_section_or_bits_column_is_corrupt(toy_file, edit_header, edit_sec
         load_index(toy_file)
 
 
+def _includes_edit(edit):
+    def edit_includes(header):
+        table = header["structural"]["includes"]
+        table["file"] = packed.pack(edit(packed.unpack(table["file"]),
+                                         len(header["structural"]["sources"]["paths"])))
+    return edit_includes
+
+
+_BAD_INCLUDES = {
+    "includes-file-past-the-paths": lambda f, n: [*f[:-1], n + 1],
+    "includes-file-repeated": lambda f, n: [f[0], *f[:-1]],
+    "includes-files-unsorted": lambda f, n: f[::-1],
+    "includes-file-with-no-source": lambda f, n: [0, *f[1:]],
+}
+
+
+@pytest.mark.parametrize("edit", _BAD_INCLUDES.values(), ids=_BAD_INCLUDES)
+def test_an_includes_file_that_is_no_source_in_path_order_is_corrupt(toy_file, edit):
+    header, sections = _header_and_sections(toy_file)
+    _includes_edit(edit)(header)
+    _rewritten(toy_file, header, sections)
+    with pytest.raises(CorruptIndex, match="includes"):
+        load_index(toy_file)
+
+
+def test_a_file_with_no_source_fails_at_persist(toy_index, tmp_path):
+    first = sorted(toy_index.includes)[0]
+    for index in (
+            dataclasses.replace(toy_index, sources={
+                p: t for p, t in toy_index.sources.items() if p != first}),
+            dataclasses.replace(toy_index, includes={
+                **toy_index.includes, "nowhere.h": ()})):
+        path = tmp_path / "atlas.caidx"
+        with pytest.raises(CorruptIndex, match="has no source"):
+            persist_index(index, path)
+        assert not path.exists()
+
+
 def test_a_bits_column_has_no_bit_set_past_its_rows(tmp_path):
     three = Repository("three", (SourceUnit.make("a.h", "struct A {};\nvoid f();\n"),))
     index = build_index(three)
@@ -360,27 +433,6 @@ def test_lone_surrogates_round_trip_in_both_sections(toy_index, toy_intent, tmp_
     assert again.read_bytes() == path.read_bytes()
 
 
-def test_a_load_splits_the_texts_on_their_first_read(toy_intent, toy_file):
-    texts = load_index(toy_file).intent.texts
-    assert len(texts) == len(toy_intent.texts)
-    assert texts._items is None  # no str per text yet
-    assert texts[3] == toy_intent.texts[3]
-    assert texts._items == tuple(toy_intent.texts)  # split once, and kept
-    assert texts[3] is texts[3]
-
-
-def test_a_load_splits_the_sources_on_their_first_read(toy_index, toy_file):
-    loaded = load_index(toy_file).structural
-    assert type(vars(loaded)["sources"]).__name__ == "_Unsplit"  # no str per file
-    # a copy, a pickle or the closure check reads none of them either
-    for other in (copy.deepcopy(loaded), pickle.loads(pickle.dumps(loaded))):
-        assert type(vars(other)["sources"]).__name__ == "_Unsplit"
-        assert other == toy_index
-    sources = loaded.sources
-    assert sources == toy_index.sources and type(sources) is type(toy_index.sources)
-    assert vars(loaded)["sources"] is sources is loaded.sources  # split once, and kept
-
-
 _DICT_READS = [
     lambda t, first: t[first], lambda t, first: t.get(first),
     lambda t, first: t.get("absent.h", 7), lambda t, first: first in t,
@@ -410,18 +462,76 @@ def test_loaded_sources_read_as_the_built_dict(toy_index, toy_file):
         load_index(toy_file).structural.sources["a.h"] = "int a;"
 
 
-def test_joined_strs_read_as_their_tuple():
-    items = ("ab", "", "\ud800c", "d e")
-    for joined in (Joined("ab\ud800cd e", (2, 0, 2, 3)), Joined.of(items)):
-        assert len(joined) == 4 and tuple(joined) == items
-        assert joined[2] == "\ud800c" and joined[1:3] == items[1:3] and joined[-1] == "d e"
-        assert joined == items and joined == Joined.of(list(items))
-        assert joined != list(items) and joined != items[:3]
-        assert hash(joined) == hash(items) and repr(joined) == f"Joined({items!r})"
-        assert pickle.loads(pickle.dumps(joined)) == joined == copy.deepcopy(joined)
-        with pytest.raises(TypeError):
-            joined[0] = "x"
-    assert tuple(Joined("", ())) == () == tuple(Joined.of([]))
-    assert Joined("ab\ud800cxy", (2, 0, 2)) == ("ab", "", "\ud800c")  # a text may run on
-    loaded = Joined("abcd", memoryview(bytes([1, 3])))
-    assert pickle.loads(pickle.dumps(loaded)) == ("a", "bcd")
+def test_loaded_tables_compare_as_the_built_dicts(toy_index, toy_file):
+    loaded = load_index(toy_file).structural
+    for table, built in ((loaded.sources, toy_index.sources),
+                         (loaded.includes, toy_index.includes)):
+        want = dict(built)
+        assert table == want and want == table and table == built
+        assert not (table != want or want != table or table != built)
+        other = {**want, next(iter(want)): "changed"}
+        assert table != other and other != table and not table == other
+        assert table != {} and {} != table
+
+
+_STRS = st.lists(st.text(st.sampled_from("a \u00e9\u20ac\U0001f600\ud800\udfff\n"),
+                         max_size=4), max_size=6)
+
+
+def _assert_reads_as(joined, items: tuple):
+    """Every read of ``joined`` gives what the same read of ``items``
+    gives."""
+    n = len(items)
+    assert len(joined) == n and bool(joined) == bool(items)
+    assert tuple(joined) == items and list(reversed(joined)) == list(reversed(items))
+    assert [joined[i] for i in range(-n, n)] == [items[i] for i in range(-n, n)]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            joined[i]
+    for cut in (slice(None), slice(1, None), slice(-2, 5), slice(None, None, -2),
+                slice(n, None)):
+        assert joined[cut] == items[cut]
+    for probe in (*items, "", "zz", "a\ud800"):
+        assert (probe in joined) == (probe in items)
+        assert joined.count(probe) == items.count(probe)
+    assert joined == items and items == joined and not joined != items
+    assert joined == Joined.of(items) and Joined.of(list(items)) == joined
+    assert joined != list(items) and list(items) != joined
+    assert joined != (*items, "x") and (*items, "x") != joined
+    if items:
+        assert joined != items[:-1] and items[:-1] != joined
+    assert hash(joined) == hash(items)
+    assert repr(joined) == f"Joined({items!r})"
+    for copied in (pickle.loads(pickle.dumps(joined)), copy.deepcopy(joined)):
+        assert type(copied) is Joined and copied == joined and tuple(copied) == items
+    with pytest.raises(TypeError):
+        joined["a"]
+    with pytest.raises(TypeError):
+        joined[0] = "x"
+
+
+@settings(max_examples=60, deadline=None)
+@given(items=_STRS)
+@example(items=[])
+@example(items=[""])
+@example(items=["", "", ""])
+@example(items=["ab", "", "\ud800c", "d e", "\U0001f600\n\u00e9"])
+def test_joined_reads_as_the_tuple_of_its_strs(toy_index, toy_intent, items):
+    """A ``Joined`` as ``of`` builds it, and as a load makes it of each
+    section: the sources' texts and the intent texts."""
+    items = tuple(items)
+    _assert_reads_as(Joined.of(items), items)
+    _assert_reads_as(Joined.of(iter(items)), items)
+    texts = tuple(items[row % len(items)] for row in range(len(toy_intent.texts))
+                  ) if items else tuple(toy_intent.texts)
+    index = dataclasses.replace(toy_index, sources={
+        **toy_index.sources, **{f"z/{row:02}.h": text for row, text in enumerate(items)}})
+    intent = dataclasses.replace(toy_intent, texts=texts)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "odd.caidx"
+        persist_index(IndexContainer(index, intent), path)
+        loaded = load_index(path)
+    sources = loaded.structural.sources.column
+    _assert_reads_as(sources, tuple(map(index.sources.__getitem__, sorted(index.sources))))
+    assert sources[len(toy_index.sources):] == items
+    _assert_reads_as(loaded.intent.texts, texts)

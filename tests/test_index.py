@@ -448,6 +448,14 @@ class TestPersistence:
         structural["edges"]["calls"]["from"].append(1)
         structural["edges"]["calls"]["to"].append(99999)
 
+    @staticmethod
+    def _without_the_first_source(structural):
+        # a parsed file's path and text go; its symbols' codes then name
+        # the next path, and the last path's go past the table
+        first = structural["files"].pop(1)
+        assert first in structural["includes"]
+        del structural["sources"][first]
+
     @pytest.mark.parametrize(
         "corrupt",
         [
@@ -470,11 +478,14 @@ class TestPersistence:
             lambda s: s["symbols"]["start_line"].__setitem__(0, 1.0),
             lambda s: s["symbols"].update(name="calc"),
             lambda s: s["symbols"]["signature"].__setitem__(0, 3),
-            lambda s: s["files"].__setitem__(0, None),
+            # files[0] is no file (""), which the path table does not hold
+            lambda s: s["files"].__setitem__(1, None),
             lambda s: s["sources"].update({next(iter(s["sources"])): 7}),
             lambda s: s.update(sources=list(s["sources"].items())),
             lambda s: s["includes"].update({next(iter(s["includes"])): "a.h"}),
             lambda s: s["includes"].update({next(iter(s["includes"])): [3]}),
+            _without_the_first_source,
+            lambda s: s["includes"].update({"nowhere.h": []}),
             lambda s: s.update(parse_error_count=False),
             lambda s: s.update(parse_error_count="0"),
             lambda s: s["symbols"]["end_line"].__setitem__(
@@ -491,7 +502,8 @@ class TestPersistence:
              "bool-edge-endpoint", "float-line", "column-not-a-list",
              "signature-not-text", "file-name-not-text",
              "source-not-text", "sources-not-an-object", "includes-not-a-list",
-             "include-not-text",
+             "include-not-text", "parsed-file-without-source",
+             "includes-path-without-source",
              "bool-parse-error-count", "string-parse-error-count",
              "symbol-span-ends-before-it-starts",
              "call-site-span-ends-before-it-starts"],

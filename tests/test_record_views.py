@@ -13,7 +13,8 @@ import corpusgen
 import refindex
 from cppatlas.index import IndexContainer, build_index, load_index, persist_index
 from cppatlas.intent import build_intent_index
-from cppatlas.model import CallSiteView, EdgeView, RecordView, SymbolView
+from cppatlas.model import (CLASS_KINDS, FUNCTION_KINDS, CallSiteView, EdgeView,
+                            Joined, RecordView, SymbolView)
 from cppatlas.repo import Repository, SourceUnit, load_repository
 from cppatlas.tools import ToolContext, dispatch_tool
 
@@ -68,20 +69,55 @@ def test_views_make_the_records_of_the_frozen_build(tree, tmp_path):
                 assert _with_columns_as(records, container) == records
 
 
-def test_a_load_makes_fewer_objects_than_symbols(tmp_path):
+@pytest.fixture(scope="module")
+def side_by_side_file(tmp_path_factory):
+    """An index file of 60 corpusgen seeds side by side."""
     units = tuple(sorted(
         (SourceUnit.make(f"s{seed}/{path}", text)
          for seed in range(60) for path, text in corpusgen.generate(seed).files.items()),
         key=lambda u: u.path))
     index = build_index(Repository("side-by-side", units))
     assert len(index.symbols) >= 1000
-    persist_index(IndexContainer(index, build_intent_index(index)),
-                  tmp_path / "atlas.caidx")
+    path = tmp_path_factory.mktemp("side-by-side") / "atlas.caidx"
+    persist_index(IndexContainer(index, build_intent_index(index)), path)
+    return path
+
+
+def test_a_load_makes_fewer_objects_than_symbols(side_by_side_file):
     gc.collect()
     before = len(gc.get_objects())
-    loaded = load_index(tmp_path / "atlas.caidx")
+    loaded = load_index(side_by_side_file)
     grown = len(gc.get_objects()) - before
     assert grown < len(loaded.structural.symbols), grown
+
+
+def test_a_found_record_reads_one_source_text(side_by_side_file, monkeypatch):
+    """The snippet of a record a tool answers with is read from its file's
+    text alone: no read of the sources' section reads another file's."""
+    structural = load_index(side_by_side_file).structural
+    texts = structural.sources.column
+    reads = []
+
+    def counted(read):
+        def wrapped(joined, *args):
+            if joined is texts:
+                reads.append(args)
+            return read(joined, *args)
+        return wrapped
+
+    for name in ("__getitem__", "__iter__"):
+        monkeypatch.setattr(Joined, name, counted(getattr(Joined, name)))
+    symbols = structural.symbols
+    unique = [i for i in range(len(symbols))
+              if len(structural.by_qualified[symbols.qualified_name[i]]) == 1]
+    cls = next(i for i in unique if symbols.kind_of(i) in CLASS_KINDS)
+    function = next(i for i in unique if symbols.kind_of(i) in FUNCTION_KINDS)
+    ctx = ToolContext(structural)
+    for tool, symbol in (("FindClass", cls), ("FindFunction", function)):
+        reads.clear()
+        answer = dispatch_tool(ctx, tool, {"name": symbols.qualified_name[symbol]})
+        assert answer and reads == [(structural.sources.paths.index(
+            symbols.files[symbols.file[symbol]]),)], (tool, reads)
 
 
 def test_a_toy_session_makes_a_few_dozen_records(toyrepo_root, tmp_path,
