@@ -60,10 +60,10 @@ the sources also by their sorted, distinct ``paths``: the file's one path
 table. A symbol's or a call site's file code is 0 for no file (an
 ``unresolved:`` sentinel's) or 1 more than its path's row, and the
 includes are each parsed file's code, ascending, with its include
-targets. A load keeps each section as a str of its own, so that a wide
-character in one does not widen the other: the sources and the intent
-texts are each a ``model.Joined``, read by slicing and never split, so a
-load makes no str per file or per document. The header holds the other
+targets. A load slices the sources into one str per file, so that a
+wide character widens its own file alone, and keeps the intent texts as
+one str, a ``model.Joined`` read by slicing and never split, so that it
+makes no str per document. The header holds the other
 fields as columns. A symbol's id is its row, and its kind is a row of the
 header's ``kinds``; edges are a ``from`` and a ``to`` column per kind,
 and an empty kind is its row count alone. Every int column is packed:
@@ -86,7 +86,6 @@ import json
 import logging
 import sys
 import warnings
-from collections.abc import ItemsView, ValuesView
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -166,59 +165,18 @@ class Graph:
 
 
 class _Table(dict):
-    """An index's sources or includes: their sorted ``paths`` and a
-    ``column`` of their values in path order (the sources' a ``Joined``),
-    kept as the dict of each path's row that reads, is written and
-    compares as the dict of each path's value, and refuses every change
-    in place."""
-
-    __slots__ = ("paths", "column")
-
-    def __init__(self, paths, column):
-        self.paths, self.column = tuple(paths), column
-        super().__init__(zip(self.paths, count()))
-
-    @classmethod
-    def of(cls, table, column) -> "_Table":
-        """The table of a dict, its values made ``column``."""
-        paths = sorted(table)
-        return cls(paths, column(map(table.__getitem__, paths)))
-
-    def __getitem__(self, path):
-        return self.column[dict.__getitem__(self, path)]
-
-    def get(self, path, default=None):
-        row = dict.get(self, path)
-        return default if row is None else self.column[row]
-
-    # a dict made from this one (a copy, a union) reads its values: CPython
-    # copies a dict's own entries only when its type keeps dict's __iter__
-    def __iter__(self):
-        return iter(self.paths)
-
-    def items(self):
-        return ItemsView(self)
-
-    def values(self):
-        return ValuesView(self)
-
-    def __eq__(self, other):
-        return dict(self) == other if isinstance(other, dict) else NotImplemented
-
-    def __ne__(self, other):
-        return dict(self) != other if isinstance(other, dict) else NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(dict(self))
-
-    def __reduce__(self):
-        return _Table, (self.paths, self.column)
+    """An index's sources or includes, by path in sorted order: a dict
+    that refuses every change in place. It is written and compared as a
+    plain dict."""
 
     def _refuse(self, *args, **kwargs):
         raise TypeError("an index's tables are read-only")
 
     __setitem__ = __delitem__ = __ior__ = _refuse
     clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return _Table, (dict(self),)
 
 
 # A fixed string of at least 3 UTF-8 bytes is looked for only in the files
@@ -275,11 +233,11 @@ class StructuralIndex:
     its named tuple when one is indexed, and its named tuples, at C speed,
     when it is iterated, and keeps none. Given any other sequence of
     records, the constructor makes it the view of them. ``sources`` and
-    ``includes`` (its lists made tuples) are copied into dicts that refuse
-    changes in place (``_Table``), the sources' texts as one ``Joined`` in
-    path order. The tables derived from the fields (``graph``,
-    ``by_name``, ``by_qualified``, ``by_suffix``, ``trigrams`` and
-    ``real``) are each made from the columns on their first read and kept.
+    ``includes`` (its lists made tuples) are copied, in path order, into
+    dicts that refuse changes in place (``_Table``). The tables derived
+    from the fields (``graph``, ``by_name``, ``by_qualified``,
+    ``by_suffix``, ``trigrams`` and ``real``) are each made from the
+    columns on their first read and kept.
     They are no fields, so they take no part in equality or ``repr``, and
     ``dataclasses.replace`` gives an index that derives its own."""
 
@@ -297,10 +255,10 @@ class StructuralIndex:
             if type(getattr(self, name)) is not view:
                 object.__setattr__(self, name, view.of(getattr(self, name)))
         if type(self.sources) is not _Table:
-            object.__setattr__(self, "sources", _Table.of(self.sources, Joined.of))
+            object.__setattr__(self, "sources", _Table(sorted(self.sources.items())))
         if type(self.includes) is not _Table:
-            object.__setattr__(self, "includes", _Table.of(
-                self.includes, lambda names: tuple(map(tuple, names))))
+            object.__setattr__(self, "includes", _Table(
+                sorted((path, tuple(names)) for path, names in self.includes.items())))
 
     @cached_property
     @_collector_paused()
@@ -354,21 +312,17 @@ class StructuralIndex:
                 tuple(values[codes[ids]].tolist()))
 
     @cached_property
-    def trigrams(self) -> tuple[list, list[int], int]:
-        """The grep filter: the (path, start, end) of each source, where its
-        text starts and ends in the sources' section, in path order, so
-        that a candidate is one slice of it; the rows; and the rows' width
-        in bits. Bit ``width - 1 - f`` of row b
+    def trigrams(self) -> tuple[list[str], list[int], int]:
+        """The grep filter: the paths of the sources, in order; the rows;
+        and the rows' width in bits. Bit ``width - 1 - f`` of row b
         is set when file f holds a trigram of bucket b. Texts are UTF-8
         encoded with lone surrogates passed through, as patterns are, so a
         pattern's bytes lie in the bytes of every text holding it."""
         import numpy as np  # here, not at the top: see _check_columns
 
-        ends = self.sources.column.ends
-        files = list(zip(self.sources.paths, ends, islice(ends, 1, None)))
-        texts = iter(self.sources.column)
-        bitmap = np.zeros((_BUCKETS, (len(files) + 7) // 8), dtype=np.uint8)
-        for first in range(0, len(files), _CHUNK):
+        paths, texts = list(self.sources), iter(self.sources.values())
+        bitmap = np.zeros((_BUCKETS, (len(paths) + 7) // 8), dtype=np.uint8)
+        for first in range(0, len(paths), _CHUNK):
             data = [text.encode("utf-8", "surrogatepass")
                     for text in islice(texts, _CHUNK)]
             file = np.repeat(np.arange(len(data)), [len(d) for d in data])
@@ -382,22 +336,21 @@ class StructuralIndex:
         rows = [0] * _BUCKETS
         for bucket in np.flatnonzero(bitmap.any(axis=1)).tolist():
             rows[bucket] = int.from_bytes(bitmap[bucket].tobytes(), "big")
-        return files, rows, bitmap.shape[1] * 8
+        return paths, rows, bitmap.shape[1] * 8
 
     def grep_candidates(self, data: bytes):
         """The (path, text) pairs, in path order, of the files holding a
         trigram of each bucket that a trigram of ``data``, 3 bytes or
         more, hashes to."""
-        files, rows, width = self.trigrams
-        text = self.sources.column.text
+        paths, rows, width = self.trigrams
+        sources = self.sources
         held = -1
         for i in range(len(data) - 2):
             held &= rows[_bucket(int.from_bytes(data[i : i + 3], "big"))]
         bits = format(held, f"0{width}b")
         f = bits.find("1")
         while f >= 0:
-            path, start, end = files[f]
-            yield path, text[start:end]
+            yield paths[f], sources[paths[f]]
             f = bits.find("1", f + 1)
 
     def parent(self, symbol_id: int) -> int | None:
@@ -920,9 +873,9 @@ def _recoded(codes, table, rows: dict) -> list:
 
 
 def _ends(lengths) -> memoryview:
-    """The ``Joined`` offsets of strs of ``lengths`` laid end to end,
-    read-only: one numpy pass, where a Python ``accumulate`` takes about
-    seven times as long."""
+    """The offsets of strs of ``lengths`` laid end to end, as a ``Joined``
+    keeps them, read-only: one numpy pass, where a Python ``accumulate``
+    takes about seven times as long."""
     import numpy as np
 
     ends = np.zeros(len(lengths) + 1, dtype=np.int64)
@@ -944,7 +897,7 @@ def _structural_to_dict(index: StructuralIndex) -> dict:
     ``CorruptIndex`` for a file that has no source."""
     symbols, sites, edges, sources = (index.symbols, index.call_sites, index.edges,
                                       index.sources)
-    rows = dict(zip(("", *sources.paths), count()))
+    rows = dict(zip(("", *sources), count()))
     named = {*map(symbols.files.__getitem__, set(symbols.file)),
              *map(sites.files.__getitem__, set(sites.file)), *index.includes}
     if not named <= rows.keys():
@@ -955,7 +908,6 @@ def _structural_to_dict(index: StructuralIndex) -> dict:
     symbol_columns["file"] = _recoded(symbols.file, symbols.files, rows)
     site_columns = {name: getattr(sites, name) for name in _SITE_COLUMNS}
     site_columns["file"] = _recoded(sites.file, sites.files, rows)
-    includes = sorted(index.includes.items())
     return {
         "kinds": [k.value for k in SymbolKind],
         "symbols": write_columns(symbol_columns, _SYMBOL_COLUMNS),
@@ -963,19 +915,21 @@ def _structural_to_dict(index: StructuralIndex) -> dict:
         "edges": {k.value: write_columns(dict(zip(_EDGE_COLUMNS, ends)), _EDGE_COLUMNS)
                   if ends[0] else {"rows": 0} for k, ends in zip(EdgeKind, edges.ends)},
         "call_sites": write_columns(site_columns, _SITE_COLUMNS),
-        "sources": write_columns({"paths": sources.paths,
-                                  "lengths": _section(sources.column)[1]}, _SOURCE_COLUMNS),
-        "includes": {"file": _pack([rows[path] for path, _ in includes], "includes"),
-                     "names": [names for _, names in includes]},
+        "sources": write_columns({"paths": list(sources),
+                                  "lengths": list(map(len, sources.values()))},
+                                 _SOURCE_COLUMNS),
+        "includes": {"file": _pack([rows[path] for path in index.includes], "includes"),
+                     "names": list(index.includes.values())},
         "parse_error_count": index.parse_error_count,
     }
 
 
-def _structural_from_dict(d: dict, snapshot: str, text: str) -> StructuralIndex:
+def _structural_from_dict(d: dict, snapshot: str,
+                          text: str) -> tuple[StructuralIndex, int]:
     """The index ``_structural_to_dict`` wrote, its columns kept as read,
-    whose sources are the strs ``text`` starts with, sliced from it as a
-    str of their own. Every check runs here, so that no record made later
-    can fail."""
+    whose sources are the strs ``text`` starts with, each sliced from it;
+    and where they end in ``text`` by their lengths, which may lie past
+    it. Every check runs here, so that no record made later can fail."""
     includes, errors = d["includes"], d["parse_error_count"]
     if type(snapshot) is not str or type(errors) is not int:
         raise ValueError("repo_snapshot must be a str and parse_error_count an int")
@@ -1005,13 +959,14 @@ def _structural_from_dict(d: dict, snapshot: str, text: str) -> StructuralIndex:
         symbols=SymbolView(kinds, files, range(len(symbols[0])), *symbols),
         edges=EdgeView(ends),
         call_sites=CallSiteView(files, *sites),
-        sources=_Table(paths, Joined(text[: offsets[-1]], offsets)),
-        includes=_Table(map(files.__getitem__, included), tuple(map(tuple, names))),
+        sources=_Table(zip(paths, map(text.__getitem__,
+                                      map(slice, offsets, offsets[1:])))),
+        includes=_Table(zip(map(files.__getitem__, included), map(tuple, names))),
         repo_snapshot=snapshot,
         parse_error_count=errors,
     )
     _check_closure(index)
-    return index
+    return index, offsets[-1]
 
 
 def persist_index(
@@ -1023,7 +978,7 @@ def persist_index(
     bytes."""
     if isinstance(container, StructuralIndex):
         container = IndexContainer(structural=container)
-    sections = [_section(container.structural.sources.column)[0]]
+    sections = ["".join(container.structural.sources.values())]
     intent_dict = None
     if container.intent is not None:
         section, lengths = _section(container.intent.texts)
@@ -1054,8 +1009,8 @@ def load_index(
     structural tables and the hash embedder's intent vectors are each made
     on the first query that reads them. The intent documents are the
     ``real`` rows, kept as columns with no object per document. The file
-    is decoded once, and each section is kept as a str of its own, which
-    the sources or the intent texts read by slicing."""
+    is decoded once; the sources are sliced from it, one str per file,
+    and the intent texts kept as a str of their own, read by slicing."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -1078,8 +1033,7 @@ def load_index(
             text = str(memoryview(data)[end + 1 :], "utf-8", "surrogatepass")
             del data
             snapshot = payload["repo_snapshot"]
-            structural = _structural_from_dict(payload["structural"], snapshot, text)
-            end = structural.sources.column.ends[-1]
+            structural, end = _structural_from_dict(payload["structural"], snapshot, text)
             intent = None
             if payload.get("intent") is not None:
                 from .intent import IntentIndex

@@ -456,8 +456,7 @@ def build_intent_index(index: StructuralIndex, provider=None) -> IntentIndex:
     provider embeds them here."""
     provider = provider or HashEmbeddingProvider()
     ids, names, kinds = index.real
-    sources = index.sources
-    lines = dict(zip(sources.paths, map(snippet_rows, sources.column)))
+    lines = {path: snippet_rows(text) for path, text in index.sources.items()}
     texts = _summaries(index.symbols, ids, lines)
     rows = None
     if not isinstance(provider, HashEmbeddingProvider):

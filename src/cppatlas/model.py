@@ -192,8 +192,8 @@ class Joined(Sequence):
     """A read-only sequence of strs kept as one str, ``text``, and the
     offsets ``ends``, one more than there are strs: str i is
     ``text[ends[i]:ends[i + 1]]``. Every read slices ``text``, and nothing
-    is made or kept before one, so a load holds each section of an index
-    file as one str. ``Joined.of`` joins given strs. It equals a
+    is made or kept before one, so a load holds an index file's intent
+    texts as one str. ``Joined.of`` joins given strs. It equals a
     ``Joined`` or a tuple of the same strs."""
 
     __slots__ = ("text", "ends")
@@ -210,12 +210,10 @@ class Joined(Sequence):
         return len(self.ends) - 1
 
     def __getitem__(self, i):
-        if type(i) is not int or i < 0:
-            i = range(len(self))[i]  # an IndexError or TypeError as a tuple's
-            if type(i) is range:
-                return tuple(map(self.__getitem__, i))
-        ends = self.ends  # ends[i + 1] is an IndexError past the last str
-        return self.text[ends[i] : ends[i + 1]]
+        i = range(len(self))[i]  # an IndexError or TypeError as a tuple's
+        if type(i) is range:
+            return tuple(map(self.__getitem__, i))
+        return self.text[self.ends[i] : self.ends[i + 1]]
 
     def __iter__(self):
         # a slice written out reuses one slice object, where each

@@ -337,7 +337,7 @@ def _found_lines(index: StructuralIndex, pattern: str):
     if len(data) >= 3:
         files = index.grep_candidates(data)
     else:
-        files = zip(index.sources.paths, index.sources.column)
+        files = index.sources.items()
     for path, text in files:
         pos = text.find(pattern)
         line, counted = 1, 0
@@ -355,8 +355,7 @@ def _found_lines(index: StructuralIndex, pattern: str):
 def _scanned_lines(index: StructuralIndex, hit):
     """``{"path", "line", "text"}`` of each line ``hit`` is true of, in
     path then line order."""
-    sources = index.sources
-    for path, source in zip(sources.paths, sources.column):
+    for path, source in index.sources.items():
         for line, text in enumerate(source.split("\n"), start=1):
             if hit(text):
                 yield {"path": path, "line": line, "text": text}

@@ -16,7 +16,6 @@ the exit with short sleeps.
 
 from __future__ import annotations
 
-import logging
 import os
 import selectors
 import shutil
@@ -29,8 +28,6 @@ from pathlib import Path
 
 from .errors import MaterializationFailed, RunnerUnavailable
 from .repo import Repository
-
-log = logging.getLogger(__name__)
 
 _OUTPUT_LIMIT = 65536
 _READ_SIZE = 65536
@@ -238,15 +235,3 @@ def _kill_group(proc: subprocess.Popen):
         os.killpg(proc.pid, signal.SIGKILL)
     except ProcessLookupError:
         pass
-
-
-def run_tests(
-    repo: Repository, tests: list[TestCase], config: RunnerConfig | None = None
-) -> list[TestOutcome]:
-    """Run tests sequentially in their given order."""
-    outcomes = []
-    for test in tests:
-        outcome = run_test(repo, test, config)
-        log.debug("test %s: %s", test.test_id, outcome.status)
-        outcomes.append(outcome)
-    return outcomes

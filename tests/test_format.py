@@ -8,10 +8,12 @@ its strs."""
 import base64
 import copy
 import dataclasses
+import gc
 import json
 import pathlib
 import pickle
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from cppatlas.errors import CorruptIndex, EngineError, VersionMismatch
 from cppatlas.index import (
     IndexContainer,
+    StructuralIndex,
     build_index,
     load_index,
     persist_index,
@@ -327,14 +330,56 @@ _BAD_SECTIONS = {
 @pytest.mark.parametrize("edit_header, edit_sections", _BAD_SECTIONS.values(),
                          ids=_BAD_SECTIONS)
 def test_a_bad_section_or_bits_column_is_corrupt(toy_file, edit_header, edit_sections):
-    header, sections = _header_and_sections(toy_file)
+    _edited(toy_file, edit_header, edit_sections)
+    with pytest.raises(CorruptIndex):
+        load_index(toy_file)
+
+
+def _edited(path, edit_header, edit_sections):
+    header, sections = _header_and_sections(path)
     if edit_header is not None:
         edit_header(header)
     if edit_sections is not None:
         sections = edit_sections(sections)
-    _rewritten(toy_file, header, sections)
+    _rewritten(path, header, sections)
+
+
+# the cases that edit no intent text: with none, the sources end the file,
+# and a last source length that runs past it must not clip to fit
+_NEED_TEXTS = {"text-length-one-more", "text-length-one-less",
+               "lengths-sum-past-the-file", "one-text-more-than-real-rows"}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SECTIONS.keys() - _NEED_TEXTS))
+def test_a_bad_section_is_corrupt_in_a_file_with_no_intent_texts(toy_index, tmp_path,
+                                                                 case):
+    path = tmp_path / "toy.caidx"
+    persist_index(toy_index, path)
+    _edited(path, *_BAD_SECTIONS[case])
     with pytest.raises(CorruptIndex):
-        load_index(toy_file)
+        load_index(path)
+
+
+def test_a_wide_character_widens_its_own_source_alone(tmp_path):
+    """A load keeps about one byte per character of ASCII sources, though
+    another source holds a character outside Latin-1."""
+    line = "int f(int a) { return a + 1; }  // ascii\n"
+    sources = {f"src/{i:03}.h": line * 25 for i in range(500)}
+    ascii_chars = sum(map(len, sources.values()))
+    sources["wide.h"] = "// \U0001f600\n"
+    path = tmp_path / "wide.caidx"
+    persist_index(StructuralIndex(sources=sources), path)
+    load_index(path)  # a first load imports what loads need
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loaded = load_index(path)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert loaded.structural.sources == sources
+    assert kept < 1.5 * ascii_chars, (kept, ascii_chars)
 
 
 def _includes_edit(edit):
@@ -456,7 +501,7 @@ def test_loaded_sources_read_as_the_built_dict(toy_index, toy_file):
     for i, read in enumerate(_DICT_READS):
         want = read(dict(toy_index.sources), first)
         assert read(load_index(toy_file).structural.sources, first) == want, i
-    # two loaded tables compare by their items, whichever is split
+    # two loaded tables compare by their items
     assert load_index(toy_file).structural.sources == load_index(toy_file).structural.sources
     with pytest.raises(TypeError):
         load_index(toy_file).structural.sources["a.h"] = "int a;"
@@ -517,8 +562,8 @@ def _assert_reads_as(joined, items: tuple):
 @example(items=["", "", ""])
 @example(items=["ab", "", "\ud800c", "d e", "\U0001f600\n\u00e9"])
 def test_joined_reads_as_the_tuple_of_its_strs(toy_index, toy_intent, items):
-    """A ``Joined`` as ``of`` builds it, and as a load makes it of each
-    section: the sources' texts and the intent texts."""
+    """A ``Joined`` as ``of`` builds it, and as a load makes it of the
+    intent texts; the same odd strs as sources load as the built dict."""
     items = tuple(items)
     _assert_reads_as(Joined.of(items), items)
     _assert_reads_as(Joined.of(iter(items)), items)
@@ -531,7 +576,5 @@ def test_joined_reads_as_the_tuple_of_its_strs(toy_index, toy_intent, items):
         path = pathlib.Path(tmp) / "odd.caidx"
         persist_index(IndexContainer(index, intent), path)
         loaded = load_index(path)
-    sources = loaded.structural.sources.column
-    _assert_reads_as(sources, tuple(map(index.sources.__getitem__, sorted(index.sources))))
-    assert sources[len(toy_index.sources):] == items
+    assert loaded.structural.sources == index.sources
     _assert_reads_as(loaded.intent.texts, texts)

@@ -11,10 +11,11 @@ import pytest
 
 import corpusgen
 import refindex
-from cppatlas.index import IndexContainer, build_index, load_index, persist_index
+from cppatlas.index import (IndexContainer, _Table, build_index, load_index,
+                            persist_index)
 from cppatlas.intent import build_intent_index
 from cppatlas.model import (CLASS_KINDS, FUNCTION_KINDS, CallSiteView, EdgeView,
-                            Joined, RecordView, SymbolView)
+                            RecordView, SymbolView)
 from cppatlas.repo import Repository, SourceUnit, load_repository
 from cppatlas.tools import ToolContext, dispatch_tool
 
@@ -93,20 +94,21 @@ def test_a_load_makes_fewer_objects_than_symbols(side_by_side_file):
 
 def test_a_found_record_reads_one_source_text(side_by_side_file, monkeypatch):
     """The snippet of a record a tool answers with is read from its file's
-    text alone: no read of the sources' section reads another file's."""
+    text alone: no other entry of the sources is read, nor are they
+    iterated."""
     structural = load_index(side_by_side_file).structural
-    texts = structural.sources.column
+    sources = structural.sources
     reads = []
 
     def counted(read):
-        def wrapped(joined, *args):
-            if joined is texts:
-                reads.append(args)
-            return read(joined, *args)
+        def wrapped(table, *args):
+            if table is sources:
+                reads.append(args[:1] or read.__name__)
+            return read(table, *args)
         return wrapped
 
-    for name in ("__getitem__", "__iter__"):
-        monkeypatch.setattr(Joined, name, counted(getattr(Joined, name)))
+    for name in ("get", "__getitem__", "__iter__", "items", "values"):
+        monkeypatch.setattr(_Table, name, counted(getattr(_Table, name)))
     symbols = structural.symbols
     unique = [i for i in range(len(symbols))
               if len(structural.by_qualified[symbols.qualified_name[i]]) == 1]
@@ -116,8 +118,7 @@ def test_a_found_record_reads_one_source_text(side_by_side_file, monkeypatch):
     for tool, symbol in (("FindClass", cls), ("FindFunction", function)):
         reads.clear()
         answer = dispatch_tool(ctx, tool, {"name": symbols.qualified_name[symbol]})
-        assert answer and reads == [(structural.sources.paths.index(
-            symbols.files[symbols.file[symbol]]),)], (tool, reads)
+        assert answer and reads == [(symbols.files[symbols.file[symbol]],)], (tool, reads)
 
 
 def test_a_toy_session_makes_a_few_dozen_records(toyrepo_root, tmp_path,

@@ -10,7 +10,7 @@ import pytest
 
 from cppatlas.errors import MaterializationFailed, RunnerUnavailable
 from cppatlas.repo import Repository, SourceUnit
-from cppatlas.runner import RunnerConfig, TestCase, run_test, run_tests
+from cppatlas.runner import RunnerConfig, TestCase, run_test
 
 import refrunner
 
@@ -309,20 +309,6 @@ def test_output_truncation(tmp_path):
         RunnerConfig(scratch_root=str(tmp_path), output_limit_bytes=1000),
     )
     assert len(outcome.stdout.encode()) <= 1100  # limit plus truncation note
-
-
-def test_run_tests_preserves_order(tmp_path):
-    repo = repo_of(**{"x.txt": "1\n"})
-    outcomes = run_tests(
-        repo,
-        [
-            py_test("one", "pass"),
-            py_test("two", "import sys;sys.exit(1)"),
-        ],
-        RunnerConfig(scratch_root=str(tmp_path)),
-    )
-    assert [o.test_id for o in outcomes] == ["one", "two"]
-    assert [o.status for o in outcomes] == ["pass", "fail"]
 
 
 def test_case_dict_round_trip():
